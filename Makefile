@@ -25,7 +25,7 @@ bench:
 ## BENCH_engine.json artifact (serial vs parallel wall time, speedup,
 ## allocs/op, bit-identity check)
 bench-engine:
-	$(GO) run ./cmd/benchsuite -experiment engine -engine-json BENCH_engine.json
+	$(GO) run ./cmd/benchsuite -experiment engine -json BENCH_engine.json
 
 ## bench-smoke: one quick iteration of the engine microbenchmarks (the CI
 ## guard that the superstep hot path stays allocation-free and race-clean)
@@ -34,9 +34,9 @@ bench-smoke:
 
 ## bench-backend: measure sim vs native execution backends (Table X) and emit
 ## the BENCH_backend.json artifact (warm CG latency, speedup, allocs/op,
-## batched-RHS scaling, residual agreement)
+## residual agreement)
 bench-backend:
-	$(GO) run ./cmd/benchsuite -experiment backend -backend-json BENCH_backend.json
+	$(GO) run ./cmd/benchsuite -experiment backend -json BENCH_backend.json
 
 ## bench-backend-smoke: one quick iteration of the backend microbenchmarks
 ## (the CI guard that warm SolveInto stays allocation-free on both backends)
@@ -104,19 +104,19 @@ bench-cluster:
 ## BENCH_sdc.json artifact: ABFT-on vs ABFT-off warm CG latency on both
 ## backends plus seeded corruption campaigns classified by outcome
 bench-sdc:
-	$(GO) run ./cmd/benchsuite -experiment sdc -sdc-json BENCH_sdc.json
+	$(GO) run ./cmd/benchsuite -experiment sdc -json BENCH_sdc.json
 
 ## bench-refresh: the values-only refresh amortization study (Table XII) and
 ## its BENCH_refresh.json artifact: cold Prepare+Solve vs warm
 ## UpdateValues+Solve per streaming step on both backends
 bench-refresh:
-	$(GO) run ./cmd/benchsuite -experiment refresh -refresh-json BENCH_refresh.json
+	$(GO) run ./cmd/benchsuite -experiment refresh -json BENCH_refresh.json
 
 ## bench-tune: the autotuning study (Table XIII) and its BENCH_tune.json
 ## artifact: static default vs raced winner per serving profile, including
 ## the misconfigured sim-pinned profile the tuner repairs
 bench-tune:
-	$(GO) run ./cmd/benchsuite -experiment tune -tune-json BENCH_tune.json
+	$(GO) run ./cmd/benchsuite -experiment tune -json BENCH_tune.json
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,5 @@
 // Execution-backend microbenchmarks (Table X): warm prepared-pipeline CG
-// solves on the cycle-accurate simulator versus the native backend, and
-// batched right-hand sides through one native instruction stream.
+// solves on the cycle-accurate simulator versus the native backend.
 //
 //	go test -bench=BenchmarkBackend -benchmem
 //
@@ -61,30 +60,4 @@ func benchmarkBackendCG(b *testing.B, backend string) {
 func BenchmarkBackendCG(b *testing.B) {
 	b.Run("sim", func(b *testing.B) { benchmarkBackendCG(b, "sim") })
 	b.Run("native", func(b *testing.B) { benchmarkBackendCG(b, "native") })
-}
-
-func benchmarkBackendBatch(b *testing.B, backend string, k int) {
-	prep, _, rhs := backendBenchPrep(b, backend)
-	bs := make([][]float64, k)
-	for i := range bs {
-		bs[i] = rhs
-	}
-	if _, err := prep.SolveBatch(bs); err != nil { // warm-up
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prep.SolveBatch(bs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBackendBatch pushes 8 right-hand sides per op through one prepared
-// pipeline (one instruction stream on the native backend), the serving-style
-// amortization of prepare cost across a batch.
-func BenchmarkBackendBatch(b *testing.B) {
-	b.Run("sim", func(b *testing.B) { benchmarkBackendBatch(b, "sim", 8) })
-	b.Run("native", func(b *testing.B) { benchmarkBackendBatch(b, "native", 8) })
 }

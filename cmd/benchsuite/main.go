@@ -29,11 +29,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed for synthetic right-hand sides")
 	csvOut := flag.Bool("csv", false, "emit machine-readable CSV (table4, fig5..fig10)")
 	enginePar := flag.Int("engine-par", 0, "host shards of the engine study's parallel arm (0 = all cores)")
-	engineJSON := flag.String("engine-json", "", "write the engine study (Table VIII) as JSON to this file")
-	backendJSON := flag.String("backend-json", "", "write the backend study (Table X) as JSON to this file")
-	sdcJSON := flag.String("sdc-json", "", "write the SDC study (Table XI) as JSON to this file")
-	refreshJSON := flag.String("refresh-json", "", "write the refresh study (Table XII) as JSON to this file")
-	tuneJSON := flag.String("tune-json", "", "write the autotune study (Table XIII) as JSON to this file")
+	jsonOut := flag.String("json", "", "write the study's BENCH_<experiment>.json artifact to this file (engine, backend, sdc, refresh, tune)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -62,7 +58,7 @@ func main() {
 		}()
 	}
 	t0 := time.Now()
-	if err := runSuite(o, *experiment, *csvOut, *engineJSON, *backendJSON, *sdcJSON, *refreshJSON, *tuneJSON); err != nil {
+	if err := runSuite(o, *experiment, *csvOut, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "benchsuite:", err)
 		os.Exit(1)
 	}
@@ -84,74 +80,12 @@ func main() {
 	}
 }
 
-func runSuite(o bench.Options, experiment string, csvOut bool, engineJSON, backendJSON, sdcJSON, refreshJSON, tuneJSON string) error {
+func runSuite(o bench.Options, experiment string, csvOut bool, jsonOut string) error {
 	if csvOut {
 		return bench.RunCSV(o, experiment, os.Stdout)
 	}
-	if experiment == "tune" && tuneJSON != "" {
-		rows, err := bench.TuneStudy(o)
-		if err != nil {
-			return err
-		}
-		bench.PrintTuneStudy(o, rows)
-		f, err := os.Create(tuneJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return bench.WriteTuneJSON(f, rows)
-	}
-	if experiment == "engine" && engineJSON != "" {
-		rows, err := bench.EngineStudy(o)
-		if err != nil {
-			return err
-		}
-		bench.PrintEngineStudy(o, rows)
-		f, err := os.Create(engineJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return bench.WriteEngineJSON(f, rows)
-	}
-	if experiment == "sdc" && sdcJSON != "" {
-		overhead, campaigns, err := bench.SDCStudy(o)
-		if err != nil {
-			return err
-		}
-		bench.PrintSDCStudy(o, overhead, campaigns)
-		f, err := os.Create(sdcJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return bench.WriteSDCJSON(f, overhead, campaigns)
-	}
-	if experiment == "refresh" && refreshJSON != "" {
-		rows, err := bench.RefreshStudy(o)
-		if err != nil {
-			return err
-		}
-		bench.PrintRefreshStudy(o, rows)
-		f, err := os.Create(refreshJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return bench.WriteRefreshJSON(f, rows)
-	}
-	if experiment == "backend" && backendJSON != "" {
-		rows, err := bench.BackendStudy(o)
-		if err != nil {
-			return err
-		}
-		bench.PrintBackendStudy(o, rows)
-		f, err := os.Create(backendJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return bench.WriteBackendJSON(f, rows)
+	if jsonOut != "" {
+		return bench.RunJSON(o, experiment, jsonOut)
 	}
 	return bench.Run(o, experiment)
 }

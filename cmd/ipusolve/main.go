@@ -62,7 +62,6 @@ func main() {
 	strategy := flag.String("partition", "contiguous", "partition strategy: contiguous or greedy")
 	verbose := flag.Bool("v", false, "print the cycle profile")
 	traceOut := flag.String("trace-out", "", "write the combined execution timeline (Chrome trace-event JSON) to this file")
-	tracePath := flag.String("trace", "", "deprecated alias for -trace-out")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus-text metrics of the run to this file (\"-\" for stdout)")
 	faultRate := flag.Float64("fault-rate", 0, "per-consultation fault-injection probability (0 disables the campaign)")
 	faultSeed := flag.Int64("fault-seed", 42, "seed of the fault-injection campaign")
@@ -87,9 +86,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ipusolve:", err)
 		os.Exit(1)
-	}
-	if *traceOut == "" {
-		*traceOut = *tracePath
 	}
 	err = run(*matrixPath, *gen, *cfgPath, *rhs, *tiles, *chips, *tol, *strategy, *verbose, *traceOut, *metricsOut, *faultRate, *faultSeed, *abft, *enginePar, *backendName, *tuneOn, *tuneBudget)
 	if perr := stopProfiles(); err == nil {

@@ -11,11 +11,10 @@
 //     partials), serial codelet execution elsewhere, halo exchanges as the
 //     direct slice copies they already carry, and no cycle or exchange
 //     accounting at all. Zero per-iteration allocation; this is the serving
-//     default. Fault campaigns run on a second, lazily-lowered instruction
-//     stream that keeps every injector consultation point the engine has
-//     (accounting-only moves and nil host callbacks included), so seeded
-//     campaigns replay identically to the simulator; only device tracing
-//     stays sim-only.
+//     default. The one stream keeps every injector consultation point the
+//     engine has (accounting-only moves and nil host callbacks included,
+//     each behind a nil-injector check), so seeded fault campaigns replay
+//     identically to the simulator; only device tracing stays sim-only.
 //
 // Both backends run the *same* compiled program against the same device
 // buffers, so every host callback, While condition and solver statistic works

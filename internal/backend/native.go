@@ -12,17 +12,16 @@ import (
 // accounting, no per-superstep sharding, zero allocation per run. Compute
 // sets execute their fused NativeKernel when they carry one and fall back to
 // running their codelets serially (discarding the returned cycle counts);
-// exchange phases keep only the moves that actually copy data (accounting-
-// only moves, like reduction gathers whose partials already live in host
-// arrays, vanish); control flow becomes counter-guarded jumps.
+// exchange phases run the Do closure of every move that has one; control flow
+// becomes counter-guarded jumps.
 //
-// Fault campaigns run through a second instruction stream, lowered lazily on
-// the first injected run, that keeps every injector consultation point the
-// cycle-accurate engine has: every move of every non-empty exchange
-// (accounting-only moves included), every host call (nil callbacks included)
-// and one compute consultation per non-empty compute set, in program order.
-// The same seed therefore draws the same decision stream on either backend
-// and a campaign replays identically. The fault-free fast path is untouched.
+// The one stream keeps every injector consultation point the cycle-accurate
+// engine has: every move of every non-empty exchange (accounting-only moves
+// included), every host call (nil callbacks included) and one compute
+// consultation per non-empty compute set, in program order. A fault campaign
+// therefore draws the same decision stream from the same seed on either
+// backend and replays identically; a fault-free run pays one nil check per
+// consultation point.
 type nativeBackend struct{}
 
 func (nativeBackend) Name() string         { return "native" }
@@ -30,7 +29,7 @@ func (nativeBackend) SupportsFaults() bool { return true }
 func (nativeBackend) SupportsTrace() bool  { return false }
 
 func (nativeBackend) Compile(prog *graph.Sequence, m *ipu.Machine, rep graph.Report) (Executable, error) {
-	x := &nativeExec{prog: prog, numTiles: m.NumTiles()}
+	x := &nativeExec{numTiles: m.NumTiles()}
 	if err := x.lower(prog); err != nil {
 		return nil, err
 	}
@@ -52,17 +51,16 @@ const (
 )
 
 // instr is one lowered instruction. Exactly the fields its opcode needs are
-// set; the rest stay zero. The fast stream keeps only effective work (opMoves
-// holds the non-nil Do closures in moves); the fault stream keeps the full
-// step instead (opMoves holds every graph.Move in xmoves, opHost may carry a
-// nil host fn) so the injector is consulted exactly where the engine would.
+// set; the rest stay zero. opMoves holds the exchange's full move list (moves
+// without a Do closure only account traffic and are stepped over) and opHost
+// may carry a nil host fn, so the injector is consulted exactly where the
+// engine would.
 type instr struct {
 	op     opcode
 	name   string // step name for error context
 	fn     func()
 	verts  []graph.Codelet
-	moves  []func() error
-	xmoves []graph.Move // fault stream only: full moves with targets
+	moves  []graph.Move
 	host   func() error
 	cond   func() bool
 	target int // jump destination
@@ -74,27 +72,22 @@ type nativeExec struct {
 	ins      []instr
 	counters []int
 	nloops   int
-
-	// Retained for the lazily-lowered fault stream.
-	prog     *graph.Sequence
 	numTiles int
-
-	fins      []instr
-	fcounters []int
-	fnloops   int
-	flowered  bool
 }
 
 // Refresh implements Executable. Lowering captures the solver's tile value
 // blocks and tensor buffers by slice header inside the fused kernels and
 // codelet closures, never copying the numbers, so an in-place rewrite of
-// those arrays is already visible to both the flat stream and the lazily
-// lowered fault stream on their next Run — no re-lowering, no allocation.
+// those arrays is already visible to the stream on its next Run — no
+// re-lowering, no allocation.
 func (x *nativeExec) Refresh(rewrite func() error) error {
 	return rewrite()
 }
 
-// lower flattens the step tree into x.ins.
+// lower flattens the step tree into x.ins. The skip rules match the engine's
+// early returns exactly: empty compute sets and zero-move exchanges are
+// consulted by neither, while accounting-only moves and nil host callbacks
+// stay in the stream as consultation points.
 func (x *nativeExec) lower(s graph.Step) error {
 	switch st := s.(type) {
 	case *graph.Sequence:
@@ -113,20 +106,11 @@ func (x *nativeExec) lower(s graph.Step) error {
 		}
 		x.ins = append(x.ins, instr{op: opCodelets, name: st.Set.Name, verts: st.Set.Vertices()})
 	case graph.Exchange:
-		var moves []func() error
-		for i := range st.Moves {
-			if do := st.Moves[i].Do; do != nil {
-				moves = append(moves, do)
-			}
-		}
-		if len(moves) == 0 {
+		if len(st.Moves) == 0 {
 			return nil
 		}
-		x.ins = append(x.ins, instr{op: opMoves, name: st.Name, moves: moves})
+		x.ins = append(x.ins, instr{op: opMoves, name: st.Name, moves: st.Moves})
 	case graph.HostCall:
-		if st.Fn == nil {
-			return nil
-		}
 		x.ins = append(x.ins, instr{op: opHost, name: st.Name, host: st.Fn})
 	case graph.Repeat:
 		if st.N <= 0 {
@@ -180,207 +164,54 @@ func (x *nativeExec) lower(s graph.Step) error {
 	return nil
 }
 
-// lowerFault flattens the step tree into x.fins, keeping every injector
-// consultation point the engine has. The skip rules match the engine's early
-// returns exactly: empty compute sets and zero-move exchanges are consulted
-// by neither path, while accounting-only moves and nil host callbacks — which
-// the fast stream elides — are consulted by both.
-func (x *nativeExec) lowerFault(s graph.Step) error {
-	switch st := s.(type) {
-	case *graph.Sequence:
-		for _, sub := range st.Steps {
-			if err := x.lowerFault(sub); err != nil {
-				return err
-			}
-		}
-	case graph.Compute:
-		if st.Set.Empty() {
-			return nil
-		}
-		if st.Set.NativeKernel != nil {
-			x.fins = append(x.fins, instr{op: opKernel, name: st.Set.Name, fn: st.Set.NativeKernel})
-			return nil
-		}
-		x.fins = append(x.fins, instr{op: opCodelets, name: st.Set.Name, verts: st.Set.Vertices()})
-	case graph.Exchange:
-		if len(st.Moves) == 0 {
-			return nil
-		}
-		x.fins = append(x.fins, instr{op: opMoves, name: st.Name, xmoves: st.Moves})
-	case graph.HostCall:
-		x.fins = append(x.fins, instr{op: opHost, name: st.Name, host: st.Fn})
-	case graph.Repeat:
-		if st.N <= 0 {
-			return nil
-		}
-		loop := x.fnloops
-		x.fnloops++
-		head := len(x.fins)
-		x.fins = append(x.fins, instr{op: opRepeat, loop: loop, n: st.N})
-		if err := x.lowerFault(st.Body); err != nil {
-			return err
-		}
-		x.fins = append(x.fins, instr{op: opJump, target: head})
-		x.fins[head].target = len(x.fins)
-	case graph.While:
-		max := st.MaxIter
-		if max <= 0 {
-			max = 1 << 30
-		}
-		loop := x.fnloops
-		x.fnloops++
-		head := len(x.fins)
-		x.fins = append(x.fins, instr{op: opWhile, name: st.Name, cond: st.Cond, loop: loop, n: max})
-		if err := x.lowerFault(st.Body); err != nil {
-			return err
-		}
-		x.fins = append(x.fins, instr{op: opJump, target: head})
-		x.fins[head].target = len(x.fins)
-	case graph.If:
-		head := len(x.fins)
-		x.fins = append(x.fins, instr{op: opBranch, cond: st.Cond})
-		if st.Then != nil {
-			if err := x.lowerFault(st.Then); err != nil {
-				return err
-			}
-		}
-		if st.Else == nil {
-			x.fins[head].target = len(x.fins)
-			return nil
-		}
-		skip := len(x.fins)
-		x.fins = append(x.fins, instr{op: opJump})
-		x.fins[head].target = len(x.fins)
-		if err := x.lowerFault(st.Else); err != nil {
-			return err
-		}
-		x.fins[skip].target = len(x.fins)
-	default:
-		return fmt.Errorf("backend: native fault lowering: unknown step type %T", s)
-	}
-	return nil
-}
-
+// Run executes the stream. With an injector it is consulted exactly where and
+// in the order the cycle-accurate engine does: ComputeFault once before each
+// non-empty compute superstep (the superstep counter increments after it,
+// like the engine's), MoveFault once per move of each non-empty exchange with
+// CorruptPayload after a corrupted delivery, HostFault before each host
+// callback. Tile stalls consume their decision draws but have no cycle model
+// to bill; dropped payloads re-run nothing (the engine only re-bills their
+// traffic) and count as fault retries.
 func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 	if cfg.Trace {
 		return RunResult{}, &UnsupportedError{Backend: "native", Feature: "device tracing"}
 	}
-	if cfg.Injector != nil {
-		return x.runInjected(cfg.Injector)
-	}
+	inj := cfg.Injector
 	for i := range x.counters {
 		x.counters[i] = 0
 	}
-	var supersteps uint64
+	var supersteps, retries uint64
 	ins := x.ins
 	pc := 0
 	for pc < len(ins) {
 		in := &ins[pc]
 		switch in.op {
 		case opKernel:
+			if inj != nil {
+				inj.ComputeFault(in.name, supersteps, x.numTiles)
+			}
 			in.fn()
 			supersteps++
 			pc++
 		case opCodelets:
+			if inj != nil {
+				inj.ComputeFault(in.name, supersteps, x.numTiles)
+			}
 			for _, c := range in.verts {
 				c.Run()
 			}
 			supersteps++
 			pc++
 		case opMoves:
-			for _, do := range in.moves {
-				if err := do(); err != nil {
-					return RunResult{Supersteps: supersteps},
-						&graph.StepError{Step: in.name, Superstep: supersteps, Err: err}
-				}
-			}
-			pc++
-		case opHost:
-			if err := in.host(); err != nil {
-				return RunResult{Supersteps: supersteps},
-					&graph.StepError{Step: in.name, Superstep: supersteps, Err: err}
-			}
-			pc++
-		case opRepeat:
-			if x.counters[in.loop] >= in.n {
-				x.counters[in.loop] = 0
-				pc = in.target
-			} else {
-				x.counters[in.loop]++
-				pc++
-			}
-		case opWhile:
-			// Cap first, like the engine: the error fires after n body
-			// executions even if the condition would now be false.
-			if x.counters[in.loop] >= in.n {
-				x.counters[in.loop] = 0
-				return RunResult{Supersteps: supersteps},
-					fmt.Errorf("%w (%q, %d iterations)", graph.ErrMaxIter, in.name, in.n)
-			}
-			if !in.cond() {
-				x.counters[in.loop] = 0
-				pc = in.target
-			} else {
-				x.counters[in.loop]++
-				pc++
-			}
-		case opBranch:
-			if in.cond() {
-				pc++
-			} else {
-				pc = in.target
-			}
-		case opJump:
-			pc = in.target
-		}
-	}
-	return RunResult{Supersteps: supersteps}, nil
-}
-
-// runInjected executes the fault-mode stream, consulting the injector exactly
-// where and in the order the cycle-accurate engine does: ComputeFault once
-// before each non-empty compute superstep (the superstep counter increments
-// after it, like the engine's), MoveFault once per move of each non-empty
-// exchange with CorruptPayload after a corrupted delivery, HostFault before
-// each host callback. Tile stalls consume their decision draws but have no
-// cycle model to bill; dropped payloads re-run nothing (the engine only
-// re-bills their traffic) and count as fault retries.
-func (x *nativeExec) runInjected(inj graph.Injector) (RunResult, error) {
-	if !x.flowered {
-		if err := x.lowerFault(x.prog); err != nil {
-			return RunResult{}, err
-		}
-		x.fcounters = make([]int, x.fnloops)
-		x.flowered = true
-	}
-	for i := range x.fcounters {
-		x.fcounters[i] = 0
-	}
-	var supersteps, retries uint64
-	ins := x.fins
-	pc := 0
-	for pc < len(ins) {
-		in := &ins[pc]
-		switch in.op {
-		case opKernel:
-			inj.ComputeFault(in.name, supersteps, x.numTiles)
-			in.fn()
-			supersteps++
-			pc++
-		case opCodelets:
-			inj.ComputeFault(in.name, supersteps, x.numTiles)
-			for _, c := range in.verts {
-				c.Run()
-			}
-			supersteps++
-			pc++
-		case opMoves:
-			for i := range in.xmoves {
-				mv := &in.xmoves[i]
-				act, ferr := inj.MoveFault(in.name, supersteps, i, mv.Targets)
-				if act == graph.MoveFail {
-					return RunResult{Supersteps: supersteps, FaultRetries: retries},
-						&graph.StepError{Step: in.name, Superstep: supersteps, Err: ferr}
+			for i := range in.moves {
+				mv := &in.moves[i]
+				act := graph.MoveDeliver
+				if inj != nil {
+					var ferr error
+					if act, ferr = inj.MoveFault(in.name, supersteps, i, mv.Targets); act == graph.MoveFail {
+						return RunResult{Supersteps: supersteps, FaultRetries: retries},
+							&graph.StepError{Step: in.name, Superstep: supersteps, Err: ferr}
+					}
 				}
 				if mv.Do != nil {
 					if err := mv.Do(); err != nil {
@@ -397,9 +228,11 @@ func (x *nativeExec) runInjected(inj graph.Injector) (RunResult, error) {
 			}
 			pc++
 		case opHost:
-			if err := inj.HostFault(in.name, supersteps); err != nil {
-				return RunResult{Supersteps: supersteps, FaultRetries: retries},
-					&graph.StepError{Step: in.name, Superstep: supersteps, Err: err}
+			if inj != nil {
+				if err := inj.HostFault(in.name, supersteps); err != nil {
+					return RunResult{Supersteps: supersteps, FaultRetries: retries},
+						&graph.StepError{Step: in.name, Superstep: supersteps, Err: err}
+				}
 			}
 			if in.host != nil {
 				if err := in.host(); err != nil {
@@ -409,24 +242,26 @@ func (x *nativeExec) runInjected(inj graph.Injector) (RunResult, error) {
 			}
 			pc++
 		case opRepeat:
-			if x.fcounters[in.loop] >= in.n {
-				x.fcounters[in.loop] = 0
+			if x.counters[in.loop] >= in.n {
+				x.counters[in.loop] = 0
 				pc = in.target
 			} else {
-				x.fcounters[in.loop]++
+				x.counters[in.loop]++
 				pc++
 			}
 		case opWhile:
-			if x.fcounters[in.loop] >= in.n {
-				x.fcounters[in.loop] = 0
+			// Cap first, like the engine: the error fires after n body
+			// executions even if the condition would now be false.
+			if x.counters[in.loop] >= in.n {
+				x.counters[in.loop] = 0
 				return RunResult{Supersteps: supersteps, FaultRetries: retries},
 					fmt.Errorf("%w (%q, %d iterations)", graph.ErrMaxIter, in.name, in.n)
 			}
 			if !in.cond() {
-				x.fcounters[in.loop] = 0
+				x.counters[in.loop] = 0
 				pc = in.target
 			} else {
-				x.fcounters[in.loop]++
+				x.counters[in.loop]++
 				pc++
 			}
 		case opBranch:

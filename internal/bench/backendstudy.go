@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"time"
@@ -19,13 +17,13 @@ import (
 // backends agree at residual level (ResidualMatch re-verifies it per row);
 // the native arm additionally must be allocation-free in steady state.
 type BackendRow struct {
-	Workload     string  `json:"workload"` // "CG-warm" or "CG-batch8"
+	Workload     string  `json:"workload"` // "CG-warm"
 	Machine      string  `json:"machine"`
 	Tiles        int     `json:"tiles"`
 	Rows         int     `json:"rows"`
 	NNZ          int     `json:"nnz"`
-	SimSec       float64 `json:"simSeconds"`    // warm wall per solve (or per RHS)
-	NativeSec    float64 `json:"nativeSeconds"` // warm wall per solve (or per RHS)
+	SimSec       float64 `json:"simSeconds"`    // warm wall per solve
+	NativeSec    float64 `json:"nativeSeconds"` // warm wall per solve
 	Speedup      float64 `json:"speedup"`       // sim / native
 	SimAPO       float64 `json:"simAllocsPerOp"`
 	NativeAPO    float64 `json:"nativeAllocsPerOp"`
@@ -34,9 +32,9 @@ type BackendRow struct {
 	ResidualOK   bool    `json:"residualOk"` // relative residuals agree to 0.1%
 }
 
-// BackendStudy measures Table X: warm CG latency, steady-state allocations
-// and batched-RHS throughput of the simulator versus the native backend, at
-// the small single-chip scale and at M2000 scale.
+// BackendStudy measures Table X: warm CG latency and steady-state allocations
+// of the simulator versus the native backend, at the small single-chip scale
+// and at M2000 scale.
 func BackendStudy(o Options) ([]BackendRow, error) {
 	o = o.withDefaults()
 	type scale struct {
@@ -56,11 +54,11 @@ func BackendStudy(o Options) ([]BackendRow, error) {
 	var rows []BackendRow
 	for _, sc := range scales {
 		m := sparse.Poisson3D(sc.n, sc.n, sc.n)
-		warm, batch, err := backendRows(sc.name, sc.cfg, m)
+		row, err := backendRow(sc.name, sc.cfg, m)
 		if err != nil {
 			return nil, fmt.Errorf("backend %s: %w", sc.name, err)
 		}
-		rows = append(rows, warm, batch)
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -74,21 +72,14 @@ func backendCG() config.Config {
 	}}
 }
 
-// backendRows prepares the same system once per backend and measures a warm
-// single-RHS row and a batched (k=8) row.
-func backendRows(name string, cfg ipu.Config, m *sparse.Matrix) (warm, batch BackendRow, err error) {
+// backendRow prepares the same system once per backend and measures a warm
+// single-RHS solve on each.
+func backendRow(name string, cfg ipu.Config, m *sparse.Matrix) (BackendRow, error) {
 	sc := backendCG()
 	b := rhsForSolution(m)
-	const batchK = 8
-	bs := make([][]float64, batchK)
-	for i := range bs {
-		bs[i] = b
-	}
 
 	type arm struct {
 		sec, apo float64 // warm per-solve wall, steady-state allocs/solve
-		bsec     float64 // batched per-RHS wall
-		bapo     float64 // batched allocs per RHS
 		relres   float64
 	}
 	measure := func(be string) (arm, error) {
@@ -119,49 +110,25 @@ func backendRows(name string, cfg ipu.Config, m *sparse.Matrix) (warm, batch Bac
 		}
 		runtime.ReadMemStats(&ms1)
 		a.apo = float64(ms1.Mallocs-ms0.Mallocs) / reps
-
-		if _, err := p.SolveBatch(bs); err != nil { // warm-up of batch buffers
-			return a, err
-		}
-		runtime.ReadMemStats(&ms0)
-		a.bsec = math.Inf(1)
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
-			if _, err := p.SolveBatch(bs); err != nil {
-				return a, err
-			}
-			if d := time.Since(t0).Seconds() / batchK; d < a.bsec {
-				a.bsec = d
-			}
-		}
-		runtime.ReadMemStats(&ms1)
-		a.bapo = float64(ms1.Mallocs-ms0.Mallocs) / (reps * batchK)
 		return a, nil
 	}
 
 	sim, err := measure("sim")
 	if err != nil {
-		return warm, batch, err
+		return BackendRow{}, err
 	}
 	nat, err := measure("native")
 	if err != nil {
-		return warm, batch, err
+		return BackendRow{}, err
 	}
-
-	residualOK := relClose(sim.relres, nat.relres, 1e-3)
-	base := BackendRow{
-		Machine: name, Tiles: cfg.NumTiles(), Rows: m.N, NNZ: m.NNZ(),
-		SimRelRes: sim.relres, NativeRelRes: nat.relres, ResidualOK: residualOK,
-	}
-	warm = base
-	warm.Workload = "CG-warm"
-	warm.SimSec, warm.NativeSec, warm.Speedup = sim.sec, nat.sec, sim.sec/nat.sec
-	warm.SimAPO, warm.NativeAPO = sim.apo, nat.apo
-	batch = base
-	batch.Workload = fmt.Sprintf("CG-batch%d", batchK)
-	batch.SimSec, batch.NativeSec, batch.Speedup = sim.bsec, nat.bsec, sim.bsec/nat.bsec
-	batch.SimAPO, batch.NativeAPO = sim.bapo, nat.bapo
-	return warm, batch, nil
+	return BackendRow{
+		Workload: "CG-warm",
+		Machine:  name, Tiles: cfg.NumTiles(), Rows: m.N, NNZ: m.NNZ(),
+		SimSec: sim.sec, NativeSec: nat.sec, Speedup: sim.sec / nat.sec,
+		SimAPO: sim.apo, NativeAPO: nat.apo,
+		SimRelRes: sim.relres, NativeRelRes: nat.relres,
+		ResidualOK: relClose(sim.relres, nat.relres, 1e-3),
+	}, nil
 }
 
 // relClose reports |a-b| <= tol * max(|a|, |b|), with equal zeros close.
@@ -184,18 +151,4 @@ func PrintBackendStudy(o Options, rows []BackendRow) {
 			r.Workload, r.Machine, r.Tiles, r.Rows, r.SimSec, r.NativeSec,
 			r.Speedup, r.SimAPO, r.NativeAPO, r.ResidualOK)
 	}
-}
-
-// WriteBackendJSON writes the study as the BENCH_backend.json artifact.
-func WriteBackendJSON(w io.Writer, rows []BackendRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Bench      string       `json:"bench"`
-		Cores      int          `json:"hostCores"`
-		GOMAXPROCS int          `json:"gomaxprocs"`
-		Warning    string       `json:"warning,omitempty"`
-		Rows       []BackendRow `json:"rows"`
-	}{Bench: "backend", Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Warning: singleCoreWarning(), Rows: rows})
 }

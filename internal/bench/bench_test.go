@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -380,6 +383,45 @@ func TestRunAllExperimentsPrint(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := Run(fastOpts(), "fig99"); err == nil {
 		t.Error("expected error for unknown experiment")
+	}
+}
+
+// TestRunJSONArtifacts runs every artifact-backed study through the one
+// shared emitter and pins the envelope keys of the committed BENCH_*.json
+// files; an experiment without an artifact is an error that writes nothing.
+func TestRunJSONArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	for name, payload := range map[string][]string{
+		"engine": {"rows"}, "backend": {"rows"}, "refresh": {"rows"}, "tune": {"rows"},
+		"sdc": {"overhead", "campaigns"},
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := RunJSON(fastOpts(), name, path); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if string(got["bench"]) != `"`+name+`"` {
+			t.Errorf("%s: bench = %s", name, got["bench"])
+		}
+		for _, key := range append([]string{"hostCores", "gomaxprocs"}, payload...) {
+			if _, ok := got[key]; !ok {
+				t.Errorf("%s: artifact missing %q: %s", name, key, raw)
+			}
+		}
+	}
+	path := filepath.Join(dir, "table1.json")
+	if err := RunJSON(fastOpts(), "table1", path); err == nil {
+		t.Error("table1 has no artifact, want an error")
+	}
+	if _, err := os.Stat(path); err == nil {
+		t.Error("failed RunJSON still wrote a file")
 	}
 }
 

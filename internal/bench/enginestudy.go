@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"time"
@@ -245,21 +243,4 @@ func rowsPar(rows []EngineRow) int {
 		return 0
 	}
 	return rows[0].Parallelism
-}
-
-// WriteEngineJSON writes the study as the BENCH_engine.json artifact. The
-// GOMAXPROCS annotation (and the warning on single-core hosts, where the
-// parallel arm cannot beat serial) lets downstream dashboards discount runs
-// whose host could not actually shard.
-func WriteEngineJSON(w io.Writer, rows []EngineRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Bench      string      `json:"bench"`
-		Cores      int         `json:"hostCores"`
-		GOMAXPROCS int         `json:"gomaxprocs"`
-		Warning    string      `json:"warning,omitempty"`
-		Rows       []EngineRow `json:"rows"`
-	}{Bench: "engine", Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Warning: singleCoreWarning(), Rows: rows})
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"time"
@@ -200,18 +198,4 @@ func PrintRefreshStudy(o Options, rows []RefreshRow) {
 			r.Backend, r.Machine, r.Tiles, r.Rows, r.ColdSec, r.WarmSec,
 			r.Amortization, r.RefreshSec, r.RefreshAPO, r.BitIdentical)
 	}
-}
-
-// WriteRefreshJSON writes the study as the BENCH_refresh.json artifact.
-func WriteRefreshJSON(w io.Writer, rows []RefreshRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Bench      string       `json:"bench"`
-		Cores      int          `json:"hostCores"`
-		GOMAXPROCS int          `json:"gomaxprocs"`
-		Warning    string       `json:"warning,omitempty"`
-		Rows       []RefreshRow `json:"rows"`
-	}{Bench: "refresh", Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Warning: singleCoreWarning(), Rows: rows})
 }

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"runtime"
 	"time"
 
 	"ipusparse/internal/config"
@@ -234,19 +231,4 @@ func PrintSDCStudy(o Options, overhead []SDCOverheadRow, campaigns []SDCCampaign
 			r.Backend, r.Kind, r.Campaigns, r.Injected, r.Clean, r.Recovered,
 			r.Detections, r.Rejected, r.Escapes)
 	}
-}
-
-// WriteSDCJSON writes the study as the BENCH_sdc.json artifact.
-func WriteSDCJSON(w io.Writer, overhead []SDCOverheadRow, campaigns []SDCCampaignRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Bench      string           `json:"bench"`
-		Cores      int              `json:"hostCores"`
-		GOMAXPROCS int              `json:"gomaxprocs"`
-		Warning    string           `json:"warning,omitempty"`
-		Overhead   []SDCOverheadRow `json:"overhead"`
-		Campaigns  []SDCCampaignRow `json:"campaigns"`
-	}{Bench: "sdc", Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Warning: singleCoreWarning(), Overhead: overhead, Campaigns: campaigns})
 }

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"time"
 
 	"ipusparse/internal/config"
@@ -132,18 +129,4 @@ func PrintTuneStudy(o Options, rows []TuneRow) {
 			r.Profile, r.Rows, r.NNZ, r.Default, r.Winner,
 			r.DefaultSec, r.TunedSec, r.Speedup, r.Races)
 	}
-}
-
-// WriteTuneJSON writes the study as the BENCH_tune.json artifact.
-func WriteTuneJSON(w io.Writer, rows []TuneRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Bench      string    `json:"bench"`
-		Cores      int       `json:"hostCores"`
-		GOMAXPROCS int       `json:"gomaxprocs"`
-		Warning    string    `json:"warning,omitempty"`
-		Rows       []TuneRow `json:"rows"`
-	}{Bench: "tune", Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Warning: singleCoreWarning(), Rows: rows})
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ipusparse/internal/breaker"
 )
 
 // shardHealth is a shard's probed readiness, the router's routing signal.
@@ -55,7 +57,7 @@ func healthGaugeValue(h shardHealth) float64 {
 // drain waits on.
 type shard struct {
 	name     string // base URL, e.g. http://127.0.0.1:8723
-	br       *breaker
+	br       *breaker.Breaker
 	inflight atomic.Int64
 	onHealth func(shardHealth) // health-gauge hook
 
@@ -92,7 +94,7 @@ func (sh *shard) status() ShardStatus {
 	sh.mu.Unlock()
 	return ShardStatus{
 		Health:   h.String(),
-		Breaker:  sh.br.currentState().String(),
+		Breaker:  sh.br.State().String(),
 		Draining: d,
 		Inflight: sh.inflight.Load(),
 	}

@@ -31,13 +31,6 @@ import (
 //	GET    /metrics               Prometheus text exposition
 //	GET    /healthz               liveness
 //	GET    /readyz                readiness (503 when no shard is eligible)
-//
-// Deprecated RPC-style aliases, mirroring the shard surface; each answers
-// with a Deprecation header and a Link to its successor route:
-//
-//	POST /v1/register             = POST  /v1/systems
-//	POST /v1/solve                = POST  /v1/systems/{id}/solve (ID in body)
-//	POST /v1/update               = PATCH /v1/systems/{id}       (ID in body)
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/systems", rt.handleRegister)
@@ -48,9 +41,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/systems/{id}", rt.handleDeleteSystem)
 	mux.HandleFunc("GET /v1/systems/{id}/tune", rt.handleTuneGet)
 	mux.HandleFunc("POST /v1/systems/{id}/tune", rt.handleTuneForce)
-	mux.HandleFunc("POST /v1/register", rt.handleRegisterAlias)
-	mux.HandleFunc("POST /v1/solve", rt.handleSolveAlias)
-	mux.HandleFunc("POST /v1/update", rt.handleUpdateAlias)
 	mux.HandleFunc("GET /v1/cluster", rt.handleTopology)
 	mux.HandleFunc("POST /v1/cluster/drain", rt.handleDrain)
 	mux.HandleFunc("POST /v1/cluster/undrain", rt.handleUndrain)
@@ -107,14 +97,6 @@ func (rt *Router) handleSystems(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"systems": rt.Systems()})
 }
 
-// deprecate marks an alias response exactly as a shard does: RFC 8594
-// Deprecation plus a Link to the successor resource route. The body stays
-// byte-identical to the successor's.
-func deprecate(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-}
-
 // proxyRouted routes one request through the replica set with failover and
 // streams the winning shard's answer back verbatim.
 func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, id, method, path string, body []byte) {
@@ -143,30 +125,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.proxyRouted(w, r, id, http.MethodPost, "/v1/systems/"+id+"/solve", body)
-}
-
-// handleSolveAlias is the deprecated POST /v1/solve spelling of
-// POST /v1/systems/{id}/solve: the target ID rides in the body, which is
-// forwarded verbatim (the resource route ignores the body's id field).
-func (rt *Router) handleSolveAlias(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/systems/{id}/solve")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-	var req struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.ID == "" {
-		writeError(w, http.StatusBadRequest, errors.New("solve needs the target system id"))
-		return
-	}
-	rt.proxyRouted(w, r, req.ID, http.MethodPost, "/v1/systems/"+req.ID+"/solve", body)
 }
 
 // handleSystemDetail proxies the full resource view of one system — including
@@ -234,26 +192,6 @@ func (rt *Router) handlePatchSystem(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.ID = id
-	rt.doUpdate(w, r, req)
-}
-
-// handleUpdateAlias is the deprecated POST /v1/update spelling of
-// PATCH /v1/systems/{id}: the target ID rides in the body.
-func (rt *Router) handleUpdateAlias(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/systems/{id}")
-	var req serve.UpdateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.ID == "" {
-		writeError(w, http.StatusBadRequest, errors.New("update needs the target system id"))
-		return
-	}
-	rt.doUpdate(w, r, req)
-}
-
-func (rt *Router) doUpdate(w http.ResponseWriter, r *http.Request, req serve.UpdateRequest) {
 	info, err := rt.Update(r.Context(), req)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -269,13 +207,6 @@ func (rt *Router) doUpdate(w http.ResponseWriter, r *http.Request, req serve.Upd
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
-}
-
-// handleRegisterAlias is the deprecated POST /v1/register spelling of
-// POST /v1/systems.
-func (rt *Router) handleRegisterAlias(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/systems")
-	rt.handleRegister(w, r)
 }
 
 // Topology is the GET /v1/cluster response: where everything is and how

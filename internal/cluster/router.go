@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"ipusparse/internal/backend"
+	"ipusparse/internal/breaker"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
 	"ipusparse/internal/serve"
@@ -150,19 +152,14 @@ func New(opts Options) (*Router, error) {
 		stop:    make(chan struct{}),
 	}
 	for _, name := range rt.ring.Shards() {
-		bgauge := rt.stats.breakerState.With(name)
 		hgauge := rt.stats.health.With(name)
 		sh := &shard{
 			name: name,
-			br: &breaker{
-				threshold: opts.BreakerThreshold,
-				cooldown:  opts.BreakerCooldown,
-				opens:     func() { rt.stats.opens.Add(1) },
-				onState:   func(st breakerState) { bgauge.Set(breakerStateValue(st)) },
-			},
+			br: breaker.New(opts.BreakerThreshold, opts.BreakerCooldown,
+				func() { rt.stats.opens.Add(1) },
+				rt.stats.breakerState.With(name).Set),
 			onHealth: func(h shardHealth) { hgauge.Set(healthGaugeValue(h)) },
 		}
-		bgauge.Set(breakerStateValue(breakerClosed))
 		hgauge.Set(healthGaugeValue(healthUnknown))
 		rt.shards[name] = sh
 	}
@@ -277,6 +274,78 @@ func retryableStatus(code int) bool {
 		code == http.StatusGatewayTimeout
 }
 
+// shardCall is one JSON request to one shard.
+type shardCall struct {
+	what         string // the operation, for error text: "import", "update", ...
+	method, path string
+	body         []byte
+	// repair names the system whose lost registration a 404 re-imports before
+	// one retry (see proxyOn); empty lets a 404 stand.
+	repair string
+	// ok lists the statuses that mean the shard did it; nil is 200 alone.
+	ok []int
+}
+
+// callOn runs one call against one shard and settles the shard's breaker the
+// way routeRequest does: a transport error or a shed status (502/503/504) is
+// a failure, any other answer — an application-level 4xx included — proves
+// the shard reachable and is a success. An ok answer's JSON body is decoded
+// into out (nil discards it); every other answer becomes an error carrying the
+// status line and at most 1 KiB of the shard's message.
+func (rt *Router) callOn(ctx context.Context, sh *shard, c shardCall, out any) error {
+	resp, err := rt.proxyOn(ctx, sh, c.repair, c.method, c.path, c.body)
+	if err != nil {
+		sh.br.Failure()
+		return err
+	}
+	defer resp.Body.Close()
+	if retryableStatus(resp.StatusCode) {
+		sh.br.Failure()
+	} else {
+		sh.br.Success()
+	}
+	ok := c.ok
+	if ok == nil {
+		ok = []int{http.StatusOK}
+	}
+	if !slices.Contains(ok, resp.StatusCode) {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		return fmt.Errorf("cluster: %s %s: %s: %s", sh.name, c.what, resp.Status, msg)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// fanOut runs call on every shard of the system's replica set whose breaker
+// admits it and returns how many shards it succeeded on. A failure is logged
+// ("cluster: <doing> <id> on <shard>: ...") and the walk continues; with no
+// success at all the error is ErrNoShards when no shard was even tried, else
+// "cluster: no shard <did> <id>" wrapping the last failure.
+func (rt *Router) fanOut(id, doing, did string, call func(sh *shard) error) (int, error) {
+	done := 0
+	var lastErr error
+	for _, sh := range rt.replicaSet(id) {
+		if !sh.br.Allow() {
+			continue
+		}
+		if err := call(sh); err != nil {
+			lastErr = err
+			rt.logf("cluster: %s %s on %s: %v", doing, id, sh.name, err)
+			continue
+		}
+		done++
+	}
+	if done == 0 {
+		if lastErr != nil {
+			return 0, fmt.Errorf("cluster: no shard %s %s: %w", did, id, lastErr)
+		}
+		return 0, ErrNoShards
+	}
+	return done, nil
+}
+
 // Register places a system: the matrix is built and fingerprinted locally,
 // recorded in the router table, then imported on every shard of its replica
 // set. Registration succeeds when at least one shard holds the system (the
@@ -310,29 +379,17 @@ func (rt *Router) Register(ctx context.Context, req serve.RegisterRequest) (serv
 	}
 	rt.mu.Unlock()
 
-	replicas := rt.replicaSet(rec.ID)
-	if len(replicas) == 0 {
-		return serve.SystemInfo{}, ErrNoShards
-	}
 	var info serve.SystemInfo
 	var donor *shard
-	placed := 0
-	var lastErr error
-	for _, sh := range replicas {
+	if _, err := rt.fanOut(rec.ID, "registering", "accepted", func(sh *shard) error {
 		rep, err := rt.registerOn(ctx, sh, rec)
-		if err != nil {
-			lastErr = err
-			rt.logf("cluster: registering %s on %s: %v", rec.ID, sh.name, err)
-			continue
-		}
-		placed++
-		if len(rep.Systems) > 0 {
+		if err == nil && len(rep.Systems) > 0 {
 			info = rep.Systems[0]
 			donor = sh
 		}
-	}
-	if placed == 0 {
-		return serve.SystemInfo{}, fmt.Errorf("cluster: no shard accepted %s: %w", rec.ID, lastErr)
+		return err
+	}); err != nil {
+		return serve.SystemInfo{}, err
 	}
 	rec.Generation = info.Generation
 	if info.Tuned && donor != nil {
@@ -397,31 +454,18 @@ func (rt *Router) Update(ctx context.Context, req serve.UpdateRequest) (serve.Up
 	if err != nil {
 		return serve.UpdateInfo{}, err
 	}
-	replicas := rt.replicaSet(req.ID)
-	if len(replicas) == 0 {
-		return serve.UpdateInfo{}, ErrNoShards
-	}
 	var info serve.UpdateInfo
-	applied := 0
-	var lastErr error
-	for _, sh := range replicas {
-		if !sh.br.allow() {
-			continue
+	applied, err := rt.fanOut(req.ID, "updating", "applied the update to", func(sh *shard) error {
+		var ui serve.UpdateInfo
+		err := rt.callOn(ctx, sh, shardCall{what: "update", method: http.MethodPatch,
+			path: "/v1/systems/" + req.ID, body: body, repair: req.ID}, &ui)
+		if err == nil {
+			info = ui
 		}
-		ui, err := rt.updateOn(ctx, sh, req.ID, body, cs.rec)
-		if err != nil {
-			lastErr = err
-			rt.logf("cluster: updating %s on %s: %v", req.ID, sh.name, err)
-			continue
-		}
-		applied++
-		info = ui
-	}
-	if applied == 0 {
-		if lastErr != nil {
-			return serve.UpdateInfo{}, fmt.Errorf("cluster: no shard applied the update to %s: %w", req.ID, lastErr)
-		}
-		return serve.UpdateInfo{}, ErrNoShards
+		return err
+	})
+	if err != nil {
+		return serve.UpdateInfo{}, err
 	}
 
 	rec.Generation = info.Generation
@@ -433,47 +477,6 @@ func (rt *Router) Update(ctx context.Context, req serve.UpdateRequest) (serve.Up
 	rt.mu.Unlock()
 	rt.logf("cluster: refreshed %s to generation %d on %d shard(s)", req.ID, info.Generation, applied)
 	return info, nil
-}
-
-// updateOn forwards one values-only PATCH to one shard, repairing a lost
-// registration first: a 404 means the shard restarted without the system, so
-// the pre-update record is re-imported (warming a pool the update can then
-// refresh) and the PATCH retried once.
-func (rt *Router) updateOn(ctx context.Context, sh *shard, id string, body []byte, rec serve.RegistrationRecord) (serve.UpdateInfo, error) {
-	path := "/v1/systems/" + id
-	resp, err := rt.forward(ctx, sh, http.MethodPatch, path, body)
-	if err != nil {
-		sh.br.failure()
-		return serve.UpdateInfo{}, err
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		resp.Body.Close()
-		rt.stats.rereg.Inc()
-		rt.logf("cluster: %s lost %s, re-registering before update", sh.name, rec.ID)
-		if _, err := rt.registerOn(ctx, sh, rec); err != nil {
-			return serve.UpdateInfo{}, err
-		}
-		rt.stats.retries.Inc()
-		resp, err = rt.forward(ctx, sh, http.MethodPatch, path, body)
-		if err != nil {
-			sh.br.failure()
-			return serve.UpdateInfo{}, err
-		}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if retryableStatus(resp.StatusCode) {
-			sh.br.failure()
-		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return serve.UpdateInfo{}, fmt.Errorf("cluster: %s update: %s: %s", sh.name, resp.Status, msg)
-	}
-	sh.br.success()
-	var ui serve.UpdateInfo
-	if err := json.NewDecoder(resp.Body).Decode(&ui); err != nil {
-		return serve.UpdateInfo{}, err
-	}
-	return ui, nil
 }
 
 // Delete deregisters a system cluster-wide: the placement table forgets it
@@ -491,36 +494,12 @@ func (rt *Router) Delete(ctx context.Context, id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSystem, id)
 	}
-	deleted := 0
-	var lastErr error
-	for _, sh := range rt.replicaSet(id) {
-		if !sh.br.allow() {
-			continue
-		}
-		resp, err := rt.forward(ctx, sh, http.MethodDelete, "/v1/systems/"+id, nil)
-		if err != nil {
-			sh.br.failure()
-			lastErr = err
-			rt.logf("cluster: deleting %s on %s: %v", id, sh.name, err)
-			continue
-		}
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusNotFound:
-			sh.br.success()
-			deleted++
-		case retryableStatus(resp.StatusCode):
-			sh.br.failure()
-			lastErr = fmt.Errorf("cluster: %s delete: %s", sh.name, resp.Status)
-		default:
-			lastErr = fmt.Errorf("cluster: %s delete: %s", sh.name, resp.Status)
-		}
-	}
-	if deleted == 0 {
-		if lastErr != nil {
-			return fmt.Errorf("cluster: no shard deleted %s: %w", id, lastErr)
-		}
-		return ErrNoShards
+	deleted, err := rt.fanOut(id, "deleting", "deleted", func(sh *shard) error {
+		return rt.callOn(ctx, sh, shardCall{what: "delete", method: http.MethodDelete,
+			path: "/v1/systems/" + id, ok: []int{http.StatusNoContent, http.StatusNotFound}}, nil)
+	})
+	if err != nil {
+		return err
 	}
 	rt.logf("cluster: deleted %s from %d shard(s)", id, deleted)
 	return nil
@@ -538,48 +517,17 @@ func (rt *Router) TuneForce(ctx context.Context, id string) (*tune.Decision, err
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSystem, id)
 	}
 	var d *tune.Decision
-	raced := 0
-	var lastErr error
-	for _, sh := range rt.replicaSet(id) {
-		if !sh.br.allow() {
-			continue
-		}
-		resp, err := rt.proxyOn(ctx, sh, id, http.MethodPost, "/v1/systems/"+id+"/tune", []byte(`{}`))
-		if err != nil {
-			sh.br.failure()
-			lastErr = err
-			rt.logf("cluster: tuning %s on %s: %v", id, sh.name, err)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			if retryableStatus(resp.StatusCode) {
-				sh.br.failure()
-			}
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-			resp.Body.Close()
-			lastErr = fmt.Errorf("cluster: %s tune: %s: %s", sh.name, resp.Status, msg)
-			continue
-		}
-		var body struct {
-			Tune *tune.Decision `json:"tune"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		sh.br.success()
-		raced++
-		if body.Tune != nil {
+	raced, err := rt.fanOut(id, "tuning", "tuned", func(sh *shard) error {
+		var body tuneBody
+		err := rt.callOn(ctx, sh, shardCall{what: "tune", method: http.MethodPost,
+			path: "/v1/systems/" + id + "/tune", body: []byte(`{}`), repair: id}, &body)
+		if err == nil && body.Tune != nil {
 			d = body.Tune
 		}
-	}
-	if raced == 0 {
-		if lastErr != nil {
-			return nil, fmt.Errorf("cluster: no shard tuned %s: %w", id, lastErr)
-		}
-		return nil, ErrNoShards
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	rt.mu.Lock()
 	cs.rec.Tune = d
@@ -589,25 +537,19 @@ func (rt *Router) TuneForce(ctx context.Context, id string) (*tune.Decision, err
 	return d, nil
 }
 
+// tuneBody is the shard's answer on both tune routes.
+type tuneBody struct {
+	Tune *tune.Decision `json:"tune"`
+}
+
 // fetchTune asks one shard for a system's cached tune decision.
 func (rt *Router) fetchTune(ctx context.Context, sh *shard, id string) (*tune.Decision, error) {
 	rctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
 	defer cancel()
-	resp, err := rt.forward(rctx, sh, http.MethodGet, "/v1/systems/"+id+"/tune", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s tune: %s", sh.name, resp.Status)
-	}
-	var body struct {
-		Tune *tune.Decision `json:"tune"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, err
-	}
-	return body.Tune, nil
+	var body tuneBody
+	err := rt.callOn(rctx, sh, shardCall{what: "tune", method: http.MethodGet,
+		path: "/v1/systems/" + id + "/tune"}, &body)
+	return body.Tune, err
 }
 
 // registerOn imports one record on one shard through the idempotent registry
@@ -620,25 +562,10 @@ func (rt *Router) registerOn(ctx context.Context, sh *shard, rec serve.Registrat
 	}
 	rctx, cancel := context.WithTimeout(ctx, rt.opts.RegisterTimeout)
 	defer cancel()
-	resp, err := rt.forward(rctx, sh, http.MethodPost, "/v1/registry", body)
-	if err != nil {
-		sh.br.failure()
-		return serve.ImportReport{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if retryableStatus(resp.StatusCode) {
-			sh.br.failure()
-		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return serve.ImportReport{}, fmt.Errorf("cluster: %s import: %s: %s", sh.name, resp.Status, msg)
-	}
-	sh.br.success()
 	var rep serve.ImportReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return serve.ImportReport{}, err
-	}
-	return rep, nil
+	err = rt.callOn(rctx, sh, shardCall{what: "import", method: http.MethodPost,
+		path: "/v1/registry", body: body}, &rep)
+	return rep, err
 }
 
 // Systems lists the systems the router places, sorted by ID.
@@ -668,7 +595,8 @@ func (rt *Router) record(id string) (serve.RegistrationRecord, bool) {
 // 404 for a system the router places means the shard restarted without it, so
 // the record is re-imported — carrying any cached tune decision, so the
 // repaired shard serves the tuned configuration without re-racing — and the
-// request retried once on the same shard.
+// request retried once on the same shard. An id the router does not place
+// (the empty one included) leaves the 404 standing.
 func (rt *Router) proxyOn(ctx context.Context, sh *shard, id, method, path string, body []byte) (*http.Response, error) {
 	resp, err := rt.forward(ctx, sh, method, path, body)
 	if err != nil {
@@ -700,7 +628,7 @@ func (rt *Router) routeRequest(ctx context.Context, id, method, path string, bod
 	var lastErr error
 	first := true
 	for _, sh := range rt.replicaSet(id) {
-		if !sh.br.allow() {
+		if !sh.br.Allow() {
 			continue
 		}
 		if !first {
@@ -712,18 +640,18 @@ func (rt *Router) routeRequest(ctx context.Context, id, method, path string, bod
 			if ctx.Err() != nil {
 				return nil, ctx.Err() // the client gave up, not the shard
 			}
-			sh.br.failure()
+			sh.br.Failure()
 			rt.logf("cluster: %s failed %s: %v", sh.name, path, err)
 			lastErr = err
 			continue
 		}
 		if retryableStatus(resp.StatusCode) {
-			sh.br.failure()
+			sh.br.Failure()
 			lastErr = fmt.Errorf("cluster: %s: %s", sh.name, resp.Status)
 			resp.Body.Close()
 			continue
 		}
-		sh.br.success()
+		sh.br.Success()
 		return resp, nil
 	}
 	rt.stats.unroute.Inc()

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ipusparse/internal/breaker"
 	"ipusparse/internal/config"
 	"ipusparse/internal/ipu"
 	"ipusparse/internal/serve"
@@ -249,7 +250,7 @@ func TestRouterBreakerShedsDeadShard(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		solveOnes(t, h, info.ID)
 	}
-	if st := preferred.br.currentState(); st != breakerOpen {
+	if st := preferred.br.State(); st != breaker.Open {
 		t.Fatalf("dead shard's breaker = %v after repeated failures, want open", st)
 	}
 	// With the breaker open the dead shard is skipped silently — no failover
@@ -496,8 +497,7 @@ func TestRouterCapabilityGate(t *testing.T) {
 }
 
 // TestRouterUpdateRefreshesReplicaSet drives a values-only refresh through
-// the router (via the deprecated POST /v1/update alias): every replica-set
-// shard applies it, the system keeps its stable ID with the values generation
+// the router's PATCH /v1/systems/{id}: every replica-set shard applies it, the system keeps its stable ID with the values generation
 // bumped, ring placement stays put, and a structural change answers 409 with
 // no shard re-placed.
 func TestRouterUpdateRefreshesReplicaSet(t *testing.T) {
@@ -515,8 +515,8 @@ func TestRouterUpdateRefreshesReplicaSet(t *testing.T) {
 	for i := range diag {
 		diag[i] += 0.5 * float64(1+i%4)
 	}
-	body, _ := json.Marshal(serve.UpdateRequest{ID: info.ID, Diag: diag})
-	req := httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(body))
+	body, _ := json.Marshal(serve.UpdateRequest{Diag: diag})
+	req := httptest.NewRequest(http.MethodPatch, "/v1/systems/"+info.ID, bytes.NewReader(body))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -528,9 +528,6 @@ func TestRouterUpdateRefreshesReplicaSet(t *testing.T) {
 	}
 	if up.Previous != info.ID || up.ID != info.ID || up.Generation != info.Generation+1 {
 		t.Fatalf("bad update info %+v (registered %+v)", up, info)
-	}
-	if w.Header().Get("Deprecation") == "" {
-		t.Fatal("POST /v1/update alias answered without a Deprecation header")
 	}
 
 	// Placement stays put: the refreshed system keeps its warm shards.
@@ -565,8 +562,8 @@ func TestRouterUpdateRefreshesReplicaSet(t *testing.T) {
 	solveOnes(t, h, up.ID)
 
 	// A structural change is a 409 before any shard traffic.
-	body, _ = json.Marshal(serve.UpdateRequest{ID: up.ID, Gen: "poisson2d:9"})
-	req = httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(body))
+	body, _ = json.Marshal(serve.UpdateRequest{Gen: "poisson2d:9"})
+	req = httptest.NewRequest(http.MethodPatch, "/v1/systems/"+up.ID, bytes.NewReader(body))
 	w = httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusConflict {
@@ -574,8 +571,8 @@ func TestRouterUpdateRefreshesReplicaSet(t *testing.T) {
 	}
 
 	// An unknown target is a 404.
-	req = httptest.NewRequest(http.MethodPost, "/v1/update",
-		bytes.NewReader([]byte(`{"id":"m0000000000000000","gen":"poisson2d:8"}`)))
+	req = httptest.NewRequest(http.MethodPatch, "/v1/systems/m0000000000000000",
+		bytes.NewReader([]byte(`{"gen":"poisson2d:8"}`)))
 	w = httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusNotFound {
@@ -615,4 +612,81 @@ func TestRouterUpdateRepairsLostShard(t *testing.T) {
 		}
 	}
 	solveOnes(t, rt.Handler(), up.ID)
+}
+
+// TestRouterRegisterSkipsOpenBreaker pins the fan-out gate on registration: a
+// replica whose breaker is open receives no import — registration used to
+// send it one and wait out RegisterTimeout — and the system still registers
+// on the remaining replica, leaving the set for the reconciler to complete.
+func TestRouterRegisterSkipsOpenBreaker(t *testing.T) {
+	rt, shards := testCluster(t, 3, 2)
+	req := serve.RegisterRequest{Gen: "poisson2d:7"}
+	m, err := serve.BuildMatrix(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := rt.replicaSet(serve.NewRegistrationRecord(m, nil).ID)
+	shed := set[0]
+	shed.br.Failure()
+	shed.br.Failure() // threshold 2: open
+	if st := shed.br.State(); st != breaker.Open {
+		t.Fatalf("breaker = %v, want open", st)
+	}
+	info, err := rt.Register(context.Background(), req)
+	if err != nil {
+		t.Fatalf("registration with one open-breaker replica: %v", err)
+	}
+	if got := shardByURL(shards, shed.name).service().Systems(); len(got) != 0 {
+		t.Fatalf("open-breaker shard received the import: %+v", got)
+	}
+	held := shardByURL(shards, set[1].name).service().Systems()
+	if len(held) != 1 || held[0].ID != info.ID {
+		t.Fatalf("remaining replica holds %+v, want %s", held, info.ID)
+	}
+}
+
+// TestRouterAppErrorSettlesProbe: a half-open probe answered with an
+// application-level 400 proves the shard reachable and closes its breaker,
+// exactly as on the solve path — it must not keep the probe slot forever and
+// shed every later write.
+func TestRouterAppErrorSettlesProbe(t *testing.T) {
+	rt, _ := testCluster(t, 1, 1)
+	info := registerGen(t, rt, "poisson2d:7")
+	m, err := serve.BuildMatrix(serve.RegisterRequest{Gen: "poisson2d:7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := rt.replicaSet(info.ID)[0]
+	sh.br.Failure()
+	sh.br.Failure()                    // threshold 2: open
+	time.Sleep(150 * time.Millisecond) // past the 100ms cooldown: next call is the probe
+
+	other := shardOptions().Solver
+	other.Solver.Preconditioner = &config.SolverConfig{Type: "jacobi"}
+	_, err = rt.Update(context.Background(), serve.UpdateRequest{ID: info.ID, Diag: m.Diag, Config: &other})
+	if err == nil {
+		t.Fatal("config-changing update accepted")
+	}
+	if st := sh.br.State(); st != breaker.Closed {
+		t.Fatalf("breaker = %v after an answered probe, want closed", st)
+	}
+	if _, err := rt.Update(context.Background(), serve.UpdateRequest{ID: info.ID, Diag: m.Diag}); err != nil {
+		t.Fatalf("update after the answered probe: %v", err)
+	}
+}
+
+// TestRemovedRPCRoutes pins the one-spelling rule on the router: the pre-v1
+// RPC routes are gone, so each answers what the mux answers for a path it
+// does not serve.
+func TestRemovedRPCRoutes(t *testing.T) {
+	rt, _ := testCluster(t, 1, 1)
+	h := rt.Handler()
+	for _, path := range []string{"/v1/register", "/v1/solve", "/v1/update"} {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"gen":"poisson2d:7"}`))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusNotFound && w.Code != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s = %d, want 404 or 405", path, w.Code)
+		}
+	}
 }

@@ -197,7 +197,7 @@ type ServeConfig struct {
 	StateDir string `json:"stateDir,omitempty"`
 	// Chaos enables a deterministic service-level chaos campaign.
 	Chaos *ChaosConfig `json:"chaos,omitempty"`
-	// Refresh tunes the values-only refresh path (POST /v1/update and
+	// Refresh tunes the values-only refresh path (PATCH /v1/systems/{id} and
 	// pattern-matching registrations adopting cached pipelines).
 	Refresh *RefreshConfig `json:"refresh,omitempty"`
 	// Tune enables and bounds the registration-time autotuner.
@@ -211,8 +211,8 @@ type ServeConfig struct {
 type RefreshConfig struct {
 	// Enabled turns the refresh path on (the default when the block is
 	// present without it, and when the block is absent). When explicitly
-	// false, pattern-matching registrations cold-prepare and POST /v1/update
-	// is rejected.
+	// false, pattern-matching registrations cold-prepare and
+	// PATCH /v1/systems/{id} is rejected.
 	Enabled *bool `json:"enabled,omitempty"`
 	// WarmReplicas bounds how many idle cached replicas one adoption
 	// refreshes in place; any remainder is dropped and re-prepared on

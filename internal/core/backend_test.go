@@ -224,11 +224,11 @@ func TestFaultCampaignReplayIdentity(t *testing.T) {
 	}
 }
 
-// TestSolveBatchFaultAccounting pins the per-RHS (not per-batch) campaign
-// accounting of (*Prepared).SolveBatch: the injector re-arms before every
-// right-hand side, so each batch item replays the campaign exactly as a
-// standalone solve of the same right-hand side would — bit-identically.
-func TestSolveBatchFaultAccounting(t *testing.T) {
+// TestSolveIntoFaultAccounting pins the per-solve campaign accounting of
+// consecutive warm SolveInto calls: the injector re-arms before every run, so
+// a right-hand side solved after a different one replays the campaign exactly
+// as a standalone solve of it would — bit-identically.
+func TestSolveIntoFaultAccounting(t *testing.T) {
 	m, _, _ := poissonProblem(12, 12)
 	b1, b2, _, _ := twoRHS(m)
 	mc := smallMachine(8)
@@ -243,9 +243,15 @@ func TestSolveBatchFaultAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", be, err)
 		}
-		batch, err := prep.SolveBatch([][]float64{b1, b2, b1})
-		if err != nil {
-			t.Fatalf("%s: batch: %v", be, err)
+		var xs [3][]float64
+		var iters [3]int
+		for k, b := range [][]float64{b1, b2, b1} {
+			xs[k] = make([]float64, m.N)
+			st, err := prep.SolveInto(xs[k], b)
+			if err != nil {
+				t.Fatalf("%s: solve %d: %v", be, k, err)
+			}
+			iters[k] = st.Iterations
 		}
 		single1, err := prep.Solve(b1)
 		if err != nil {
@@ -255,17 +261,16 @@ func TestSolveBatchFaultAccounting(t *testing.T) {
 			t.Fatalf("%s: campaign injected nothing; the accounting test is vacuous", be)
 		}
 		for i := range single1.X {
-			// rhs0 and rhs2 see the same re-armed campaign as the standalone
-			// solve; if the campaign ran on across the batch they would
-			// diverge from it (and from each other).
-			if batch.X[0][i] != single1.X[i] || batch.X[2][i] != single1.X[i] {
-				t.Fatalf("%s: batch campaign accounting is not per-RHS (diverges at %d)", be, i)
+			// Solves 0 and 2 see the same re-armed campaign as the standalone
+			// solve; if the campaign ran on across solves they would diverge
+			// from it (and from each other).
+			if xs[0][i] != single1.X[i] || xs[2][i] != single1.X[i] {
+				t.Fatalf("%s: campaign accounting is not per-solve (diverges at %d)", be, i)
 			}
 		}
-		if batch.Stats[0].Iterations != single1.Stats.Iterations ||
-			batch.Stats[2].Iterations != single1.Stats.Iterations {
-			t.Fatalf("%s: batch iteration counts %d/%d vs standalone %d",
-				be, batch.Stats[0].Iterations, batch.Stats[2].Iterations, single1.Stats.Iterations)
+		if iters[0] != single1.Stats.Iterations || iters[2] != single1.Stats.Iterations {
+			t.Fatalf("%s: iteration counts %d/%d vs standalone %d",
+				be, iters[0], iters[2], single1.Stats.Iterations)
 		}
 	}
 }
@@ -353,48 +358,6 @@ func TestUnknownBackendName(t *testing.T) {
 	cfg.Engine = &config.EngineConfig{Backend: "gpu"}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("config validation accepted engine.backend=gpu")
-	}
-}
-
-// TestSolveBatchMatchesSolve runs k right-hand sides through SolveBatch on
-// both backends and checks each answer is bit-identical to a standalone
-// Solve of the same right-hand side.
-func TestSolveBatchMatchesSolve(t *testing.T) {
-	m, _, _ := poissonProblem(12, 12)
-	b1, b2, _, _ := twoRHS(m)
-	mc := smallMachine(8)
-	cfg := backendProfiles()["cg-jacobi"]
-	for _, be := range []string{"sim", "native"} {
-		prep, err := Prepare(mc, m, cfg, PartitionContiguous, WithBackend(be))
-		if err != nil {
-			t.Fatalf("%s: %v", be, err)
-		}
-		batch, err := prep.SolveBatch([][]float64{b1, b2, b1})
-		if err != nil {
-			t.Fatalf("%s: batch: %v", be, err)
-		}
-		if len(batch.X) != 3 || len(batch.Stats) != 3 {
-			t.Fatalf("%s: batch shape %d/%d", be, len(batch.X), len(batch.Stats))
-		}
-		single1, err := prep.Solve(b1)
-		if err != nil {
-			t.Fatalf("%s: %v", be, err)
-		}
-		single2, err := prep.Solve(b2)
-		if err != nil {
-			t.Fatalf("%s: %v", be, err)
-		}
-		for i := range single1.X {
-			if batch.X[0][i] != single1.X[i] || batch.X[2][i] != single1.X[i] {
-				t.Fatalf("%s: batch rhs0/rhs2 diverge from standalone at %d", be, i)
-			}
-			if batch.X[1][i] != single2.X[i] {
-				t.Fatalf("%s: batch rhs1 diverges from standalone at %d", be, i)
-			}
-		}
-		if !batch.Stats[0].Converged || batch.Stats[0].Iterations != single1.Stats.Iterations {
-			t.Fatalf("%s: batch stats %+v vs %+v", be, batch.Stats[0], single1.Stats)
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"ipusparse/internal/config"
 	"ipusparse/internal/fault"
@@ -94,12 +93,4 @@ func Solve(machineCfg ipu.Config, m *sparse.Matrix, b []float64, cfg config.Conf
 		return nil, err
 	}
 	return p.Solve(b)
-}
-
-// SolveTraced is Solve with an execution-trace export.
-//
-// Deprecated: use Solve with WithTrace(traceOut) instead. This wrapper will
-// be removed after one release.
-func SolveTraced(machineCfg ipu.Config, m *sparse.Matrix, b []float64, cfg config.Config, strategy PartitionStrategy, traceOut io.Writer) (*Result, error) {
-	return Solve(machineCfg, m, b, cfg, strategy, WithTrace(traceOut))
 }

@@ -318,37 +318,6 @@ func (p *Prepared) UpdateValues(m *sparse.Matrix) error {
 	return nil
 }
 
-// SetParallelism overrides the engine host parallelism for subsequent Solve
-// calls.
-//
-// Deprecated: pass WithParallelism to Prepare or Solve instead. This wrapper
-// will be removed after one release.
-func (p *Prepared) SetParallelism(par int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if par < 0 {
-		par = 0
-	}
-	p.par = par
-}
-
-// N returns the number of rows of the prepared system.
-//
-// Deprecated: use Info().N. This wrapper will be removed after one release.
-func (p *Prepared) N() int { return p.n }
-
-// SolverName returns the name of the scheduled solver hierarchy.
-//
-// Deprecated: use Info().Solver. This wrapper will be removed after one
-// release.
-func (p *Prepared) SolverName() string { return p.st.Solver }
-
-// Report returns the program analysis gathered at prepare time.
-//
-// Deprecated: use Info().Report. This wrapper will be removed after one
-// release.
-func (p *Prepared) Report() graph.Report { return p.report }
-
 // Solve re-runs the compiled program against a new right-hand side. The
 // solution starts from a zero initial guess, all solver state (checkpoints,
 // restart budgets, RunStats counters, machine cycle accounting) is reset
@@ -511,9 +480,8 @@ func (p *Prepared) runLocked(b []float64, ro runOptions, collectProfile bool) (b
 	return rr, execWall, nil
 }
 
-// SolveStats is the lean per-solve summary of the allocation-free paths
-// (SolveInto, SolveBatch): the solver's run counters without the convergence
-// history or profile.
+// SolveStats is the lean per-solve summary of the allocation-free SolveInto
+// path: the solver's run counters without the convergence history or profile.
 type SolveStats struct {
 	Solver          string
 	Iterations      int
@@ -523,19 +491,6 @@ type SolveStats struct {
 	Recovered       bool
 	ABFTChecks      uint64
 	ExecWallSeconds float64
-}
-
-func (p *Prepared) leanStats(execWall time.Duration) SolveStats {
-	return SolveStats{
-		Solver:          p.st.Solver,
-		Iterations:      p.st.Iterations,
-		Converged:       p.st.Converged,
-		RelRes:          p.st.RelRes,
-		Restarts:        p.st.Restarts,
-		Recovered:       p.st.Recovered,
-		ABFTChecks:      p.st.ABFTChecks,
-		ExecWallSeconds: execWall.Seconds(),
-	}
 }
 
 // SolveInto is the steady-state serving path: it solves for b and writes the
@@ -558,46 +513,16 @@ func (p *Prepared) SolveInto(x, b []float64, opts ...Option) (SolveStats, error)
 	if err := p.sys.GetGlobalInto(x, p.xT); err != nil {
 		return SolveStats{}, err
 	}
-	return p.leanStats(execWall), nil
-}
-
-// BatchResult is the outcome of a multi-RHS SolveBatch.
-type BatchResult struct {
-	X               [][]float64 // one solution per right-hand side
-	Stats           []SolveStats
-	ExecWallSeconds float64 // total execution wall time across the batch
-}
-
-// SolveBatch executes k right-hand sides back-to-back through the one
-// compiled instruction stream, holding the pipeline lock once for the whole
-// batch — the amortization path for multi-RHS workloads on either backend.
-// Each solve starts from a zero guess and is bit-identical to a standalone
-// Solve of the same right-hand side.
-func (p *Prepared) SolveBatch(bs [][]float64, opts ...Option) (*BatchResult, error) {
-	ro := applyOptions(opts)
-	if len(bs) == 0 {
-		return nil, fmt.Errorf("core: SolveBatch needs at least one right-hand side")
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := &BatchResult{
-		X:     make([][]float64, len(bs)),
-		Stats: make([]SolveStats, len(bs)),
-	}
-	for i, b := range bs {
-		_, execWall, err := p.runLocked(b, ro, false)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch rhs %d: %w", i, err)
-		}
-		x := make([]float64, p.n)
-		if err := p.sys.GetGlobalInto(x, p.xT); err != nil {
-			return nil, err
-		}
-		out.X[i] = x
-		out.Stats[i] = p.leanStats(execWall)
-		out.ExecWallSeconds += execWall.Seconds()
-	}
-	return out, nil
+	return SolveStats{
+		Solver:          p.st.Solver,
+		Iterations:      p.st.Iterations,
+		Converged:       p.st.Converged,
+		RelRes:          p.st.RelRes,
+		Restarts:        p.st.Restarts,
+		Recovered:       p.st.Recovered,
+		ABFTChecks:      p.st.ABFTChecks,
+		ExecWallSeconds: execWall.Seconds(),
+	}, nil
 }
 
 // writeTrace exports the combined run timeline: the prepare-phase wall times

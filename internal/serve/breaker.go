@@ -1,132 +1,10 @@
 package serve
 
-import (
-	"sync"
-	"time"
-)
-
-// breakerState is the classic three-state circuit breaker.
-type breakerState int
-
-const (
-	breakerClosed   breakerState = iota // normal operation
-	breakerOpen                         // shedding load, cooling down
-	breakerHalfOpen                     // admitting a single probe
-)
-
-// String implements fmt.Stringer.
-func (s breakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	}
-	return "unknown"
-}
-
-// breaker is a per-system circuit breaker: threshold consecutive failures
-// open it, an open breaker sheds every solve until the cooldown elapses, then
-// one probe is admitted (half-open) — its success closes the circuit, its
-// failure re-opens it for another cooldown.
-type breaker struct {
-	threshold int
-	cooldown  time.Duration
-	opens     func()             // service-level open counter hook
-	onState   func(breakerState) // state-gauge hook, called on every transition
-
-	mu       sync.Mutex
-	state    breakerState
-	fails    int
-	openedAt time.Time
-	probing  bool // a half-open probe is in flight
-}
-
-// setState transitions the state and notifies the gauge hook (callers hold
-// b.mu).
-func (b *breaker) setState(st breakerState) {
-	b.state = st
-	if b.onState != nil {
-		b.onState(st)
-	}
-}
-
-// allow reports whether a solve may proceed, transitioning open → half-open
-// after the cooldown and admitting exactly one probe at a time.
-func (b *breaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if time.Since(b.openedAt) < b.cooldown {
-			return false
-		}
-		b.setState(breakerHalfOpen)
-		b.probing = true
-		return true
-	default: // half-open
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
-	}
-}
-
-// success records a completed solve and closes the circuit.
-func (b *breaker) success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.setState(breakerClosed)
-	b.fails = 0
-	b.probing = false
-}
-
-// failure records a failed solve: it re-opens a half-open circuit
-// immediately and opens a closed one at the threshold.
-func (b *breaker) failure() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerHalfOpen:
-		b.open()
-	case breakerClosed:
-		b.fails++
-		if b.fails >= b.threshold {
-			b.open()
-		}
-	}
-}
-
-// open transitions to the open state (callers hold b.mu).
-func (b *breaker) open() {
-	b.setState(breakerOpen)
-	b.openedAt = time.Now()
-	b.fails = 0
-	b.probing = false
-	if b.opens != nil {
-		b.opens()
-	}
-}
-
-// currentState snapshots the state, folding an elapsed cooldown into
-// half-open for reporting.
-func (b *breaker) currentState() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerOpen && time.Since(b.openedAt) >= b.cooldown {
-		return breakerHalfOpen
-	}
-	return b.state
-}
+import "ipusparse/internal/breaker"
 
 // breakerFor returns the system's breaker, creating it lazily; nil when
 // circuit breaking is disabled.
-func (s *Service) breakerFor(id string) *breaker {
+func (s *Service) breakerFor(id string) *breaker.Breaker {
 	if s.opts.BreakerThreshold < 0 {
 		return nil
 	}
@@ -134,42 +12,25 @@ func (s *Service) breakerFor(id string) *breaker {
 	defer s.mu.Unlock()
 	b, ok := s.breakers[id]
 	if !ok {
-		gauge := s.stats.breakerState.With(id)
-		b = &breaker{
-			threshold: s.opts.BreakerThreshold,
-			cooldown:  s.opts.BreakerCooldown,
-			opens:     func() { s.stats.breakerOpens.Add(1) },
-			onState:   func(st breakerState) { gauge.Set(breakerStateValue(st)) },
-		}
-		gauge.Set(breakerStateValue(breakerClosed)) // materialize the series
+		b = breaker.New(s.opts.BreakerThreshold, s.opts.BreakerCooldown,
+			func() { s.stats.breakerOpens.Add(1) },
+			s.stats.breakerState.With(id).Set)
 		s.breakers[id] = b
 	}
 	return b
 }
 
-// breakerStateValue maps a breaker state onto the serve_breaker_state gauge
-// scale: 0 closed, 1 half-open, 2 open.
-func breakerStateValue(st breakerState) float64 {
-	switch st {
-	case breakerHalfOpen:
-		return 1
-	case breakerOpen:
-		return 2
-	}
-	return 0
-}
-
 // openBreakers counts systems currently shedding load.
 func (s *Service) openBreakers() int {
 	s.mu.Lock()
-	brs := make([]*breaker, 0, len(s.breakers))
+	brs := make([]*breaker.Breaker, 0, len(s.breakers))
 	for _, b := range s.breakers {
 		brs = append(brs, b)
 	}
 	s.mu.Unlock()
 	n := 0
 	for _, b := range brs {
-		if b.currentState() == breakerOpen {
+		if b.State() == breaker.Open {
 			n++
 		}
 	}

@@ -28,14 +28,14 @@ type RegisterRequest struct {
 	Config *config.Config `json:"config,omitempty"`
 }
 
-// UpdateRequest is the body of POST /v1/update: a values-only refresh of a
-// registered system (PATCH semantics). The target keeps its sparsity pattern
+// UpdateRequest is the body of PATCH /v1/systems/{id}: a values-only refresh
+// of a registered system. The target keeps its sparsity pattern
 // — structural changes are rejected with 409 — and its solver configuration.
 // Either give the new numbers against the registered structure (diag and/or
 // vals, CSR order) or a full matrix spec (gen or n+entries) whose pattern
 // must reproduce the registered one.
 type UpdateRequest struct {
-	// ID names the registered system being refreshed.
+	// ID, when present, must repeat the path's system ID.
 	ID string `json:"id"`
 	// Diag is the new diagonal; omitted keeps the registered diagonal.
 	Diag []float64 `json:"diag,omitempty"`
@@ -57,9 +57,6 @@ type UpdateRequest struct {
 // SolveRequest is the body of POST /v1/systems/{id}/solve. Exactly one of B,
 // Batch or RHS selects the right-hand side(s).
 type SolveRequest struct {
-	// ID names the target system on the deprecated POST /v1/solve alias; the
-	// resource route carries the ID in the path and ignores this field.
-	ID    string      `json:"id,omitempty"`
 	B     []float64   `json:"b,omitempty"`
 	Batch [][]float64 `json:"batch,omitempty"`
 	// RHS is a convenience generator: "ones" solves against b = A*1, so the
@@ -108,13 +105,6 @@ type BatchResponse struct {
 //	GET    /healthz               liveness
 //	GET    /readyz                readiness (503 while draining or degraded)
 //
-// Deprecated RPC-style aliases, kept one release for live clients; each
-// answers with a Deprecation header and a Link to its successor route:
-//
-//	POST /v1/register             = POST  /v1/systems
-//	POST /v1/solve                = POST  /v1/systems/{id}/solve (ID in body)
-//	POST /v1/update               = PATCH /v1/systems/{id}       (ID in body)
-//
 // Request bodies are bounded by Options.MaxBodyBytes; oversized requests are
 // rejected with 413.
 func (s *Service) Handler() http.Handler {
@@ -127,9 +117,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/systems/{id}", s.handleDeleteSystem)
 	mux.HandleFunc("GET /v1/systems/{id}/tune", s.handleTuneGet)
 	mux.HandleFunc("POST /v1/systems/{id}/tune", s.handleTuneForce)
-	mux.HandleFunc("POST /v1/register", s.handleRegisterAlias)
-	mux.HandleFunc("POST /v1/solve", s.handleSolveAlias)
-	mux.HandleFunc("POST /v1/update", s.handleUpdateAlias)
 	mux.HandleFunc("GET /v1/registry", s.handleRegistryExport)
 	mux.HandleFunc("POST /v1/registry", s.handleRegistryImport)
 	mux.HandleFunc("POST /v1/drain", s.handleDrain)
@@ -140,13 +127,6 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	return mux
-}
-
-// deprecate marks an alias response: RFC 8594 Deprecation plus a Link to the
-// successor resource route. The body stays byte-identical to the successor's.
-func deprecate(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
 }
 
 // handleReady reports whether the service is accepting and completing work:
@@ -319,26 +299,6 @@ func (s *Service) handlePatchSystem(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("body id %s does not match path id %s", req.ID, id))
 		return
 	}
-	s.doUpdate(w, r, id, req)
-}
-
-// handleUpdateAlias is the deprecated POST /v1/update spelling of
-// PATCH /v1/systems/{id}: the target ID rides in the body.
-func (s *Service) handleUpdateAlias(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/systems/{id}")
-	var req UpdateRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.ID == "" {
-		writeError(w, errors.New("update needs the target system id"))
-		return
-	}
-	s.doUpdate(w, r, req.ID, req)
-}
-
-func (s *Service) doUpdate(w http.ResponseWriter, r *http.Request, id string, req UpdateRequest) {
 	sys, err := s.lookup(id)
 	if err != nil {
 		writeError(w, err)
@@ -378,29 +338,6 @@ func (s *Service) doUpdate(w http.ResponseWriter, r *http.Request, id string, re
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
-}
-
-// handleRegisterAlias is the deprecated POST /v1/register spelling of
-// POST /v1/systems.
-func (s *Service) handleRegisterAlias(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/systems")
-	s.handleRegister(w, r)
-}
-
-// handleSolveAlias is the deprecated POST /v1/solve spelling of
-// POST /v1/systems/{id}/solve: the target ID rides in the body.
-func (s *Service) handleSolveAlias(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/systems/{id}/solve")
-	var req SolveRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.ID == "" {
-		writeError(w, errors.New("solve needs the target system id"))
-		return
-	}
-	s.doSolve(w, r, req.ID, req)
 }
 
 // handleSystemDetail serves the full resource view of one system, including
@@ -533,10 +470,6 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.doSolve(w, r, id, req)
-}
-
-func (s *Service) doSolve(w http.ResponseWriter, r *http.Request, id string, req SolveRequest) {
 	ctx := r.Context()
 	if req.TimeoutMs > 0 {
 		var cancel context.CancelFunc

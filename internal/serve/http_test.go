@@ -31,6 +31,16 @@ func postRaw(t *testing.T, url, path, body string) (*http.Response, string) {
 	return resp, out.String()
 }
 
+// doReq drives one request through a service handler and returns the
+// recorder.
+func doReq(t *testing.T, s *Service, method, path, body string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	return w
+}
+
 // TestHTTPErrorPaths walks every rejection path of the JSON API and checks
 // the typed-error-to-status mapping.
 func TestHTTPErrorPaths(t *testing.T) {
@@ -153,5 +163,72 @@ func TestReadyz(t *testing.T) {
 	}
 	if code, body := get(); code != http.StatusServiceUnavailable || body["status"] != "draining" {
 		t.Fatalf("closed readyz: %d %v, want 503 draining", code, body)
+	}
+}
+
+// TestPatchRejectsMismatchedBodyID pins the path/body precedence rule: a
+// PATCH whose body names a different system than the path is a 400, never a
+// silent write to either.
+func TestPatchRejectsMismatchedBodyID(t *testing.T) {
+	s := New(testOptions())
+	defer s.Close()
+	info, err := s.Register(context.Background(), sparse.Poisson2D(8, 8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := doReq(t, s, http.MethodPatch, "/v1/systems/"+info.ID,
+		`{"id":"someone-else","gen":"poisson2d:8"}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("mismatched body id = %d, want 400: %s", w.Code, w.Body)
+	}
+}
+
+// TestDeleteSystem pins the DELETE resource verb: 204 on success, the system
+// gone from the listing, 404 on a second delete, and — with a state dir —
+// the tombstone surviving restart.
+func TestDeleteSystem(t *testing.T) {
+	opts := testOptions()
+	opts.StateDir = t.TempDir()
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Register(context.Background(), sparse.Poisson2D(8, 8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := doReq(t, s, http.MethodDelete, "/v1/systems/"+info.ID, ""); w.Code != http.StatusNoContent {
+		t.Fatalf("delete = %d, want 204: %s", w.Code, w.Body)
+	}
+	if got := s.Systems(); len(got) != 0 {
+		t.Fatalf("system still listed after delete: %+v", got)
+	}
+	if w := doReq(t, s, http.MethodDelete, "/v1/systems/"+info.ID, ""); w.Code != http.StatusNotFound {
+		t.Fatalf("second delete = %d, want 404", w.Code)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.Systems(); len(got) != 0 {
+		t.Fatalf("deleted system resurrected by restart: %+v", got)
+	}
+}
+
+// TestRemovedRPCRoutes pins the one-spelling rule: the pre-v1 RPC routes are
+// gone, so each answers what the mux answers for a path it does not serve.
+func TestRemovedRPCRoutes(t *testing.T) {
+	s := New(testOptions())
+	defer s.Close()
+	for _, path := range []string{"/v1/register", "/v1/solve", "/v1/update"} {
+		w := doReq(t, s, http.MethodPost, path, `{"gen":"poisson2d:8"}`)
+		if w.Code != http.StatusNotFound && w.Code != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s = %d, want 404 or 405", path, w.Code)
+		}
 	}
 }

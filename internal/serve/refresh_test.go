@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -193,14 +192,12 @@ func TestUpdateSystemDisabled(t *testing.T) {
 	}
 }
 
-// TestHTTPUpdate drives POST /v1/update end to end: a diag/vals PATCH body,
+// TestHTTPUpdate drives PATCH /v1/systems/{id} end to end: a diag/vals body,
 // the 409 pattern-conflict mapping, and the typed 400 for a config override
 // requesting simulator-only features on a native system.
 func TestHTTPUpdate(t *testing.T) {
 	s := New(testOptions())
 	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
 
 	m1 := sparse2dForTest()
 	info, err := s.Register(context.Background(), m1, nil)
@@ -209,10 +206,14 @@ func TestHTTPUpdate(t *testing.T) {
 	}
 
 	m2 := drift(m1, 1)
-	body, _ := json.Marshal(UpdateRequest{ID: info.ID, Diag: m2.Diag, Vals: m2.Vals})
-	resp, out := postRaw(t, srv.URL, "/v1/update", string(body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("update: %d %s", resp.StatusCode, out)
+	patch := func(id, body string) (int, string) {
+		w := doReq(t, s, http.MethodPatch, "/v1/systems/"+id, body)
+		return w.Code, w.Body.String()
+	}
+	body, _ := json.Marshal(UpdateRequest{Diag: m2.Diag, Vals: m2.Vals})
+	code, out := patch(info.ID, string(body))
+	if code != http.StatusOK {
+		t.Fatalf("update: %d %s", code, out)
 	}
 	var up UpdateInfo
 	if err := json.Unmarshal([]byte(out), &up); err != nil {
@@ -223,28 +224,28 @@ func TestHTTPUpdate(t *testing.T) {
 	}
 
 	// A spec-form update whose structure differs → 409 Conflict.
-	resp, out = postRaw(t, srv.URL, "/v1/update", `{"id":"`+up.ID+`","gen":"poisson2d:6"}`)
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("pattern conflict: %d %s, want 409", resp.StatusCode, out)
+	code, out = patch(up.ID, `{"gen":"poisson2d:6"}`)
+	if code != http.StatusConflict {
+		t.Fatalf("pattern conflict: %d %s, want 409", code, out)
 	}
 	if !strings.Contains(out, "pattern") {
 		t.Fatalf("409 body does not name the pattern conflict: %s", out)
 	}
 
 	// Unknown target → 404.
-	resp, out = postRaw(t, srv.URL, "/v1/update", `{"id":"m0000000000000000","gen":"poisson2d:7"}`)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown target: %d %s, want 404", resp.StatusCode, out)
+	code, out = patch("m0000000000000000", `{"gen":"poisson2d:7"}`)
+	if code != http.StatusNotFound {
+		t.Fatalf("unknown target: %d %s, want 404", code, out)
 	}
 
 	// A config override requesting device tracing (a simulator-only feature)
 	// on this native system → the same typed 400 body registration produces.
 	cfg := testOptions().Solver
 	cfg.Engine = &config.EngineConfig{Trace: "trace.json"}
-	body, _ = json.Marshal(UpdateRequest{ID: up.ID, Diag: m2.Diag, Config: &cfg})
-	resp, out = postRaw(t, srv.URL, "/v1/update", string(body))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("sim-only config: %d %s, want 400", resp.StatusCode, out)
+	body, _ = json.Marshal(UpdateRequest{Diag: m2.Diag, Config: &cfg})
+	code, out = patch(up.ID, string(body))
+	if code != http.StatusBadRequest {
+		t.Fatalf("sim-only config: %d %s, want 400", code, out)
 	}
 	var typed struct {
 		Backend     string `json:"backend"`
@@ -258,10 +259,10 @@ func TestHTTPUpdate(t *testing.T) {
 	// solver hierarchy is rejected even when the backend could honor it.
 	other := testOptions().Solver
 	other.Solver.Preconditioner = &config.SolverConfig{Type: "jacobi"}
-	body, _ = json.Marshal(UpdateRequest{ID: up.ID, Diag: m2.Diag, Config: &other})
-	resp, out = postRaw(t, srv.URL, "/v1/update", string(body))
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out, "re-registration") {
-		t.Fatalf("config change: %d %s, want 400 naming re-registration", resp.StatusCode, out)
+	body, _ = json.Marshal(UpdateRequest{Diag: m2.Diag, Config: &other})
+	code, out = patch(up.ID, string(body))
+	if code != http.StatusBadRequest || !strings.Contains(out, "re-registration") {
+		t.Fatalf("config change: %d %s, want 400 naming re-registration", code, out)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"ipusparse/internal/backend"
+	"ipusparse/internal/breaker"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
 	"ipusparse/internal/fault"
@@ -345,7 +346,7 @@ type Service struct {
 	cache    map[Key]*entry
 	patterns map[Key]*entry // pattern key → most recent entry, for adoption
 	lru      *list.List     // front = most recently used
-	breakers map[string]*breaker
+	breakers map[string]*breaker.Breaker
 
 	registry *registry // crash-safe registration log (nil without a StateDir)
 
@@ -379,7 +380,7 @@ func New(opts Options) *Service {
 		cache:    make(map[Key]*entry),
 		patterns: make(map[Key]*entry),
 		lru:      list.New(),
-		breakers: make(map[string]*breaker),
+		breakers: make(map[string]*breaker.Breaker),
 		jobs:     make(chan *job, opts.QueueDepth),
 		jitter:   rand.New(rand.NewSource(1)),
 		stats:    newStatsCollector(opts.Telemetry),
@@ -807,7 +808,7 @@ func (s *Service) execute(j *job) jobResult {
 		return jobResult{err: err}
 	}
 	br := s.breakerFor(j.sys.id)
-	if br != nil && !br.allow() {
+	if br != nil && !br.Allow() {
 		s.stats.breakerRejected.Add(1)
 		return jobResult{err: fmt.Errorf("%w: %s", ErrCircuitOpen, j.sys.id)}
 	}
@@ -815,9 +816,9 @@ func (s *Service) execute(j *job) jobResult {
 	res, err := s.supervised(j.ctx, j.sys, j.b)
 	if br != nil {
 		if err == nil {
-			br.success()
+			br.Success()
 		} else if !errors.Is(err, ErrClosed) {
-			br.failure()
+			br.Failure()
 		}
 	}
 	if err != nil {

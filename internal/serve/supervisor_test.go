@@ -191,42 +191,6 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-// TestBreakerHalfOpenFailureReopens verifies a failed probe re-opens the
-// circuit for another full cooldown.
-func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	br := &breaker{threshold: 1, cooldown: time.Hour}
-	br.failure()
-	if br.currentState() != breakerOpen {
-		t.Fatalf("state %v after threshold failures, want open", br.currentState())
-	}
-	if br.allow() {
-		t.Fatal("open breaker admitted a solve inside the cooldown")
-	}
-	br.mu.Lock()
-	br.openedAt = time.Now().Add(-2 * time.Hour) // cooldown elapsed
-	br.mu.Unlock()
-	if !br.allow() {
-		t.Fatal("cooled-down breaker refused the probe")
-	}
-	if br.allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	br.failure()
-	if br.allow() {
-		t.Fatal("breaker admitted a solve right after a failed probe")
-	}
-	br.mu.Lock()
-	br.openedAt = time.Now().Add(-2 * time.Hour)
-	br.mu.Unlock()
-	if !br.allow() {
-		t.Fatal("re-cooled breaker refused the second probe")
-	}
-	br.success()
-	if got := br.currentState(); got != breakerClosed {
-		t.Fatalf("state %v after successful probe, want closed", got)
-	}
-}
-
 // TestHedgeFiresOnStall injects exactly one long stall; the hedged second
 // attempt must answer long before the stall clears.
 func TestHedgeFiresOnStall(t *testing.T) {
