@@ -38,10 +38,11 @@ bench-smoke:
 bench-backend:
 	$(GO) run ./cmd/benchsuite -experiment backend -json BENCH_backend.json
 
-## bench-backend-smoke: one quick iteration of the backend microbenchmarks
-## (the CI guard that warm SolveInto stays allocation-free on both backends)
+## bench-backend-smoke: one quick iteration of the backend and native-kernel
+## microbenchmarks plus the zero-alloc gate on the default hierarchy (the CI
+## guard that warm SolveInto stays allocation-free on both backends)
 bench-backend-smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkBackend' -benchtime 1x -benchmem .
+	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkBackend|BenchmarkNativeKernels' -benchtime 1x -benchmem .
 
 ## serve-smoke: boot a race-enabled ipuserved on a random port, register a
 ## Poisson system, fire concurrent batched solves, verify solutions and

@@ -6,15 +6,22 @@
 // In -short mode (the CI smoke step) the workload shrinks to a 64-tile
 // machine so one iteration completes in milliseconds. The native arm's
 // allocs/op is the number to watch: the lean SolveInto path must stay
-// allocation-free in steady state.
+// allocation-free in steady state (TestNativeMPIRZeroAlloc makes that a hard
+// gate for the service default hierarchy).
 package ipusparse
 
 import (
 	"testing"
 
+	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
+	"ipusparse/internal/graph"
+	"ipusparse/internal/ipu"
+	"ipusparse/internal/partition"
+	"ipusparse/internal/solver"
 	"ipusparse/internal/sparse"
+	"ipusparse/internal/tensordsl"
 )
 
 // backendBenchPrep builds the Table X workload — fixed-budget Jacobi-
@@ -60,4 +67,156 @@ func benchmarkBackendCG(b *testing.B, backend string) {
 func BenchmarkBackendCG(b *testing.B) {
 	b.Run("sim", func(b *testing.B) { benchmarkBackendCG(b, "sim") })
 	b.Run("native", func(b *testing.B) { benchmarkBackendCG(b, "native") })
+}
+
+// TestNativeMPIRZeroAlloc is the hard gate on the service default hierarchy:
+// a warm native SolveInto of mpir-dw+pbicgstab+ilu0 — re-factorization,
+// level-set sweeps, double-word residuals and all — must not allocate. It is
+// the sibling of TestNativeRefreshZeroAlloc and rides bench-backend-smoke.
+func TestNativeMPIRZeroAlloc(t *testing.T) {
+	cfg, n := engineBenchScale(t)
+	if !testing.Short() {
+		n = 16 // the gate is about allocations, not scale
+	}
+	m := sparse.Poisson3D(n, n, n)
+	prep, err := core.Prepare(cfg, m, config.Default(), core.PartitionContiguous, core.WithBackend("native"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([]float64, m.N)
+	for i := range rhs {
+		rhs[i] = 1
+	}
+	x := make([]float64, m.N)
+	st, err := prep.SolveInto(x, rhs) // warm-up grows every buffer once
+	if err != nil || !st.Converged {
+		t.Fatalf("warm-up solve: %+v, %v", st, err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := prep.SolveInto(x, rhs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm native %s allocates %.1f objects per solve, want 0", st.Solver, allocs)
+	}
+}
+
+// benchmarkNativeKernel times one native run of the program schedule builds
+// on a served-shape system (64 tiles, contiguous partition): the compute set
+// under test plus whatever exchange it needs, nothing else. schedule returns
+// the bytes one run moves, computed from array sizes (4-byte values and
+// indices), so the MB/s column is a computed rate, not a measured one.
+func benchmarkNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sparse.Matrix) int64) {
+	n := 32
+	if testing.Short() {
+		n = 16
+	}
+	cfg := ipu.Mk2M2000()
+	cfg.TilesPerChip, cfg.Chips = 64, 1
+	mach, err := ipu.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := sparse.Poisson3D(n, n, n)
+	sess := tensordsl.NewSession(mach)
+	sys, err := solver.NewSystem(sess, m, partition.Contiguous(m, mach.NumTiles()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bytes := schedule(sys, m)
+	prog := sess.Program()
+	graph.Freeze(prog)
+	exec, err := backend.Native.Compile(prog, mach, graph.Analyze(prog))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := exec.Run(backend.RunConfig{}); err != nil { // warm-up
+		b.Fatal(err)
+	}
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.Run(backend.RunConfig{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchVector is a system vector holding a fixed non-trivial pattern.
+func benchVector(b *testing.B, sys *solver.System, name string, dt ipu.Scalar) *tensordsl.Tensor {
+	v := sys.VectorTyped(name, dt)
+	h := make([]float64, sys.N())
+	for i := range h {
+		h[i] = 1 + 0.5*float64(i%17)/17
+	}
+	if err := sys.SetGlobal(v, h); err != nil {
+		b.Fatal(err)
+	}
+	return v
+}
+
+// BenchmarkNativeKernels measures each kernel class of the two served
+// hierarchies' iteration loops on its own: the per-kernel evidence behind the
+// end-to-end rows of Table X.
+func BenchmarkNativeKernels(b *testing.B) {
+	// Matrix traffic of one sweep over all stored entries: value + column per
+	// off-diagonal, diagonal + row pointer per row.
+	matrixBytes := func(m *sparse.Matrix) int64 { return int64(8*(m.NNZ()-m.N) + 8*m.N) }
+	b.Run("spmv-f32", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			sys.SpMV(sys.Vector("y"), benchVector(b, sys, "x", ipu.F32))
+			return matrixBytes(m) + int64(8*m.N)
+		})
+	})
+	b.Run("residual-dw", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			x, rhs := benchVector(b, sys, "x", ipu.DW), benchVector(b, sys, "b", ipu.DW)
+			sys.ResidualExt(sys.VectorTyped("r", ipu.DW), rhs, x)
+			return matrixBytes(m) + int64(24*m.N)
+		})
+	})
+	b.Run("ilu0-apply", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			ilu := &solver.ILU{Sys: sys}
+			factored := false
+			sys.Sess.If(func() bool { return !factored }, func() {
+				ilu.SetupStep()
+				sys.Sess.HostCallback("factored", func() error { factored = true; return nil })
+			}, nil)
+			ilu.ApplyStep(sys.Vector("z"), benchVector(b, sys, "r", ipu.F32))
+			// Both sweeps: factor value + column + position per owned
+			// off-diagonal, r, z twice and the factored diagonal per row.
+			return int64(12*(m.NNZ()-m.N) + 16*m.N)
+		})
+	})
+	b.Run("dot", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			sys.Sess.Dot(benchVector(b, sys, "x", ipu.F32), benchVector(b, sys, "y", ipu.F32))
+			return int64(8 * m.N)
+		})
+	})
+	b.Run("assign-2term", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			x, y := benchVector(b, sys, "x", ipu.F32), benchVector(b, sys, "y", ipu.F32)
+			alpha := sys.Sess.MustScalar("alpha", ipu.F32)
+			alpha.SetValue(0.5)
+			sys.Vector("z").Assign(tensordsl.Sub(x, tensordsl.Mul(alpha, y)))
+			return int64(12 * m.N)
+		})
+	})
+	b.Run("assign-3term", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			r, v := benchVector(b, sys, "r", ipu.F32), benchVector(b, sys, "v", ipu.F32)
+			beta, omega := sys.Sess.MustScalar("beta", ipu.F32), sys.Sess.MustScalar("omega", ipu.F32)
+			beta.SetValue(0.5)
+			omega.SetValue(0.25)
+			// PBiCGStab's direction update, into a separate p so repeated
+			// runs stay bounded.
+			p := benchVector(b, sys, "p", ipu.F32)
+			sys.Vector("pn").Assign(tensordsl.Add(r, tensordsl.Mul(beta, tensordsl.Sub(p, tensordsl.Mul(omega, v)))))
+			return int64(16 * m.N)
+		})
+	})
 }

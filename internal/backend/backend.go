@@ -7,10 +7,11 @@
 //     validation backend and stays the CLI/bench default.
 //   - Native lowers the compiled superstep schedule once, at prepare time,
 //     into a preallocated flat instruction stream: fused host-speed kernels
-//     where the compute sets provide them (SpMV, the axpy family, dot/norm
-//     partials), serial codelet execution elsewhere, halo exchanges as the
-//     direct slice copies they already carry, and no cycle or exchange
-//     accounting at all. Zero per-iteration allocation; this is the serving
+//     where the compute sets provide them (SpMV and extended residuals,
+//     ILU(0)/DILU factor and sweeps, fused assigns, dot/norm partials),
+//     serial codelet execution elsewhere (counted in
+//     RunResult.CodeletSets), halo exchanges as the direct slice copies they
+//     already carry, and no cycle or exchange accounting at all. Zero per-iteration allocation; this is the serving
 //     default. The one stream keeps every injector consultation point the
 //     engine has (accounting-only moves and nil host callbacks included,
 //     each behind a nil-injector check), so seeded fault campaigns replay
@@ -70,7 +71,12 @@ type RunResult struct {
 	Profile      []graph.ProfileEntry // nil unless CollectProfile on a backend with a cost model
 	Supersteps   uint64
 	FaultRetries uint64
-	Tracer       *graph.Tracer // non-nil when Trace was requested and supported
+	// CodeletSets counts the compute sets the native backend ran codelet by
+	// codelet because they carry no native kernel (0 on the simulator, where
+	// codelets are the execution model). A count that grows with the
+	// iteration count means a kernel inside a solver loop fell back.
+	CodeletSets uint64
+	Tracer      *graph.Tracer // non-nil when Trace was requested and supported
 }
 
 // Executable is a compiled program bound to one machine's buffers. Run is not

@@ -180,7 +180,7 @@ func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 	for i := range x.counters {
 		x.counters[i] = 0
 	}
-	var supersteps, retries uint64
+	var supersteps, retries, codeletSets uint64
 	ins := x.ins
 	pc := 0
 	for pc < len(ins) {
@@ -200,6 +200,7 @@ func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 			for _, c := range in.verts {
 				c.Run()
 			}
+			codeletSets++
 			supersteps++
 			pc++
 		case opMoves:
@@ -274,5 +275,5 @@ func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 			pc = in.target
 		}
 	}
-	return RunResult{Supersteps: supersteps, FaultRetries: retries}, nil
+	return RunResult{Supersteps: supersteps, FaultRetries: retries, CodeletSets: codeletSets}, nil
 }

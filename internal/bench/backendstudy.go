@@ -12,12 +12,13 @@ import (
 	"ipusparse/internal/sparse"
 )
 
-// BackendRow is one row of Table X: warm-solve cost of the same prepared CG
-// pipeline on the cycle-accurate simulator versus the native backend. The
-// backends agree at residual level (ResidualMatch re-verifies it per row);
-// the native arm additionally must be allocation-free in steady state.
+// BackendRow is one row of Table X: warm-solve cost of the same prepared
+// pipeline on the cycle-accurate simulator versus the native backend, for the
+// two served hierarchies. The backends agree at residual level (ResidualOK
+// re-verifies it per row); the native arm additionally must be
+// allocation-free in steady state.
 type BackendRow struct {
-	Workload     string  `json:"workload"` // "CG-warm"
+	Workload     string  `json:"workload"` // "CG-warm", "MPIR-warm"
 	Machine      string  `json:"machine"`
 	Tiles        int     `json:"tiles"`
 	Rows         int     `json:"rows"`
@@ -29,12 +30,17 @@ type BackendRow struct {
 	NativeAPO    float64 `json:"nativeAllocsPerOp"`
 	SimRelRes    float64 `json:"simRelRes"`
 	NativeRelRes float64 `json:"nativeRelRes"`
-	ResidualOK   bool    `json:"residualOk"` // relative residuals agree to 0.1%
+	// ResidualOK: CG-warm runs bit-identical kernels on a fixed budget, so
+	// the relative residuals agree to 0.1%; MPIR-warm runs to its tolerance
+	// (its fused vector updates round differently per backend), so both arms
+	// converged.
+	ResidualOK bool `json:"residualOk"`
 }
 
-// BackendStudy measures Table X: warm CG latency and steady-state allocations
-// of the simulator versus the native backend, at the small single-chip scale
-// and at M2000 scale.
+// BackendStudy measures Table X: warm latency and steady-state allocations of
+// the simulator versus the native backend, at the small single-chip scale and
+// at M2000 scale, for fixed-budget CG+Jacobi and for the service default
+// hierarchy run to convergence.
 func BackendStudy(o Options) ([]BackendRow, error) {
 	o = o.withDefaults()
 	type scale struct {
@@ -54,11 +60,16 @@ func BackendStudy(o Options) ([]BackendRow, error) {
 	var rows []BackendRow
 	for _, sc := range scales {
 		m := sparse.Poisson3D(sc.n, sc.n, sc.n)
-		row, err := backendRow(sc.name, sc.cfg, m)
-		if err != nil {
-			return nil, fmt.Errorf("backend %s: %w", sc.name, err)
+		for _, w := range []struct {
+			name string
+			cfg  config.Config
+		}{{"CG-warm", backendCG()}, {"MPIR-warm", config.Default()}} {
+			row, err := backendRow(w.name, w.cfg, sc.name, sc.cfg, m)
+			if err != nil {
+				return nil, fmt.Errorf("backend %s %s: %w", w.name, sc.name, err)
+			}
+			rows = append(rows, row)
 		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -74,13 +85,13 @@ func backendCG() config.Config {
 
 // backendRow prepares the same system once per backend and measures a warm
 // single-RHS solve on each.
-func backendRow(name string, cfg ipu.Config, m *sparse.Matrix) (BackendRow, error) {
-	sc := backendCG()
+func backendRow(workload string, sc config.Config, name string, cfg ipu.Config, m *sparse.Matrix) (BackendRow, error) {
 	b := rhsForSolution(m)
 
 	type arm struct {
-		sec, apo float64 // warm per-solve wall, steady-state allocs/solve
-		relres   float64
+		sec, apo  float64 // warm per-solve wall, steady-state allocs/solve
+		relres    float64
+		converged bool
 	}
 	measure := func(be string) (arm, error) {
 		var a arm
@@ -93,7 +104,7 @@ func backendRow(name string, cfg ipu.Config, m *sparse.Matrix) (BackendRow, erro
 		if err != nil {
 			return a, err
 		}
-		a.relres = st.RelRes
+		a.relres, a.converged = st.RelRes, st.Converged
 
 		const reps = 3 // best-of against scheduler noise
 		var ms0, ms1 runtime.MemStats
@@ -121,13 +132,17 @@ func backendRow(name string, cfg ipu.Config, m *sparse.Matrix) (BackendRow, erro
 	if err != nil {
 		return BackendRow{}, err
 	}
+	ok := relClose(sim.relres, nat.relres, 1e-3)
+	if sc.MPIR != nil {
+		ok = sim.converged && nat.converged
+	}
 	return BackendRow{
-		Workload: "CG-warm",
+		Workload: workload,
 		Machine:  name, Tiles: cfg.NumTiles(), Rows: m.N, NNZ: m.NNZ(),
 		SimSec: sim.sec, NativeSec: nat.sec, Speedup: sim.sec / nat.sec,
 		SimAPO: sim.apo, NativeAPO: nat.apo,
 		SimRelRes: sim.relres, NativeRelRes: nat.relres,
-		ResidualOK: relClose(sim.relres, nat.relres, 1e-3),
+		ResidualOK: ok,
 	}, nil
 }
 

@@ -394,3 +394,50 @@ func TestSolveIntoMatchesSolve(t *testing.T) {
 		}
 	}
 }
+
+// TestNativeCodeletSets is the "is it really native?" guard: a served
+// hierarchy must not run a compute set codelet by codelet inside its
+// iteration loop. cg+jacobi has no codelet-only set at all; for the service
+// default the count must not depend on how long the solve iterates, so it is
+// compared across two tolerances.
+func TestNativeCodeletSets(t *testing.T) {
+	m, b, _ := poissonProblem(14, 14)
+	mc := smallMachine(8)
+	solve := func(cfg config.Config) SolveStats {
+		t.Helper()
+		prep, err := Prepare(mc, m, cfg, PartitionContiguous, WithBackend("native"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := prep.SolveInto(make([]float64, m.N), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Converged {
+			t.Fatalf("%s did not converge: %+v", st.Solver, st)
+		}
+		return st
+	}
+	if st := solve(backendProfiles()["cg-jacobi"]); st.CodeletSets != 0 {
+		t.Errorf("cg+jacobi ran %d compute sets as codelets, want 0", st.CodeletSets)
+	}
+	withTol := func(tol float64) config.Config {
+		cfg := config.Default()
+		cfg.Solver.Tolerance, cfg.MPIR.Tolerance = tol, tol
+		return cfg
+	}
+	loose, tight := solve(withTol(1e-6)), solve(withTol(1e-9))
+	if tight.Iterations <= loose.Iterations {
+		t.Fatalf("tolerance 1e-9 took %d iterations, 1e-6 took %d: the comparison needs a longer solve",
+			tight.Iterations, loose.Iterations)
+	}
+	if loose.CodeletSets != tight.CodeletSets {
+		t.Errorf("%s: %d codelet sets over %d iterations but %d over %d: a kernel inside the loop falls back",
+			tight.Solver, loose.CodeletSets, loose.Iterations, tight.CodeletSets, tight.Iterations)
+	}
+	if sim, err := Prepare(mc, m, backendProfiles()["cg-jacobi"], PartitionContiguous, WithBackend("sim")); err != nil {
+		t.Fatal(err)
+	} else if st, err := sim.SolveInto(make([]float64, m.N), b); err != nil || st.CodeletSets != 0 {
+		t.Errorf("sim: CodeletSets = %d, err = %v; codelets are its execution model, want 0", st.CodeletSets, err)
+	}
+}

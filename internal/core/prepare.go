@@ -491,6 +491,9 @@ type SolveStats struct {
 	Recovered       bool
 	ABFTChecks      uint64
 	ExecWallSeconds float64
+	// CodeletSets is backend.RunResult.CodeletSets: compute sets the native
+	// backend had no kernel for. 0 means the whole solve ran native kernels.
+	CodeletSets uint64
 }
 
 // SolveInto is the steady-state serving path: it solves for b and writes the
@@ -506,7 +509,7 @@ func (p *Prepared) SolveInto(x, b []float64, opts ...Option) (SolveStats, error)
 	if len(x) != p.n {
 		return SolveStats{}, fmt.Errorf("core: %d solution slots for %d rows", len(x), p.n)
 	}
-	_, execWall, err := p.runLocked(b, ro, false)
+	rr, execWall, err := p.runLocked(b, ro, false)
 	if err != nil {
 		return SolveStats{}, err
 	}
@@ -522,6 +525,7 @@ func (p *Prepared) SolveInto(x, b []float64, opts ...Option) (SolveStats, error)
 		Recovered:       p.st.Recovered,
 		ABFTChecks:      p.st.ABFTChecks,
 		ExecWallSeconds: execWall.Seconds(),
+		CodeletSets:     rr.CodeletSets,
 	}, nil
 }
 

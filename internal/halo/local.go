@@ -2,20 +2,23 @@ package halo
 
 import (
 	"fmt"
+	"math"
 
 	"ipusparse/internal/sparse"
 )
 
 // LocalMatrix is the tile-local slice of the distributed matrix in modified
 // CRS with *local* column indices: columns < NumOwned address the tile's own
-// cells (in layout order), columns >= NumOwned address halo cells.
+// cells (in layout order), columns >= NumOwned address halo cells. RowPtr and
+// Cols are the device's 4-byte indices; the sim codelets and the native
+// kernels read these same two arrays.
 type LocalMatrix struct {
 	Tile     int
 	NumOwned int
 	NumHalo  int
 	Diag     []float64
-	RowPtr   []int
-	Cols     []int
+	RowPtr   []int32
+	Cols     []int32
 	Vals     []float64
 }
 
@@ -62,7 +65,7 @@ func Localize(m *sparse.Matrix, l *Layout) ([]*LocalMatrix, error) {
 			NumOwned: tl.NumOwned,
 			NumHalo:  tl.NumHalo,
 			Diag:     make([]float64, tl.NumOwned),
-			RowPtr:   make([]int, tl.NumOwned+1),
+			RowPtr:   make([]int32, tl.NumOwned+1),
 		}
 		for li, g := range tl.Owned {
 			lm.Diag[li] = m.Diag[g]
@@ -79,10 +82,14 @@ func Localize(m *sparse.Matrix, l *Layout) ([]*LocalMatrix, error) {
 					}
 					col = c
 				}
-				lm.Cols = append(lm.Cols, col)
+				lm.Cols = append(lm.Cols, int32(col))
 				lm.Vals = append(lm.Vals, m.Vals[k])
 			}
-			lm.RowPtr[li+1] = len(lm.Cols)
+			lm.RowPtr[li+1] = int32(len(lm.Cols))
+		}
+		if len(lm.Cols) > math.MaxInt32 || tl.Total() > math.MaxInt32 {
+			return nil, fmt.Errorf("halo: tile %d (%d entries, %d local cells) exceeds the 4-byte index range",
+				t, len(lm.Cols), tl.Total())
 		}
 		out[t] = lm
 	}
@@ -106,13 +113,13 @@ func RefreshValues(m *sparse.Matrix, l *Layout, locals []*LocalMatrix) error {
 		tl := &l.Tiles[t]
 		for li, g := range tl.Owned {
 			lo, hi := m.RowRange(g)
-			k0 := lm.RowPtr[li]
-			if hi-lo != lm.RowPtr[li+1]-k0 {
+			k0, k1 := int(lm.RowPtr[li]), int(lm.RowPtr[li+1])
+			if hi-lo != k1-k0 {
 				return fmt.Errorf("halo: tile %d row %d has %d entries, local structure %d",
-					t, g, hi-lo, lm.RowPtr[li+1]-k0)
+					t, g, hi-lo, k1-k0)
 			}
 			lm.Diag[li] = m.Diag[g]
-			copy(lm.Vals[k0:lm.RowPtr[li+1]], m.Vals[lo:hi])
+			copy(lm.Vals[k0:k1], m.Vals[lo:hi])
 		}
 	}
 	return nil

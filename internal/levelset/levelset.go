@@ -141,11 +141,13 @@ func FromDeps(n int, deps func(i int) []int) *Schedule {
 // Lower builds the schedule of a forward substitution: row i depends on
 // stored entries (i, j) with j < i. Columns >= n (halo columns of a local
 // matrix) carry values from the previous exchange and are not dependencies.
-func Lower(n int, rowPtr, cols []int) *Schedule {
+// The index type is the matrix's own: int for a global sparse.Matrix, int32
+// for a tile-local block.
+func Lower[I int | int32](n int, rowPtr, cols []I) *Schedule {
 	return FromDeps(n, func(i int) []int {
 		var d []int
 		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if j := cols[k]; j < i {
+			if j := int(cols[k]); j < i {
 				d = append(d, j)
 			}
 		}
@@ -155,11 +157,11 @@ func Lower(n int, rowPtr, cols []int) *Schedule {
 
 // Upper builds the schedule of a backward substitution: row i depends on
 // stored entries (i, j) with i < j < n.
-func Upper(n int, rowPtr, cols []int) *Schedule {
+func Upper[I int | int32](n int, rowPtr, cols []I) *Schedule {
 	return FromDeps(n, func(i int) []int {
 		var d []int
 		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if j := cols[k]; j > i && j < n {
+			if j := int(cols[k]); j > i && j < n {
 				d = append(d, j)
 			}
 		}

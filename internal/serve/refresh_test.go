@@ -69,7 +69,9 @@ func TestUpdateSystemRefreshesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := core.Solve(opts.Machine, m2, b, opts.Solver, core.PartitionContiguous)
+	// Cold oracle on the service's backend (cross-backend agreement is
+	// residual-level, not bit-level).
+	cold, err := core.Solve(opts.Machine, m2, b, opts.Solver, core.PartitionContiguous, core.WithBackend(info.Backend))
 	if err != nil {
 		t.Fatal(err)
 	}

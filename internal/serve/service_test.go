@@ -62,7 +62,9 @@ func TestServiceSolveMatchesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := core.Solve(opts.Machine, m, b, opts.Solver, core.PartitionContiguous)
+	// The cold reference runs on the service's backend: bit identity is the
+	// warm-vs-cold contract; across backends the contract is residual-level.
+	cold, err := core.Solve(opts.Machine, m, b, opts.Solver, core.PartitionContiguous, core.WithBackend(info.Backend))
 	if err != nil {
 		t.Fatal(err)
 	}

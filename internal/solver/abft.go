@@ -127,7 +127,7 @@ func (sys *System) abftComputeChecksums() {
 			cg[g] += d
 			cga[g] += math.Abs(d)
 			for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-				j := lm.Cols[k]
+				j := int(lm.Cols[k])
 				if j < lm.NumOwned {
 					g = tl.Owned[j]
 				} else {

@@ -65,7 +65,7 @@ func (p *CoarseCorrection) SetupStep() {
 			for i := 0; i < lm.NumOwned; i++ {
 				ac[t][t] += float64(sys.diag[t][i])
 				for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-					j := lm.Cols[k]
+					j := int(lm.Cols[k])
 					v := float64(sys.vals[t][k])
 					if j < lm.NumOwned {
 						ac[t][t] += v

@@ -3,6 +3,7 @@ package solver
 import (
 	"ipusparse/internal/graph"
 	"ipusparse/internal/ipu"
+	"ipusparse/internal/levelset"
 )
 
 // GaussSeidel is the Gauss-Seidel method (paper §V-D), usable both as a
@@ -17,7 +18,6 @@ type GaussSeidel struct {
 	Sweeps    int  // sweeps per application (default 1)
 	Symmetric bool // follow each forward sweep with a backward sweep
 
-	tri     *triSchedule
 	gsfCost []uint64
 	gsbCost []uint64
 }
@@ -29,7 +29,6 @@ func (*GaussSeidel) Name() string { return "gaussseidel" }
 // and sweep costs.
 func (p *GaussSeidel) SetupStep() {
 	sys := p.Sys
-	p.tri = buildTriSchedule(sys)
 	p.gsfCost = make([]uint64, len(sys.Locals))
 	p.gsbCost = make([]uint64, len(sys.Locals))
 	workers := sys.Sess.M.Config().WorkersPerTile
@@ -41,8 +40,10 @@ func (p *GaussSeidel) SetupStep() {
 			nnz := uint64(lm.RowPtr[i+1] - lm.RowPtr[i])
 			return sweepRowCost(nnz) + ipu.Cost(ipu.OpDiv, ipu.F32)
 		}
-		p.gsfCost[t] = p.tri.fwdLev[t].Assign(workers, nil).CriticalCost(rowCost, levelSyncCycles) + workerStart
-		p.gsbCost[t] = p.tri.bwdLev[t].Assign(workers, nil).CriticalCost(rowCost, levelSyncCycles) + workerStart
+		lower := levelset.Lower(lm.NumOwned, lm.RowPtr, lm.Cols)
+		upper := levelset.Upper(lm.NumOwned, lm.RowPtr, lm.Cols)
+		p.gsfCost[t] = lower.Assign(workers, nil).CriticalCost(rowCost, levelSyncCycles) + workerStart
+		p.gsbCost[t] = upper.Assign(workers, nil).CriticalCost(rowCost, levelSyncCycles) + workerStart
 	}
 }
 
@@ -79,7 +80,7 @@ func (p *GaussSeidel) sweepStep(x, b Tensor, forward, useHalo bool) {
 			sweep := func(i int) {
 				s := bv[i]
 				for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-					j := lm.Cols[k]
+					j := int(lm.Cols[k])
 					if j < lm.NumOwned {
 						s -= vals[k] * xv[j]
 					} else if hal {

@@ -78,6 +78,15 @@ type System struct {
 	haloDW  []*graph.Buffer
 	haloF64 []*graph.Buffer
 
+	// blocks is the table of populated tiles every native kernel of the
+	// system sweeps (see tileBlock); gather32/gather64 are the kernels'
+	// [owned | halo] gather scratch (see gatherScratch), maxTotal the local
+	// vector length of the largest block.
+	blocks   []tileBlock
+	maxTotal int
+	gather32 []float32
+	gather64 []float64
+
 	// permScratch carries the reordered view of one host vector between the
 	// permutation and the device write, reused across solves.
 	permScratch []float64
@@ -132,8 +141,46 @@ func NewSystem(sess *tensordsl.Session, m *sparse.Matrix, p *partition.Partition
 		for i, v := range lm.Vals {
 			sys.vals[t][i] = float32(v)
 		}
+		if lm.NumOwned > 0 {
+			sys.blocks = append(sys.blocks, tileBlock{
+				tile: t, owned: lm.NumOwned, total: lm.Total(),
+				rowPtr: lm.RowPtr, cols: lm.Cols, diag: sys.diag[t], vals: sys.vals[t],
+			})
+			if lm.Total() > sys.maxTotal {
+				sys.maxTotal = lm.Total()
+			}
+		}
 	}
 	return sys, nil
+}
+
+// tileBlock is one populated tile of the table the system's native kernels
+// share: the index and value arrays the tile's codelets read — same slices,
+// no copy. Call sites keep only their operand slices.
+type tileBlock struct {
+	tile         int
+	owned, total int
+	rowPtr, cols []int32
+	diag, vals   []float32
+}
+
+// gatherScratch allocates, on first use at schedule time, the scratch the
+// matrix kernels gather a tile's [owned | halo] vector into, so that their
+// inner loop reads x[cols[k]] with no owned/halo branch. A kernel fills it
+// from its operand's tensor and halo buffers at the top of its sweep of each
+// tile — inside the kernel, so after the injector's consultation point: a
+// fault campaign corrupts the registered tensor and halo buffers, never this
+// scratch. Kernels run one at a time and tile after tile, so one scratch
+// sized for the largest tile serves every call site. gather32 holds two
+// vectors: float32 kernels use the first, double-word kernels both (hi | lo,
+// structure of arrays like graph.Buffer); gather64 is the soft-double one.
+func (sys *System) gatherScratch(dt ipu.Scalar) {
+	switch {
+	case dt == ipu.F64 && sys.gather64 == nil:
+		sys.gather64 = make([]float64, sys.maxTotal)
+	case dt != ipu.F64 && sys.gather32 == nil:
+		sys.gather32 = make([]float32, 2*sys.maxTotal)
+	}
 }
 
 // N returns the global number of rows.
@@ -345,14 +392,14 @@ func (sys *System) SpMV(dst, src *tensordsl.Tensor) {
 				continue
 			}
 
-			nnz := lm.RowPtr[hi] - lm.RowPtr[lo]
+			nnz := int(lm.RowPtr[hi] - lm.RowPtr[lo])
 			cost := spmvCost(nnz, hi-lo, ipu.F32) + workerStart
 			cs.Add(t, graph.CodeletFunc(func() uint64 {
 				x, y, h := sb.F32, db.F32, hb.F32
 				for i := lo; i < hi; i++ {
 					s := diag[i] * x[i]
 					for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-						j := lm.Cols[k]
+						j := int(lm.Cols[k])
 						var xj float32
 						if j < lm.NumOwned {
 							xj = x[j]
@@ -375,40 +422,32 @@ func (sys *System) SpMV(dst, src *tensordsl.Tensor) {
 }
 
 // nativeSpMV is the flat host-speed SpMV the native backend executes: one
-// CSR sweep per tile block, identical row arithmetic to the worker codelets
-// (rows are independent, so dropping the worker split is exact).
+// CSR sweep per tile block over the gathered [owned | halo] vector (see
+// gatherScratch). Rows run in the codelets' order with the codelets' per-row
+// summation order (rows are independent, so dropping the worker split is
+// exact): results are bit-identical to the worker codelets.
 func (sys *System) nativeSpMV(dst, src *tensordsl.Tensor, halos []*graph.Buffer) func() {
-	type block struct {
-		lm         *halo.LocalMatrix
-		x, y, h    []float32
-		diag, vals []float32
-	}
-	var blocks []block
-	for t, lm := range sys.Locals {
-		if lm.NumOwned == 0 {
-			continue
-		}
-		blocks = append(blocks, block{
-			lm: lm, x: src.Buf(t).F32, y: dst.Buf(t).F32, h: halos[t].F32,
-			diag: sys.diag[t], vals: sys.vals[t],
-		})
+	sys.gatherScratch(ipu.F32)
+	blocks := sys.blocks
+	type operands struct{ x, y, h []float32 }
+	ops := make([]operands, len(blocks))
+	for i, b := range blocks {
+		ops[i] = operands{x: src.Buf(b.tile).F32, y: dst.Buf(b.tile).F32, h: halos[b.tile].F32}
 	}
 	return func() {
-		for _, b := range blocks {
-			lm := b.lm
-			for i := 0; i < lm.NumOwned; i++ {
-				s := b.diag[i] * b.x[i]
-				for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-					j := lm.Cols[k]
-					var xj float32
-					if j < lm.NumOwned {
-						xj = b.x[j]
-					} else {
-						xj = b.h[j-lm.NumOwned]
-					}
-					s += b.vals[k] * xj
+		for bi := range blocks {
+			b, o := &blocks[bi], &ops[bi]
+			xh := sys.gather32[:b.total]
+			copy(xh, o.x)
+			copy(xh[b.owned:], o.h)
+			rowPtr, cols, vals, diag, y := b.rowPtr, b.cols, b.vals, b.diag, o.y
+			k := rowPtr[0]
+			for i := range y {
+				s := diag[i] * xh[i]
+				for end := rowPtr[i+1]; k < end; k++ {
+					s += vals[k] * xh[cols[k]]
 				}
-				b.y[i] = s
+				y[i] = s
 			}
 		}
 	}
@@ -445,14 +484,14 @@ func (sys *System) ResidualExt(r, b, x *tensordsl.Tensor) {
 				continue
 			}
 
-			nnz := lm.RowPtr[hi] - lm.RowPtr[lo]
+			nnz := int(lm.RowPtr[hi] - lm.RowPtr[lo])
 			cost := spmvCost(nnz, hi-lo, dt) + workerStart
 			if dt == ipu.DW {
 				cs.Add(t, graph.CodeletFunc(func() uint64 {
 					for i := lo; i < hi; i++ {
 						acc := twofloat.MulFloat(xb.GetDW(i), diag[i])
 						for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-							j := lm.Cols[k]
+							j := int(lm.Cols[k])
 							var xj twofloat.DW
 							if j < lm.NumOwned {
 								xj = xb.GetDW(j)
@@ -470,7 +509,7 @@ func (sys *System) ResidualExt(r, b, x *tensordsl.Tensor) {
 					for i := lo; i < hi; i++ {
 						acc := float64(diag[i]) * xb.F64[i]
 						for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-							j := lm.Cols[k]
+							j := int(lm.Cols[k])
 							var xj float64
 							if j < lm.NumOwned {
 								xj = xb.F64[j]
@@ -491,59 +530,53 @@ func (sys *System) ResidualExt(r, b, x *tensordsl.Tensor) {
 }
 
 // nativeResidualExt is the flat extended-precision residual kernel: the same
-// row arithmetic as the worker codelets in one sweep per tile block.
+// row arithmetic as the worker codelets, in the same order (bit-identical),
+// in one sweep per tile block over the gathered [owned | halo] vector.
 func (sys *System) nativeResidualExt(r, b, x *tensordsl.Tensor, halos []*graph.Buffer, dt ipu.Scalar) func() {
-	type block struct {
-		lm             *halo.LocalMatrix
-		xb, bb, rb, hb *graph.Buffer
-		diag, vals     []float32
-	}
-	var blocks []block
-	for t, lm := range sys.Locals {
-		if lm.NumOwned == 0 {
-			continue
-		}
-		blocks = append(blocks, block{
-			lm: lm, xb: x.Buf(t), bb: b.Buf(t), rb: r.Buf(t), hb: halos[t],
-			diag: sys.diag[t], vals: sys.vals[t],
-		})
+	sys.gatherScratch(dt)
+	blocks := sys.blocks
+	type operands struct{ x, b, r, h *graph.Buffer }
+	ops := make([]operands, len(blocks))
+	for i, bl := range blocks {
+		ops[i] = operands{x: x.Buf(bl.tile), b: b.Buf(bl.tile), r: r.Buf(bl.tile), h: halos[bl.tile]}
 	}
 	if dt == ipu.DW {
 		return func() {
-			for _, bl := range blocks {
-				lm := bl.lm
-				for i := 0; i < lm.NumOwned; i++ {
-					acc := twofloat.MulFloat(bl.xb.GetDW(i), bl.diag[i])
-					for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-						j := lm.Cols[k]
-						var xj twofloat.DW
-						if j < lm.NumOwned {
-							xj = bl.xb.GetDW(j)
-						} else {
-							xj = bl.hb.GetDW(j - lm.NumOwned)
-						}
-						acc = twofloat.Add(acc, twofloat.MulFloat(xj, bl.vals[k]))
+			for bi := range blocks {
+				bl, o := &blocks[bi], &ops[bi]
+				hi, lo := sys.gather32[:bl.total], sys.gather32[sys.maxTotal:][:bl.total]
+				copy(hi, o.x.Hi)
+				copy(lo, o.x.Lo)
+				copy(hi[bl.owned:], o.h.Hi)
+				copy(lo[bl.owned:], o.h.Lo)
+				rowPtr, cols, vals, diag := bl.rowPtr, bl.cols, bl.vals, bl.diag
+				bHi, bLo, rHi, rLo := o.b.Hi, o.b.Lo, o.r.Hi, o.r.Lo
+				k := rowPtr[0]
+				for i := range rHi {
+					acc := twofloat.MulFloat(twofloat.DW{Hi: hi[i], Lo: lo[i]}, diag[i])
+					for end := rowPtr[i+1]; k < end; k++ {
+						c := cols[k]
+						acc = twofloat.Add(acc, twofloat.MulFloat(twofloat.DW{Hi: hi[c], Lo: lo[c]}, vals[k]))
 					}
-					bl.rb.SetDW(i, twofloat.Sub(bl.bb.GetDW(i), acc))
+					d := twofloat.Sub(twofloat.DW{Hi: bHi[i], Lo: bLo[i]}, acc)
+					rHi[i], rLo[i] = d.Hi, d.Lo
 				}
 			}
 		}
 	}
 	return func() {
-		for _, bl := range blocks {
-			lm := bl.lm
-			xf, bf, rf, hf := bl.xb.F64, bl.bb.F64, bl.rb.F64, bl.hb.F64
-			for i := 0; i < lm.NumOwned; i++ {
-				acc := float64(bl.diag[i]) * xf[i]
-				for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-					j := lm.Cols[k]
-					var xj float64
-					if j < lm.NumOwned {
-						xj = xf[j]
-					} else {
-						xj = hf[j-lm.NumOwned]
-					}
-					acc += float64(bl.vals[k]) * xj
+		for bi := range blocks {
+			bl, o := &blocks[bi], &ops[bi]
+			xh := sys.gather64[:bl.total]
+			copy(xh, o.x.F64)
+			copy(xh[bl.owned:], o.h.F64)
+			rowPtr, cols, vals, diag := bl.rowPtr, bl.cols, bl.vals, bl.diag
+			bf, rf := o.b.F64, o.r.F64
+			k := rowPtr[0]
+			for i := range rf {
+				acc := float64(diag[i]) * xh[i]
+				for end := rowPtr[i+1]; k < end; k++ {
+					acc += float64(vals[k]) * xh[cols[k]]
 				}
 				rf[i] = bf[i] - acc
 			}

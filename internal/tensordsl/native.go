@@ -10,8 +10,9 @@ import (
 // the ComputeSet.NativeKernel implementations the native backend executes
 // instead of per-tile codelets. A kernel makes the same memory effects as
 // running every vertex of the set but with no per-tile dispatch, no cycle
-// model and zero steady-state allocation. float32 expressions in the axpy /
-// scale / elementwise-divide family compile to fused loops over precomputed
+// model and zero steady-state allocation. float32 expressions that normalize
+// to a sum of coeff * vec * vec / vec terms (axpy, scale, elementwise product
+// and divide, any number of terms) compile to fused loops over precomputed
 // slice tables; everything else falls back to a serial scratch-arena
 // evaluation that is still allocation-free after the first run.
 //
@@ -35,7 +36,6 @@ func (t *Tensor) nativeAssign(e *Expr, evalType ipu.Scalar) func() {
 	tiles, bufs := t.activeLocals()
 	return func() {
 		for i, buf := range bufs {
-			_ = tiles[i]
 			evalInto(e, tiles[i], evalType, buf, sc)
 		}
 	}
@@ -68,14 +68,16 @@ type fusedTerm struct {
 }
 
 // fusedAssign compiles dst = e into a fused float32 loop when the expression
-// normalizes to at most two terms of the fusedTerm shape. Returns nil when
-// the shape (or any dtype) falls outside the fast path.
+// normalizes to a sum of terms of the fusedTerm shape. Every loop reads all of
+// its operands at index j before it stores d[j], so dst may alias any term
+// (x = x + αy + ωz). Returns nil when the shape (or any dtype) falls outside
+// the fast path.
 func (t *Tensor) fusedAssign(e *Expr, evalType ipu.Scalar) func() {
 	if evalType != ipu.F32 || t.dt != ipu.F32 {
 		return nil
 	}
 	terms, ok := normalizeTerms(e)
-	if !ok || len(terms) == 0 || len(terms) > 2 {
+	if !ok || len(terms) == 0 {
 		return nil
 	}
 
@@ -148,6 +150,9 @@ func (t *Tensor) fusedAssign(e *Expr, evalType ipu.Scalar) func() {
 			}
 		}
 	}
+	if len(terms) > 2 {
+		return fusedSum(dst, terms, segs, segs2, divs)
+	}
 	t1, t2 := terms[0], terms[1]
 	return func() {
 		c1, c2 := t1.runtimeCoeff(), t2.runtimeCoeff()
@@ -183,6 +188,48 @@ func (t *Tensor) fusedAssign(e *Expr, evalType ipu.Scalar) func() {
 					}
 					d[j] = a + b
 				}
+			}
+		}
+	}
+}
+
+// fusedSum is the N-term loop (N > 2): d = Σ coeff_i * vec_i * vec2_i / div_i,
+// summed left to right in float32. Three plain vector terms — PBiCGStab's
+// p = r + β(p − ωv) and x = x + αy + ωz — get an unrolled loop.
+func fusedSum(dst [][]float32, terms []fusedTerm, segs, segs2, divs [][][]float32) func() {
+	plain3 := len(terms) == 3
+	for i := range terms {
+		plain3 = plain3 && segs[i] != nil && segs2[i] == nil && divs[i] == nil
+	}
+	coeffs := make([]float32, len(terms))
+	return func() {
+		for i := range terms {
+			coeffs[i] = terms[i].runtimeCoeff()
+		}
+		for ti, d := range dst {
+			if plain3 {
+				c0, c1, c2 := coeffs[0], coeffs[1], coeffs[2]
+				x, y, z := segs[0][ti], segs[1][ti], segs[2][ti]
+				for j := range d {
+					d[j] = c0*x[j] + c1*y[j] + c2*z[j]
+				}
+				continue
+			}
+			for j := range d {
+				var s float32
+				for i, a := range coeffs {
+					if segs[i] != nil {
+						a *= segs[i][ti][j]
+					}
+					if segs2[i] != nil {
+						a *= segs2[i][ti][j]
+					}
+					if divs[i] != nil {
+						a /= divs[i][ti][j]
+					}
+					s += a
+				}
+				d[j] = s
 			}
 		}
 	}
