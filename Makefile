@@ -40,9 +40,13 @@ bench-backend:
 
 ## bench-backend-smoke: one quick iteration of the backend and native-kernel
 ## microbenchmarks plus the zero-alloc gate on the default hierarchy (the CI
-## guard that warm SolveInto stays allocation-free on both backends)
+## guard that warm SolveInto stays allocation-free on both backends), the
+## fused-vs-plain stream equivalence property and the FusedSets gate (the
+## guards that the native fusions stay bit-identical and stay on)
 bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkBackend|BenchmarkNativeKernels' -benchtime 1x -benchmem .
+	$(GO) test -short -run 'TestFusedStreamMatchesPlain' ./internal/solver
+	$(GO) test -short -run 'TestNativeFusedSets' ./internal/core
 
 ## serve-smoke: boot a race-enabled ipuserved on a random port, register a
 ## Poisson system, fire concurrent batched solves, verify solutions and

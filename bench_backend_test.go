@@ -12,10 +12,12 @@ package ipusparse
 
 import (
 	"testing"
+	"time"
 
 	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
+	"ipusparse/internal/fault"
 	"ipusparse/internal/graph"
 	"ipusparse/internal/ipu"
 	"ipusparse/internal/partition"
@@ -106,7 +108,9 @@ func TestNativeMPIRZeroAlloc(t *testing.T) {
 // on a served-shape system (64 tiles, contiguous partition): the compute set
 // under test plus whatever exchange it needs, nothing else. schedule returns
 // the bytes one run moves, computed from array sizes (4-byte values and
-// indices), so the MB/s column is a computed rate, not a measured one.
+// indices), so the MB/s column is a computed rate, not a measured one. When
+// the program runs as a fused kernel, unfused-ns/op is the same program run
+// kernel by kernel right after.
 func benchmarkNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sparse.Matrix) int64) {
 	n := 32
 	if testing.Short() {
@@ -131,7 +135,8 @@ func benchmarkNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sp
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := exec.Run(backend.RunConfig{}); err != nil { // warm-up
+	warm, err := exec.Run(backend.RunConfig{})
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(bytes)
@@ -142,6 +147,19 @@ func benchmarkNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sp
 			b.Fatal(err)
 		}
 	}
+	if warm.FusedSets == 0 {
+		return
+	}
+	// An armed injector, here one that never fires, gets the unfused stream.
+	b.StopTimer()
+	unfused := backend.RunConfig{Injector: fault.New(fault.Plan{})}
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.Run(unfused); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N), "unfused-ns/op")
 }
 
 // benchVector is a system vector holding a fixed non-trivial pattern.
@@ -217,6 +235,76 @@ func BenchmarkNativeKernels(b *testing.B) {
 			p := benchVector(b, sys, "p", ipu.F32)
 			sys.Vector("pn").Assign(tensordsl.Add(r, tensordsl.Mul(beta, tensordsl.Sub(p, tensordsl.Mul(omega, v)))))
 			return int64(16 * m.N)
+		})
+	})
+	// The fused groups of the two served iteration loops, one sweep each; the
+	// unfused-ns/op column is the same group run kernel by kernel.
+	b.Run("spmv+dot", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			x, y := benchVector(b, sys, "x", ipu.F32), sys.Vector("y")
+			sys.SpMV(y, x)
+			sys.Sess.Dot(x, y) // CG's p·Ap
+			return matrixBytes(m) + int64(8*m.N)
+		})
+	})
+	b.Run("spmv+2dot", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			x, s, t := benchVector(b, sys, "x", ipu.F32), benchVector(b, sys, "s", ipu.F32), sys.Vector("t")
+			sys.SpMV(t, x)
+			sys.Sess.Dot(t, s) // PBiCGStab's t·s and t·t
+			sys.Sess.Dot(t, t)
+			return matrixBytes(m) + int64(12*m.N)
+		})
+	})
+	b.Run("cg-update", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			p, q, invd := benchVector(b, sys, "p", ipu.F32), benchVector(b, sys, "q", ipu.F32), benchVector(b, sys, "invd", ipu.F32)
+			alpha := sys.Sess.MustScalar("alpha", ipu.F32)
+			alpha.SetValue(1e-3)
+			// Into fresh x and r from fixed x0 and r0, so repeated runs stay
+			// bounded: two axpys, the Jacobi product and both dots.
+			x0, r0 := benchVector(b, sys, "x0", ipu.F32), benchVector(b, sys, "r0", ipu.F32)
+			x, r, z := sys.Vector("x"), sys.Vector("r"), sys.Vector("z")
+			x.Assign(tensordsl.Add(x0, tensordsl.Mul(alpha, p)))
+			r.Assign(tensordsl.Sub(r0, tensordsl.Mul(alpha, q)))
+			z.Assign(tensordsl.Mul(invd, r))
+			sys.Sess.Dot(r, z)
+			sys.Sess.Dot(r, r)
+			return int64(32 * m.N)
+		})
+	})
+	b.Run("bicg-update", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			y, z, s, t := benchVector(b, sys, "y", ipu.F32), benchVector(b, sys, "z", ipu.F32), benchVector(b, sys, "s", ipu.F32), benchVector(b, sys, "t", ipu.F32)
+			alpha, omega := sys.Sess.MustScalar("alpha", ipu.F32), sys.Sess.MustScalar("omega", ipu.F32)
+			alpha.SetValue(1e-3)
+			omega.SetValue(0.25)
+			x0 := benchVector(b, sys, "x0", ipu.F32)
+			x, r := sys.Vector("x"), sys.Vector("r")
+			x.Assign(tensordsl.Add(x0, tensordsl.Add(tensordsl.Mul(alpha, y), tensordsl.Mul(omega, z))))
+			r.Assign(tensordsl.Sub(s, tensordsl.Mul(omega, t)))
+			sys.Sess.Dot(r, r)
+			return int64(28 * m.N)
+		})
+	})
+	// A dot whose products are 2 % subnormal, the share the last refinement
+	// of serve-mpir sees (residual ~1e-10·|b|): the microcode assist per
+	// subnormal product is what PBiCGStab's fusions cannot hide there.
+	b.Run("dot-subnormal", func(b *testing.B) {
+		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+			h := make([]float64, sys.N())
+			for i := range h {
+				h[i] = 1e-10
+				if i%50 == 0 {
+					h[i] = 1e-20 // squares to 1e-40, below float32's normal range
+				}
+			}
+			x := sys.Vector("x")
+			if err := sys.SetGlobal(x, h); err != nil {
+				b.Fatal(err)
+			}
+			sys.Sess.Dot(x, x)
+			return int64(8 * m.N)
 		})
 	})
 }

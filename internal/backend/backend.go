@@ -6,16 +6,19 @@
 //     injection and device tracing available. This is the research and
 //     validation backend and stays the CLI/bench default.
 //   - Native lowers the compiled superstep schedule once, at prepare time,
-//     into a preallocated flat instruction stream: fused host-speed kernels
-//     where the compute sets provide them (SpMV and extended residuals,
+//     into a preallocated flat instruction stream: host-speed kernels where
+//     the compute sets describe them (SpMV and extended residuals,
 //     ILU(0)/DILU factor and sweeps, fused assigns, dot/norm partials),
 //     serial codelet execution elsewhere (counted in
-//     RunResult.CodeletSets), halo exchanges as the direct slice copies they
-//     already carry, and no cycle or exchange accounting at all. Zero per-iteration allocation; this is the serving
-//     default. The one stream keeps every injector consultation point the
-//     engine has (accounting-only moves and nil host callbacks included,
-//     each behind a nil-injector check), so seeded fault campaigns replay
-//     identically to the simulator; only device tracing stays sim-only.
+//     RunResult.CodeletSets), halo exchanges as direct slice copies, and no
+//     cycle or exchange accounting at all. Zero per-iteration allocation;
+//     this is the serving default. The lowered stream keeps every injector
+//     consultation point the engine has (accounting-only moves and nil host
+//     callbacks included), so seeded fault campaigns replay identically to
+//     the simulator. Fault-free runs execute a second stream derived from it
+//     by one peephole pass that folds dots and vector updates into the sweep
+//     that produces their operands (counted in RunResult.FusedSets),
+//     bit-identically. Only device tracing stays sim-only.
 //
 // Both backends run the *same* compiled program against the same device
 // buffers, so every host callback, While condition and solver statistic works
@@ -76,7 +79,12 @@ type RunResult struct {
 	// codelets are the execution model). A count that grows with the
 	// iteration count means a kernel inside a solver loop fell back.
 	CodeletSets uint64
-	Tracer      *graph.Tracer // non-nil when Trace was requested and supported
+	// FusedSets counts the compute sets the native backend executed inside a
+	// fused kernel (0 on the simulator and on fault-armed native runs, which
+	// execute the unfused stream). A count that stops growing with the
+	// iteration count means a solver loop lost its fusions.
+	FusedSets uint64
+	Tracer    *graph.Tracer // non-nil when Trace was requested and supported
 }
 
 // Executable is a compiled program bound to one machine's buffers. Run is not

@@ -154,7 +154,7 @@ func TestNativeKernelPreferred(t *testing.T) {
 	var ran string
 	cs := graph.NewComputeSet("fused", "Test")
 	cs.Add(0, graph.CodeletFunc(func() uint64 { ran = "codelet"; return 1 }))
-	cs.NativeKernel = func() { ran = "kernel" }
+	cs.NativeKernel = graph.BarrierKernel(func() { ran = "kernel" })
 	prog := &graph.Sequence{}
 	prog.Append(graph.Compute{Set: cs})
 	graph.Freeze(prog)

@@ -10,18 +10,24 @@ import (
 // nativeBackend lowers a frozen program into a flat instruction stream
 // executed by a tight program-counter loop: no cycle model, no exchange
 // accounting, no per-superstep sharding, zero allocation per run. Compute
-// sets execute their fused NativeKernel when they carry one and fall back to
+// sets execute their NativeKernel when they carry one and fall back to
 // running their codelets serially (discarding the returned cycle counts);
 // exchange phases run the Do closure of every move that has one; control flow
 // becomes counter-guarded jumps.
 //
-// The one stream keeps every injector consultation point the cycle-accurate
-// engine has: every move of every non-empty exchange (accounting-only moves
-// included), every host call (nil callbacks included) and one compute
-// consultation per non-empty compute set, in program order. A fault campaign
-// therefore draws the same decision stream from the same seed on either
-// backend and replays identically; a fault-free run pays one nil check per
-// consultation point.
+// The lowered stream keeps every injector consultation point the
+// cycle-accurate engine has: every move of every non-empty exchange
+// (accounting-only moves included), every host call (nil callbacks included)
+// and one compute consultation per non-empty compute set, in program order. A
+// fault campaign therefore draws the same decision stream from the same seed
+// on either backend and replays identically.
+//
+// Fault-free runs execute a second stream derived from the first by one
+// peephole pass (see fuse): reduction partials hoisted behind the kernel that
+// produces their operand, adjacent kernels fused into one sweep, pure
+// consultation points dropped. Every fusion is bit-identical to the plain
+// stream, which stays the stream of fault-armed runs: a hoisted or merged
+// compute set would draw a different injector decision.
 type nativeBackend struct{}
 
 func (nativeBackend) Name() string         { return "native" }
@@ -34,13 +40,14 @@ func (nativeBackend) Compile(prog *graph.Sequence, m *ipu.Machine, rep graph.Rep
 		return nil, err
 	}
 	x.counters = make([]int, x.nloops)
+	x.fused, x.fusion = fuse(x.ins)
 	return x, nil
 }
 
 type opcode uint8
 
 const (
-	opKernel   opcode = iota // fused native kernel
+	opKernel   opcode = iota // native kernel: one compute set, or a fused run of them
 	opCodelets               // serial codelet fallback
 	opMoves                  // exchange data movement
 	opHost                   // host callback
@@ -59,6 +66,8 @@ type instr struct {
 	op     opcode
 	name   string // step name for error context
 	fn     func()
+	kern   *graph.NativeKernel // opKernel of one compute set: what fuse reads
+	sets   uint64              // opKernel: compute sets fn executes
 	verts  []graph.Codelet
 	moves  []graph.Move
 	host   func() error
@@ -69,11 +78,22 @@ type instr struct {
 }
 
 type nativeExec struct {
-	ins      []instr
+	ins      []instr // the lowered stream: fault-armed runs, and fuse's input
+	fused    []instr // the stream of fault-free runs
+	fusion   FusionReport
 	counters []int
 	nloops   int
 	numTiles int
 }
+
+// FusionReport says what the fusion pass did to a compiled program.
+type FusionReport struct {
+	Hoists int            // reduction partials moved behind their operand's producer
+	Groups map[string]int // fused kernels by statement signature (see graph.FuseKernels)
+}
+
+// Fusion returns the fusion pass's report for this executable.
+func (x *nativeExec) Fusion() FusionReport { return x.fusion }
 
 // Refresh implements Executable. Lowering captures the solver's tile value
 // blocks and tensor buffers by slice header inside the fused kernels and
@@ -100,8 +120,8 @@ func (x *nativeExec) lower(s graph.Step) error {
 		if st.Set.Empty() {
 			return nil
 		}
-		if st.Set.NativeKernel != nil {
-			x.ins = append(x.ins, instr{op: opKernel, name: st.Set.Name, fn: st.Set.NativeKernel})
+		if k := st.Set.NativeKernel; k != nil {
+			x.ins = append(x.ins, instr{op: opKernel, name: st.Set.Name, fn: k.Run, kern: k, sets: 1})
 			return nil
 		}
 		x.ins = append(x.ins, instr{op: opCodelets, name: st.Set.Name, verts: st.Set.Vertices()})
@@ -164,14 +184,14 @@ func (x *nativeExec) lower(s graph.Step) error {
 	return nil
 }
 
-// Run executes the stream. With an injector it is consulted exactly where and
-// in the order the cycle-accurate engine does: ComputeFault once before each
-// non-empty compute superstep (the superstep counter increments after it,
-// like the engine's), MoveFault once per move of each non-empty exchange with
-// CorruptPayload after a corrupted delivery, HostFault before each host
-// callback. Tile stalls consume their decision draws but have no cycle model
-// to bill; dropped payloads re-run nothing (the engine only re-bills their
-// traffic) and count as fault retries.
+// Run executes the fused stream, or with an injector the lowered one. The
+// injector is consulted exactly where and in the order the cycle-accurate
+// engine does: ComputeFault once before each non-empty compute superstep (the
+// superstep counter increments after it, like the engine's), MoveFault once
+// per move of each non-empty exchange with CorruptPayload after a corrupted
+// delivery, HostFault before each host callback. Tile stalls consume their
+// decision draws but have no cycle model to bill; dropped payloads re-run
+// nothing (the engine only re-bills their traffic) and count as fault retries.
 func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 	if cfg.Trace {
 		return RunResult{}, &UnsupportedError{Backend: "native", Feature: "device tracing"}
@@ -180,9 +200,14 @@ func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 	for i := range x.counters {
 		x.counters[i] = 0
 	}
-	var supersteps, retries, codeletSets uint64
-	ins := x.ins
+	ins := x.fused
+	if inj != nil {
+		ins = x.ins
+	}
+	var supersteps, retries, codeletSets, fusedSets uint64
+	var err error
 	pc := 0
+run:
 	for pc < len(ins) {
 		in := &ins[pc]
 		switch in.op {
@@ -191,7 +216,10 @@ func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 				inj.ComputeFault(in.name, supersteps, x.numTiles)
 			}
 			in.fn()
-			supersteps++
+			supersteps += in.sets
+			if in.sets > 1 {
+				fusedSets += in.sets
+			}
 			pc++
 		case opCodelets:
 			if inj != nil {
@@ -210,14 +238,14 @@ func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 				if inj != nil {
 					var ferr error
 					if act, ferr = inj.MoveFault(in.name, supersteps, i, mv.Targets); act == graph.MoveFail {
-						return RunResult{Supersteps: supersteps, FaultRetries: retries},
-							&graph.StepError{Step: in.name, Superstep: supersteps, Err: ferr}
+						err = &graph.StepError{Step: in.name, Superstep: supersteps, Err: ferr}
+						break run
 					}
 				}
 				if mv.Do != nil {
-					if err := mv.Do(); err != nil {
-						return RunResult{Supersteps: supersteps, FaultRetries: retries},
-							&graph.StepError{Step: in.name, Superstep: supersteps, Err: err}
+					if derr := mv.Do(); derr != nil {
+						err = &graph.StepError{Step: in.name, Superstep: supersteps, Err: derr}
+						break run
 					}
 				}
 				switch act {
@@ -230,15 +258,15 @@ func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 			pc++
 		case opHost:
 			if inj != nil {
-				if err := inj.HostFault(in.name, supersteps); err != nil {
-					return RunResult{Supersteps: supersteps, FaultRetries: retries},
-						&graph.StepError{Step: in.name, Superstep: supersteps, Err: err}
+				if herr := inj.HostFault(in.name, supersteps); herr != nil {
+					err = &graph.StepError{Step: in.name, Superstep: supersteps, Err: herr}
+					break run
 				}
 			}
 			if in.host != nil {
-				if err := in.host(); err != nil {
-					return RunResult{Supersteps: supersteps, FaultRetries: retries},
-						&graph.StepError{Step: in.name, Superstep: supersteps, Err: err}
+				if herr := in.host(); herr != nil {
+					err = &graph.StepError{Step: in.name, Superstep: supersteps, Err: herr}
+					break run
 				}
 			}
 			pc++
@@ -255,8 +283,8 @@ func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 			// executions even if the condition would now be false.
 			if x.counters[in.loop] >= in.n {
 				x.counters[in.loop] = 0
-				return RunResult{Supersteps: supersteps, FaultRetries: retries},
-					fmt.Errorf("%w (%q, %d iterations)", graph.ErrMaxIter, in.name, in.n)
+				err = fmt.Errorf("%w (%q, %d iterations)", graph.ErrMaxIter, in.name, in.n)
+				break run
 			}
 			if !in.cond() {
 				x.counters[in.loop] = 0
@@ -275,5 +303,8 @@ func (x *nativeExec) Run(cfg RunConfig) (RunResult, error) {
 			pc = in.target
 		}
 	}
-	return RunResult{Supersteps: supersteps, FaultRetries: retries, CodeletSets: codeletSets}, nil
+	return RunResult{
+		Supersteps: supersteps, FaultRetries: retries,
+		CodeletSets: codeletSets, FusedSets: fusedSets,
+	}, err
 }

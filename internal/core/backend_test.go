@@ -441,3 +441,57 @@ func TestNativeCodeletSets(t *testing.T) {
 		t.Errorf("sim: CodeletSets = %d, err = %v; codelets are its execution model, want 0", st.CodeletSets, err)
 	}
 }
+
+// TestNativeFusedSets is the "did it fuse?" guard: inside the iteration loop
+// of the two served Krylov solvers the fused kernels must cover exactly the
+// compute sets the fusion pass is built for — 7 per cg+jacobi iteration
+// (q=Ap with p·q; x, r, z with r·z and r·r), 8 per pbicgstab iteration (v=Ay
+// with r0·v; t=Az with t·s and t·t; x, r with r·r) — measured as the growth
+// between a short and a long solve. The simulator fuses nothing, and neither
+// does a native run with an injector armed: it executes the unfused stream.
+func TestNativeFusedSets(t *testing.T) {
+	m, b, _ := poissonProblem(14, 14)
+	mc := smallMachine(8)
+	solve := func(cfg config.Config, be string) SolveStats {
+		t.Helper()
+		prep, err := Prepare(mc, m, cfg, PartitionContiguous, WithBackend(be))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := prep.SolveInto(make([]float64, m.N), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, tc := range []struct {
+		profile string
+		perIter uint64
+	}{{"cg-jacobi", 7}, {"pbicgstab-ilu0", 8}} {
+		withTol := func(tol float64) config.Config {
+			cfg := backendProfiles()[tc.profile]
+			cfg.Solver.Tolerance = tol
+			return cfg
+		}
+		loose, tight := solve(withTol(1e-3), "native"), solve(withTol(1e-8), "native")
+		iters := uint64(tight.Iterations - loose.Iterations)
+		if tight.Iterations <= loose.Iterations {
+			t.Fatalf("%s: %d iterations at 1e-8, %d at 1e-3: the comparison needs a longer solve",
+				tc.profile, tight.Iterations, loose.Iterations)
+		}
+		if grew := tight.FusedSets - loose.FusedSets; grew != tc.perIter*iters {
+			t.Errorf("%s: FusedSets grew by %d over %d iterations, want %d per iteration",
+				tight.Solver, grew, iters, tc.perIter)
+		}
+		if st := solve(withTol(1e-8), "sim"); st.FusedSets != 0 {
+			t.Errorf("%s on sim: FusedSets = %d, want 0", st.Solver, st.FusedSets)
+		}
+		armed := withTol(1e-8)
+		// A campaign that never fires still arms the injector.
+		armed.Fault = &config.FaultConfig{Rate: 1e-300, Seed: 1, Kinds: []string{"bit-flip"}}
+		if st := solve(armed, "native"); st.FusedSets != 0 || st.Iterations != tight.Iterations {
+			t.Errorf("%s with an injector armed: FusedSets = %d, %d iterations; want 0 and the fault-free %d",
+				st.Solver, st.FusedSets, st.Iterations, tight.Iterations)
+		}
+	}
+}

@@ -494,6 +494,10 @@ type SolveStats struct {
 	// CodeletSets is backend.RunResult.CodeletSets: compute sets the native
 	// backend had no kernel for. 0 means the whole solve ran native kernels.
 	CodeletSets uint64
+	// FusedSets is backend.RunResult.FusedSets: compute sets the native
+	// backend executed inside fused kernels. It grows with the iteration
+	// count when the solver loop's fusions hold (7 per cg+jacobi iteration).
+	FusedSets uint64
 }
 
 // SolveInto is the steady-state serving path: it solves for b and writes the
@@ -526,6 +530,7 @@ func (p *Prepared) SolveInto(x, b []float64, opts ...Option) (SolveStats, error)
 		ABFTChecks:      p.st.ABFTChecks,
 		ExecWallSeconds: execWall.Seconds(),
 		CodeletSets:     rr.CodeletSets,
+		FusedSets:       rr.FusedSets,
 	}, nil
 }
 

@@ -26,12 +26,13 @@ type ComputeSet struct {
 	Name  string
 	Label string // profiling class, e.g. "SpMV", "Reduce", "Elementwise Ops"
 
-	// NativeKernel, when non-nil, is a flat host-speed implementation of the
-	// whole compute set: one call produces the same memory effects as running
-	// every vertex, without per-tile dispatch or cycle accounting. The
-	// cycle-accurate engine ignores it; the native backend executes it instead
-	// of the vertices when lowering the schedule.
-	NativeKernel func()
+	// NativeKernel, when non-nil, describes a flat host-speed implementation
+	// of the whole compute set (see kernel.go): running it produces the same
+	// memory effects as running every vertex, without per-tile dispatch or
+	// cycle accounting. The cycle-accurate engine ignores it; the native
+	// backend executes it instead of the vertices, alone or fused with its
+	// neighbours.
+	NativeKernel *NativeKernel
 
 	vertices map[int][]Codelet // tile -> worker codelets
 	frozen   *frozenSet        // dense execution form, built by Finalize

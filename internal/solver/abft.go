@@ -254,7 +254,8 @@ func (sys *System) scheduleABFTCheck(dst, src *tensordsl.Tensor) {
 			return cost
 		}))
 	}
-	cs.NativeKernel = sys.nativeABFTCheck(dst, src)
+	// The check's partials live in the ABFT state, not in a tensor.
+	cs.NativeKernel = graph.OpaqueKernel(sys.nativeABFTCheck(dst, src), sys.blockBufs(nil, src, dst), nil)
 	sys.Sess.Append(graph.Compute{Set: cs})
 
 	// Gather the three per-tile partials to tile 0 (accounting-only moves:

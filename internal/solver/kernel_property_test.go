@@ -71,7 +71,7 @@ func runStraight(t *testing.T, prog *graph.Sequence, native bool) {
 			case s.Set.NativeKernel == nil:
 				t.Fatalf("compute set %q has no native kernel", s.Set.Name)
 			default:
-				s.Set.NativeKernel()
+				s.Set.NativeKernel.Run()
 			}
 		default:
 			t.Fatalf("unexpected step %T in a kernel program", st)

@@ -286,12 +286,13 @@ func (p *ILU) SetupStep() {
 		}))
 	}
 	pos := newPosScratch(maxOwned) // tiles factor one after another natively
-	cs.NativeKernel = func() {
+	// The factor kernels touch the matrix and factor arrays only, no tensor.
+	cs.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
 			b := &sys.blocks[bi]
 			factorILU0(b, p.fdiag[b.tile], p.fvals[b.tile], pos, nil)
 		}
-	}
+	}, nil, nil)
 	sys.Sess.Append(graph.Compute{Set: cs})
 }
 
@@ -326,12 +327,12 @@ func (p *ILU) ApplyStep(z, r Tensor) {
 			return cost
 		}))
 	}
-	fwd.NativeKernel = func() {
+	fwd.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
 			b := &sys.blocks[bi]
 			p.tri.split[b.tile].forward(b.cols, p.fvals[b.tile], nil, ops[bi].z, ops[bi].r)
 		}
-	}
+	}, sys.blockBufs(nil, r), sys.blockBufs(nil, z))
 	sys.Sess.Append(graph.Compute{Set: fwd})
 
 	bwd := graph.NewComputeSet("ilu0:backward", "ILU(0) Solve")
@@ -357,7 +358,7 @@ func (p *ILU) ApplyStep(z, r Tensor) {
 			return cost
 		}))
 	}
-	bwd.NativeKernel = func() {
+	bwd.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
 			b := &sys.blocks[bi]
 			sp := &p.tri.split[b.tile]
@@ -372,7 +373,7 @@ func (p *ILU) ApplyStep(z, r Tensor) {
 				zv[i] = s / fdiag[i]
 			}
 		}
-	}
+	}, sys.blockBufs(nil, z), sys.blockBufs(nil, z))
 	sys.Sess.Append(graph.Compute{Set: bwd})
 }
 
@@ -445,11 +446,11 @@ func (p *DILU) SetupStep() {
 			return cost
 		}))
 	}
-	cs.NativeKernel = func() {
+	cs.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
 			factorDILU(&sys.blocks[bi], p.fdiag[sys.blocks[bi].tile])
 		}
-	}
+	}, nil, nil)
 	sys.Sess.Append(graph.Compute{Set: cs})
 }
 
@@ -482,12 +483,12 @@ func (p *DILU) ApplyStep(z, r Tensor) {
 			return cost
 		}))
 	}
-	fwd.NativeKernel = func() {
+	fwd.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
 			b := &sys.blocks[bi]
 			p.tri.split[b.tile].forward(b.cols, b.vals, p.fdiag[b.tile], ops[bi].z, ops[bi].r)
 		}
-	}
+	}, sys.blockBufs(nil, r), sys.blockBufs(nil, z))
 	sys.Sess.Append(graph.Compute{Set: fwd})
 
 	bwd := graph.NewComputeSet("dilu:backward", "DILU Solve")
@@ -513,7 +514,7 @@ func (p *DILU) ApplyStep(z, r Tensor) {
 			return cost
 		}))
 	}
-	bwd.NativeKernel = func() {
+	bwd.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
 			b := &sys.blocks[bi]
 			sp := &p.tri.split[b.tile]
@@ -527,6 +528,6 @@ func (p *DILU) ApplyStep(z, r Tensor) {
 				zv[i] -= s / fdiag[i]
 			}
 		}
-	}
+	}, sys.blockBufs(nil, z), sys.blockBufs(nil, z))
 	sys.Sess.Append(graph.Compute{Set: bwd})
 }

@@ -300,33 +300,65 @@ func (sys *System) ExchangeStep(v *tensordsl.Tensor) {
 	}
 	moves := make([]graph.Move, 0, len(sys.Layout.Program))
 	for _, tr := range sys.Layout.Program {
-		tr := tr
 		dsts := make([]int, len(tr.Dst))
 		targets := make([]graph.MoveTarget, len(tr.Dst))
+		src, so, n := v.Buf(tr.SrcTile), tr.SrcOff, tr.Len
 		for i, d := range tr.Dst {
 			dsts[i] = d.Tile
 			targets[i] = graph.MoveTarget{
 				Tile: d.Tile,
 				Buf:  halos[d.Tile],
 				Off:  d.Off - sys.Locals[d.Tile].NumOwned,
-				Len:  tr.Len,
+				Len:  n,
+			}
+			// The ranges are checked here, once; Do below only copies.
+			if do := targets[i].Off; n < 0 || so < 0 || do < 0 || so+n > src.Len() || do+n > halos[d.Tile].Len() {
+				err := fmt.Errorf("solver: halo move of %q, tile %d [%d:+%d] to tile %d [%d:+%d], leaves its buffers",
+					v.Name, tr.SrcTile, so, n, d.Tile, do, n)
+				sys.Sess.Append(graph.HostCall{Name: "halo:" + v.Name + ":layout", Fn: func() error { return err }})
+				return
 			}
 		}
-		src := v.Buf(tr.SrcTile)
+		// The data movement is resolved per scalar type when the step is
+		// built: typed source slices (tensor buffers never reallocate) copied
+		// to the destination ranges the fault targets already name.
+		var do func() error
+		switch dt {
+		case ipu.F32:
+			s32 := src.F32[so : so+n]
+			do = func() error {
+				for i := range targets {
+					t := &targets[i]
+					copy(t.Buf.F32[t.Off:], s32)
+				}
+				return nil
+			}
+		case ipu.DW:
+			hi, lo := src.Hi[so:so+n], src.Lo[so:so+n]
+			do = func() error {
+				for i := range targets {
+					t := &targets[i]
+					copy(t.Buf.Hi[t.Off:], hi)
+					copy(t.Buf.Lo[t.Off:], lo)
+				}
+				return nil
+			}
+		case ipu.F64:
+			s64 := src.F64[so : so+n]
+			do = func() error {
+				for i := range targets {
+					t := &targets[i]
+					copy(t.Buf.F64[t.Off:], s64)
+				}
+				return nil
+			}
+		}
 		moves = append(moves, graph.Move{
 			SrcTile:  tr.SrcTile,
 			DstTiles: dsts,
-			Bytes:    tr.Len * dt.Size(),
+			Bytes:    n * dt.Size(),
 			Targets:  targets,
-			Do: func() error {
-				for _, d := range tr.Dst {
-					numOwned := sys.Locals[d.Tile].NumOwned
-					if err := halos[d.Tile].CopyRange(src, d.Off-numOwned, tr.SrcOff, tr.Len); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
+			Do:       do,
 		})
 	}
 	sys.Sess.Append(graph.Exchange{Name: "halo:" + v.Name, Label: "Exchange", Moves: moves})
@@ -421,36 +453,36 @@ func (sys *System) SpMV(dst, src *tensordsl.Tensor) {
 	}
 }
 
-// nativeSpMV is the flat host-speed SpMV the native backend executes: one
-// CSR sweep per tile block over the gathered [owned | halo] vector (see
-// gatherScratch). Rows run in the codelets' order with the codelets' per-row
-// summation order (rows are independent, so dropping the worker split is
-// exact): results are bit-identical to the worker codelets.
-func (sys *System) nativeSpMV(dst, src *tensordsl.Tensor, halos []*graph.Buffer) func() {
+// nativeSpMV describes the flat host-speed SpMV the native backend executes:
+// one CSR sweep per tile block over the gathered [owned | halo] vector (see
+// gatherScratch), alone or with the dots of its result riding along.
+func (sys *System) nativeSpMV(dst, src *tensordsl.Tensor, halos []*graph.Buffer) *graph.NativeKernel {
 	sys.gatherScratch(ipu.F32)
-	blocks := sys.blocks
-	type operands struct{ x, y, h []float32 }
-	ops := make([]operands, len(blocks))
-	for i, b := range blocks {
-		ops[i] = operands{x: src.Buf(b.tile).F32, y: dst.Buf(b.tile).F32, h: halos[b.tile].F32}
-	}
-	return func() {
-		for bi := range blocks {
-			b, o := &blocks[bi], &ops[bi]
-			xh := sys.gather32[:b.total]
-			copy(xh, o.x)
-			copy(xh[b.owned:], o.h)
-			rowPtr, cols, vals, diag, y := b.rowPtr, b.cols, b.vals, b.diag, o.y
-			k := rowPtr[0]
-			for i := range y {
-				s := diag[i] * xh[i]
-				for end := rowPtr[i+1]; k < end; k++ {
-					s += vals[k] * xh[cols[k]]
-				}
-				y[i] = s
-			}
+	csr := make([]graph.CSRBlock, len(sys.blocks))
+	for i, b := range sys.blocks {
+		csr[i] = graph.CSRBlock{
+			RowPtr: b.rowPtr, Cols: b.cols, Diag: b.diag, Vals: b.vals,
+			X: src.Buf(b.tile).F32, H: halos[b.tile].F32, Y: dst.Buf(b.tile).F32,
 		}
 	}
+	k := graph.SpMVKernel(csr, sys.gather32)
+	k.Reads, k.Writes = sys.blockBufs(halos, src), sys.blockBufs(nil, dst)
+	return k
+}
+
+// blockBufs lists, for the read/write set of a native kernel, the buffers of
+// the tensors (and of the halo set, when given) on the populated tiles.
+func (sys *System) blockBufs(halos []*graph.Buffer, ts ...*tensordsl.Tensor) []*graph.Buffer {
+	var out []*graph.Buffer
+	for _, b := range sys.blocks {
+		for _, t := range ts {
+			out = append(out, t.Buf(b.tile))
+		}
+		if halos != nil {
+			out = append(out, halos[b.tile])
+		}
+	}
+	return out
 }
 
 // ResidualExt schedules r = b - A*x computed entirely in extended precision
@@ -525,7 +557,8 @@ func (sys *System) ResidualExt(r, b, x *tensordsl.Tensor) {
 			}
 		}
 	}
-	cs.NativeKernel = sys.nativeResidualExt(r, b, x, halos, dt)
+	cs.NativeKernel = graph.OpaqueKernel(sys.nativeResidualExt(r, b, x, halos, dt),
+		sys.blockBufs(halos, x, b), sys.blockBufs(nil, r))
 	sys.Sess.Append(graph.Compute{Set: cs})
 }
 

@@ -3,42 +3,61 @@ package tensordsl
 import (
 	"ipusparse/internal/graph"
 	"ipusparse/internal/ipu"
-	"ipusparse/internal/twofloat"
 )
 
-// This file lowers materialized expressions into flat host-native kernels —
-// the ComputeSet.NativeKernel implementations the native backend executes
-// instead of per-tile codelets. A kernel makes the same memory effects as
-// running every vertex of the set but with no per-tile dispatch, no cycle
-// model and zero steady-state allocation. float32 expressions that normalize
-// to a sum of coeff * vec * vec / vec terms (axpy, scale, elementwise product
-// and divide, any number of terms) compile to fused loops over precomputed
-// slice tables; everything else falls back to a serial scratch-arena
-// evaluation that is still allocation-free after the first run.
+// This file lowers materialized expressions into native kernel descriptors —
+// the ComputeSet.NativeKernel the native backend executes instead of per-tile
+// codelets. A kernel makes the same memory effects as running every vertex of
+// the set but with no per-tile dispatch, no cycle model and zero steady-state
+// allocation. float32 expressions that normalize to a sum of
+// coeff * vec * vec / vec terms (axpy, scale, elementwise product and divide,
+// any number of terms) become assign descriptors over precomputed slice
+// tables, whose loops live in package graph's table and fuse with their
+// neighbours; everything else is an opaque serial scratch-arena evaluation
+// that is still allocation-free after the first run.
 //
 // Kernels guarantee residual-level agreement with the simulator, not bit
 // identity: a fused loop may associate roundings differently than the
 // codelet evaluation tree. Cross-backend tests assert converged residuals.
 
 // nativeAssign returns the native kernel for materializing e into t.
-func (t *Tensor) nativeAssign(e *Expr, evalType ipu.Scalar) func() {
+func (t *Tensor) nativeAssign(e *Expr, evalType ipu.Scalar) *graph.NativeKernel {
 	if t.repl {
 		// Replicated results are written once; the per-tile redundancy of the
 		// simulated machine has no native equivalent.
 		sc := &evalScratch{}
-		return func() { evalInto(e, -1, evalType, t.rbuf, sc) }
+		return graph.OpaqueKernel(func() { evalInto(e, -1, evalType, t.rbuf, sc) },
+			e.leafBuffers(nil), []*graph.Buffer{t.rbuf})
 	}
+	tiles, bufs := t.activeLocals()
 	if k := t.fusedAssign(e, evalType); k != nil {
+		k.Reads, k.Writes = e.leafBuffers(nil), bufs
 		return k
 	}
 	// Generic fallback: evaluate per tile through a reused scratch arena.
 	sc := &evalScratch{}
-	tiles, bufs := t.activeLocals()
-	return func() {
+	return graph.OpaqueKernel(func() {
 		for i, buf := range bufs {
 			evalInto(e, tiles[i], evalType, buf, sc)
 		}
+	}, e.leafBuffers(nil), bufs)
+}
+
+// leafBuffers appends the device buffers behind every tensor leaf of e.
+func (e *Expr) leafBuffers(out []*graph.Buffer) []*graph.Buffer {
+	switch e.kind {
+	case leafTensor:
+		if e.t.repl {
+			return append(out, e.t.rbuf)
+		}
+		_, bufs := e.t.activeLocals()
+		return append(out, bufs...)
+	case unaryExpr:
+		return e.a.leafBuffers(out)
+	case binaryExpr:
+		return e.b.leafBuffers(e.a.leafBuffers(out))
 	}
+	return out
 }
 
 // activeLocals lists the populated tiles of a distributed tensor with their
@@ -67,12 +86,10 @@ type fusedTerm struct {
 	div     *Tensor         // distributed divisor
 }
 
-// fusedAssign compiles dst = e into a fused float32 loop when the expression
-// normalizes to a sum of terms of the fusedTerm shape. Every loop reads all of
-// its operands at index j before it stores d[j], so dst may alias any term
-// (x = x + αy + ωz). Returns nil when the shape (or any dtype) falls outside
-// the fast path.
-func (t *Tensor) fusedAssign(e *Expr, evalType ipu.Scalar) func() {
+// fusedAssign describes dst = e as a fused float32 assign when the expression
+// normalizes to a sum of terms of the fusedTerm shape. Returns nil when the
+// shape (or any dtype) falls outside the fast path.
+func (t *Tensor) fusedAssign(e *Expr, evalType ipu.Scalar) *graph.NativeKernel {
 	if evalType != ipu.F32 || t.dt != ipu.F32 {
 		return nil
 	}
@@ -80,172 +97,30 @@ func (t *Tensor) fusedAssign(e *Expr, evalType ipu.Scalar) func() {
 	if !ok || len(terms) == 0 {
 		return nil
 	}
-
-	_, dsts := t.activeLocals()
-	dst := f32Segs(dsts)
-	segTable := func(src *Tensor) ([][]float32, bool) {
+	dst := t.f32Segs()
+	segs := func(src *Tensor) [][]float32 {
 		if src == nil {
-			return nil, true
+			return nil
 		}
-		_, bufs := src.activeLocals()
-		if len(bufs) != len(dsts) {
-			return nil, false
-		}
-		return f32Segs(bufs), true
+		return src.f32Segs()
 	}
-	segs := make([][][]float32, len(terms)) // term -> tile -> vec segment
-	segs2 := make([][][]float32, len(terms))
-	divs := make([][][]float32, len(terms))
+	out := make([]graph.Term, len(terms))
 	for i, tm := range terms {
-		var ok bool
-		if segs[i], ok = segTable(tm.vec); !ok {
-			return nil
-		}
-		if segs2[i], ok = segTable(tm.vec2); !ok {
-			return nil
-		}
-		if divs[i], ok = segTable(tm.div); !ok {
-			return nil
-		}
-	}
-
-	if len(terms) == 1 {
-		tm := terms[0]
-		return func() {
-			c := tm.runtimeCoeff()
-			for ti, d := range dst {
-				switch {
-				case segs2[0] != nil && divs[0] == nil:
-					// Elementwise product: d = c * x ∘ y (Jacobi apply).
-					x, y := segs[0][ti], segs2[0][ti]
-					for j := range d {
-						d[j] = c * x[j] * y[j]
-					}
-				case segs[0] != nil && segs2[0] == nil && divs[0] != nil:
-					x, dv := segs[0][ti], divs[0][ti]
-					for j := range d {
-						d[j] = c * x[j] / dv[j]
-					}
-				case segs[0] != nil && segs2[0] == nil:
-					x := segs[0][ti]
-					for j := range d {
-						d[j] = c * x[j]
-					}
-				case segs[0] == nil && divs[0] != nil:
-					dv := divs[0][ti]
-					for j := range d {
-						d[j] = c / dv[j]
-					}
-				case segs[0] == nil && segs2[0] == nil:
-					for j := range d {
-						d[j] = c
-					}
-				default:
-					// c * x ∘ y / dv
-					x, y, dv := segs[0][ti], segs2[0][ti], divs[0][ti]
-					for j := range d {
-						d[j] = c * x[j] * y[j] / dv[j]
-					}
-				}
+		out[i] = graph.Term{Coeff: tm.coeff, Scalars: tm.scalars,
+			Vec: segs(tm.vec), Vec2: segs(tm.vec2), Div: segs(tm.div)}
+		for _, tab := range [][][]float32{out[i].Vec, out[i].Vec2, out[i].Div} {
+			if tab != nil && len(tab) != len(dst) {
+				return nil
 			}
 		}
 	}
-	if len(terms) > 2 {
-		return fusedSum(dst, terms, segs, segs2, divs)
-	}
-	t1, t2 := terms[0], terms[1]
-	return func() {
-		c1, c2 := t1.runtimeCoeff(), t2.runtimeCoeff()
-		for ti, d := range dst {
-			switch {
-			case segs[0] != nil && segs[1] != nil &&
-				segs2[0] == nil && segs2[1] == nil && divs[0] == nil && divs[1] == nil:
-				// The axpy family: d = c1*x + c2*y.
-				x, y := segs[0][ti], segs[1][ti]
-				for j := range d {
-					d[j] = c1*x[j] + c2*y[j]
-				}
-			default:
-				for j := range d {
-					a, b := c1, c2
-					if segs[0] != nil {
-						a *= segs[0][ti][j]
-					}
-					if segs2[0] != nil {
-						a *= segs2[0][ti][j]
-					}
-					if divs[0] != nil {
-						a /= divs[0][ti][j]
-					}
-					if segs[1] != nil {
-						b *= segs[1][ti][j]
-					}
-					if segs2[1] != nil {
-						b *= segs2[1][ti][j]
-					}
-					if divs[1] != nil {
-						b /= divs[1][ti][j]
-					}
-					d[j] = a + b
-				}
-			}
-		}
-	}
+	return graph.AssignKernel(dst, out)
 }
 
-// fusedSum is the N-term loop (N > 2): d = Σ coeff_i * vec_i * vec2_i / div_i,
-// summed left to right in float32. Three plain vector terms — PBiCGStab's
-// p = r + β(p − ωv) and x = x + αy + ωz — get an unrolled loop.
-func fusedSum(dst [][]float32, terms []fusedTerm, segs, segs2, divs [][][]float32) func() {
-	plain3 := len(terms) == 3
-	for i := range terms {
-		plain3 = plain3 && segs[i] != nil && segs2[i] == nil && divs[i] == nil
-	}
-	coeffs := make([]float32, len(terms))
-	return func() {
-		for i := range terms {
-			coeffs[i] = terms[i].runtimeCoeff()
-		}
-		for ti, d := range dst {
-			if plain3 {
-				c0, c1, c2 := coeffs[0], coeffs[1], coeffs[2]
-				x, y, z := segs[0][ti], segs[1][ti], segs[2][ti]
-				for j := range d {
-					d[j] = c0*x[j] + c1*y[j] + c2*z[j]
-				}
-				continue
-			}
-			for j := range d {
-				var s float32
-				for i, a := range coeffs {
-					if segs[i] != nil {
-						a *= segs[i][ti][j]
-					}
-					if segs2[i] != nil {
-						a *= segs2[i][ti][j]
-					}
-					if divs[i] != nil {
-						a /= divs[i][ti][j]
-					}
-					s += a
-				}
-				d[j] = s
-			}
-		}
-	}
-}
-
-// runtimeCoeff folds the term's constant with its replicated-scalar factors,
-// which update between kernel invocations (solver coefficients like alpha).
-func (tm *fusedTerm) runtimeCoeff() float32 {
-	c := float32(tm.coeff)
-	for _, sb := range tm.scalars {
-		c *= sb.F32[0]
-	}
-	return c
-}
-
-func f32Segs(bufs []*graph.Buffer) [][]float32 {
+// f32Segs is the tensor's block table: the float32 slice of every populated
+// tile, in tile order.
+func (t *Tensor) f32Segs() [][]float32 {
+	_, bufs := t.activeLocals()
 	out := make([][]float32, len(bufs))
 	for i, b := range bufs {
 		out[i] = b.F32
@@ -365,69 +240,58 @@ func divideTerms(terms []fusedTerm, divisor fusedTerm) ([]fusedTerm, bool) {
 }
 
 // nativeReducePartial returns the native kernel of a reduction's per-tile
-// partial phase: it fills the same partials/partsF64 host arrays the partial
-// codelets write, so the final-combine kernel and every host reader see
-// identical state. float32 sums and dot products take a fused path whose
-// sequential float32 accumulation matches reduceVec exactly.
+// partial phase: it fills the same sink the partial codelets write, so the
+// final-combine kernel and every host reader see identical state. float32
+// sums and dot products are reduce-partial descriptors whose sequential
+// float32 accumulation matches reduceVec exactly.
 func (s *Session) nativeReducePartial(e *Expr, sh *Tensor, evalType ipu.Scalar, maxAbs bool,
-	partials []twofloat.DW, partsF64 []float64, active []bool) func() {
+	sink *graph.PartialSink, active []bool) *graph.NativeKernel {
 
 	if sh != nil && evalType == ipu.F32 && !maxAbs {
 		if xa, xb, ok := matchF32Product(e); ok {
-			tiles, bufs := xa.activeLocals()
-			sa := f32Segs(bufs)
+			tiles, _ := xa.activeLocals()
+			sa := xa.f32Segs()
 			var sb [][]float32
 			if xb != nil {
-				_, bufsB := xb.activeLocals()
-				if len(bufsB) != len(bufs) {
-					goto generic
-				}
-				sb = f32Segs(bufsB)
+				sb = xb.f32Segs()
 			}
-			return func() {
-				for i, tile := range tiles {
-					var sum float32
-					if sb == nil {
-						for _, v := range sa[i] {
-							sum += v
-						}
-					} else {
-						x, y := sa[i], sb[i]
-						for j := range x {
-							sum += x[j] * y[j]
-						}
-					}
-					partials[tile] = twofloat.FromFloat32(sum)
-					partsF64[tile] = float64(sum)
-				}
+			if xb == nil || len(sb) == len(sa) {
+				k := graph.ReducePartialKernel(sa, sb, tiles, sink)
+				k.Reads = e.leafBuffers(nil)
+				return k
 			}
 		}
 	}
 
-generic:
+	partials, partsF64 := sink.DW, sink.F64
 	sc := &evalScratch{}
+	var run func()
 	if sh == nil {
 		n := 1
 		if leaf := e.anyLeaf(); leaf != nil {
 			n = leaf.n
 		}
-		return func() {
+		run = func() {
 			sc.reset()
 			partials[0], partsF64[0] = reduceVec(evalVec(e, -1, evalType, n, sc), maxAbs)
 		}
-	}
-	var tiles []int
-	for tile, a := range active {
-		if a {
-			tiles = append(tiles, tile)
+	} else {
+		var tiles []int
+		for tile, a := range active {
+			if a {
+				tiles = append(tiles, tile)
+			}
+		}
+		run = func() {
+			for _, tile := range tiles {
+				sc.reset()
+				partials[tile], partsF64[tile] = reduceVec(evalVec(e, tile, evalType, sh.sizes[tile], sc), maxAbs)
+			}
 		}
 	}
-	return func() {
-		for _, tile := range tiles {
-			sc.reset()
-			partials[tile], partsF64[tile] = reduceVec(evalVec(e, tile, evalType, sh.sizes[tile], sc), maxAbs)
-		}
-	}
+	k := graph.OpaqueKernel(run, e.leafBuffers(nil), nil)
+	k.Sink = sink
+	return k
 }
 
 // matchF32Product matches a distributed float32 leaf (sum) or a product of

@@ -86,7 +86,7 @@ func TestFusedSumMatchesEval(t *testing.T) {
 		}
 		want := tc.dst.Host()
 		load()
-		cs.NativeKernel()
+		cs.NativeKernel.Run()
 		got := tc.dst.Host()
 		for j := range want {
 			val, scale := tc.ref(j)

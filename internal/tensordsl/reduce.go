@@ -96,7 +96,8 @@ func (s *Session) reduce(v interface{}, maxAbs bool, label string) *Tensor {
 			}))
 		}
 	}
-	cs.NativeKernel = s.nativeReducePartial(e, sh, evalType, maxAbs, partials, partsF64, active)
+	sink := &graph.PartialSink{DW: partials, F64: partsF64}
+	cs.NativeKernel = s.nativeReducePartial(e, sh, evalType, maxAbs, sink, active)
 	s.Append(graph.Compute{Set: cs})
 
 	// Phase 2: gather partials to tile 0.
@@ -119,9 +120,10 @@ func (s *Session) reduce(v interface{}, maxAbs bool, label string) *Tensor {
 		writeCombined(out, partials, partsF64, active, evalType, maxAbs)
 		return combineCost
 	}))
-	final.NativeKernel = func() {
+	final.NativeKernel = graph.OpaqueKernel(func() {
 		writeCombined(out, partials, partsF64, active, evalType, maxAbs)
-	}
+	}, nil, []*graph.Buffer{out.rbuf})
+	final.NativeKernel.Sink = sink
 	s.Append(graph.Compute{Set: final})
 
 	// Phase 4: broadcast the scalar to all tiles (replicated tensors live on
