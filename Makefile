@@ -42,10 +42,12 @@ bench-backend:
 ## microbenchmarks plus the zero-alloc gate on the default hierarchy (the CI
 ## guard that warm SolveInto stays allocation-free on both backends), the
 ## fused-vs-plain stream equivalence property and the FusedSets gate (the
-## guards that the native fusions stay bit-identical and stay on)
+## guards that the native fusions stay bit-identical and stay on), and the
+## kernel-vs-codelet property with its packed-sweep order checks (the guard
+## behind the ilu0-apply and dilu-apply rows the first line runs)
 bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkBackend|BenchmarkNativeKernels' -benchtime 1x -benchmem .
-	$(GO) test -short -run 'TestFusedStreamMatchesPlain' ./internal/solver
+	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets' ./internal/solver
 	$(GO) test -short -run 'TestNativeFusedSets' ./internal/core
 
 ## serve-smoke: boot a race-enabled ipuserved on a random port, register a

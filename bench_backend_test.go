@@ -104,14 +104,13 @@ func TestNativeMPIRZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchmarkNativeKernel times one native run of the program schedule builds
-// on a served-shape system (64 tiles, contiguous partition): the compute set
-// under test plus whatever exchange it needs, nothing else. schedule returns
-// the bytes one run moves, computed from array sizes (4-byte values and
-// indices), so the MB/s column is a computed rate, not a measured one. When
-// the program runs as a fused kernel, unfused-ns/op is the same program run
-// kernel by kernel right after.
-func benchmarkNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sparse.Matrix) int64) {
+// compileNativeKernel compiles, for the native backend, the program schedule
+// builds on a served-shape system (64 tiles, contiguous partition): the
+// compute set under test plus whatever exchange it needs, nothing else.
+// schedule returns the bytes one run moves, computed from array sizes (4-byte
+// values and indices), so the MB/s column is a computed rate, not a measured
+// one. The executable has run once.
+func compileNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sparse.Matrix) int64) (backend.Executable, int64, backend.RunResult) {
 	n := 32
 	if testing.Short() {
 		n = 16
@@ -139,6 +138,11 @@ func benchmarkNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sp
 	if err != nil {
 		b.Fatal(err)
 	}
+	return exec, bytes, warm
+}
+
+// timeRuns is the measured part of a kernel benchmark: b.N runs of exec.
+func timeRuns(b *testing.B, exec backend.Executable, bytes int64) {
 	b.SetBytes(bytes)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -147,19 +151,71 @@ func benchmarkNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sp
 			b.Fatal(err)
 		}
 	}
-	if warm.FusedSets == 0 {
-		return
-	}
-	// An armed injector, here one that never fires, gets the unfused stream.
 	b.StopTimer()
-	unfused := backend.RunConfig{Injector: fault.New(fault.Plan{})}
+}
+
+// reportRuns times b.N more runs of exec, after timeRuns has stopped the
+// benchmark's own timer, and reports them as a second column next to ns/op.
+func reportRuns(b *testing.B, exec backend.Executable, rc backend.RunConfig, unit string) {
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(unfused); err != nil {
+		if _, err := exec.Run(rc); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N), "unfused-ns/op")
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N), unit)
+}
+
+// benchmarkNativeKernel times one native run of the program schedule builds.
+// When the program runs as a fused kernel, unfused-ns/op is the same program
+// run kernel by kernel right after.
+func benchmarkNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sparse.Matrix) int64) {
+	exec, bytes, warm := compileNativeKernel(b, schedule)
+	timeRuns(b, exec, bytes)
+	if warm.FusedSets > 0 {
+		// An armed injector, here one that never fires, gets the unfused stream.
+		reportRuns(b, exec, backend.RunConfig{Injector: fault.New(fault.Plan{})}, "unfused-ns/op")
+	}
+}
+
+// benchmarkSweeps times one application (forward and backward sweep) of the
+// preconditioner newPrecond builds, factored once on the first run.
+// natural-ns/op is the same packed kernel built in natural row order, where
+// on a stencil every row waits for the row before it: the difference is what
+// level order buys, the rest of the gain over the parent is the packing.
+// rowBytes is what the two sweeps move per row beside the entries.
+func benchmarkSweeps(b *testing.B, rowBytes int, newPrecond func(sys *solver.System) solver.Preconditioner) {
+	schedule := func(natural bool) func(sys *solver.System, m *sparse.Matrix) int64 {
+		return func(sys *solver.System, m *sparse.Matrix) int64 {
+			p := newPrecond(sys)
+			factored := false
+			sys.Sess.If(func() bool { return !factored }, func() {
+				p.SetupStep()
+				sys.Sess.HostCallback("factored", func() error { factored = true; return nil })
+			}, nil)
+			p.ApplyStep(sys.Vector("z"), benchVector(b, sys, "r", ipu.F32))
+			if natural {
+				solver.NaturalOrderSweeps(p)
+			}
+			// Packed value + column per owned off-diagonal the sweeps keep
+			// (couplings into the halo are disregarded), rowBytes per row.
+			entries := 0
+			for _, lm := range sys.Locals {
+				for i := 0; i < lm.NumOwned; i++ {
+					for _, c := range lm.Cols[lm.RowPtr[i]:lm.RowPtr[i+1]] {
+						if int(c) < lm.NumOwned {
+							entries++
+						}
+					}
+				}
+			}
+			return int64(8*entries + rowBytes*m.N)
+		}
+	}
+	natural, _, _ := compileNativeKernel(b, schedule(true))
+	exec, bytes, _ := compileNativeKernel(b, schedule(false))
+	timeRuns(b, exec, bytes)
+	reportRuns(b, natural, backend.RunConfig{}, "natural-ns/op")
 }
 
 // benchVector is a system vector holding a fixed non-trivial pattern.
@@ -195,19 +251,13 @@ func BenchmarkNativeKernels(b *testing.B) {
 			return matrixBytes(m) + int64(24*m.N)
 		})
 	})
+	// Per row, forward: row, end, r, z; backward: row, end, diagonal, z read
+	// and written. DILU's forward sweep divides too.
 	b.Run("ilu0-apply", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
-			ilu := &solver.ILU{Sys: sys}
-			factored := false
-			sys.Sess.If(func() bool { return !factored }, func() {
-				ilu.SetupStep()
-				sys.Sess.HostCallback("factored", func() error { factored = true; return nil })
-			}, nil)
-			ilu.ApplyStep(sys.Vector("z"), benchVector(b, sys, "r", ipu.F32))
-			// Both sweeps: factor value + column + position per owned
-			// off-diagonal, r, z twice and the factored diagonal per row.
-			return int64(12*(m.NNZ()-m.N) + 16*m.N)
-		})
+		benchmarkSweeps(b, 36, func(sys *solver.System) solver.Preconditioner { return &solver.ILU{Sys: sys} })
+	})
+	b.Run("dilu-apply", func(b *testing.B) {
+		benchmarkSweeps(b, 40, func(sys *solver.System) solver.Preconditioner { return &solver.DILU{Sys: sys} })
 	})
 	b.Run("dot", func(b *testing.B) {
 		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {

@@ -125,48 +125,82 @@ func FromDeps(n int, deps func(i int) []int) *Schedule {
 			panic("levelset: dependency graph is not triangular")
 		}
 	}
-	max := -1
+	s.bucket()
+	return s
+}
+
+// bucket counting-sorts the rows into Levels by s.Of: every level is a window
+// of one backing array, rows ascending inside it.
+func (s *Schedule) bucket() {
+	levels := 0
 	for _, l := range s.Of {
-		if l > max {
-			max = l
+		if l >= levels {
+			levels = l + 1
 		}
 	}
-	s.Levels = make([][]int, max+1)
-	for i := 0; i < n; i++ {
-		s.Levels[s.Of[i]] = append(s.Levels[s.Of[i]], i)
+	start := make([]int, levels+1)
+	for _, l := range s.Of {
+		start[l+1]++
 	}
-	return s
+	for l := 0; l < levels; l++ {
+		start[l+1] += start[l]
+	}
+	rows := make([]int, s.NumRows)
+	s.Levels = make([][]int, levels)
+	for l := range s.Levels {
+		s.Levels[l] = rows[start[l]:start[l]:start[l+1]]
+	}
+	for i, l := range s.Of {
+		s.Levels[l] = append(s.Levels[l], i) // within the window: no growth
+	}
+}
+
+// Order returns the rows level by level, ascending inside a level: a
+// topological order of the dependency DAG.
+func (s *Schedule) Order() []int {
+	order := make([]int, 0, s.NumRows)
+	for _, lv := range s.Levels {
+		order = append(order, lv...)
+	}
+	return order
 }
 
 // Lower builds the schedule of a forward substitution: row i depends on
 // stored entries (i, j) with j < i. Columns >= n (halo columns of a local
 // matrix) carry values from the previous exchange and are not dependencies.
 // The index type is the matrix's own: int for a global sparse.Matrix, int32
-// for a tile-local block.
+// for a tile-local block. Dependencies point to smaller indices, so one pass
+// in index order settles every level.
 func Lower[I int | int32](n int, rowPtr, cols []I) *Schedule {
-	return FromDeps(n, func(i int) []int {
-		var d []int
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if j := int(cols[k]); j < i {
-				d = append(d, j)
+	s := &Schedule{NumRows: n, Of: make([]int, n)}
+	for i := 0; i < n; i++ {
+		lv := 0
+		for _, c := range cols[rowPtr[i]:rowPtr[i+1]] {
+			if j := int(c); j < i && s.Of[j] >= lv {
+				lv = s.Of[j] + 1
 			}
 		}
-		return d
-	})
+		s.Of[i] = lv
+	}
+	s.bucket()
+	return s
 }
 
 // Upper builds the schedule of a backward substitution: row i depends on
-// stored entries (i, j) with i < j < n.
+// stored entries (i, j) with i < j < n, settled in one pass in reverse order.
 func Upper[I int | int32](n int, rowPtr, cols []I) *Schedule {
-	return FromDeps(n, func(i int) []int {
-		var d []int
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if j := int(cols[k]); j > i && j < n {
-				d = append(d, j)
+	s := &Schedule{NumRows: n, Of: make([]int, n)}
+	for i := n - 1; i >= 0; i-- {
+		lv := 0
+		for _, c := range cols[rowPtr[i]:rowPtr[i+1]] {
+			if j := int(c); j > i && j < n && s.Of[j] >= lv {
+				lv = s.Of[j] + 1
 			}
 		}
-		return d
-	})
+		s.Of[i] = lv
+	}
+	s.bucket()
+	return s
 }
 
 // Assignment maps every level's rows onto a fixed number of workers.

@@ -1,6 +1,7 @@
 package levelset
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -216,5 +217,60 @@ func TestValidateCatchesBrokenSchedule(t *testing.T) {
 	bad.Levels[1] = bad.Levels[1][1:]
 	if err := bad.Validate(depsLower(m)); err == nil {
 		t.Error("expected validation error")
+	}
+}
+
+func depsUpper(m *sparse.Matrix, n int) func(int) []int {
+	return func(i int) []int {
+		var d []int
+		lo, hi := m.RowRange(i)
+		for k := lo; k < hi; k++ {
+			if c := m.Cols[k]; c > i && c < n {
+				d = append(d, c)
+			}
+		}
+		return d
+	}
+}
+
+// TestDirectMatchesFromDeps: the one-pass Lower/Upper build exactly the
+// schedule FromDeps builds from explicit dependency lists, on generated
+// patterns and on a leading block whose trailing columns are halo.
+func TestDirectMatchesFromDeps(t *testing.T) {
+	f := func(seed int64) bool {
+		m := sparse.RandomSPD(60, 5, seed)
+		for _, n := range []int{m.N, m.N / 2, 0} {
+			lo, up := Lower(n, m.RowPtr, m.Cols), Upper(n, m.RowPtr, m.Cols)
+			if !reflect.DeepEqual(lo, FromDeps(n, depsLower(m))) || !reflect.DeepEqual(up, FromDeps(n, depsUpper(m, n))) {
+				return false
+			}
+			if order := lo.Order(); len(order) != n || cap(order) != n {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestServedTileAllocations pins the Prepare-time cost of a schedule on the
+// served tile shape (a 24x9 slab of poisson3d:24, 216 rows, the next planes
+// halo): a handful of arrays, not a dependency slice per row.
+func TestServedTileAllocations(t *testing.T) {
+	m := sparse.Poisson3D(24, 24, 24)
+	const n = 216
+	lo := Lower(n, m.RowPtr, m.Cols)
+	if lo.NumLevels() != 32 || !reflect.DeepEqual(lo, FromDeps(n, depsLower(m))) {
+		t.Fatalf("served tile: %d levels, want the 32 anti-diagonals FromDeps finds", lo.NumLevels())
+	}
+	for name, build := range map[string]func(){
+		"Lower": func() { Lower(n, m.RowPtr, m.Cols) },
+		"Upper": func() { Upper(n, m.RowPtr, m.Cols) },
+	} {
+		if allocs := testing.AllocsPerRun(10, build); allocs > 6 {
+			t.Errorf("%s on the served tile allocates %.0f times, want <= 6", name, allocs)
+		}
 	}
 }

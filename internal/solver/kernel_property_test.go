@@ -122,13 +122,93 @@ type kernelProgram struct {
 	outputs func() []uint64
 }
 
+// sweepCoverage records which shapes of packed sweep the generator produced.
+type sweepCoverage struct {
+	reordered, wideLevel, chain, noL, noU bool
+}
+
+// checkPackedSweeps verifies the order and layout properties of every block's
+// packed sweeps: row is a permutation of the owned rows, a step only reads
+// columns visited at an earlier step (so the order is a topological one),
+// every entry is one the codelet's column test keeps, at its own column, and
+// every array is exact-size.
+func checkPackedSweeps(t *testing.T, sys *System, ts *triSchedule, cover *sweepCoverage) {
+	t.Helper()
+	for bi := range sys.blocks {
+		b := &sys.blocks[bi]
+		for d, sp := range []*sweepPack{&ts.fwd[bi], &ts.bwd[bi]} {
+			lower := d == 0
+			name := fmt.Sprintf("tile %d lower=%v", b.tile, lower)
+			if len(sp.row) != b.owned || len(sp.end) != b.owned || (sp.diag != nil && len(sp.diag) != b.owned) {
+				t.Fatalf("%s: %d rows, %d ends, %d diagonals for %d owned rows", name, len(sp.row), len(sp.end), len(sp.diag), b.owned)
+			}
+			if len(sp.src) != len(sp.col) || len(sp.val) != len(sp.col) {
+				t.Fatalf("%s: %d columns, %d sources, %d values", name, len(sp.col), len(sp.src), len(sp.val))
+			}
+			if cap(sp.row) != len(sp.row) || cap(sp.end) != len(sp.end) || cap(sp.col) != len(sp.col) ||
+				cap(sp.src) != len(sp.src) || cap(sp.val) != len(sp.val) || cap(sp.diag) != len(sp.diag) {
+				t.Fatalf("%s: a packed array has spare capacity", name)
+			}
+			step := make([]int, b.owned) // step at which a row is visited, -1 before
+			for i := range step {
+				step[i] = -1
+			}
+			q, width, level := int32(0), 0, 0
+			chain := b.owned > 1
+			for s, i32 := range sp.row {
+				i := int(i32)
+				if i < 0 || i >= b.owned || step[i] >= 0 {
+					t.Fatalf("%s: step %d visits row %d, out of range or visited before", name, s, i)
+				}
+				natural := s
+				if !lower {
+					natural = b.owned - 1 - s
+				}
+				cover.reordered = cover.reordered || i != natural
+				// A step that reads nothing of the current level extends it.
+				newLevel := s == 0
+				kept := 0
+				for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
+					if c := int(b.cols[k]); (lower && c < i) || (!lower && c > i && c < b.owned) {
+						if q >= sp.end[s] || sp.src[q] != k || sp.col[q] != b.cols[k] {
+							t.Fatalf("%s: step %d (row %d) does not pack stored entry %d next", name, s, i, k)
+						}
+						if step[c] < 0 {
+							t.Fatalf("%s: step %d (row %d) reads column %d before its step", name, s, i, c)
+						}
+						newLevel = newLevel || step[c] >= level
+						kept++
+						q++
+					}
+				}
+				if q != sp.end[s] {
+					t.Fatalf("%s: step %d ends at entry %d, its row's entries end at %d", name, s, sp.end[s], q)
+				}
+				if newLevel {
+					level, width = s, 0
+				}
+				width++
+				cover.wideLevel = cover.wideLevel || width > 1
+				chain = chain && width == 1
+				cover.noL = cover.noL || (lower && kept == 0)
+				cover.noU = cover.noU || (!lower && kept == 0)
+				step[i] = s
+			}
+			cover.chain = cover.chain || chain
+		}
+	}
+}
+
 // TestNativeKernelsMatchCodelets is the kernel-vs-codelet property: on
 // generated systems every rewritten compute set's native kernel leaves exactly
 // the bits its codelets leave — SpMV, both extended residuals, and the
 // factor/forward/backward sets of ILU(0) and DILU — with NaN and ±Inf among
-// the inputs, and again after a values-only refresh.
+// the inputs, and again after a values-only refresh. The sweeps run packed in
+// level order and once more packed in natural order: any topological order
+// leaves the codelets' bits.
 func TestNativeKernelsMatchCodelets(t *testing.T) {
 	var sawNoHalo, sawEmptyTile, sawEmptyRow bool
+	var cover sweepCoverage
 	for _, tiles := range []int{1, 3, 5, 64} {
 		for _, greedy := range []bool{false, true} {
 			const n = 97
@@ -180,25 +260,37 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 					func() { sys.SetGlobal(x, xh); sys.SetGlobal(b, bh); r.FillHost(7) },
 					func() []uint64 { return tensorBits(sys, r) }})
 			}
-			{
+			for _, natural := range []bool{false, true} {
 				sess, sys := newSystem()
 				p := &ILU{Sys: sys}
 				z, r := sys.Vector("z"), sys.Vector("r")
 				p.SetupStep()
 				p.ApplyStep(z, r)
-				progs = append(progs, kernelProgram{"ilu0", sess, sys,
+				name, cov := "ilu0", &cover
+				if natural {
+					NaturalOrderSweeps(p)
+					name, cov = "ilu0-natural", &sweepCoverage{} // shapes count in level order only
+				}
+				checkPackedSweeps(t, sys, p.tri, cov)
+				progs = append(progs, kernelProgram{name, sess, sys,
 					func() { sys.SetGlobal(r, xh); z.FillHost(7) },
 					func() []uint64 {
 						return append(append(tensorBits(sys, z), f32Bits(p.fvals)...), f32Bits(p.fdiag)...)
 					}})
 			}
-			{
+			for _, natural := range []bool{false, true} {
 				sess, sys := newSystem()
 				p := &DILU{Sys: sys}
 				z, r := sys.Vector("z"), sys.Vector("r")
 				p.SetupStep()
 				p.ApplyStep(z, r)
-				progs = append(progs, kernelProgram{"dilu", sess, sys,
+				name, cov := "dilu", &cover
+				if natural {
+					NaturalOrderSweeps(p)
+					name, cov = "dilu-natural", &sweepCoverage{} // shapes count in level order only
+				}
+				checkPackedSweeps(t, sys, p.tri, cov)
+				progs = append(progs, kernelProgram{name, sess, sys,
 					func() { sys.SetGlobal(r, xh); z.FillHost(7) },
 					func() []uint64 { return append(tensorBits(sys, z), f32Bits(p.fdiag)...) }})
 			}
@@ -232,5 +324,8 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 	if !sawNoHalo || !sawEmptyTile || !sawEmptyRow {
 		t.Fatalf("generator lost an edge case: multi-tile block without halo %v, empty tile %v, empty row %v",
 			sawNoHalo, sawEmptyTile, sawEmptyRow)
+	}
+	if cover != (sweepCoverage{true, true, true, true, true}) {
+		t.Fatalf("generator lost a sweep shape: %+v", cover)
 	}
 }

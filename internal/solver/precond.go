@@ -45,90 +45,218 @@ func (p *Jacobi) ApplyStep(z, r Tensor) {
 }
 
 // triSchedule holds what the triangular substitution sweeps of ILU and DILU
-// need per tile: the static level-set parallel costs the simulator bills and
-// the L/U split the native sweeps walk. The level schedules themselves are
-// setup-time values; nothing keeps them alive.
+// need: per tile, the static level-set parallel costs the simulator bills;
+// per block of the system's table, the packed sweeps the native kernels run.
+// The level schedules themselves are setup-time values; nothing keeps them
+// alive.
 type triSchedule struct {
 	fwdCost []uint64 // per tile, level-set parallel cost of the lower sweep
 	bwdCost []uint64
-	split   []triSplit
+	fwd     []sweepPack // per block
+	bwd     []sweepPack
 }
 
-// triSplit is one tile's L/U split: row by row, in storage order, the
-// positions k (into the tile's Cols, Vals and factor values) of the strictly
-// lower entries (Cols[k] < i) and of the owned strictly upper entries
-// (i < Cols[k] < NumOwned) — four bytes per owned off-diagonal. A native
-// sweep visits exactly the entries its codelet's column test keeps, in the
-// same order, so the two are bit-identical.
-type triSplit struct {
-	lptr, lpos []int32
-	uptr, upos []int32
+// sweepPack is one block's substitution sweep in one direction, packed in the
+// order it runs. Step s visits row[s] and owns the entries up to end[s]: for
+// the lower sweep the stored entries with Cols[k] < i, for the upper sweep
+// those with i < Cols[k] < owned — what the codelet's column test keeps, in
+// storage order. The rows follow the sweep's level sets (levels concatenated,
+// rows ascending inside a level), so consecutive steps rarely depend on each
+// other and the core overlaps them. Every row still subtracts the same
+// products in the same order from the same operands, whatever topological
+// order the rows come in, so the sweep leaves exactly the codelet's bits.
+//
+// col and src are pattern data; val and diag are gathered from the factor
+// arrays by the factor kernel (gather), so a values refresh needs nothing
+// beyond the re-factorization every solve runs anyway.
+type sweepPack struct {
+	row  []int32   // row visited at step s
+	end  []int32   // one past step s's last entry
+	col  []int32   // per entry, its tile-local column
+	src  []int32   // per entry, its position in the tile's Cols/Vals/factor values
+	val  []float32 // per entry, the packed factor value
+	diag []float32 // per step, the packed diagonal; nil for a unit diagonal
+}
+
+// packSweep lays out one direction of block b's sweep over the rows in the
+// given order, which must be a topological order of the sweep's DAG. Values
+// are left for gather.
+func packSweep(b *tileBlock, order []int, lower, div bool) sweepPack {
+	keep := func(i int, c int32) bool {
+		if lower {
+			return int(c) < i
+		}
+		return int(c) > i && int(c) < b.owned
+	}
+	entries := 0
+	for i := 0; i < b.owned; i++ {
+		for _, c := range b.cols[b.rowPtr[i]:b.rowPtr[i+1]] {
+			if keep(i, c) {
+				entries++
+			}
+		}
+	}
+	sp := sweepPack{
+		row: make([]int32, len(order)), end: make([]int32, len(order)),
+		col: make([]int32, entries), src: make([]int32, entries), val: make([]float32, entries),
+	}
+	if div {
+		sp.diag = make([]float32, len(order))
+	}
+	q := int32(0)
+	for s, i := range order {
+		for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
+			if keep(i, b.cols[k]) {
+				sp.col[q], sp.src[q] = b.cols[k], k
+				q++
+			}
+		}
+		sp.row[s], sp.end[s] = int32(i), q
+	}
+	return sp
+}
+
+// rowEntries returns, indexed by row, the number of entries the sweep keeps:
+// what the cost model bills a row for. A setup-time value, not retained.
+func (sp *sweepPack) rowEntries() []int32 {
+	count := make([]int32, len(sp.row))
+	q := int32(0)
+	for s, i := range sp.row {
+		count[i] = sp.end[s] - q
+		q = sp.end[s]
+	}
+	return count
+}
+
+// gather packs the sweep's values from the tile's value array (factored or
+// original, in storage order) and its diagonal.
+func (sp *sweepPack) gather(vals, diag []float32) {
+	for q, k := range sp.src {
+		sp.val[q] = vals[k]
+	}
+	for s, i := range sp.row[:len(sp.diag)] {
+		sp.diag[s] = diag[i]
+	}
+}
+
+// The three loops below are the hot path of the default hierarchy. Cutting
+// the step-indexed arrays to len(row), val to len(col) and r to len(z) up
+// front leaves the entry loop with the two checks it needs (q and the column)
+// and few enough live slice headers that q and acc stay in registers.
+
+// solveUnit is the native substitution with a unit diagonal (ILU's L):
+// z_i = r_i - Σ val·z[col] over the packed sweep.
+func (sp *sweepPack) solveUnit(z, r []float32) {
+	row, col := sp.row, sp.col
+	end, val := sp.end[:len(row)], sp.val[:len(col)]
+	r = r[:len(z)]
+	q := 0
+	for s, i := range row {
+		acc := r[i]
+		for e := int(end[s]); q < e; q++ {
+			acc -= val[q] * z[col[q]]
+		}
+		z[i] = acc
+	}
+}
+
+// solve is the native substitution that divides: z_i = (r_i - Σ val·z[col]) /
+// diag_i. r may alias z (ILU's backward sweep): a row's right-hand side is
+// read before the row is written and never after.
+func (sp *sweepPack) solve(z, r []float32) {
+	row, col := sp.row, sp.col
+	end, diag, val := sp.end[:len(row)], sp.diag[:len(row)], sp.val[:len(col)]
+	r = r[:len(z)]
+	q := 0
+	for s, i := range row {
+		acc := r[i]
+		for e := int(end[s]); q < e; q++ {
+			acc -= val[q] * z[col[q]]
+		}
+		z[i] = acc / diag[s]
+	}
+}
+
+// correct is DILU's backward recurrence z_i -= (Σ val·z[col]) / diag_i over
+// the packed sweep.
+func (sp *sweepPack) correct(z []float32) {
+	row, col := sp.row, sp.col
+	end, diag, val := sp.end[:len(row)], sp.diag[:len(row)], sp.val[:len(col)]
+	q := 0
+	for s, i := range row {
+		acc := float32(0)
+		for e := int(end[s]); q < e; q++ {
+			acc += val[q] * z[col[q]]
+		}
+		z[i] -= acc / diag[s]
+	}
 }
 
 // buildTriSchedule computes level-set schedules of the local lower/upper
 // triangular patterns (halo columns excluded — they carry lagged values and
-// create no dependencies), their six-worker parallel costs and the L/U split.
-// It also returns the per-tile lower schedules for callers that bill a
-// factorization over the same DAG at setup time.
-func buildTriSchedule(sys *System) (*triSchedule, []*levelset.Schedule) {
+// create no dependencies), their six-worker parallel costs and the sweeps
+// packed in level order; fwdDiv says whether the forward sweep divides by a
+// diagonal (DILU) or L has a unit one (ILU). It also returns the per-tile
+// lower schedules for callers that bill a factorization over the same DAG at
+// setup time.
+func buildTriSchedule(sys *System, fwdDiv bool) (*triSchedule, []*levelset.Schedule) {
 	ts := &triSchedule{
 		fwdCost: make([]uint64, len(sys.Locals)),
 		bwdCost: make([]uint64, len(sys.Locals)),
-		split:   make([]triSplit, len(sys.Locals)),
+		fwd:     make([]sweepPack, len(sys.blocks)),
+		bwd:     make([]sweepPack, len(sys.blocks)),
 	}
 	lowers := make([]*levelset.Schedule, len(sys.Locals))
 	workers := sys.Sess.M.Config().WorkersPerTile
-	for t, lm := range sys.Locals {
-		if lm.NumOwned == 0 {
-			continue
-		}
-		lower := levelset.Lower(lm.NumOwned, lm.RowPtr, lm.Cols)
-		upper := levelset.Upper(lm.NumOwned, lm.RowPtr, lm.Cols)
-		lowers[t] = lower
-		sp := triSplit{lptr: make([]int32, lm.NumOwned+1), uptr: make([]int32, lm.NumOwned+1)}
-		for i := 0; i < lm.NumOwned; i++ {
-			for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-				if c := int(lm.Cols[k]); c < i {
-					sp.lpos = append(sp.lpos, k)
-				} else if c > i && c < lm.NumOwned {
-					sp.upos = append(sp.upos, k)
-				}
-			}
-			sp.lptr[i+1], sp.uptr[i+1] = int32(len(sp.lpos)), int32(len(sp.upos))
-		}
-		ts.split[t] = sp
+	for bi := range sys.blocks {
+		b := &sys.blocks[bi]
+		lower := levelset.Lower(b.owned, b.rowPtr, b.cols)
+		upper := levelset.Upper(b.owned, b.rowPtr, b.cols)
+		lowers[b.tile] = lower
+		ts.fwd[bi] = packSweep(b, lower.Order(), true, fwdDiv)
+		ts.bwd[bi] = packSweep(b, upper.Order(), false, true)
+		lcount, ucount := ts.fwd[bi].rowEntries(), ts.bwd[bi].rowEntries()
 		// Per-row sweep cost under the issue-bundle model (see spmvCost):
 		// the gather-heavy aux side (value load, index load, address, load
 		// z[j], plus level-list indirection per row) bounds the bundle
 		// count, each bundle taking one six-cycle issue slot per worker.
-		rowCostL := func(i int) uint64 {
-			return sweepRowCost(uint64(sp.lptr[i+1] - sp.lptr[i]))
-		}
+		rowCostL := func(i int) uint64 { return sweepRowCost(uint64(lcount[i])) }
 		rowCostU := func(i int) uint64 {
-			return sweepRowCost(uint64(sp.uptr[i+1]-sp.uptr[i])) + ipu.Cost(ipu.OpDiv, ipu.F32)
+			return sweepRowCost(uint64(ucount[i])) + ipu.Cost(ipu.OpDiv, ipu.F32)
 		}
-		ts.fwdCost[t] = lower.Assign(workers, nil).CriticalCost(rowCostL, levelSyncCycles) + workerStart
-		ts.bwdCost[t] = upper.Assign(workers, nil).CriticalCost(rowCostU, levelSyncCycles) + workerStart
+		ts.fwdCost[b.tile] = lower.Assign(workers, nil).CriticalCost(rowCostL, levelSyncCycles) + workerStart
+		ts.bwdCost[b.tile] = upper.Assign(workers, nil).CriticalCost(rowCostU, levelSyncCycles) + workerStart
 	}
 	return ts, lowers
 }
 
-// forward is the native forward substitution over the split, in natural row
-// order: z_i = (r_i - Σ_{L entries} vals[k] * z[cols[k]]) / diag_i, with a nil
-// diag for a unit diagonal (ILU's L; DILU divides by its diagonal).
-func (sp *triSplit) forward(cols []int32, vals, diag, z, r []float32) {
-	lptr, lpos := sp.lptr, sp.lpos
-	q := lptr[0]
-	for i := range z {
-		s := r[i]
-		for end := lptr[i+1]; q < end; q++ {
-			k := lpos[q]
-			s -= vals[k] * z[cols[k]]
+// NaturalOrderSweeps re-packs the native sweeps of an ILU or DILU whose
+// SetupStep has run in natural row order (ascending forward, descending
+// backward) — the order the codelets walk, also a topological one, so the
+// bits stay. The next factor kernel gathers the values. It exists for the
+// evidence: the natural-ns/op column of BenchmarkNativeKernels and the
+// any-order arm of the kernel property test.
+func NaturalOrderSweeps(p Preconditioner) {
+	var (
+		sys *System
+		ts  *triSchedule
+	)
+	switch p := p.(type) {
+	case *ILU:
+		sys, ts = p.Sys, p.tri
+	case *DILU:
+		sys, ts = p.Sys, p.tri
+	default:
+		panic(fmt.Sprintf("solver: NaturalOrderSweeps on %T, which has no packed sweeps", p))
+	}
+	for bi := range sys.blocks {
+		b := &sys.blocks[bi]
+		up, down := make([]int, b.owned), make([]int, b.owned)
+		for i := range up {
+			up[i], down[i] = i, b.owned-1-i
 		}
-		if diag != nil {
-			s /= diag[i]
-		}
-		z[i] = s
+		ts.fwd[bi] = packSweep(b, up, true, ts.fwd[bi].diag != nil)
+		ts.bwd[bi] = packSweep(b, down, false, true)
 	}
 }
 
@@ -238,7 +366,7 @@ func newPosScratch(n int) []int32 {
 // parallelized by level-set scheduling).
 func (p *ILU) SetupStep() {
 	sys := p.Sys
-	p.tri, _ = buildTriSchedule(sys)
+	p.tri, _ = buildTriSchedule(sys, false)
 	p.fvals = make([][]float32, len(sys.Locals))
 	p.fdiag = make([][]float32, len(sys.Locals))
 	// SRAM for the factor copies; an overflow surfaces as a failed program
@@ -287,10 +415,15 @@ func (p *ILU) SetupStep() {
 	}
 	pos := newPosScratch(maxOwned) // tiles factor one after another natively
 	// The factor kernels touch the matrix and factor arrays only, no tensor.
+	// The factorization stays in storage order, single-sourced with the
+	// codelet; the packed sweeps then gather what they read.
 	cs.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
 			b := &sys.blocks[bi]
-			factorILU0(b, p.fdiag[b.tile], p.fvals[b.tile], pos, nil)
+			fvals, fdiag := p.fvals[b.tile], p.fdiag[b.tile]
+			factorILU0(b, fdiag, fvals, pos, nil)
+			p.tri.fwd[bi].gather(fvals, nil)
+			p.tri.bwd[bi].gather(fvals, fdiag)
 		}
 	}, nil, nil)
 	sys.Sess.Append(graph.Compute{Set: cs})
@@ -299,8 +432,8 @@ func (p *ILU) SetupStep() {
 // ApplyStep implements Preconditioner: z = U⁻¹ L⁻¹ r via level-set-scheduled
 // forward and backward substitution (two compute sets, each one codelet per
 // tile internally fanned out to six workers — the IPUTHREADING pattern). The
-// native kernels run the same two sweeps in natural row order over the L/U
-// split.
+// native kernels run the same two sweeps over the packed factors, in level
+// order.
 func (p *ILU) ApplyStep(z, r Tensor) {
 	sys := p.Sys
 	ops := sys.sweepOperands(z, r)
@@ -328,9 +461,8 @@ func (p *ILU) ApplyStep(z, r Tensor) {
 		}))
 	}
 	fwd.NativeKernel = graph.OpaqueKernel(func() {
-		for bi := range sys.blocks {
-			b := &sys.blocks[bi]
-			p.tri.split[b.tile].forward(b.cols, p.fvals[b.tile], nil, ops[bi].z, ops[bi].r)
+		for bi := range ops {
+			p.tri.fwd[bi].solveUnit(ops[bi].z, ops[bi].r)
 		}
 	}, sys.blockBufs(nil, r), sys.blockBufs(nil, z))
 	sys.Sess.Append(graph.Compute{Set: fwd})
@@ -359,19 +491,8 @@ func (p *ILU) ApplyStep(z, r Tensor) {
 		}))
 	}
 	bwd.NativeKernel = graph.OpaqueKernel(func() {
-		for bi := range sys.blocks {
-			b := &sys.blocks[bi]
-			sp := &p.tri.split[b.tile]
-			uptr, upos, cols := sp.uptr, sp.upos, b.cols
-			fvals, fdiag := p.fvals[b.tile], p.fdiag[b.tile]
-			zv := ops[bi].z
-			for i := len(zv) - 1; i >= 0; i-- {
-				s := zv[i]
-				for _, k := range upos[uptr[i]:uptr[i+1]] {
-					s -= fvals[k] * zv[cols[k]]
-				}
-				zv[i] = s / fdiag[i]
-			}
+		for bi := range ops {
+			p.tri.bwd[bi].solve(ops[bi].z, ops[bi].z)
 		}
 	}, sys.blockBufs(nil, z), sys.blockBufs(nil, z))
 	sys.Sess.Append(graph.Compute{Set: bwd})
@@ -421,7 +542,7 @@ func factorDILU(b *tileBlock, fdiag []float32) {
 // factorization over the tile-local block.
 func (p *DILU) SetupStep() {
 	sys := p.Sys
-	tri, lowers := buildTriSchedule(sys)
+	tri, lowers := buildTriSchedule(sys, true)
 	p.tri = tri
 	p.fdiag = make([][]float32, len(sys.Locals))
 	for t, lm := range sys.Locals {
@@ -448,15 +569,18 @@ func (p *DILU) SetupStep() {
 	}
 	cs.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
-			factorDILU(&sys.blocks[bi], p.fdiag[sys.blocks[bi].tile])
+			b := &sys.blocks[bi]
+			factorDILU(b, p.fdiag[b.tile])
+			p.tri.fwd[bi].gather(b.vals, p.fdiag[b.tile])
+			p.tri.bwd[bi].gather(b.vals, p.fdiag[b.tile])
 		}
 	}, nil, nil)
 	sys.Sess.Append(graph.Compute{Set: cs})
 }
 
 // ApplyStep implements Preconditioner: z = (D+U)⁻¹ D (D+L)⁻¹ r with the DILU
-// diagonal D, via level-set-scheduled sweeps; the native kernels walk the L/U
-// split like ILU's.
+// diagonal D, via level-set-scheduled sweeps; the native kernels run packed
+// sweeps like ILU's, over the original off-diagonal values.
 func (p *DILU) ApplyStep(z, r Tensor) {
 	sys := p.Sys
 	ops := sys.sweepOperands(z, r)
@@ -484,9 +608,8 @@ func (p *DILU) ApplyStep(z, r Tensor) {
 		}))
 	}
 	fwd.NativeKernel = graph.OpaqueKernel(func() {
-		for bi := range sys.blocks {
-			b := &sys.blocks[bi]
-			p.tri.split[b.tile].forward(b.cols, b.vals, p.fdiag[b.tile], ops[bi].z, ops[bi].r)
+		for bi := range ops {
+			p.tri.fwd[bi].solve(ops[bi].z, ops[bi].r)
 		}
 	}, sys.blockBufs(nil, r), sys.blockBufs(nil, z))
 	sys.Sess.Append(graph.Compute{Set: fwd})
@@ -515,18 +638,8 @@ func (p *DILU) ApplyStep(z, r Tensor) {
 		}))
 	}
 	bwd.NativeKernel = graph.OpaqueKernel(func() {
-		for bi := range sys.blocks {
-			b := &sys.blocks[bi]
-			sp := &p.tri.split[b.tile]
-			uptr, upos, cols, vals, fdiag := sp.uptr, sp.upos, b.cols, b.vals, p.fdiag[b.tile]
-			zv := ops[bi].z
-			for i := len(zv) - 1; i >= 0; i-- {
-				s := float32(0)
-				for _, k := range upos[uptr[i]:uptr[i+1]] {
-					s += vals[k] * zv[cols[k]]
-				}
-				zv[i] -= s / fdiag[i]
-			}
+		for bi := range ops {
+			p.tri.bwd[bi].correct(ops[bi].z)
 		}
 	}, sys.blockBufs(nil, z), sys.blockBufs(nil, z))
 	sys.Sess.Append(graph.Compute{Set: bwd})
