@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check build test vet race bench bench-engine bench-smoke bench-backend bench-backend-smoke serve-smoke chaos-smoke metrics-smoke refresh-smoke tune-smoke sdc-smoke cluster-smoke bench-cluster bench-sdc bench-refresh bench-tune clean
+.PHONY: check build test vet race fuzz-smoke bench bench-engine bench-smoke bench-backend bench-backend-smoke serve-smoke chaos-smoke metrics-smoke refresh-smoke tune-smoke sdc-smoke cluster-smoke bench-cluster bench-sdc bench-refresh bench-tune clean
 
-## check: vet + build + race-enabled tests (the pre-merge gate)
-check: vet build race
+## check: vet + build + race-enabled tests + a short fuzz of the wire decoders
+## (the pre-merge gate)
+check: vet build race fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -16,6 +17,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## fuzz-smoke: ten seconds of native Go fuzzing per wire decoder, each held to
+## encoding/json on the same struct (seed corpus in
+## internal/serve/testdata/fuzz; a finding lands there as a new file)
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSolveRequest$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUpdateRequest$$' -fuzztime 10s ./internal/serve
 
 ## bench: regenerate every table and figure of the evaluation section
 bench:

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -111,6 +112,9 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, id, method
 	}
 	defer resp.Body.Close()
 	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+	if n := resp.Header.Get("Content-Length"); n != "" {
+		w.Header().Set("Content-Length", n) // or the client gets the answer re-chunked
+	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 }
@@ -119,12 +123,12 @@ func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, id, method
 // a failed attempt can replay it against the next replica.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes))
-	if err != nil {
+	var body bytes.Buffer
+	if err := serve.ReadBody(w, r, rt.opts.MaxBodyBytes, &body); err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 		return
 	}
-	rt.proxyRouted(w, r, id, http.MethodPost, "/v1/systems/"+id+"/solve", body)
+	rt.proxyRouted(w, r, id, http.MethodPost, "/v1/systems/"+id+"/solve", body.Bytes())
 }
 
 // handleSystemDetail proxies the full resource view of one system — including
@@ -182,7 +186,12 @@ func (rt *Router) handleDeleteSystem(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handlePatchSystem(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req serve.UpdateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)).Decode(&req); err != nil {
+	var body bytes.Buffer
+	err := serve.ReadBody(w, r, rt.opts.MaxBodyBytes, &body)
+	if err == nil {
+		err = serve.DecodeUpdateRequest(body.Bytes(), &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -192,7 +201,7 @@ func (rt *Router) handlePatchSystem(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.ID = id
-	info, err := rt.Update(r.Context(), req)
+	info, err := rt.update(r.Context(), req, body.Bytes())
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {

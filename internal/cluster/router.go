@@ -417,6 +417,16 @@ func (rt *Router) Register(ctx context.Context, req serve.RegisterRequest) (serv
 // tune decision forward. The update succeeds when at least one shard applied
 // it; the reconciler imports the refreshed record on stragglers.
 func (rt *Router) Update(ctx context.Context, req serve.UpdateRequest) (serve.UpdateInfo, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return serve.UpdateInfo{}, err
+	}
+	return rt.update(ctx, req, body)
+}
+
+// update is Update with the PATCH body the shards get: the HTTP route forwards
+// the client's bytes, as the solve route does, where Update encodes req.
+func (rt *Router) update(ctx context.Context, req serve.UpdateRequest, body []byte) (serve.UpdateInfo, error) {
 	rt.mu.Lock()
 	cs, ok := rt.systems[req.ID]
 	rt.mu.Unlock()
@@ -450,10 +460,6 @@ func (rt *Router) Update(ctx context.Context, req serve.UpdateRequest) (serve.Up
 	}
 	rec.Tune = cs.rec.Tune
 
-	body, err := json.Marshal(req)
-	if err != nil {
-		return serve.UpdateInfo{}, err
-	}
 	var info serve.UpdateInfo
 	applied, err := rt.fanOut(req.ID, "updating", "applied the update to", func(sh *shard) error {
 		var ui serve.UpdateInfo

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"ipusparse/internal/backend"
@@ -202,17 +205,39 @@ func (s *Service) handleRegistryImport(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeBody decodes a JSON request body bounded by MaxBodyBytes, converting
-// an overrun into the typed ErrBodyTooLarge.
+// an overrun into the typed ErrBodyTooLarge. It serves the routes whose bodies
+// are config objects; the float-array routes read with ReadBody.
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, mbe.Limit)
-		}
-		return fmt.Errorf("bad request body: %w", err)
+	return bodyError(json.NewDecoder(body).Decode(v))
+}
+
+// bodyError types what reading or decoding a request body returned.
+func bodyError(err error) error {
+	var mbe *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &mbe):
+		return fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, mbe.Limit)
 	}
-	return nil
+	return fmt.Errorf("bad request body: %w", err)
+}
+
+// bodyPool holds one buffer per in-flight float-array request: the body is
+// read into it, decoded in place, and the answer is built in the same bytes.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// ReadBody reads a request body of at most limit bytes into buf, grown once
+// when the client declared a length; an overrun is the typed ErrBodyTooLarge.
+// The router buffers the bodies it proxies with it too.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64, buf *bytes.Buffer) error {
+	buf.Reset()
+	if n := r.ContentLength; 0 < n && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare bytes to see the EOF
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return bodyError(err)
 }
 
 // httpStatus maps service errors to status codes.
@@ -232,6 +257,8 @@ func httpStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrBodyTooLarge):
 		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, errEncode):
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -241,10 +268,35 @@ func httpStatus(err error) int {
 	}
 }
 
+// errEncode marks an answer that has no JSON form (a NaN or an infinity in
+// it): a typed 500, where writing the header first would send an empty 200.
+var errEncode = errors.New("serve: cannot encode response")
+
+// encodeError types what an encoder returned.
+func encodeError(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %v", errEncode, err)
+}
+
+// writeJSON encodes v before it writes the header, so a value that cannot be
+// encoded is answered as an error.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := encodeError(json.NewEncoder(&buf).Encode(v)); err != nil {
+		writeError(w, err)
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends one complete JSON body with its length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a client that went away is not the handler's error
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -291,7 +343,13 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handlePatchSystem(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req UpdateRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	err := ReadBody(w, r, s.opts.MaxBodyBytes, buf)
+	if err == nil {
+		err = bodyError(DecodeUpdateRequest(buf.Bytes(), &req))
+	}
+	bodyPool.Put(buf) // req holds no reference into it
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -466,7 +524,13 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req SolveRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	err := ReadBody(w, r, s.opts.MaxBodyBytes, buf)
+	if err == nil {
+		err = bodyError(DecodeSolveRequest(buf.Bytes(), &req))
+	}
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -477,41 +541,54 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
+	// req holds no reference into buf (b is a slice of its own, which a
+	// hedge's losing attempt may still read after this handler returned; the
+	// strings are copies), so the answer is built in the body's bytes.
+	buf.Reset()
+	out, err := s.solveAnswer(ctx, id, &req, buf.AvailableBuffer())
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	buf.Write(out) // in place, or the pool keeps the array the answer outgrew into
+	writeBody(w, http.StatusOK, buf.Bytes())
+}
+
+// solveAnswer runs the solve req describes and appends the encoded answer to
+// out.
+func (s *Service) solveAnswer(ctx context.Context, id string, req *SolveRequest, out []byte) ([]byte, error) {
 	switch {
 	case req.Batch != nil:
 		items, err := s.SolveBatch(ctx, id, req.Batch)
 		if err != nil {
-			writeError(w, err)
-			return
+			return nil, err
 		}
 		resp := BatchResponse{Results: make([]SolveResponse, len(items))}
 		for i, it := range items {
 			resp.Results[i] = toResponse(it.Result, it.Err, req.OmitX)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		out, err = AppendBatchResponse(out, &resp)
+		return out, encodeError(err)
 	case req.B != nil || req.RHS != "":
 		b := req.B
 		if req.RHS != "" {
 			if req.RHS != "ones" {
-				writeError(w, fmt.Errorf("unknown rhs generator %q", req.RHS))
-				return
+				return nil, fmt.Errorf("unknown rhs generator %q", req.RHS)
 			}
 			var err error
-			b, err = s.OnesRHS(id)
-			if err != nil {
-				writeError(w, err)
-				return
+			if b, err = s.OnesRHS(id); err != nil {
+				return nil, err
 			}
 		}
 		res, err := s.Solve(ctx, id, b)
 		if err != nil {
-			writeError(w, err)
-			return
+			return nil, err
 		}
-		writeJSON(w, http.StatusOK, toResponse(res, nil, req.OmitX))
-	default:
-		writeError(w, errors.New("need b, batch or rhs"))
+		resp := toResponse(res, nil, req.OmitX)
+		out, err = AppendSolveResponse(out, &resp)
+		return out, encodeError(err)
 	}
+	return nil, errors.New("need b, batch or rhs")
 }
 
 func toResponse(res *core.Result, err error, omitX bool) SolveResponse {
@@ -534,17 +611,20 @@ func toResponse(res *core.Result, err error, omitX bool) SolveResponse {
 }
 
 // OnesRHS returns b = A*1 for a registered system, the right-hand side whose
-// exact solution is the all-ones vector.
+// exact solution is the all-ones vector. The vector is shared by every caller
+// of the system's values generation: read it, do not write it.
 func (s *Service) OnesRHS(id string) ([]float64, error) {
 	sys, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	ones := make([]float64, sys.m.N)
-	for i := range ones {
-		ones[i] = 1
-	}
-	b := make([]float64, sys.m.N)
-	sys.m.MulVec(ones, b)
-	return b, nil
+	sys.onesOnce.Do(func() {
+		ones := make([]float64, sys.m.N)
+		for i := range ones {
+			ones[i] = 1
+		}
+		sys.ones = make([]float64, sys.m.N)
+		sys.m.MulVec(ones, sys.ones)
+	})
+	return sys.ones, nil
 }

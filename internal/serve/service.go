@@ -290,6 +290,12 @@ type system struct {
 	par      int
 	tune     *tune.Decision
 	lat      *latWindow
+
+	// ones is b = A·1, computed on first use. A system is immutable (a PATCH
+	// or a tune decision builds a new one), so every request shares the
+	// vector; nothing downstream writes a right-hand side.
+	onesOnce sync.Once
+	ones     []float64
 }
 
 // pkey is the system's pattern key: its cache key with the full matrix

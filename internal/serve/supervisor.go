@@ -341,13 +341,11 @@ func (s *Service) verifyResult(sys *system, res *core.Result, b []float64) error
 // trueResidual computes ‖b−Ax‖₂/‖b‖₂ in float64 (‖b−Ax‖₂ itself for an
 // all-zero b); finite is false when the solution contains NaN or Inf.
 func trueResidual(m *sparse.Matrix, x, b []float64) (relres float64, finite bool) {
-	y := make([]float64, m.N)
-	m.MulVec(x, y)
 	var rn, bn float64
-	for i := range y {
-		d := b[i] - y[i]
+	for i, bi := range b[:m.N] {
+		d := bi - m.RowDot(i, x)
 		rn += d * d
-		bn += b[i] * b[i]
+		bn += bi * bi
 	}
 	if math.IsNaN(rn) || math.IsInf(rn, 0) {
 		return 0, false

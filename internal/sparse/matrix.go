@@ -143,13 +143,20 @@ func (m *Matrix) MulVec(x, y []float64) {
 		panic("sparse: dimension mismatch in MulVec")
 	}
 	for i := 0; i < m.N; i++ {
-		s := m.Diag[i] * x[i]
-		lo, hi := m.RowRange(i)
-		for k := lo; k < hi; k++ {
-			s += m.Vals[k] * x[m.Cols[k]]
-		}
-		y[i] = s
+		y[i] = m.RowDot(i, x)
 	}
+}
+
+// RowDot returns entry i of A*x, summed in MulVec's order (the diagonal, then
+// the stored off-diagonals), for callers that consume the product one entry at
+// a time and so need no output vector.
+func (m *Matrix) RowDot(i int, x []float64) float64 {
+	s := m.Diag[i] * x[i]
+	lo, hi := m.RowRange(i)
+	for k := lo; k < hi; k++ {
+		s += m.Vals[k] * x[m.Cols[k]]
+	}
+	return s
 }
 
 // Permute returns P*A*Pᵀ where the permutation maps old index i to new index
