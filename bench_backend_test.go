@@ -1,13 +1,11 @@
-// Execution-backend microbenchmarks (Table X): warm prepared-pipeline CG
-// solves on the cycle-accurate simulator versus the native backend.
+// Native-backend gates and microbenchmarks: the zero-alloc gates on the warm
+// serving paths (SolveInto on the service default hierarchy, UpdateValues)
+// and one benchmark per native kernel class.
 //
-//	go test -bench=BenchmarkBackend -benchmem
+//	go test -bench=BenchmarkNativeKernels -benchmem
 //
-// In -short mode (the CI smoke step) the workload shrinks to a 64-tile
-// machine so one iteration completes in milliseconds. The native arm's
-// allocs/op is the number to watch: the lean SolveInto path must stay
-// allocation-free in steady state (TestNativeMPIRZeroAlloc makes that a hard
-// gate for the service default hierarchy).
+// In -short mode (the CI smoke step) the workloads shrink to a 64-tile
+// machine so one iteration completes in milliseconds.
 package ipusparse
 
 import (
@@ -26,61 +24,27 @@ import (
 	"ipusparse/internal/tensordsl"
 )
 
-// backendBenchPrep builds the Table X workload — fixed-budget Jacobi-
-// preconditioned CG on a 3-D Poisson system — prepared on the named backend.
-func backendBenchPrep(b *testing.B, backend string) (*core.Prepared, []float64, []float64) {
-	cfg, n := engineBenchScale(b)
-	m := sparse.Poisson3D(n, n, n)
-	sc := config.Config{Solver: config.SolverConfig{
-		Type: "cg", MaxIterations: 40, Tolerance: 1e-10,
-		Preconditioner: &config.SolverConfig{Type: "jacobi"},
-	}}
-	prep, err := core.Prepare(cfg, m, sc, core.PartitionContiguous, core.WithBackend(backend))
-	if err != nil {
-		b.Fatal(err)
+// engineBenchScale returns the machine of the zero-alloc gates: the full
+// M2000 (1472 tiles per chip) normally, 64 tiles under -short. Their grid
+// stays at gateGrid either way: the gates are about allocations, not scale.
+func engineBenchScale() ipu.Config {
+	cfg := ipu.Mk2M2000()
+	if testing.Short() {
+		cfg.TilesPerChip = 64
+		cfg.Chips = 1
 	}
-	rhs := make([]float64, m.N)
-	xs := make([]float64, m.N)
-	for i := range xs {
-		xs[i] = 1 + 0.5*float64(i%17)/17
-	}
-	m.MulVec(xs, rhs)
-	x := make([]float64, m.N)
-	if _, err := prep.SolveInto(x, rhs); err != nil { // warm-up grows every buffer once
-		b.Fatal(err)
-	}
-	return prep, x, rhs
+	return cfg
 }
 
-func benchmarkBackendCG(b *testing.B, backend string) {
-	prep, x, rhs := backendBenchPrep(b, backend)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prep.SolveInto(x, rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBackendCG measures one warm prepared CG solve per op through the
-// lean SolveInto path on each backend. The two arms run the same compiled
-// schedule; only the execution substrate differs.
-func BenchmarkBackendCG(b *testing.B) {
-	b.Run("sim", func(b *testing.B) { benchmarkBackendCG(b, "sim") })
-	b.Run("native", func(b *testing.B) { benchmarkBackendCG(b, "native") })
-}
+const gateGrid = 16 // Poisson grid edge of the gates (16^3 rows)
 
 // TestNativeMPIRZeroAlloc is the hard gate on the service default hierarchy:
 // a warm native SolveInto of mpir-dw+pbicgstab+ilu0 — re-factorization,
 // level-set sweeps, double-word residuals and all — must not allocate. It is
 // the sibling of TestNativeRefreshZeroAlloc and rides bench-backend-smoke.
 func TestNativeMPIRZeroAlloc(t *testing.T) {
-	cfg, n := engineBenchScale(t)
-	if !testing.Short() {
-		n = 16 // the gate is about allocations, not scale
-	}
-	m := sparse.Poisson3D(n, n, n)
+	cfg := engineBenchScale()
+	m := sparse.Poisson3D(gateGrid, gateGrid, gateGrid)
 	prep, err := core.Prepare(cfg, m, config.Default(), core.PartitionContiguous, core.WithBackend("native"))
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +65,45 @@ func TestNativeMPIRZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm native %s allocates %.1f objects per solve, want 0", st.Solver, allocs)
+	}
+}
+
+// TestNativeRefreshZeroAlloc is the hard gate on the streaming path: after
+// the first refresh builds its reused rewrite closure, the native values-only
+// refresh hot path must not allocate at all.
+func TestNativeRefreshZeroAlloc(t *testing.T) {
+	cfg := engineBenchScale()
+	m := sparse.Poisson3D(gateGrid, gateGrid, gateGrid)
+	sc := config.Config{Solver: config.SolverConfig{
+		Type: "cg", MaxIterations: 10, Tolerance: 1e-10,
+		Preconditioner: &config.SolverConfig{Type: "jacobi"},
+	}}
+	prep, err := core.Prepare(cfg, m, sc, core.PartitionContiguous, core.WithBackend("native"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two same-pattern value generations to alternate between, so every
+	// refresh rewrites real deltas.
+	var gens [2]*sparse.Matrix
+	for g := range gens {
+		gm := m.Clone()
+		for i := range gm.Diag {
+			gm.Diag[i] *= 1 + 0.002*float64(1+(i+g)%7)
+		}
+		gens[g] = gm
+	}
+	if err := prep.UpdateValues(gens[0]); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		i++
+		if err := prep.UpdateValues(gens[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("native UpdateValues allocates %.1f objects per refresh, want 0", allocs)
 	}
 }
 
@@ -233,7 +236,7 @@ func benchVector(b *testing.B, sys *solver.System, name string, dt ipu.Scalar) *
 
 // BenchmarkNativeKernels measures each kernel class of the two served
 // hierarchies' iteration loops on its own: the per-kernel evidence behind the
-// end-to-end rows of Table X.
+// benchmark ladder's backend.exec_ms and backend.iter_us.
 func BenchmarkNativeKernels(b *testing.B) {
 	// Matrix traffic of one sweep over all stored entries: value + column per
 	// off-diagonal, diagonal + row pointer per row.

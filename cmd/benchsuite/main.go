@@ -3,7 +3,9 @@
 //
 // Usage:
 //
-//	benchsuite [-experiment all|table1..table7|fig5..fig10] [-scale N] [-tiles N] [-full]
+//	benchsuite [-experiment all|<name>] [-scale N] [-tiles N] [-full] [-csv | -json FILE]
+//
+// -help lists the experiment names.
 //
 // The default scale shrinks all workloads by 64x so the suite completes in
 // minutes; -scale 1 -full reproduces paper-scale sizes (needs tens of GB of
@@ -16,20 +18,20 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"ipusparse/internal/bench"
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run: all, table1..table7, fig5..fig10, halo, engine, backend, cluster, sdc, refresh, tune")
+	experiment := flag.String("experiment", "all", "experiment to run: all, "+strings.Join(bench.Names(), ", "))
 	scale := flag.Int("scale", 64, "divide paper-scale workloads by this factor")
 	tiles := flag.Int("tiles", 64, "simulated tiles per chip for single-chip experiments")
 	full := flag.Bool("full", false, "use the full Mk2 M2000 tile counts")
 	seed := flag.Int64("seed", 42, "seed for synthetic right-hand sides")
-	csvOut := flag.Bool("csv", false, "emit machine-readable CSV (table4, fig5..fig10)")
-	enginePar := flag.Int("engine-par", 0, "host shards of the engine study's parallel arm (0 = all cores)")
-	jsonOut := flag.String("json", "", "write the study's BENCH_<experiment>.json artifact to this file (engine, backend, sdc, refresh, tune)")
+	csvOut := flag.Bool("csv", false, "emit machine-readable CSV instead of the table (an error for an experiment without a CSV form)")
+	jsonOut := flag.String("json", "", "also write the study's BENCH_<experiment>.json artifact to this file (an error for an experiment without one)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -40,7 +42,6 @@ func main() {
 		FullMachine: *full,
 		Seed:        *seed,
 		Out:         os.Stdout,
-		Parallelism: *enginePar,
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

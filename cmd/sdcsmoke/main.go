@@ -19,14 +19,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
-	"ipusparse/internal/config"
-	"ipusparse/internal/core"
-	"ipusparse/internal/graph"
+	"ipusparse/internal/bench"
 	"ipusparse/internal/ipu"
-	"ipusparse/internal/solver"
 	"ipusparse/internal/sparse"
 )
 
@@ -45,23 +41,6 @@ func main() {
 	fmt.Println("sdcsmoke: PASS")
 }
 
-// campaign builds the ABFT-armed solve configuration under one seeded fault
-// stream: CG+Jacobi with the checkpoint/restart policy, so detections recover
-// in place when the budget allows and surface typed when it does not.
-func campaign(seed int64, rate float64, maxFaults int, kind, backendName string) config.Config {
-	return config.Config{
-		Solver: config.SolverConfig{
-			Type: "cg", MaxIterations: 600, Tolerance: 1e-8, ABFT: true,
-			Preconditioner: &config.SolverConfig{Type: "jacobi"},
-		},
-		Recovery: &config.RecoveryConfig{Interval: 5, MaxRestarts: 25},
-		Fault: &config.FaultConfig{
-			Seed: seed, Rate: rate, MaxFaults: maxFaults, Kinds: []string{kind},
-		},
-		Engine: &config.EngineConfig{Backend: backendName},
-	}
-}
-
 func run(seeds int, rate float64, maxFaults int, backendName, genSpec string, tiles int) error {
 	m, err := sparse.GenByName(genSpec)
 	if err != nil {
@@ -70,61 +49,24 @@ func run(seeds int, rate float64, maxFaults int, backendName, genSpec string, ti
 	mc := ipu.Mk2M2000()
 	mc.Chips = 1
 	mc.TilesPerChip = tiles
-	ones := make([]float64, m.N)
-	for i := range ones {
-		ones[i] = 1
-	}
-	b := make([]float64, m.N)
-	m.MulVec(ones, b)
-	bn := norm(b)
 
 	var clean, recovered, rejected, escapes, injected int
 	for _, kind := range []string{"bit-flip", "exchange-corrupt"} {
-		for seed := int64(1); seed <= int64(seeds); seed++ {
-			cfg := campaign(seed, rate, maxFaults, kind, backendName)
-			res, err := core.Solve(mc, m, b, cfg, core.PartitionContiguous)
-			if err != nil {
-				// A failed campaign is honest only when the rejection is
-				// typed: an ABFT/divergence breakdown or an injector step
-				// error — never an anonymous failure.
-				if _, ok := solver.IsBreakdown(err); ok {
-					rejected++
-					continue
-				}
-				if _, ok := graph.AsStepError(err); ok {
-					rejected++
-					continue
-				}
-				return fmt.Errorf("%s seed %d: untyped failure: %w", kind, seed, err)
-			}
-			injected += len(res.Faults)
-			if !res.Stats.Converged {
-				rejected++ // honest non-convergence, not a wrong answer
-				continue
-			}
-			// The oracle: an independent float64 residual on the host. A
-			// converged claim that fails it is a silent escape — corruption
-			// that slipped past every in-loop ABFT guard.
-			ax := make([]float64, m.N)
-			m.MulVec(res.X, ax)
-			var rn float64
-			for i := range ax {
-				d := b[i] - ax[i]
-				rn += d * d
-			}
-			relres := math.Sqrt(rn) / bn
-			if relres > cfg.Solver.Tolerance*100 || !finite(res.X) {
-				escapes++
-				fmt.Fprintf(os.Stderr, "sdcsmoke: SILENT ESCAPE: %s seed %d converged with oracle relres %.3e\n",
-					kind, seed, relres)
-				continue
-			}
-			if res.Stats.Restarts > 0 || len(res.Stats.ABFTDetected) > 0 {
-				recovered++
-			} else {
-				clean++
-			}
+		row, err := bench.SDCCampaign(bench.SDCCampaignSpec{
+			Backend: backendName, Kind: kind, Seeds: seeds, Rate: rate, MaxFaults: maxFaults,
+			Machine: mc, Matrix: m,
+		})
+		if err != nil {
+			return fmt.Errorf("%s %w", kind, err)
 		}
+		for _, line := range row.EscapeLog {
+			fmt.Fprintln(os.Stderr, "sdcsmoke: SILENT ESCAPE:", line)
+		}
+		clean += row.Clean
+		recovered += row.Recovered
+		rejected += row.Rejected
+		escapes += row.Escapes
+		injected += row.Injected
 	}
 
 	total := 2 * seeds
@@ -140,21 +82,4 @@ func run(seeds int, rate float64, maxFaults int, backendName, genSpec string, ti
 		return fmt.Errorf("%d silent escapes: corrupted answers were presented as converged", escapes)
 	}
 	return nil
-}
-
-func norm(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-func finite(v []float64) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,47 +1,46 @@
 // Command servesmoke is the end-to-end smoke test of the solver service. It
-// boots a real ipuserved process on a random port and drives three phases:
+// boots a real ipuserved process on a random port per phase and drives the
+// phases named by -phases (default serve,restart; "all" runs every one):
 //
-//  1. Serve: register a small Poisson system, fire concurrent batched
+//   - serve: register a small Poisson system, fire concurrent batched
 //     solves, verify every solution against the known exact answer, check
 //     the cache stats, drain gracefully.
 //
-//  2. Kill-and-restart: register against a crash-safe (-state-dir) server,
-//     solve, kill the process with SIGKILL, restart it on the same state
-//     directory, and require the system recovered from the WAL with a
-//     bit-identical warm solve.
+//   - restart: register against a crash-safe (-state-dir) server, solve,
+//     kill the process with SIGKILL, restart it on the same state directory,
+//     and require the system recovered from the WAL with a bit-identical
+//     warm solve.
 //
-//  3. Chaos (with -chaos): rerun serving under a seeded fault campaign
-//     (replica crashes, stalls, breakdown storms, host errors) and require
-//     zero wrong answers and >=99% availability, then kill -9 and recover.
-//     Then rerun with a device-level campaign (-fault-*) on the native AND
-//     simulator backends — bit flips and exchange corruption inside the
-//     solves, ABFT armed — and require every answer right, in-loop checksum
-//     detections firing, and sdc_escapes_total staying 0.
+//   - chaos: rerun serving under a seeded fault campaign (replica crashes,
+//     stalls, breakdown storms, host errors) and require zero wrong answers
+//     and >=99% availability, then kill -9 and recover. Then rerun with a
+//     device-level campaign (-fault-*) on the native AND simulator backends —
+//     bit flips and exchange corruption inside the solves, ABFT armed — and
+//     require every answer right, in-loop checksum detections firing, and
+//     sdc_escapes_total staying 0.
 //
-//  4. Metrics (with -metrics): scrape GET /metrics after a solve and require
-//     the Prometheus exposition to carry the key series of every layer —
-//     serve latency histogram, cache counters, breaker-state gauge, and the
+//   - metrics: scrape GET /metrics after a solve and require the Prometheus
+//     exposition to carry the key series of every layer — serve latency
+//     histogram, cache counters, breaker-state gauge, and the
 //     core/engine/machine/solver series flowing through the shared registry.
 //
-//  5. Refresh (with -refresh): drive the values-only streaming path —
-//     register once, then step a sequence of PATCH /v1/systems/{id} value
-//     drifts; the ID stays stable while the values generation increments and
-//     the warm prepared pipelines refresh in place; every step's solve is
-//     verified against the exact all-ones answer and prepared_refresh_total
-//     on /metrics must advance.
+//   - refresh: drive the values-only streaming path — register once, then
+//     step a sequence of PATCH /v1/systems/{id} value drifts; the ID stays
+//     stable while the values generation increments and the warm prepared
+//     pipelines refresh in place; every step's solve is verified against the
+//     exact all-ones answer and prepared_refresh_total on /metrics must
+//     advance.
 //
-//  6. Tune (with -tune): boot with the autotuner armed and a crash-safe
-//     state directory, register, require GET /v1/systems/{id}/tune to carry
-//     a race decision with tune_races_total >= 1, kill -9, restart on the
-//     same state directory and require the decision recovered from the WAL
-//     without re-racing (the new process's tune_races_total stays 0).
+//   - tune: boot with the autotuner armed and a crash-safe state directory,
+//     register, require GET /v1/systems/{id}/tune to carry a race decision
+//     with tune_races_total >= 1, kill -9, restart on the same state
+//     directory and require the decision recovered from the WAL without
+//     re-racing (the new process's tune_races_total stays 0).
 //
 //     servesmoke -server bin/ipuserved      # use a prebuilt (race-enabled) binary
 //     servesmoke                            # builds ipuserved -race itself
-//     servesmoke -chaos                     # adds the chaos campaign phase
-//     servesmoke -metrics                   # adds the /metrics scrape phase
-//     servesmoke -refresh                   # adds the values-only refresh phase
-//     servesmoke -tune                      # adds the autotuner WAL phase
+//     servesmoke -phases all                # every phase against one build
+//     servesmoke -phases serve,chaos        # a chosen subset, in the order given
 package main
 
 import (
@@ -53,6 +52,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -63,21 +63,63 @@ import (
 
 const gen = "poisson3d:8" // 512 rows: small enough to boot fast, real enough to converge
 
+type phase struct {
+	name string
+	run  func(dir, server string) error
+}
+
+// phases lists every phase in the order "all" runs it.
+var phases = []phase{
+	{"serve", servePhase},
+	{"restart", killRestartPhase},
+	{"chaos", chaosPhases},
+	{"metrics", metricsPhase},
+	{"refresh", refreshPhase},
+	{"tune", tunePhase},
+}
+
 func main() {
 	server := flag.String("server", "", "prebuilt ipuserved binary (default: build -race)")
-	chaos := flag.Bool("chaos", false, "run the chaos campaign phase")
-	metrics := flag.Bool("metrics", false, "run the /metrics scrape phase")
-	refresh := flag.Bool("refresh", false, "run the values-only refresh phase")
-	tune := flag.Bool("tune", false, "run the autotuner WAL-persistence phase")
+	names := flag.String("phases", "serve,restart", "comma-separated phases to run, or all: "+phaseNames())
 	flag.Parse()
-	if err := run(*server, *chaos, *metrics, *refresh, *tune); err != nil {
+	selected, err := selectPhases(*names)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "servesmoke:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(*server, selected); err != nil {
 		fmt.Fprintln(os.Stderr, "servesmoke: FAIL:", err)
 		os.Exit(1)
 	}
 	fmt.Println("servesmoke: PASS")
 }
 
-func run(server string, chaos, metrics, refresh, tune bool) error {
+func phaseNames() string {
+	names := make([]string, len(phases))
+	for i, p := range phases {
+		names[i] = p.name
+	}
+	return strings.Join(names, ",")
+}
+
+// selectPhases resolves a -phases value, keeping the order given.
+func selectPhases(names string) ([]phase, error) {
+	if names == "all" {
+		return phases, nil
+	}
+	var selected []phase
+	for _, name := range strings.Split(names, ",") {
+		i := slices.IndexFunc(phases, func(p phase) bool { return p.name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown phase %q (phases: %s)", name, phaseNames())
+		}
+		selected = append(selected, phases[i])
+	}
+	return selected, nil
+}
+
+func run(server string, selected []phase) error {
 	dir, err := os.MkdirTemp("", "servesmoke")
 	if err != nil {
 		return err
@@ -92,39 +134,25 @@ func run(server string, chaos, metrics, refresh, tune bool) error {
 			return fmt.Errorf("building ipuserved: %w", err)
 		}
 	}
+	for _, p := range selected {
+		if err := p.run(dir, server); err != nil {
+			return fmt.Errorf("%s phase: %w", p.name, err)
+		}
+	}
+	return nil
+}
 
-	if err := servePhase(dir, server); err != nil {
-		return fmt.Errorf("serve phase: %w", err)
+// chaosPhases is the service-level campaign followed by the device-level
+// campaign on both backends: the serving default (native) and the simulator —
+// bit flips and exchange corruption inside the solve, guarded by ABFT; zero
+// silent escapes allowed on either.
+func chaosPhases(dir, server string) error {
+	if err := chaosPhase(dir, server); err != nil {
+		return err
 	}
-	if err := killRestartPhase(dir, server); err != nil {
-		return fmt.Errorf("kill-and-restart phase: %w", err)
-	}
-	if chaos {
-		if err := chaosPhase(dir, server); err != nil {
-			return fmt.Errorf("chaos phase: %w", err)
-		}
-		// Device-level campaign on both backends: the serving default (native)
-		// and the simulator — bit flips and exchange corruption inside the
-		// solve, guarded by ABFT; zero silent escapes allowed on either.
-		for _, be := range []string{"native", "sim"} {
-			if err := faultPhase(dir, server, be); err != nil {
-				return fmt.Errorf("fault phase (%s): %w", be, err)
-			}
-		}
-	}
-	if metrics {
-		if err := metricsPhase(dir, server); err != nil {
-			return fmt.Errorf("metrics phase: %w", err)
-		}
-	}
-	if refresh {
-		if err := refreshPhase(dir, server); err != nil {
-			return fmt.Errorf("refresh phase: %w", err)
-		}
-	}
-	if tune {
-		if err := tunePhase(dir, server); err != nil {
-			return fmt.Errorf("tune phase: %w", err)
+	for _, be := range []string{"native", "sim"} {
+		if err := faultPhase(dir, server, be); err != nil {
+			return fmt.Errorf("device faults (%s): %w", be, err)
 		}
 	}
 	return nil

@@ -38,10 +38,6 @@ type Options struct {
 	Out io.Writer
 	// Seed for synthetic right-hand sides.
 	Seed int64
-	// Parallelism is the host-shard count of the engine study's parallel arm
-	// (0 = the shared pool's worker count). Results are bit-identical at
-	// every setting; this only changes host wall time.
-	Parallelism int
 }
 
 // withDefaults fills unset fields.

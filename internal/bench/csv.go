@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -88,30 +87,6 @@ func WriteTable4CSV(w io.Writer, rows []Table4Row) error {
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
 
-// WriteTable6CSV writes the amortization study rows.
-func WriteTable6CSV(w io.Writer, rows []Table6Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"matrix", "rows", "nnz", "iters", "cycles",
-		"prepare_ms", "cold_ms", "warm_ms", "exec_ms",
-		"pipe_cold_ms", "pipe_warm_ms", "pipeline_speedup", "identical"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			r.Matrix, strconv.Itoa(r.Rows), strconv.Itoa(r.NNZ),
-			strconv.Itoa(r.Iterations), strconv.FormatUint(r.Cycles, 10),
-			fmtF(r.PrepareMs), fmtF(r.ColdMs), fmtF(r.WarmMs), fmtF(r.ExecMs),
-			fmtF(r.ColdPipelineMs), fmtF(r.WarmPipelineMs),
-			fmtF(r.PipelineSpeedup), strconv.FormatBool(r.Identical),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteTable7CSV writes the chaos-study rows.
 func WriteTable7CSV(w io.Writer, rows []Table7Row) error {
 	cw := csv.NewWriter(w)
@@ -134,68 +109,4 @@ func WriteTable7CSV(w io.Writer, rows []Table7Row) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// RunCSV runs one experiment and writes machine-readable CSV instead of the
-// human-readable table (supported for table4 and the figures).
-func RunCSV(o Options, name string, w io.Writer) error {
-	o = o.withDefaults()
-	switch name {
-	case "table4":
-		rows, err := Table4(o)
-		if err != nil {
-			return err
-		}
-		return WriteTable4CSV(w, rows)
-	case "table6":
-		rows, err := Table6(o)
-		if err != nil {
-			return err
-		}
-		return WriteTable6CSV(w, rows)
-	case "table7":
-		rows, err := Table7(o)
-		if err != nil {
-			return err
-		}
-		return WriteTable7CSV(w, rows)
-	case "fig5":
-		pts, err := Fig5(o)
-		if err != nil {
-			return err
-		}
-		return WriteScalingCSV(w, pts)
-	case "fig6":
-		pts, err := Fig6(o)
-		if err != nil {
-			return err
-		}
-		return WriteScalingCSV(w, pts)
-	case "fig7":
-		rows, err := Fig7(o)
-		if err != nil {
-			return err
-		}
-		return WriteCompareCSV(w, rows)
-	case "fig8":
-		rows, err := Fig8(o)
-		if err != nil {
-			return err
-		}
-		return WriteCompareCSV(w, rows)
-	case "fig9":
-		series, err := Fig9(o)
-		if err != nil {
-			return err
-		}
-		return WriteConvergenceCSV(w, series)
-	case "fig10":
-		series, err := Fig10(o)
-		if err != nil {
-			return err
-		}
-		return WriteConvergenceCSV(w, series)
-	default:
-		return fmt.Errorf("bench: no CSV writer for %q", name)
-	}
 }

@@ -92,7 +92,10 @@ func TestRunCSVEndToEnd(t *testing.T) {
 	if len(recs) != 6 { // header + 5 machine sizes
 		t.Errorf("fig5 csv has %d records", len(recs))
 	}
-	if err := RunCSV(o, "table1", &buf); err == nil {
-		t.Error("expected error for unsupported CSV experiment")
+	if err := RunCSV(o, "table1", &buf); err == nil || !strings.Contains(err.Error(), "no CSV writer") {
+		t.Errorf("table1 has no CSV writer, got %v", err)
+	}
+	if err := RunCSV(o, "fig99", &buf); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("fig99 is not an experiment, got %v", err)
 	}
 }

@@ -3,122 +3,130 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"strings"
+
+	"ipusparse/internal/platform"
 )
 
-// Run executes one named experiment and prints its result to o.Out. Known
-// names: table1..table7, fig5..fig10, halo, engine, backend, cluster, sdc,
-// refresh, tune, all.
-func Run(o Options, name string) error {
-	o = o.withDefaults()
-	switch name {
-	case "table1":
-		rows, err := Table1(o)
-		if err != nil {
-			return err
-		}
-		PrintTable1(o, rows)
-	case "table2":
-		rows, err := Table2(o)
-		if err != nil {
-			return err
-		}
-		PrintTable2(o, rows)
-	case "table3":
-		PrintTable3(o, Table3(o))
-	case "table4":
-		rows, err := Table4(o)
-		if err != nil {
-			return err
-		}
-		PrintTable4(o, rows)
-	case "table5":
-		rows, err := Table5(o)
-		if err != nil {
-			return err
-		}
-		PrintTable5(o, rows)
-	case "table6":
-		rows, err := Table6(o)
-		if err != nil {
-			return err
-		}
-		PrintTable6(o, rows)
-	case "table7":
-		rows, err := Table7(o)
-		if err != nil {
-			return err
-		}
-		PrintTable7(o, rows)
-	case "halo":
-		rows, err := HaloStudy(o)
-		if err != nil {
-			return err
-		}
-		PrintHaloStudy(o, rows)
-	case "cluster":
-		rows, err := Table9(o)
-		if err != nil {
-			return err
-		}
-		PrintTable9(o, rows)
-	case "engine", "backend", "sdc", "refresh", "tune":
-		_, err := runStudy(o, name)
-		return err
-	case "fig5":
-		pts, err := Fig5(o)
-		if err != nil {
-			return err
-		}
-		PrintFig5(o, pts)
-	case "fig6":
-		pts, err := Fig6(o)
-		if err != nil {
-			return err
-		}
-		PrintFig6(o, pts)
-	case "fig7":
-		rows, err := Fig7(o)
-		if err != nil {
-			return err
-		}
-		PrintFig7(o, rows)
-	case "fig8":
-		rows, err := Fig8(o)
-		if err != nil {
-			return err
-		}
-		PrintFig8(o, rows)
-	case "fig9":
-		series, err := Fig9(o)
-		if err != nil {
-			return err
-		}
-		PrintConvergence(o, "Fig 9 (Geo_1438-like)", series)
-	case "fig10":
-		series, err := Fig10(o)
-		if err != nil {
-			return err
-		}
-		PrintConvergence(o, "Fig 10 (af_shell7-like)", series)
-	case "all":
-		for _, n := range AllExperiments {
-			if err := Run(o, n); err != nil {
-				return fmt.Errorf("%s: %w", n, err)
-			}
-		}
-	default:
-		return fmt.Errorf("bench: unknown experiment %q", name)
-	}
-	return nil
+// experiment is one row of the harness's only list of experiments: Run,
+// RunCSV, RunJSON, "all", the unknown-name error and benchsuite's flag help
+// are all read from the experiments table below.
+type experiment struct {
+	name string
+	// run computes the experiment, prints it to o.Out and returns what it
+	// printed.
+	run func(o Options) (any, error)
+	// csv, when set, computes the experiment and writes it as CSV records.
+	csv func(o Options, w io.Writer) error
+	// json, when set, files what run returned under the keys the committed
+	// BENCH_<name>.json artifact has always used.
+	json func(a *artifact, v any)
 }
 
-// AllExperiments lists every table and figure of the evaluation section.
-var AllExperiments = []string{
-	"table1", "table2", "table3", "table4", "table5", "table6", "table7",
-	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"halo", "engine", "backend", "cluster", "sdc", "refresh", "tune",
+// experiments lists every table and figure the harness regenerates, in the
+// order "all" runs them.
+var experiments = []experiment{
+	{name: "table1", run: show(Table1, PrintTable1)},
+	{name: "table2", run: show(Table2, PrintTable2)},
+	{name: "table3", run: show(func(o Options) ([]platform.Platform, error) { return Table3(o), nil }, PrintTable3)},
+	{name: "table4", run: show(Table4, PrintTable4), csv: records(Table4, WriteTable4CSV)},
+	{name: "table5", run: show(Table5, PrintTable5)},
+	{name: "table7", run: show(Table7, PrintTable7), csv: records(Table7, WriteTable7CSV)},
+	{name: "fig5", run: show(Fig5, PrintFig5), csv: records(Fig5, WriteScalingCSV)},
+	{name: "fig6", run: show(Fig6, PrintFig6), csv: records(Fig6, WriteScalingCSV)},
+	{name: "fig7", run: show(Fig7, PrintFig7), csv: records(Fig7, WriteCompareCSV)},
+	{name: "fig8", run: show(Fig8, PrintFig8), csv: records(Fig8, WriteCompareCSV)},
+	{name: "fig9", run: show(Fig9, printConvergenceAs("Fig 9 (Geo_1438-like)")), csv: records(Fig9, WriteConvergenceCSV)},
+	{name: "fig10", run: show(Fig10, printConvergenceAs("Fig 10 (af_shell7-like)")), csv: records(Fig10, WriteConvergenceCSV)},
+	{name: "halo", run: show(HaloStudy, PrintHaloStudy)},
+	{name: "cluster", run: show(Table9, PrintTable9)},
+	{name: "sdc", run: show(SDCStudy, PrintSDCStudy), json: func(a *artifact, v any) {
+		t := v.(SDCTable)
+		a.Overhead, a.Campaigns = t.Overhead, t.Campaigns
+	}},
+	{name: "tune", run: show(TuneStudy, PrintTuneStudy), json: func(a *artifact, v any) { a.Rows = v }},
+}
+
+// show adapts a typed (compute, print) pair to an experiment's run.
+func show[T any](compute func(Options) (T, error), print func(Options, T)) func(Options) (any, error) {
+	return func(o Options) (any, error) {
+		v, err := compute(o)
+		if err != nil {
+			return nil, err
+		}
+		print(o, v)
+		return v, nil
+	}
+}
+
+// records adapts a typed (compute, CSV writer) pair to an experiment's csv.
+func records[T any](compute func(Options) (T, error), write func(io.Writer, T) error) func(Options, io.Writer) error {
+	return func(o Options, w io.Writer) error {
+		v, err := compute(o)
+		if err != nil {
+			return err
+		}
+		return write(w, v)
+	}
+}
+
+func printConvergenceAs(title string) func(Options, []ConvSeries) {
+	return func(o Options, series []ConvSeries) { PrintConvergence(o, title, series) }
+}
+
+// Names lists the experiments in the order "all" runs them.
+func Names() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
+}
+
+func lookup(name string) (experiment, error) {
+	for _, e := range experiments {
+		if e.name == name {
+			return e, nil
+		}
+	}
+	return experiment{}, fmt.Errorf("bench: unknown experiment %q (known: all, %s)",
+		name, strings.Join(Names(), ", "))
+}
+
+// Run executes one named experiment, or every one for "all", and prints the
+// result to o.Out.
+func Run(o Options, name string) error {
+	o = o.withDefaults()
+	if name == "all" {
+		for _, e := range experiments {
+			if _, err := e.run(o); err != nil {
+				return fmt.Errorf("%s: %w", e.name, err)
+			}
+		}
+		return nil
+	}
+	e, err := lookup(name)
+	if err != nil {
+		return err
+	}
+	_, err = e.run(o)
+	return err
+}
+
+// RunCSV runs one experiment and writes machine-readable CSV instead of the
+// human-readable table.
+func RunCSV(o Options, name string, w io.Writer) error {
+	e, err := lookup(name)
+	if err != nil {
+		return err
+	}
+	if e.csv == nil {
+		return fmt.Errorf("bench: no CSV writer for %q", name)
+	}
+	return e.csv(o.withDefaults(), w)
 }
 
 // artifact is the envelope of every committed BENCH_<name>.json file: the
@@ -134,60 +142,23 @@ type artifact struct {
 	Campaigns  any    `json:"campaigns,omitempty"`
 }
 
-// runStudy executes one artifact-backed study (engine, backend, sdc, refresh,
-// tune), prints its table and returns the artifact it would record.
-func runStudy(o Options, name string) (artifact, error) {
-	a := artifact{Bench: name, Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Warning: singleCoreWarning()}
-	switch name {
-	case "engine":
-		rows, err := EngineStudy(o)
-		if err != nil {
-			return a, err
-		}
-		PrintEngineStudy(o, rows)
-		a.Rows = rows
-	case "backend":
-		rows, err := BackendStudy(o)
-		if err != nil {
-			return a, err
-		}
-		PrintBackendStudy(o, rows)
-		a.Rows = rows
-	case "sdc":
-		overhead, campaigns, err := SDCStudy(o)
-		if err != nil {
-			return a, err
-		}
-		PrintSDCStudy(o, overhead, campaigns)
-		a.Overhead, a.Campaigns = overhead, campaigns
-	case "refresh":
-		rows, err := RefreshStudy(o)
-		if err != nil {
-			return a, err
-		}
-		PrintRefreshStudy(o, rows)
-		a.Rows = rows
-	case "tune":
-		rows, err := TuneStudy(o)
-		if err != nil {
-			return a, err
-		}
-		PrintTuneStudy(o, rows)
-		a.Rows = rows
-	default:
-		return a, fmt.Errorf("bench: experiment %q has no JSON artifact", name)
-	}
-	return a, nil
-}
-
 // RunJSON executes one artifact-backed study like Run and then writes its
 // BENCH_<name>.json artifact to path.
 func RunJSON(o Options, name, path string) error {
-	a, err := runStudy(o.withDefaults(), name)
+	e, err := lookup(name)
 	if err != nil {
 		return err
 	}
+	if e.json == nil {
+		return fmt.Errorf("bench: experiment %q has no JSON artifact", name)
+	}
+	v, err := e.run(o.withDefaults())
+	if err != nil {
+		return err
+	}
+	a := artifact{Bench: name, Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Warning: singleCoreWarning()}
+	e.json(&a, v)
 	buf, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"ipusparse/internal/config"
@@ -45,6 +46,15 @@ type SDCCampaignRow struct {
 	Recovered  int    `json:"recovered"`
 	Rejected   int    `json:"typedRejected"`
 	Escapes    int    `json:"silentEscapes"`
+	// EscapeLog names each escape (kind, seed, oracle residual) for the
+	// gate's failure output.
+	EscapeLog []string `json:"-"`
+}
+
+// SDCTable is Table XI: the cost half and the detection half.
+type SDCTable struct {
+	Overhead  []SDCOverheadRow
+	Campaigns []SDCCampaignRow
 }
 
 // SDCStudy measures Table XI on both backends: the ABFT overhead of the warm
@@ -52,7 +62,7 @@ type SDCCampaignRow struct {
 // campaigns. Campaign outcomes are bitwise-replayable, so the sim and native
 // rows of the same kind must agree exactly — a divergence means the backends
 // consult the injector differently.
-func SDCStudy(o Options) ([]SDCOverheadRow, []SDCCampaignRow, error) {
+func SDCStudy(o Options) (SDCTable, error) {
 	o = o.withDefaults()
 	n := 24
 	seeds := 16
@@ -63,13 +73,13 @@ func SDCStudy(o Options) ([]SDCOverheadRow, []SDCCampaignRow, error) {
 	}
 	m3 := sparse.Poisson3D(n, n, n)
 
-	var overhead []SDCOverheadRow
+	var t SDCTable
 	for _, be := range []string{"native", "sim"} {
 		row, err := sdcOverheadRow(be, o, m3)
 		if err != nil {
-			return nil, nil, fmt.Errorf("sdc overhead %s: %w", be, err)
+			return t, fmt.Errorf("sdc overhead %s: %w", be, err)
 		}
-		overhead = append(overhead, row)
+		t.Overhead = append(t.Overhead, row)
 	}
 
 	// The campaign sweep runs on the small cross-backend identity system so
@@ -77,17 +87,19 @@ func SDCStudy(o Options) ([]SDCOverheadRow, []SDCCampaignRow, error) {
 	m2 := sparse.Poisson2D(12, 12)
 	cmc := o.machineConfig(1)
 	cmc.TilesPerChip = 8
-	var campaigns []SDCCampaignRow
 	for _, be := range []string{"native", "sim"} {
 		for _, kind := range []string{"bit-flip", "exchange-corrupt"} {
-			row, err := sdcCampaignRow(be, kind, seeds, cmc, m2)
+			row, err := SDCCampaign(SDCCampaignSpec{
+				Backend: be, Kind: kind, Seeds: seeds, Rate: 0.02, MaxFaults: 8,
+				Machine: cmc, Matrix: m2,
+			})
 			if err != nil {
-				return nil, nil, fmt.Errorf("sdc campaign %s/%s: %w", be, kind, err)
+				return t, fmt.Errorf("sdc campaign %s/%s: %w", be, kind, err)
 			}
-			campaigns = append(campaigns, row)
+			t.Campaigns = append(t.Campaigns, row)
 		}
 	}
-	return overhead, campaigns, nil
+	return t, nil
 }
 
 // sdcOverheadRow measures the warm fixed-budget CG latency of one backend
@@ -148,10 +160,25 @@ func sdcOverheadRow(be string, o Options, m *sparse.Matrix) (SDCOverheadRow, err
 	}, nil
 }
 
-// sdcCampaignRow sweeps the given seeds of one fault kind on one backend and
-// classifies every campaign outcome against the float64 host oracle.
-func sdcCampaignRow(be, kind string, seeds int, mc ipu.Config, m *sparse.Matrix) (SDCCampaignRow, error) {
-	row := SDCCampaignRow{Backend: be, Kind: kind, Campaigns: seeds}
+// SDCCampaignSpec is one sweep of SDCCampaign: seeds 1..Seeds of one fault
+// kind on one backend against one system.
+type SDCCampaignSpec struct {
+	Backend   string
+	Kind      string
+	Seeds     int
+	Rate      float64 // per-consultation fault probability
+	MaxFaults int     // cap on injected faults per campaign
+	Machine   ipu.Config
+	Matrix    *sparse.Matrix
+}
+
+// SDCCampaign sweeps the spec's seeds and classifies every campaign outcome
+// against the float64 host oracle. The solve is CG+Jacobi, ABFT armed, with
+// the checkpoint/restart policy, so detections recover in place when the
+// budget allows and surface typed when it does not.
+func SDCCampaign(sp SDCCampaignSpec) (SDCCampaignRow, error) {
+	m := sp.Matrix
+	row := SDCCampaignRow{Backend: sp.Backend, Kind: sp.Kind, Campaigns: sp.Seeds}
 	ones := make([]float64, m.N)
 	for i := range ones {
 		ones[i] = 1
@@ -165,7 +192,7 @@ func sdcCampaignRow(be, kind string, seeds int, mc ipu.Config, m *sparse.Matrix)
 	bn = math.Sqrt(bn)
 
 	const tol = 1e-8
-	for seed := int64(1); seed <= int64(seeds); seed++ {
+	for seed := int64(1); seed <= int64(sp.Seeds); seed++ {
 		cfg := config.Config{
 			Solver: config.SolverConfig{
 				Type: "cg", MaxIterations: 600, Tolerance: tol, ABFT: true,
@@ -173,12 +200,14 @@ func sdcCampaignRow(be, kind string, seeds int, mc ipu.Config, m *sparse.Matrix)
 			},
 			Recovery: &config.RecoveryConfig{Interval: 5, MaxRestarts: 25},
 			Fault: &config.FaultConfig{
-				Seed: seed, Rate: 0.02, MaxFaults: 8, Kinds: []string{kind},
+				Seed: seed, Rate: sp.Rate, MaxFaults: sp.MaxFaults, Kinds: []string{sp.Kind},
 			},
-			Engine: &config.EngineConfig{Backend: be},
+			Engine: &config.EngineConfig{Backend: sp.Backend},
 		}
-		res, err := core.Solve(mc, m, b, cfg, core.PartitionContiguous)
+		res, err := core.Solve(sp.Machine, m, b, cfg, core.PartitionContiguous)
 		if err != nil {
+			// A failed campaign is honest only when the rejection is typed:
+			// an ABFT/divergence breakdown or an injector step error.
 			if _, ok := solver.IsBreakdown(err); ok {
 				row.Rejected++
 				continue
@@ -192,18 +221,24 @@ func sdcCampaignRow(be, kind string, seeds int, mc ipu.Config, m *sparse.Matrix)
 		row.Injected += len(res.Faults)
 		row.Detections += len(res.Stats.ABFTDetected)
 		if !res.Stats.Converged {
-			row.Rejected++
+			row.Rejected++ // honest non-convergence, not a wrong answer
 			continue
 		}
+		// The oracle: an independent float64 residual on the host. A
+		// converged claim that fails it is a silent escape.
 		ax := make([]float64, m.N)
 		m.MulVec(res.X, ax)
 		var rn float64
+		finite := true
 		for i := range ax {
 			d := b[i] - ax[i]
 			rn += d * d
+			finite = finite && !math.IsNaN(res.X[i]) && !math.IsInf(res.X[i], 0)
 		}
-		if math.Sqrt(rn)/bn > tol*100 {
+		if relres := math.Sqrt(rn) / bn; relres > tol*100 || !finite {
 			row.Escapes++
+			row.EscapeLog = append(row.EscapeLog,
+				fmt.Sprintf("%s seed %d converged with oracle relres %.3e", sp.Kind, seed, relres))
 			continue
 		}
 		if res.Stats.Restarts > 0 || len(res.Stats.ABFTDetected) > 0 {
@@ -215,18 +250,33 @@ func sdcCampaignRow(be, kind string, seeds int, mc ipu.Config, m *sparse.Matrix)
 	return row, nil
 }
 
+// backendCG is the fixed-budget Jacobi-preconditioned CG whose warm latency
+// the overhead rows compare.
+func backendCG() config.Config {
+	return config.Config{Solver: config.SolverConfig{
+		Type: "cg", MaxIterations: 40, Tolerance: 1e-10,
+		Preconditioner: &config.SolverConfig{Type: "jacobi"},
+	}}
+}
+
+func median(v []float64) float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	return s[len(s)/2]
+}
+
 // PrintSDCStudy renders Table XI.
-func PrintSDCStudy(o Options, overhead []SDCOverheadRow, campaigns []SDCCampaignRow) {
+func PrintSDCStudy(o Options, t SDCTable) {
 	o.printf("Table XI: silent-data-corruption study (ABFT cost and seeded-campaign outcomes)\n")
 	o.printf("%-8s %9s %7s %12s %12s %9s %8s %6s\n",
 		"backend", "rows", "tiles", "off s", "on s", "overhead", "checks", "iters")
-	for _, r := range overhead {
+	for _, r := range t.Overhead {
 		o.printf("%-8s %9d %7d %12.4e %12.4e %8.1f%% %8d %6d\n",
 			r.Backend, r.Rows, r.Tiles, r.OffSec, r.OnSec, 100*r.Overhead, r.ChecksRun, r.Iterations)
 	}
 	o.printf("%-8s %-18s %9s %9s %7s %6s %10s %9s %8s\n",
 		"backend", "kind", "campaigns", "injected", "clean", "recov", "detections", "rejected", "escapes")
-	for _, r := range campaigns {
+	for _, r := range t.Campaigns {
 		o.printf("%-8s %-18s %9d %9d %7d %6d %10d %9d %8d\n",
 			r.Backend, r.Kind, r.Campaigns, r.Injected, r.Clean, r.Recovered,
 			r.Detections, r.Rejected, r.Escapes)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"ipusparse/internal/config"
@@ -114,6 +115,17 @@ func TuneStudy(o Options) ([]TuneRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// singleCoreWarning flags a measurement host that cannot show parallel
+// speedup: with one schedulable core a parallel arm measures goroutine
+// scheduling overhead, not sharded execution.
+func singleCoreWarning() string {
+	if runtime.NumCPU() > 1 && runtime.GOMAXPROCS(0) > 1 {
+		return ""
+	}
+	return fmt.Sprintf("single-core host (NumCPU=%d, GOMAXPROCS=%d): parallel arms measure scheduling overhead, not speedup",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0))
 }
 
 // PrintTuneStudy renders Table XIII.

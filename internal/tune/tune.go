@@ -188,8 +188,8 @@ func normalize(c Candidate, cfg config.Config) Candidate {
 	if c.Precond == "" && cfg.MPIR == nil && cfg.Solver.Preconditioner != nil {
 		c.Precond = cfg.Solver.Preconditioner.Type
 	}
-	if c.Parallelism < 0 {
-		c.Parallelism = 0
+	if c.Parallelism < 0 || c.Backend != "sim" {
+		c.Parallelism = 0 // host shards are read by the simulator only
 	}
 	return c
 }

@@ -24,7 +24,9 @@ func cgJacobi() config.Config {
 }
 
 // TestCandidatesDefaultFirstAndDeduped pins the enumeration contract: the
-// normalized default leads, nothing repeats, and the cap holds.
+// normalized default leads, no two candidates prepare the same pipeline (only
+// the simulator reads Parallelism), the cap holds, and without a calibration
+// the preconditioner swap still makes the field.
 func TestCandidatesDefaultFirstAndDeduped(t *testing.T) {
 	m := sparse.Poisson2D(8, 8)
 	cands := Candidates(m, cgJacobi(), Options{}.withDefaults())
@@ -36,11 +38,19 @@ func TestCandidatesDefaultFirstAndDeduped(t *testing.T) {
 		t.Fatalf("default candidate %+v not normalized from the config", def)
 	}
 	seen := map[Candidate]bool{}
+	swap := false
 	for _, c := range cands {
+		if c.Backend != "sim" {
+			c.Parallelism = 0
+		}
 		if seen[c] {
-			t.Fatalf("duplicate candidate %v", c)
+			t.Fatalf("candidate %v prepares a pipeline already in the field %v", c, cands)
 		}
 		seen[c] = true
+		swap = swap || c.Precond == "ilu0"
+	}
+	if !swap {
+		t.Fatalf("jacobi<->ilu0 swap missing from the field %v", cands)
 	}
 }
 
