@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race fuzz-smoke bench bench-backend-smoke serve-smoke sdc-smoke cluster-smoke bench-cluster bench-sdc bench-tune clean
+.PHONY: check build test vet race fuzz-smoke bench bench-backend-smoke serve-smoke sdc-smoke bench-cluster bench-sdc bench-tune clean
 
 ## check: vet + build + race-enabled tests + a short fuzz of the wire decoders
 ## (the pre-merge gate)
@@ -41,8 +41,9 @@ bench-backend-smoke:
 	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets' ./internal/solver
 	$(GO) test -short -run 'TestNativeFusedSets' ./internal/core
 
-## serve-smoke: build one race-enabled ipuserved and drive the servesmoke
-## phases named by PHASES against it (default all; e.g. PHASES=serve,restart):
+## serve-smoke: build one race-enabled ipuserved (and, for the cluster phase,
+## one ipurouterd) and drive the servesmoke phases named by PHASES against
+## them (default all; e.g. PHASES=serve,restart or PHASES=cluster):
 ##   serve    register a Poisson system, concurrent batched solves, every
 ##            solution and the cache stats verified, graceful drain
 ##   restart  kill -9 a crash-safe server and require the WAL-recovered system
@@ -54,6 +55,10 @@ bench-backend-smoke:
 ##   refresh  PATCH /v1/systems/{id} value drifts keep the ID, bump the
 ##            generation and refresh the warm pipelines with one cold prepare
 ##   tune     the autotuner's race decision survives kill -9 without re-racing
+##   cluster  three shards behind ipurouterd (replica factor 2): placement,
+##            kill -9 of a replica holder under load (>=99% availability,
+##            reconciler repairs placement), drain with zero failed
+##            in-flight requests, the router's cluster_* /metrics series
 PHASES ?= all
 serve-smoke:
 	$(GO) run ./cmd/servesmoke -phases $(PHASES)
@@ -65,14 +70,6 @@ serve-smoke:
 sdc-smoke:
 	$(GO) run ./cmd/sdcsmoke
 	$(GO) run ./cmd/sdcsmoke -backend sim
-
-## cluster-smoke: boot three race-enabled ipuserved shards behind a
-## race-enabled ipurouterd (replica factor 2), register through the router,
-## kill -9 a replica-holding shard under sustained load and restart it
-## empty -- >=99% availability, every answer residual-verified, reconciler
-## repairs placement, graceful drain with zero failed in-flight requests
-cluster-smoke:
-	$(GO) run ./cmd/clustersmoke
 
 ## bench-cluster: the availability-under-shard-loss study (Table IX) on an
 ## in-process cluster: replica factor 1 vs 2 vs 3 around a cold shard kill

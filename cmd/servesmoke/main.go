@@ -1,6 +1,7 @@
-// Command servesmoke is the end-to-end smoke test of the solver service. It
-// boots a real ipuserved process on a random port per phase and drives the
-// phases named by -phases (default serve,restart; "all" runs every one):
+// Command servesmoke is the end-to-end smoke test of the solver service and
+// the solve cluster. It boots real ipuserved (and, for the cluster phase,
+// ipurouterd) processes on random ports and drives the phases named by
+// -phases (default serve,restart; "all" runs every one):
 //
 //   - serve: register a small Poisson system, fire concurrent batched
 //     solves, verify every solution against the known exact answer, check
@@ -37,17 +38,31 @@
 //     directory and require the decision recovered from the WAL without
 //     re-racing (the new process's tune_races_total stays 0).
 //
-//     servesmoke -server bin/ipuserved      # use a prebuilt (race-enabled) binary
+//   - cluster: boot three shards behind one ipurouterd (replica factor 2)
+//     and run four steps against that fleet, in order. Placement: a
+//     registration through the router lands on a full replica set. Shard
+//     kill: under sustained load a seeded fault.Chaos campaign kill -9s a
+//     replica holder, which restarts empty; the reconciler must re-register
+//     the system onto it within 15 s, with >=99% availability and zero wrong
+//     answers. Drain: gracefully remove a replica holder with solves in
+//     flight; none may fail and the placement must migrate off it. Metrics:
+//     the router's /metrics carries every cluster_* series. The steps share
+//     the fleet and the registered system, so they are one phase.
+//
 //     servesmoke                            # builds ipuserved -race itself
-//     servesmoke -phases all                # every phase against one build
+//     servesmoke -server bin/ipuserved -router bin/ipurouterd  # prebuilt (race-enabled) binaries
+//     servesmoke -phases all                # every phase against one build of each daemon
 //     servesmoke -phases serve,chaos        # a chosen subset, in the order given
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/exec"
@@ -58,28 +73,45 @@ import (
 	"syscall"
 	"time"
 
+	"ipusparse/internal/fault"
 	"ipusparse/internal/sparse"
 )
 
-const gen = "poisson3d:8" // 512 rows: small enough to boot fast, real enough to converge
+const (
+	gen  = "poisson3d:8" // small enough to boot fast, real enough to converge
+	rows = 512           // rows of gen
+)
+
+// The cluster phase's shard-kill campaign: one seeded kill -9 / restart cycle.
+const (
+	shardKills = 1
+	chaosSeed  = 42
+)
+
+// env is what every phase runs against: a scratch directory and the daemon
+// binaries (router is empty unless a selected phase needs it).
+type env struct{ dir, server, router string }
 
 type phase struct {
-	name string
-	run  func(dir, server string) error
+	name   string
+	run    func(env) error
+	router bool // needs ipurouterd
 }
 
 // phases lists every phase in the order "all" runs it.
 var phases = []phase{
-	{"serve", servePhase},
-	{"restart", killRestartPhase},
-	{"chaos", chaosPhases},
-	{"metrics", metricsPhase},
-	{"refresh", refreshPhase},
-	{"tune", tunePhase},
+	{"serve", servePhase, false},
+	{"restart", killRestartPhase, false},
+	{"chaos", chaosPhases, false},
+	{"metrics", metricsPhase, false},
+	{"refresh", refreshPhase, false},
+	{"tune", tunePhase, false},
+	{"cluster", clusterPhase, true},
 }
 
 func main() {
 	server := flag.String("server", "", "prebuilt ipuserved binary (default: build -race)")
+	router := flag.String("router", "", "prebuilt ipurouterd binary (default: build -race if a selected phase needs it)")
 	names := flag.String("phases", "serve,restart", "comma-separated phases to run, or all: "+phaseNames())
 	flag.Parse()
 	selected, err := selectPhases(*names)
@@ -88,7 +120,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*server, selected); err != nil {
+	if err := run(env{server: *server, router: *router}, selected); err != nil {
 		fmt.Fprintln(os.Stderr, "servesmoke: FAIL:", err)
 		os.Exit(1)
 	}
@@ -119,25 +151,41 @@ func selectPhases(names string) ([]phase, error) {
 	return selected, nil
 }
 
-func run(server string, selected []phase) error {
+// run builds each daemon the selection needs once, with -race, unless a
+// prebuilt binary was given, then runs the phases in order.
+func run(e env, selected []phase) error {
 	dir, err := os.MkdirTemp("", "servesmoke")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
+	e.dir = dir
 
-	if server == "" {
-		server = filepath.Join(dir, "ipuserved")
-		build := exec.Command("go", "build", "-race", "-o", server, "./cmd/ipuserved")
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("building ipuserved: %w", err)
+	if e.server == "" {
+		e.server = filepath.Join(dir, "ipuserved")
+		if err := buildRace(e.server, "./cmd/ipuserved"); err != nil {
+			return err
+		}
+	}
+	if e.router == "" && slices.ContainsFunc(selected, func(p phase) bool { return p.router }) {
+		e.router = filepath.Join(dir, "ipurouterd")
+		if err := buildRace(e.router, "./cmd/ipurouterd"); err != nil {
+			return err
 		}
 	}
 	for _, p := range selected {
-		if err := p.run(dir, server); err != nil {
+		if err := p.run(e); err != nil {
 			return fmt.Errorf("%s phase: %w", p.name, err)
 		}
+	}
+	return nil
+}
+
+func buildRace(out, pkg string) error {
+	build := exec.Command("go", "build", "-race", "-o", out, pkg)
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		return fmt.Errorf("building %s: %w", pkg, err)
 	}
 	return nil
 }
@@ -146,31 +194,33 @@ func run(server string, selected []phase) error {
 // campaign on both backends: the serving default (native) and the simulator —
 // bit flips and exchange corruption inside the solve, guarded by ABFT; zero
 // silent escapes allowed on either.
-func chaosPhases(dir, server string) error {
-	if err := chaosPhase(dir, server); err != nil {
+func chaosPhases(e env) error {
+	if err := chaosPhase(e); err != nil {
 		return err
 	}
 	for _, be := range []string{"native", "sim"} {
-		if err := faultPhase(dir, server, be); err != nil {
+		if err := faultPhase(e, be); err != nil {
 			return fmt.Errorf("device faults (%s): %w", be, err)
 		}
 	}
 	return nil
 }
 
-// proc is one running ipuserved with its discovered base URL.
+// proc is one running daemon with its discovered base URL.
 type proc struct {
 	cmd  *exec.Cmd
 	base string
 }
 
-// startServer boots the binary with the given extra flags and waits for its
-// port file.
-func startServer(dir, server, tag string, extra ...string) (*proc, error) {
+// startServer boots a daemon binary (ipuserved or ipurouterd, which share the
+// -addr/-port-file flags) with the given extra flags and waits for its port
+// file. An -addr in extra overrides the random port, since the later flag
+// wins.
+func startServer(dir, bin, tag string, extra ...string) (*proc, error) {
 	portFile := filepath.Join(dir, "port-"+tag)
 	_ = os.Remove(portFile)
 	args := append([]string{"-addr", "127.0.0.1:0", "-port-file", portFile}, extra...)
-	cmd := exec.Command(server, args...)
+	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, err
@@ -231,26 +281,25 @@ type solveResult struct {
 
 // servePhase is the original smoke: concurrent batched solves against a
 // plain server, all verified against the exact all-ones solution.
-func servePhase(dir, server string) error {
-	srv, err := startServer(dir, server, "serve")
+func servePhase(e env) error {
+	srv, err := startServer(e.dir, e.server, "serve")
 	if err != nil {
 		return err
 	}
 	defer srv.kill()
 
-	if err := getOK(srv.base + "/healthz"); err != nil {
-		return err
-	}
-	if err := getOK(srv.base + "/readyz"); err != nil {
-		return err
+	for _, path := range []string{"/healthz", "/readyz"} {
+		if err := getJSON(srv.base+path, &struct{}{}); err != nil {
+			return err
+		}
 	}
 
 	info, err := srv.register()
 	if err != nil {
 		return fmt.Errorf("register: %w", err)
 	}
-	if info.N != 512 {
-		return fmt.Errorf("registered %d rows, want 512", info.N)
+	if info.N != rows {
+		return fmt.Errorf("registered %d rows, want %d", info.N, rows)
 	}
 	fmt.Printf("servesmoke: registered %s (%d rows, solver %s)\n", info.ID, info.N, info.Solver)
 
@@ -265,7 +314,7 @@ func servePhase(dir, server string) error {
 			var resp struct {
 				Results []solveResult `json:"results"`
 			}
-			req := map[string]any{"batch": onesBatch(info.N, batchPerClient)}
+			req := map[string]any{"batch": onesBatch(batchPerClient)}
 			if err := postJSON(srv.base+"/v1/systems/"+info.ID+"/solve", req, &resp); err != nil {
 				errs <- fmt.Errorf("client %d: %w", c, err)
 				return
@@ -313,10 +362,10 @@ func servePhase(dir, server string) error {
 // solve, kills the process with SIGKILL, restarts it on the same state
 // directory and requires the recovered system to serve a bit-identical
 // answer.
-func killRestartPhase(dir, server string) error {
-	stateDir := filepath.Join(dir, "state")
+func killRestartPhase(e env) error {
+	stateDir := filepath.Join(e.dir, "state")
 
-	srv, err := startServer(dir, server, "kill1", "-state-dir", stateDir)
+	srv, err := startServer(e.dir, e.server, "kill1", "-state-dir", stateDir)
 	if err != nil {
 		return err
 	}
@@ -325,17 +374,14 @@ func killRestartPhase(dir, server string) error {
 	if err != nil {
 		return fmt.Errorf("register: %w", err)
 	}
-	var before solveResult
-	if err := postJSON(srv.base+"/v1/systems/"+info.ID+"/solve", map[string]any{"rhs": "ones"}, &before); err != nil {
-		return fmt.Errorf("solve before kill: %w", err)
-	}
-	if err := checkOnes(before); err != nil {
+	before, err := solveOnes(srv.base, info.ID)
+	if err != nil {
 		return fmt.Errorf("solve before kill: %w", err)
 	}
 	srv.kill()
 	fmt.Printf("servesmoke: killed -9 with %s registered\n", info.ID)
 
-	srv2, err := startServer(dir, server, "kill2", "-state-dir", stateDir)
+	srv2, err := startServer(e.dir, e.server, "kill2", "-state-dir", stateDir)
 	if err != nil {
 		return fmt.Errorf("restart: %w", err)
 	}
@@ -349,17 +395,12 @@ func killRestartPhase(dir, server string) error {
 	if len(systems.Systems) != 1 || systems.Systems[0].ID != info.ID {
 		return fmt.Errorf("recovered systems %+v, want exactly %s", systems.Systems, info.ID)
 	}
-	var after solveResult
-	if err := postJSON(srv2.base+"/v1/systems/"+info.ID+"/solve", map[string]any{"rhs": "ones"}, &after); err != nil {
+	after, err := solveOnes(srv2.base, info.ID)
+	if err != nil {
 		return fmt.Errorf("solve after restart: %w", err)
 	}
-	if len(after.X) != len(before.X) {
-		return fmt.Errorf("solution length changed across restart: %d vs %d", len(after.X), len(before.X))
-	}
-	for i := range after.X {
-		if after.X[i] != before.X[i] {
-			return fmt.Errorf("x[%d] differs across restart: %g vs %g", i, after.X[i], before.X[i])
-		}
+	if err := bitIdentical(after.X, before.X); err != nil {
+		return fmt.Errorf("across restart: %w", err)
 	}
 	fmt.Printf("servesmoke: restart recovered %s from WAL, solve bit-identical\n", info.ID)
 	return srv2.drain()
@@ -368,13 +409,12 @@ func killRestartPhase(dir, server string) error {
 // chaosPhase reruns serving under a seeded fault campaign: wrong answers are
 // forbidden, availability must stay >=99%, and the crash-safe registry must
 // still recover after a mid-campaign kill -9.
-func chaosPhase(dir, server string) error {
-	stateDir := filepath.Join(dir, "chaos-state")
+func chaosPhase(e env) error {
+	stateDir := filepath.Join(e.dir, "chaos-state")
 	// Write the campaign through the config file so the smoke also exercises
 	// the serve.chaos block; retries are sized so exhausting them under a
 	// 20% rate is a ~1e-5 event per request.
-	cfgPath := filepath.Join(dir, "chaos.json")
-	cfg := map[string]any{
+	cfgPath, err := writeConfig(e.dir, "chaos.json", map[string]any{
 		"solver": map[string]any{
 			"type": "pbicgstab", "maxIterations": 400, "tolerance": 1e-10,
 			"preconditioner": map[string]any{"type": "ilu0"},
@@ -387,16 +427,12 @@ func chaosPhase(dir, server string) error {
 				"kinds": []string{"replica-crash", "replica-stall", "breakdown", "host-error"},
 			},
 		},
-	}
-	buf, err := json.Marshal(cfg)
+	})
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(cfgPath, buf, 0o644); err != nil {
-		return err
-	}
 
-	srv, err := startServer(dir, server, "chaos1", "-config", cfgPath, "-state-dir", stateDir)
+	srv, err := startServer(e.dir, e.server, "chaos1", "-config", cfgPath, "-state-dir", stateDir)
 	if err != nil {
 		return err
 	}
@@ -414,23 +450,23 @@ func chaosPhase(dir, server string) error {
 	var witness []float64 // one verified answer to compare across restart
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
 			for k := 0; k < perClient; k++ {
-				var r solveResult
-				err := postJSON(srv.base+"/v1/systems/"+info.ID+"/solve", map[string]any{"rhs": "ones"}, &r)
+				r, err := solveOnes(srv.base, info.ID)
 				mu.Lock()
-				if err != nil {
-					failed++
-				} else if cerr := checkOnes(r); cerr != nil {
+				switch {
+				case errors.Is(err, errWrong):
 					wrong++
-					fmt.Fprintf(os.Stderr, "servesmoke: WRONG ANSWER: %v\n", cerr)
-				} else if witness == nil {
+					fmt.Fprintf(os.Stderr, "servesmoke: %v\n", err)
+				case err != nil:
+					failed++
+				case witness == nil:
 					witness = r.X
 				}
 				mu.Unlock()
 			}
-		}(c)
+		}()
 	}
 	wg.Wait()
 	total := clients * perClient
@@ -464,23 +500,18 @@ func chaosPhase(dir, server string) error {
 
 	// Kill mid-campaign and recover.
 	srv.kill()
-	srv2, err := startServer(dir, server, "chaos2", "-config", cfgPath, "-state-dir", stateDir)
+	srv2, err := startServer(e.dir, e.server, "chaos2", "-config", cfgPath, "-state-dir", stateDir)
 	if err != nil {
 		return fmt.Errorf("restart under chaos: %w", err)
 	}
 	defer srv2.kill()
-	var r solveResult
-	if err := postJSON(srv2.base+"/v1/systems/"+info.ID+"/solve", map[string]any{"rhs": "ones"}, &r); err != nil {
-		return fmt.Errorf("solve after chaos restart: %w", err)
-	}
-	if err := checkOnes(r); err != nil {
+	r, err := solveOnes(srv2.base, info.ID)
+	if err != nil {
 		return fmt.Errorf("solve after chaos restart: %w", err)
 	}
 	if witness != nil {
-		for i := range r.X {
-			if r.X[i] != witness[i] {
-				return fmt.Errorf("x[%d] differs across chaos restart: %g vs %g", i, r.X[i], witness[i])
-			}
+		if err := bitIdentical(r.X, witness); err != nil {
+			return fmt.Errorf("across chaos restart: %w", err)
 		}
 	}
 	fmt.Printf("servesmoke: chaos restart recovered %s, solve bit-identical\n", info.ID)
@@ -492,27 +523,22 @@ func chaosPhase(dir, server string) error {
 // answer ever served, the ABFT checks actually running, and zero SDC escapes
 // — the sdc_escapes_total series must stay 0 even while faults corrupt tile
 // memory and exchange payloads inside the solves.
-func faultPhase(dir, server, backendName string) error {
+func faultPhase(e env, backendName string) error {
 	// CG+Jacobi with the checkpoint/restart policy: under this campaign seed
 	// the checksum SpMV detects the corruption in-loop and the solve recovers
 	// through restarts — deterministically, on both backends (replay
 	// identity), so every request must be served and served right.
-	cfgPath := filepath.Join(dir, "fault-"+backendName+".json")
-	cfg := map[string]any{
+	cfgPath, err := writeConfig(e.dir, "fault-"+backendName+".json", map[string]any{
 		"solver": map[string]any{
 			"type": "cg", "maxIterations": 600, "tolerance": 1e-8,
 			"preconditioner": map[string]any{"type": "jacobi"},
 		},
 		"recovery": map[string]any{"interval": 5, "maxRestarts": 25},
-	}
-	buf0, err := json.Marshal(cfg)
+	})
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(cfgPath, buf0, 0o644); err != nil {
-		return err
-	}
-	srv, err := startServer(dir, server, "fault-"+backendName,
+	srv, err := startServer(e.dir, e.server, "fault-"+backendName,
 		"-config", cfgPath, "-backend", backendName, "-abft",
 		"-fault-rate", "0.0008", "-fault-seed", "6",
 		"-fault-kinds", "bit-flip,exchange-corrupt")
@@ -528,17 +554,16 @@ func faultPhase(dir, server, backendName string) error {
 	const total = 6
 	served, wrong := 0, 0
 	for k := 0; k < total; k++ {
-		var r solveResult
-		err := postJSON(srv.base+"/v1/systems/"+info.ID+"/solve", map[string]any{"rhs": "ones"}, &r)
-		if err != nil {
+		_, err := solveOnes(srv.base, info.ID)
+		if err != nil && !errors.Is(err, errWrong) {
 			// A typed rejection (breakdown past the restart budget) is an
 			// honest failure, not a wrong answer.
 			continue
 		}
 		served++
-		if cerr := checkOnes(r); cerr != nil {
+		if err != nil {
 			wrong++
-			fmt.Fprintf(os.Stderr, "servesmoke: WRONG ANSWER under faults (%s): %v\n", backendName, cerr)
+			fmt.Fprintf(os.Stderr, "servesmoke: under faults (%s): %v\n", backendName, err)
 		}
 	}
 	if wrong != 0 {
@@ -558,14 +583,10 @@ func faultPhase(dir, server, backendName string) error {
 	if st.SDCEscapes != 0 {
 		return fmt.Errorf("sdcEscapes = %d, want 0: corruption escaped the in-loop ABFT guards", st.SDCEscapes)
 	}
-	resp, err := http.Get(srv.base + "/metrics")
+	body, err := scrape(srv.base)
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	body := buf.String()
 	if !strings.Contains(body, "abft_checks_total") {
 		return fmt.Errorf("/metrics missing abft_checks_total: ABFT not armed")
 	}
@@ -585,8 +606,8 @@ func faultPhase(dir, server, backendName string) error {
 // layer: the serve request histogram and cache counters, the breaker-state
 // gauge, and the pipeline/engine/machine/solver series that flow through the
 // service's shared telemetry registry.
-func metricsPhase(dir, server string) error {
-	srv, err := startServer(dir, server, "metrics")
+func metricsPhase(e env) error {
+	srv, err := startServer(e.dir, e.server, "metrics")
 	if err != nil {
 		return err
 	}
@@ -596,31 +617,14 @@ func metricsPhase(dir, server string) error {
 	if err != nil {
 		return fmt.Errorf("register: %w", err)
 	}
-	var r solveResult
-	if err := postJSON(srv.base+"/v1/systems/"+info.ID+"/solve", map[string]any{"rhs": "ones"}, &r); err != nil {
+	if _, err := solveOnes(srv.base, info.ID); err != nil {
 		return fmt.Errorf("solve: %w", err)
 	}
-	if err := checkOnes(r); err != nil {
-		return fmt.Errorf("solve: %w", err)
-	}
-
-	resp, err := http.Get(srv.base + "/metrics")
+	body, err := scrape(srv.base)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/metrics: %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		return fmt.Errorf("/metrics content type %q, want text/plain", ct)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return err
-	}
-	body := buf.String()
-	for _, frag := range []string{
+	if err := requireSeries(body,
 		"# TYPE serve_solve_latency_seconds histogram",
 		"serve_solve_latency_seconds_bucket",
 		"serve_cache_hits_total",
@@ -633,12 +637,10 @@ func metricsPhase(dir, server string) error {
 		"engine_supersteps_total",
 		"ipu_compute_cycles_total",
 		"solver_runs_total{solver=",
-	} {
-		if !strings.Contains(body, frag) {
-			return fmt.Errorf("/metrics missing %q", frag)
-		}
+	); err != nil {
+		return err
 	}
-	fmt.Printf("servesmoke: metrics: %d bytes of exposition, all key series present\n", buf.Len())
+	fmt.Printf("servesmoke: metrics: %d bytes of exposition, all key series present\n", len(body))
 	return srv.drain()
 }
 
@@ -651,8 +653,8 @@ func metricsPhase(dir, server string) error {
 // never move again. Every step's solve is verified against the exact
 // all-ones answer (the server rebuilds b = A*1 from the refreshed values)
 // and the /metrics exposition must show prepared_refresh_total advancing.
-func refreshPhase(dir, server string) error {
-	srv, err := startServer(dir, server, "refresh")
+func refreshPhase(e env) error {
+	srv, err := startServer(e.dir, e.server, "refresh")
 	if err != nil {
 		return err
 	}
@@ -662,11 +664,7 @@ func refreshPhase(dir, server string) error {
 	if err != nil {
 		return fmt.Errorf("register: %w", err)
 	}
-	var cold solveResult
-	if err := postJSON(srv.base+"/v1/systems/"+info.ID+"/solve", map[string]any{"rhs": "ones"}, &cold); err != nil {
-		return fmt.Errorf("cold solve: %w", err)
-	}
-	if err := checkOnes(cold); err != nil {
+	if _, err := solveOnes(srv.base, info.ID); err != nil {
 		return fmt.Errorf("cold solve: %w", err)
 	}
 
@@ -689,7 +687,7 @@ func refreshPhase(dir, server string) error {
 			Generation int    `json:"generation"`
 			Refreshed  int    `json:"refreshed"`
 		}
-		if err := patchJSON(srv.base+"/v1/systems/"+id, map[string]any{"diag": m.Diag}, &up); err != nil {
+		if err := doJSON(http.MethodPatch, srv.base+"/v1/systems/"+id, map[string]any{"diag": m.Diag}, &up); err != nil {
 			return fmt.Errorf("update step %d: %w", step, err)
 		}
 		if up.ID != id {
@@ -700,11 +698,7 @@ func refreshPhase(dir, server string) error {
 				step, up.Generation, info.Generation+step)
 		}
 		refreshed += up.Refreshed
-		var r solveResult
-		if err := postJSON(srv.base+"/v1/systems/"+id+"/solve", map[string]any{"rhs": "ones"}, &r); err != nil {
-			return fmt.Errorf("solve step %d: %w", step, err)
-		}
-		if err := checkOnes(r); err != nil {
+		if _, err := solveOnes(srv.base, id); err != nil {
 			return fmt.Errorf("solve step %d: %w", step, err)
 		}
 	}
@@ -726,14 +720,7 @@ func refreshPhase(dir, server string) error {
 		return fmt.Errorf("stats report %d cache misses, want only the registration's: updates must reuse the prepared pipelines", st.CacheMisses)
 	}
 
-	resp, err := http.Get(srv.base + "/metrics")
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	total, err := counterValue(buf.String(), "prepared_refresh_total")
+	total, err := scrapeCounter(srv.base, "prepared_refresh_total")
 	if err != nil {
 		return err
 	}
@@ -751,9 +738,9 @@ func refreshPhase(dir, server string) error {
 // that matters — it must survive kill -9: the restarted process recovers the
 // decision from the WAL and serves the tuned configuration without racing
 // again (its tune_races_total stays 0).
-func tunePhase(dir, server string) error {
-	stateDir := filepath.Join(dir, "tune-state")
-	srv, err := startServer(dir, server, "tune1",
+func tunePhase(e env) error {
+	stateDir := filepath.Join(e.dir, "tune-state")
+	srv, err := startServer(e.dir, e.server, "tune1",
 		"-state-dir", stateDir, "-tune", "-tune-budget", "2s")
 	if err != nil {
 		return err
@@ -787,11 +774,7 @@ func tunePhase(dir, server string) error {
 	if td.Tune.Speedup < 1 {
 		return fmt.Errorf("tuned speedup %.3f < 1: the default must always be raced in full", td.Tune.Speedup)
 	}
-	var r solveResult
-	if err := postJSON(srv.base+"/v1/systems/"+info.ID+"/solve", map[string]any{"rhs": "ones"}, &r); err != nil {
-		return fmt.Errorf("tuned solve: %w", err)
-	}
-	if err := checkOnes(r); err != nil {
+	if _, err := solveOnes(srv.base, info.ID); err != nil {
 		return fmt.Errorf("tuned solve: %w", err)
 	}
 	races, err := scrapeCounter(srv.base, "tune_races_total")
@@ -805,7 +788,7 @@ func tunePhase(dir, server string) error {
 	fmt.Printf("servesmoke: tune: raced %d candidates (%.2fx), killed -9\n",
 		len(td.Tune.Races), td.Tune.Speedup)
 
-	srv2, err := startServer(dir, server, "tune2",
+	srv2, err := startServer(e.dir, e.server, "tune2",
 		"-state-dir", stateDir, "-tune", "-tune-budget", "2s")
 	if err != nil {
 		return fmt.Errorf("restart: %w", err)
@@ -829,27 +812,424 @@ func tunePhase(dir, server string) error {
 	if races2 != 0 {
 		return fmt.Errorf("restart re-raced (%g races): the WAL decision must be reused", races2)
 	}
-	var r2 solveResult
-	if err := postJSON(srv2.base+"/v1/systems/"+info.ID+"/solve", map[string]any{"rhs": "ones"}, &r2); err != nil {
-		return fmt.Errorf("tuned solve after restart: %w", err)
-	}
-	if err := checkOnes(r2); err != nil {
+	if _, err := solveOnes(srv2.base, info.ID); err != nil {
 		return fmt.Errorf("tuned solve after restart: %w", err)
 	}
 	fmt.Printf("servesmoke: tune: restart recovered the decision from WAL, 0 re-races\n")
 	return srv2.drain()
 }
 
+// topology is the router's GET /v1/cluster: system ID -> replica shard URLs.
+type topology struct {
+	Systems map[string][]string `json:"systems"`
+}
+
+type routerStats struct {
+	Failovers       uint64 `json:"failovers"`
+	Reregistrations uint64 `json:"reregistrations"`
+}
+
+// clusterPhase boots three shards behind a router (replica factor 2) and runs
+// placement, shard-kill chaos, drain and the router /metrics check against
+// that one fleet, in that order: each step works on the system the placement
+// step registered. The shards have no state directories, so a killed shard
+// restarts EMPTY and recovery must come from the router's reconciler
+// re-importing the registration, not from the shard's own WAL.
+func clusterPhase(e env) error {
+	var shards []*proc
+	defer func() {
+		for _, s := range shards {
+			s.kill()
+		}
+	}()
+	urls := make([]string, 3)
+	for i := range urls {
+		s, err := startServer(e.dir, e.server, fmt.Sprintf("shard%d", i))
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		shards = append(shards, s)
+		urls[i] = s.base
+	}
+
+	// Tight probe/reconcile cadence so recovery is fast enough to observe
+	// inside a smoke test.
+	cfgPath, err := writeConfig(e.dir, "cluster.json", map[string]any{
+		"solver": map[string]any{
+			"type": "pbicgstab", "maxIterations": 400, "tolerance": 1e-10,
+			"preconditioner": map[string]any{"type": "ilu0"},
+		},
+		"cluster": map[string]any{
+			"probeIntervalMs": 100, "probeTimeoutMs": 1000,
+			"reconcileIntervalMs": 200,
+			"breakerThreshold":    2, "breakerCooldownMs": 500,
+		},
+	})
+	if err != nil {
+		return err
+	}
+	rt, err := startServer(e.dir, e.router, "router",
+		"-config", cfgPath, "-shards", strings.Join(urls, ","), "-replicas", "2")
+	if err != nil {
+		return fmt.Errorf("router: %w", err)
+	}
+	defer rt.kill()
+
+	// Placement: the registration lands on a full replica set.
+	info, err := rt.register()
+	if err != nil {
+		return fmt.Errorf("placement: register: %w", err)
+	}
+	if info.N != rows {
+		return fmt.Errorf("placement: registered %d rows, want %d", info.N, rows)
+	}
+	var topo topology
+	if err := getJSON(rt.base+"/v1/cluster", &topo); err != nil {
+		return fmt.Errorf("placement: %w", err)
+	}
+	if holders := topo.Systems[info.ID]; len(holders) != 2 {
+		return fmt.Errorf("placement: replica set %v, want 2 shards", holders)
+	}
+	if _, err := solveOnes(rt.base, info.ID); err != nil {
+		return fmt.Errorf("placement: first solve: %w", err)
+	}
+	fmt.Printf("servesmoke: cluster: %s placed on %v, first solve verified\n", info.ID, topo.Systems[info.ID])
+
+	if err := shardKill(e, rt.base, shards, info.ID); err != nil {
+		return fmt.Errorf("shard kill: %w", err)
+	}
+	if err := drainShard(rt.base, info.ID); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+
+	body, err := scrape(rt.base)
+	if err != nil {
+		return err
+	}
+	if err := requireSeries(body,
+		"cluster_routed_total{shard=",
+		"cluster_failovers_total",
+		"cluster_reregistrations_total",
+		"cluster_shard_latency_seconds_bucket",
+		"cluster_breaker_state{shard=",
+		"cluster_shard_health{shard=",
+	); err != nil {
+		return err
+	}
+	fmt.Printf("servesmoke: cluster: %d bytes of router exposition, all cluster series present\n", len(body))
+	return nil
+}
+
+// shardKill runs sustained load through the router while a seeded shard-kill
+// campaign murders replica-holding shards; each victim restarts empty on its
+// old address (replacing its entry in shards) and the reconciler must repair
+// placement. Availability >=99%, zero wrong answers.
+func shardKill(e env, base string, shards []*proc, id string) error {
+	chaos := fault.NewChaos(fault.ChaosPlan{
+		Seed:      chaosSeed,
+		Rate:      0.7,
+		Kinds:     []fault.ChaosKind{fault.ChaosShardKill},
+		MaxEvents: shardKills,
+	})
+
+	const clients = 4
+	stop := make(chan struct{})
+	var mu sync.Mutex
+	var total, failed, wrong int
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, err := solveOnes(base, id)
+				mu.Lock()
+				total++
+				switch {
+				case errors.Is(err, errWrong):
+					wrong++
+					fmt.Fprintf(os.Stderr, "servesmoke: %v\n", err)
+				case err != nil:
+					failed++
+					fmt.Fprintf(os.Stderr, "servesmoke: solve failed: %v\n", err)
+				}
+				mu.Unlock()
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	stopLoad := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopLoad()
+
+	// Pacing is count-driven, not wall-clock: a race-built shard solve takes
+	// whatever it takes, so each campaign step waits for a quota of completed
+	// requests rather than sleeping a fixed interval.
+	waitMore := func(n int) error {
+		mu.Lock()
+		target := total + n
+		mu.Unlock()
+		deadline := time.Now().Add(2 * time.Minute)
+		for time.Now().Before(deadline) {
+			mu.Lock()
+			done := total >= target
+			mu.Unlock()
+			if done {
+				return nil
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		return fmt.Errorf("load stalled: fewer than %d requests completed in 2m", n)
+	}
+
+	for k := 0; k < shardKills; k++ {
+		if err := waitMore(8); err != nil { // load before the kill
+			return err
+		}
+
+		// The campaign draws the victim among the system's current replica
+		// holders, so every kill is one the router must route around.
+		var topo topology
+		if err := getJSON(base+"/v1/cluster", &topo); err != nil {
+			return err
+		}
+		victim := -1
+		for victim < 0 {
+			for _, url := range topo.Systems[id] {
+				if chaos.Decide(url).Kind == fault.ChaosShardKill {
+					victim = slices.IndexFunc(shards, func(s *proc) bool { return s.base == url })
+					break
+				}
+			}
+		}
+		addr := strings.TrimPrefix(shards[victim].base, "http://")
+		fmt.Printf("servesmoke: cluster: kill -9 shard %d (%s) [cycle %d/%d]\n", victim, addr, k+1, shardKills)
+		shards[victim].kill()
+
+		if err := waitMore(8); err != nil { // load against the degraded fleet
+			return err
+		}
+
+		s, err := startServer(e.dir, e.server, fmt.Sprintf("shard%d", victim), "-addr", addr)
+		if err != nil {
+			return fmt.Errorf("restart shard %d: %w", victim, err)
+		}
+		shards[victim] = s
+		fmt.Printf("servesmoke: cluster: shard %d restarted empty on %s\n", victim, addr)
+
+		// The reconciler must re-import the registration onto the restarted
+		// shard: wait until the replica set is full again.
+		deadline := time.Now().Add(15 * time.Second)
+		repaired := false
+		for !repaired && time.Now().Before(deadline) {
+			var st routerStats
+			var topo topology
+			repaired = getJSON(base+"/v1/stats", &st) == nil &&
+				getJSON(base+"/v1/cluster", &topo) == nil &&
+				st.Reregistrations > 0 && len(topo.Systems[id]) == 2
+			if !repaired {
+				time.Sleep(100 * time.Millisecond)
+			}
+		}
+		if !repaired {
+			return fmt.Errorf("reconciler did not repair placement within 15s of restart")
+		}
+	}
+	if err := waitMore(8); err != nil { // load after recovery
+		return err
+	}
+	stopLoad()
+
+	if wrong != 0 {
+		return fmt.Errorf("%d wrong answers served under shard-kill chaos", wrong)
+	}
+	if total < 20 {
+		return fmt.Errorf("only %d requests completed — load too thin to mean anything", total)
+	}
+	avail := float64(total-failed) / float64(total)
+	if avail < 0.99 {
+		return fmt.Errorf("availability %.2f%% under shard kill (%d/%d failed), want >=99%%",
+			100*avail, failed, total)
+	}
+
+	var st routerStats
+	if err := getJSON(base+"/v1/stats", &st); err != nil {
+		return err
+	}
+	if st.Failovers == 0 && failed == 0 {
+		fmt.Fprintln(os.Stderr, "servesmoke: note: no failovers recorded (kill window missed the load)")
+	}
+	fmt.Printf("servesmoke: cluster: %d/%d served (%.2f%%), %d failovers, %d re-registrations, %d kill events\n",
+		total-failed, total, 100*avail, st.Failovers, st.Reregistrations, chaos.Count(fault.ChaosShardKill))
+	return nil
+}
+
+// drainShard gracefully removes a replica-holding shard while solves are in
+// flight: nothing may fail, and the placement must migrate off the shard.
+func drainShard(base, id string) error {
+	var topo topology
+	if err := getJSON(base+"/v1/cluster", &topo); err != nil {
+		return err
+	}
+	holders := topo.Systems[id]
+	if len(holders) == 0 {
+		return fmt.Errorf("no replica set to drain")
+	}
+	victim := holders[0]
+
+	// In-flight load across the drain.
+	const inflight = 6
+	var wg sync.WaitGroup
+	errs := make(chan error, inflight)
+	for i := 0; i < inflight; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := solveOnes(base, id); err != nil {
+				errs <- fmt.Errorf("in-flight solve %d: %w", i, err)
+			}
+		}(i)
+	}
+	time.Sleep(20 * time.Millisecond)
+
+	var rep struct {
+		Shard    string `json:"shard"`
+		Migrated int    `json:"migrated"`
+		Inflight int64  `json:"inflight"`
+	}
+	if err := postJSON(base+"/v1/cluster/drain", map[string]any{"shard": victim}, &rep); err != nil {
+		return fmt.Errorf("drain %s: %w", victim, err)
+	}
+	if rep.Inflight != 0 {
+		return fmt.Errorf("drain returned with %d requests still in flight", rep.Inflight)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		return err
+	}
+
+	if err := getJSON(base+"/v1/cluster", &topo); err != nil {
+		return err
+	}
+	if slices.Contains(topo.Systems[id], victim) {
+		return fmt.Errorf("drained shard %s still in replica set %v", victim, topo.Systems[id])
+	}
+	if _, err := solveOnes(base, id); err != nil {
+		return fmt.Errorf("solve after drain: %w", err)
+	}
+	if err := postJSON(base+"/v1/cluster/undrain", map[string]any{"shard": victim}, nil); err != nil {
+		return fmt.Errorf("undrain %s: %w", victim, err)
+	}
+	fmt.Printf("servesmoke: cluster: drained %s (migrated %d), zero failed in-flight, cluster still serving\n",
+		victim, rep.Migrated)
+	return nil
+}
+
+// errWrong marks a reply that came back but is not the exact all-ones
+// solution, as against a request the service failed or refused to answer.
+var errWrong = errors.New("wrong answer")
+
+// checkOnes requires a converged reply carrying the all-ones solution — the
+// exact answer for b = A*1 with A the registered generator — in every row.
+func checkOnes(r solveResult) error {
+	if r.Error != "" || !r.Converged {
+		return fmt.Errorf("%w: converged=%v err=%q", errWrong, r.Converged, r.Error)
+	}
+	if len(r.X) != rows {
+		return fmt.Errorf("%w: %d solution entries, want %d", errWrong, len(r.X), rows)
+	}
+	for j, v := range r.X {
+		if !(math.Abs(v-1) <= 1e-6) { // written so NaN fails too
+			return fmt.Errorf("%w: x[%d]=%g, want 1", errWrong, j, v)
+		}
+	}
+	return nil
+}
+
+// solveOnes solves the registered system for b = A*1 and checks the reply
+// with checkOnes.
+func solveOnes(base, id string) (solveResult, error) {
+	var r solveResult
+	if err := postJSON(base+"/v1/systems/"+id+"/solve", map[string]any{"rhs": "ones"}, &r); err != nil {
+		return r, err
+	}
+	return r, checkOnes(r)
+}
+
+// bitIdentical compares two answers checkOnes accepted (so equally long).
+func bitIdentical(x, want []float64) error {
+	for i := range x {
+		if x[i] != want[i] {
+			return fmt.Errorf("x[%d] differs: %g vs %g", i, x[i], want[i])
+		}
+	}
+	return nil
+}
+
+// onesBatch builds k copies of the right-hand side whose exact solution is
+// the all-ones vector: b = A*1, with A regenerated locally from the same
+// generator spec the server was registered with.
+func onesBatch(k int) [][]float64 {
+	m, err := sparse.GenByName(gen)
+	if err != nil || m.N != rows {
+		panic(fmt.Sprintf("generator mismatch: %v", err))
+	}
+	ones := make([]float64, rows)
+	for i := range ones {
+		ones[i] = 1
+	}
+	b := make([]float64, rows)
+	m.MulVec(ones, b)
+	out := make([][]float64, k)
+	for i := range out {
+		out[i] = b
+	}
+	return out
+}
+
+// scrape reads a daemon's Prometheus exposition, failing on any status but
+// 200, a non-text content type or a short read.
+func scrape(base string) (string, error) {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("/metrics: %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		return "", fmt.Errorf("/metrics content type %q, want text/plain", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return "", fmt.Errorf("/metrics: %w", err)
+	}
+	return string(body), nil
+}
+
+// requireSeries fails unless the exposition carries every fragment.
+func requireSeries(body string, frags ...string) error {
+	for _, frag := range frags {
+		if !strings.Contains(body, frag) {
+			return fmt.Errorf("/metrics missing %q", frag)
+		}
+	}
+	return nil
+}
+
 // scrapeCounter fetches /metrics and extracts one unlabeled counter.
 func scrapeCounter(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics")
+	body, err := scrape(base)
 	if err != nil {
 		return 0, err
 	}
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	return counterValue(buf.String(), name)
+	return counterValue(body, name)
 }
 
 // counterValue extracts an unlabeled counter's value from a Prometheus text
@@ -867,38 +1247,14 @@ func counterValue(body, name string) (float64, error) {
 	return 0, fmt.Errorf("/metrics missing %s", name)
 }
 
-// checkOnes verifies a solve result converged to the all-ones solution.
-func checkOnes(r solveResult) error {
-	if r.Error != "" || !r.Converged {
-		return fmt.Errorf("converged=%v err=%q", r.Converged, r.Error)
+// writeConfig writes a daemon config file into dir and returns its path.
+func writeConfig(dir, name string, cfg any) (string, error) {
+	buf, err := json.Marshal(cfg)
+	if err != nil {
+		return "", err
 	}
-	for j, v := range r.X {
-		if d := v - 1; d > 1e-6 || d < -1e-6 {
-			return fmt.Errorf("x[%d]=%g, want 1", j, v)
-		}
-	}
-	return nil
-}
-
-// onesBatch builds k copies of the right-hand side whose exact solution is
-// the all-ones vector: b = A*1, with A regenerated locally from the same
-// generator spec the server was registered with.
-func onesBatch(n, k int) [][]float64 {
-	m, err := sparse.GenByName(gen)
-	if err != nil || m.N != n {
-		panic(fmt.Sprintf("generator mismatch: %v", err))
-	}
-	ones := make([]float64, n)
-	for i := range ones {
-		ones[i] = 1
-	}
-	b := make([]float64, n)
-	m.MulVec(ones, b)
-	out := make([][]float64, k)
-	for i := range out {
-		out[i] = b
-	}
-	return out
+	path := filepath.Join(dir, name)
+	return path, os.WriteFile(path, buf, 0o644)
 }
 
 func waitForPort(portFile string, timeout time.Duration) (string, error) {
@@ -909,51 +1265,35 @@ func waitForPort(portFile string, timeout time.Duration) (string, error) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	return "", fmt.Errorf("server did not report a port within %s", timeout)
+	return "", fmt.Errorf("process did not report a port within %s", timeout)
 }
 
-func postJSON(url string, body any, out any) error {
-	buf, err := json.Marshal(body)
+// doJSON sends body (if any) as JSON and decodes a 2xx reply into out (if
+// any); any other status is an error carrying the reply text.
+func doJSON(method, url string, body, out any) error {
+	var rd io.Reader
+	if body != nil {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		rd = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return err
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		var msg bytes.Buffer
-		_, _ = msg.ReadFrom(resp.Body)
-		return fmt.Errorf("%s: %d %s", url, resp.StatusCode, msg.String())
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// patchJSON issues a PATCH with a JSON body — the values-refresh verb of the
-// resource API.
-func patchJSON(url string, body any, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPatch, url, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		var msg bytes.Buffer
-		_, _ = msg.ReadFrom(resp.Body)
-		return fmt.Errorf("%s: %d %s", url, resp.StatusCode, msg.String())
+		msg, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("%s: %d %s", url, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	if out == nil {
 		return nil
@@ -961,18 +1301,6 @@ func patchJSON(url string, body any, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
+func postJSON(url string, body, out any) error { return doJSON(http.MethodPost, url, body, out) }
 
-func getOK(url string) error {
-	return getJSON(url, &struct{}{})
-}
+func getJSON(url string, out any) error { return doJSON(http.MethodGet, url, nil, out) }

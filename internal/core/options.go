@@ -21,8 +21,6 @@ type runOptions struct {
 	reg        *telemetry.Registry
 	backend    string
 	backendSet bool
-	abft       bool
-	abftSet    bool
 	tuned      Tuned
 	tunedSet   bool
 }
@@ -79,18 +77,6 @@ func WithParallelism(par int) Option {
 // It takes precedence over the engine.backend config key.
 func WithBackend(name string) Option {
 	return func(o *runOptions) { o.backend, o.backendSet = name, true }
-}
-
-// WithABFT arms (or, with false, disarms) algorithm-based fault tolerance on
-// the prepared pipeline: checksum-carrying SpMV, NaN/Inf and monotonicity
-// guards on the fused dot/norm kernels, and a final scheduled residual
-// verification of every converged answer. A detected corruption is recovered
-// through the checkpoint/restart policy when one is configured, and otherwise
-// surfaces as a typed solver.ErrBreakdown — never as a silently wrong answer.
-// ABFT changes the scheduled program, so it is a Prepare-time decision; it
-// takes precedence over the solver.abft config key.
-func WithABFT(enabled bool) Option {
-	return func(o *runOptions) { o.abft, o.abftSet = enabled, true }
 }
 
 // WithTelemetry records pipeline, machine, engine and solver metrics into the

@@ -113,11 +113,6 @@ func Prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 	if cfg.Fault != nil && cfg.Fault.Rate > 0 {
 		inj = fault.New(cfg.Fault.Plan())
 	}
-	if ro.abftSet {
-		// The option wins over the solver.abft config key; ABFT reshapes the
-		// scheduled program, so it is fixed here like the backend itself.
-		cfg.Solver.ABFT = ro.abft
-	}
 	p, err := prepare(machineCfg, m, cfg, strategy, inj, be, newCoreInstruments(ro.reg))
 	if err != nil {
 		return nil, err

@@ -7,51 +7,17 @@
 //     decomposition), and BiCGStab. Iteration counts measured here feed the
 //     platform cost models, so the fig8 comparison uses measured — not
 //     assumed — preconditioner quality differences.
-//
-// Kernels optionally run goroutine-parallel across row blocks (the OpenMP/MPI
-// role); numerical results of the parallel SpMV are identical to sequential
-// because each row's sum stays within one goroutine.
 package ref
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"ipusparse/internal/sparse"
 )
 
 // SpMV computes y = A*x (sequential).
 func SpMV(m *sparse.Matrix, x, y []float64) { m.MulVec(x, y) }
-
-// SpMVParallel computes y = A*x with row blocks across goroutines.
-func SpMVParallel(m *sparse.Matrix, x, y []float64, workers int) {
-	if workers <= 1 {
-		m.MulVec(x, y)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := m.N * w / workers
-		hi := m.N * (w + 1) / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				s := m.Diag[i] * x[i]
-				for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-					s += m.Vals[k] * x[m.Cols[k]]
-				}
-				y[i] = s
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // Dot returns the inner product.
 func Dot(a, b []float64) float64 {
@@ -282,6 +248,3 @@ func GaussSeidel(m *sparse.Matrix, x, b []float64, maxSweeps int, tol float64) R
 	}
 	return Result{Iterations: sw, RelRes: relres, Converged: relres <= tol}
 }
-
-// DefaultWorkers returns the goroutine count for parallel kernels.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }

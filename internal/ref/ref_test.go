@@ -18,26 +18,6 @@ func randVec(n int, seed int64) []float64 {
 	return v
 }
 
-func TestSpMVParallelMatchesSequential(t *testing.T) {
-	m := sparse.Poisson3D(8, 7, 6)
-	x := randVec(m.N, 1)
-	y1 := make([]float64, m.N)
-	y2 := make([]float64, m.N)
-	SpMV(m, x, y1)
-	SpMVParallel(m, x, y2, 4)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-	SpMVParallel(m, x, y2, 1)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("workers=1 row %d differs", i)
-		}
-	}
-}
-
 func TestBlasHelpers(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
@@ -206,11 +186,5 @@ func TestBiCGStabProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDefaultWorkersPositive(t *testing.T) {
-	if DefaultWorkers() < 1 {
-		t.Error("workers must be positive")
 	}
 }

@@ -19,7 +19,6 @@
 package solver
 
 import (
-	"fmt"
 	"math"
 
 	"ipusparse/internal/graph"
@@ -405,9 +404,4 @@ func abftBreakdownError(solverName, reason string, iter int) error {
 		reason = "abft"
 	}
 	return &ErrBreakdown{Solver: solverName, Reason: reason, Iter: iter}
-}
-
-// abftString formats the run report for logs.
-func abftString(checks uint64, detected []string) string {
-	return fmt.Sprintf("abft: %d checks, %d detections %v", checks, len(detected), detected)
 }

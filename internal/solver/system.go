@@ -186,9 +186,6 @@ func (sys *System) gatherScratch(dt ipu.Scalar) {
 // N returns the global number of rows.
 func (sys *System) N() int { return sys.n }
 
-// Sizes returns the owned-cells-per-tile mapping of distributed vectors.
-func (sys *System) Sizes() []int { return sys.sizes }
-
 // Vector creates a distributed float32 vector matching the system layout.
 func (sys *System) Vector(name string) *tensordsl.Tensor {
 	return sys.Sess.MustTensor(name, ipu.F32, sys.sizes)

@@ -5,7 +5,6 @@ import (
 
 	"ipusparse/internal/graph"
 	"ipusparse/internal/ipu"
-	"ipusparse/internal/twofloat"
 )
 
 // Tensor is a typed, tile-mapped array. Two mappings exist:
@@ -231,14 +230,6 @@ func (t *Tensor) Value() float64 {
 		}
 	}
 	return 0
-}
-
-// ValueDW returns element 0 as a double-word value without rounding.
-func (t *Tensor) ValueDW() twofloat.DW {
-	if t.repl {
-		return t.rbuf.GetDW(0)
-	}
-	return twofloat.DW{}
 }
 
 // SetValue writes element 0 immediately (host write).

@@ -167,9 +167,6 @@ func AddFloat(d DW, x float32) DW {
 	return normalize(sh, v)
 }
 
-// SubFloat returns d - x.
-func SubFloat(d DW, x float32) DW { return AddFloat(d, -x) }
-
 // Mul returns d * e using the Joldes et al. DWTimesDW algorithm with FMA
 // (their Algorithm 12). Relative error below 5u^2. 9 flops + 1 EFT.
 func Mul(d, e DW) DW {
