@@ -2,8 +2,9 @@ GO ?= go
 
 .PHONY: check build test vet race fuzz-smoke bench bench-backend-smoke serve-smoke sdc-smoke bench-cluster bench-sdc bench-tune clean
 
-## check: vet + build + race-enabled tests + a short fuzz of the wire decoders
-## (the pre-merge gate)
+## check: vet + build + race-enabled tests in shuffled order + a short fuzz of
+## the wire decoders (the pre-merge gate; a shuffled failure prints its
+## -shuffle seed, which replays the order)
 check: vet build race fuzz-smoke
 
 build:
@@ -16,7 +17,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 ## fuzz-smoke: ten seconds of native Go fuzzing per wire decoder, each held to
 ## encoding/json on the same struct (seed corpus in

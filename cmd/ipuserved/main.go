@@ -9,19 +9,14 @@
 //	curl -s localhost:8723/v1/stats
 //
 // With -state-dir the registry is crash-safe: every acknowledged
-// registration is fsynced to a write-ahead log under the directory and
-// replayed on startup, so a killed server comes back serving the same
-// systems. The -chaos-* flags arm a deterministic service-level fault
-// campaign (also configurable via the serve.chaos config block) for
-// resilience testing; the -fault-* flags arm a device-level campaign (bit
-// flips, exchange corruption — the fault config block) inside every
-// default-config solve, on the native serving backend as well as the
-// simulator, and -abft arms the in-loop corruption guards.
+// registration, update, tune decision and deletion is fsynced to a
+// write-ahead log under the directory and replayed on startup, so a killed
+// server comes back serving the same systems.
 //
-// -tune arms the autotuner (the serve.tune config block): each registration
-// races candidate configurations within a bounded budget and the system is
-// served with the winner, which is persisted in the registry WAL and exposed
-// at GET /v1/systems/<id>/tune.
+// Everything else is configured in the -config file, one spelling per knob:
+// the execution backend (engine.backend), a device-level fault campaign (the
+// fault and recovery blocks), ABFT (solver.abft), the autotuner (serve.tune)
+// and a service-level chaos campaign (serve.chaos).
 //
 // Shutdown on SIGINT/SIGTERM is graceful: admission stops, queued jobs
 // drain, then the listener closes. -drain-timeout bounds the drain: when a
@@ -39,104 +34,28 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"ipusparse/internal/config"
-	"ipusparse/internal/fault"
 	"ipusparse/internal/serve"
 )
-
-// chaosFlags collects the command-line chaos campaign; it overrides the
-// config file's serve.chaos block when armed.
-type chaosFlags struct {
-	rate    float64
-	seed    int64
-	kinds   string
-	maxEv   int
-	stallMs int
-}
 
 func main() {
 	addr := flag.String("addr", "", "listen address (overrides the config; default :8723)")
 	cfgPath := flag.String("config", "", "JSON configuration with solver and serve blocks")
 	portFile := flag.String("port-file", "", "write the bound address to this file once listening (for :0 discovery)")
 	stateDir := flag.String("state-dir", "", "crash-safe registry directory (overrides the config; empty disables persistence)")
-	backendName := flag.String("backend", "", "execution backend for served solves (overrides the config; native default, sim for cycle accounting)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "hard deadline for the graceful drain on SIGINT/SIGTERM")
-	var cf chaosFlags
-	flag.Float64Var(&cf.rate, "chaos-rate", 0, "per-solve-attempt fault probability (0 disables chaos)")
-	flag.Int64Var(&cf.seed, "chaos-seed", 1, "chaos campaign seed")
-	flag.StringVar(&cf.kinds, "chaos-kinds", "", "comma-separated fault kinds (replica-crash,replica-stall,breakdown,host-error); empty = all")
-	flag.IntVar(&cf.maxEv, "chaos-max-events", 0, "cap on injected faults (0 = unlimited)")
-	flag.IntVar(&cf.stallMs, "chaos-stall-ms", 0, "injected slow-replica delay in ms (0 = 50ms default)")
-	var ff faultFlags
-	flag.Float64Var(&ff.rate, "fault-rate", 0, "device-level fault probability per injector consultation, applied to every default-config system on any backend, native included (0 disables)")
-	flag.Int64Var(&ff.seed, "fault-seed", 1, "device fault campaign seed (same seed ⇒ same fault sequence)")
-	flag.StringVar(&ff.kinds, "fault-kinds", "bit-flip,exchange-corrupt", "comma-separated device fault kinds (bit-flip,exchange-corrupt,exchange-drop,tile-stall,host-transient)")
-	flag.IntVar(&ff.max, "fault-max", 0, "cap on injected device faults per solve (0 = unlimited)")
-	abft := flag.Bool("abft", false, "arm algorithm-based fault tolerance (checksum SpMV, divergence guards, final residual verify) on default-config systems")
-	tuneOn := flag.Bool("tune", false, "race candidate configurations at registration and serve each system with its winner (overrides the serve.tune config block)")
-	tuneBudget := flag.Duration("tune-budget", 0, "per-registration tuning race budget (0 = serve.tune default)")
 	flag.Parse()
 
-	if err := run(*addr, *cfgPath, *portFile, *stateDir, *backendName, *drainTimeout, cf, ff, *abft, *tuneOn, *tuneBudget); err != nil {
+	if err := run(*addr, *cfgPath, *portFile, *stateDir, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "ipuserved:", err)
 		os.Exit(1)
 	}
 }
 
-// faultFlags collects the command-line device-level fault campaign — the
-// graph.Injector kind that corrupts tile memory and exchange payloads inside
-// the solve, as opposed to the service-level -chaos-* campaign. It overrides
-// the config file's fault block when armed. Both backends honor it; the
-// native serving path replays a seeded campaign identically to the simulator.
-type faultFlags struct {
-	rate  float64
-	seed  int64
-	kinds string
-	max   int
-}
-
-// fault converts the flags into a config fault block, or nil when disarmed.
-func (ff faultFlags) fault() *config.FaultConfig {
-	if ff.rate <= 0 {
-		return nil
-	}
-	fc := &config.FaultConfig{Seed: ff.seed, Rate: ff.rate, MaxFaults: ff.max}
-	if ff.kinds != "" {
-		for _, name := range strings.Split(ff.kinds, ",") {
-			fc.Kinds = append(fc.Kinds, strings.TrimSpace(name))
-		}
-	}
-	return fc
-}
-
-// chaos builds the campaign from the flags, or nil when disarmed.
-func (cf chaosFlags) chaos() (*fault.Chaos, error) {
-	if cf.rate <= 0 {
-		return nil, nil
-	}
-	plan := fault.ChaosPlan{
-		Seed:          cf.seed,
-		Rate:          cf.rate,
-		MaxEvents:     cf.maxEv,
-		StallDuration: time.Duration(cf.stallMs) * time.Millisecond,
-	}
-	if cf.kinds != "" {
-		for _, name := range strings.Split(cf.kinds, ",") {
-			k, err := fault.ParseChaosKind(strings.TrimSpace(name))
-			if err != nil {
-				return nil, err
-			}
-			plan.Kinds = append(plan.Kinds, k)
-		}
-	}
-	return fault.NewChaos(plan), nil
-}
-
-func run(addr, cfgPath, portFile, stateDir, backendName string, drainTimeout time.Duration, cf chaosFlags, ff faultFlags, abft, tuneOn bool, tuneBudget time.Duration) error {
+func run(addr, cfgPath, portFile, stateDir string, drainTimeout time.Duration) error {
 	cfg := config.Default()
 	if cfgPath != "" {
 		f, err := os.Open(cfgPath)
@@ -149,21 +68,6 @@ func run(addr, cfgPath, portFile, stateDir, backendName string, drainTimeout tim
 		if perr != nil {
 			return perr
 		}
-	}
-	if fc := ff.fault(); fc != nil {
-		cfg.Fault = fc
-		if cfg.Recovery == nil {
-			// A campaign without a restart policy turns every detected
-			// corruption into a failed solve; default to the standard
-			// checkpoint/restart so the service recovers instead.
-			cfg.Recovery = &config.RecoveryConfig{}
-		}
-		log.Printf("ipuserved: device fault campaign armed: rate=%g seed=%d kinds=%v max=%d",
-			fc.Rate, fc.Seed, fc.Kinds, fc.MaxFaults)
-	}
-	if abft {
-		cfg.Solver.ABFT = true
-		log.Printf("ipuserved: ABFT armed (checksum SpMV + divergence guards + final verify)")
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -180,29 +84,18 @@ func run(addr, cfgPath, portFile, stateDir, backendName string, drainTimeout tim
 	if stateDir != "" {
 		opts.StateDir = stateDir
 	}
-	if backendName != "" {
-		opts.Backend = backendName
+	if fc := cfg.Fault; fc != nil && fc.Rate > 0 {
+		log.Printf("ipuserved: device fault campaign armed: rate=%g seed=%d kinds=%v max=%d",
+			fc.Rate, fc.Seed, fc.Kinds, fc.MaxFaults)
 	}
-	if tuneOn {
-		opts.Tune = true
-	}
-	if tuneBudget > 0 {
-		opts.TuneBudget = tuneBudget
+	if cfg.Solver.ABFT {
+		log.Printf("ipuserved: ABFT armed (checksum SpMV + divergence guards + final verify)")
 	}
 	if opts.Tune {
-		budget := "default budget"
-		if opts.TuneBudget > 0 {
-			budget = "budget " + opts.TuneBudget.String()
-		}
-		log.Printf("ipuserved: autotuner armed: registrations race candidate configurations (%s)", budget)
+		log.Printf("ipuserved: autotuner armed: registrations race candidate configurations")
 	}
-	chaos, err := cf.chaos()
-	if err != nil {
-		return err
-	}
-	if chaos != nil {
-		opts.Chaos = chaos
-		log.Printf("ipuserved: chaos campaign armed: %+v", chaos.Plan())
+	if opts.Chaos != nil {
+		log.Printf("ipuserved: chaos campaign armed: %+v", opts.Chaos.Plan())
 	}
 
 	svc, err := serve.Open(opts)

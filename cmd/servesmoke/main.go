@@ -15,10 +15,10 @@
 //   - chaos: rerun serving under a seeded fault campaign (replica crashes,
 //     stalls, breakdown storms, host errors) and require zero wrong answers
 //     and >=99% availability, then kill -9 and recover. Then rerun with a
-//     device-level campaign (-fault-*) on the native AND simulator backends —
-//     bit flips and exchange corruption inside the solves, ABFT armed — and
-//     require every answer right, in-loop checksum detections firing, and
-//     sdc_escapes_total staying 0.
+//     device-level campaign (the config's fault block) on the native AND
+//     simulator backends — bit flips and exchange corruption inside the
+//     solves, ABFT armed — and require every answer right, in-loop checksum
+//     detections firing, and sdc_escapes_total staying 0.
 //
 //   - metrics: scrape GET /metrics after a solve and require the Prometheus
 //     exposition to carry the key series of every layer — serve latency
@@ -73,6 +73,7 @@ import (
 	"syscall"
 	"time"
 
+	"ipusparse/internal/config"
 	"ipusparse/internal/fault"
 	"ipusparse/internal/sparse"
 )
@@ -518,11 +519,11 @@ func chaosPhase(e env) error {
 	return srv2.drain()
 }
 
-// faultPhase boots the server with a device-level fault campaign (-fault-*)
-// and ABFT armed on the given backend, fires solves, and requires: no wrong
-// answer ever served, the ABFT checks actually running, and zero SDC escapes
-// — the sdc_escapes_total series must stay 0 even while faults corrupt tile
-// memory and exchange payloads inside the solves.
+// faultPhase boots the server with a device-level fault campaign and ABFT
+// armed on the given backend, all set in its config file, fires solves, and
+// requires: no wrong answer ever served, the ABFT checks actually running,
+// and zero SDC escapes — the sdc_escapes_total series must stay 0 even while
+// faults corrupt tile memory and exchange payloads inside the solves.
 func faultPhase(e env, backendName string) error {
 	// CG+Jacobi with the checkpoint/restart policy: under this campaign seed
 	// the checksum SpMV detects the corruption in-loop and the solve recovers
@@ -530,18 +531,19 @@ func faultPhase(e env, backendName string) error {
 	// identity), so every request must be served and served right.
 	cfgPath, err := writeConfig(e.dir, "fault-"+backendName+".json", map[string]any{
 		"solver": map[string]any{
-			"type": "cg", "maxIterations": 600, "tolerance": 1e-8,
+			"type": "cg", "maxIterations": 600, "tolerance": 1e-8, "abft": true,
 			"preconditioner": map[string]any{"type": "jacobi"},
 		},
 		"recovery": map[string]any{"interval": 5, "maxRestarts": 25},
+		"fault": map[string]any{
+			"seed": 6, "rate": 0.0008, "kinds": []string{"bit-flip", "exchange-corrupt"},
+		},
+		"engine": map[string]any{"backend": backendName},
 	})
 	if err != nil {
 		return err
 	}
-	srv, err := startServer(e.dir, e.server, "fault-"+backendName,
-		"-config", cfgPath, "-backend", backendName, "-abft",
-		"-fault-rate", "0.0008", "-fault-seed", "6",
-		"-fault-kinds", "bit-flip,exchange-corrupt")
+	srv, err := startServer(e.dir, e.server, "fault-"+backendName, "-config", cfgPath)
 	if err != nil {
 		return err
 	}
@@ -733,15 +735,21 @@ func refreshPhase(e env) error {
 }
 
 // tunePhase exercises the autotuner end to end against a crash-safe server:
-// a registration under -tune must race candidates and serve the winner, the
-// decision must be readable at GET /v1/systems/{id}/tune, and — the part
+// a registration with serve.tune enabled must race candidates and serve the
+// winner, the decision must be readable at GET /v1/systems/{id}/tune, and — the part
 // that matters — it must survive kill -9: the restarted process recovers the
 // decision from the WAL and serves the tuned configuration without racing
 // again (its tune_races_total stays 0).
 func tunePhase(e env) error {
 	stateDir := filepath.Join(e.dir, "tune-state")
-	srv, err := startServer(e.dir, e.server, "tune1",
-		"-state-dir", stateDir, "-tune", "-tune-budget", "2s")
+	// The configuration the daemon uses without a config file, tuner armed.
+	cfg := config.Default()
+	cfg.Serve = &config.ServeConfig{Tune: &config.TuneConfig{Enabled: true, BudgetMs: 2000}}
+	cfgPath, err := writeConfig(e.dir, "tune.json", cfg)
+	if err != nil {
+		return err
+	}
+	srv, err := startServer(e.dir, e.server, "tune1", "-config", cfgPath, "-state-dir", stateDir)
 	if err != nil {
 		return err
 	}
@@ -752,7 +760,7 @@ func tunePhase(e env) error {
 		return fmt.Errorf("register: %w", err)
 	}
 	if !info.Tuned {
-		return fmt.Errorf("registration under -tune reports tuned=false")
+		return fmt.Errorf("registration with the tuner armed reports tuned=false")
 	}
 	type tuneReply struct {
 		ID   string `json:"id"`
@@ -788,8 +796,7 @@ func tunePhase(e env) error {
 	fmt.Printf("servesmoke: tune: raced %d candidates (%.2fx), killed -9\n",
 		len(td.Tune.Races), td.Tune.Speedup)
 
-	srv2, err := startServer(e.dir, e.server, "tune2",
-		"-state-dir", stateDir, "-tune", "-tune-budget", "2s")
+	srv2, err := startServer(e.dir, e.server, "tune2", "-config", cfgPath, "-state-dir", stateDir)
 	if err != nil {
 		return fmt.Errorf("restart: %w", err)
 	}

@@ -2,14 +2,11 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 
-	"ipusparse/internal/backend"
-	"ipusparse/internal/core"
 	"ipusparse/internal/serve"
 )
 
@@ -48,54 +45,46 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", rt.handleReady)
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+// status maps the router's own errors to status codes and defers to the
+// service's mapping for the rest, which a shard would answer the same way.
+func status(err error) int {
+	switch {
+	case errors.Is(err, ErrUnknownSystem):
+		return http.StatusNotFound
+	case errors.Is(err, ErrNoShards):
+		return http.StatusServiceUnavailable
+	}
+	return serve.HTTPStatus(err)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// writeError answers err through the service's writer, so router and shard
+// send one error body (the typed capability-mismatch one included).
+func writeError(w http.ResponseWriter, err error) {
+	serve.WriteError(w, status(err), err)
 }
 
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req serve.RegisterRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := serve.DecodeBody(w, r, rt.opts.MaxBodyBytes, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	info, err := rt.Register(r.Context(), req)
 	if err != nil {
-		var ue *backend.UnsupportedError
-		if errors.As(err, &ue) {
-			// Same typed capability-mismatch body a shard would produce, so
-			// clients see one contract whether they talk to a replica or the
-			// router.
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error":       ue.Error(),
-				"backend":     ue.Backend,
-				"unsupported": ue.Feature,
-			})
-			return
-		}
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrNoShards) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, info)
+	serve.WriteJSON(w, http.StatusCreated, info)
 }
 
 func (rt *Router) handleSystems(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"systems": rt.Systems()})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"systems": rt.Systems()})
 }
 
 // proxyRouted routes one request through the replica set with failover and
@@ -103,11 +92,7 @@ func (rt *Router) handleSystems(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) proxyRouted(w http.ResponseWriter, r *http.Request, id, method, path string, body []byte) {
 	resp, err := rt.routeRequest(r.Context(), id, method, path, body)
 	if err != nil {
-		status := http.StatusServiceUnavailable
-		if r.Context().Err() != nil {
-			status = http.StatusBadRequest
-		}
-		writeError(w, status, err)
+		writeError(w, err) // ErrNoShards, or the client's own cancellation
 		return
 	}
 	defer resp.Body.Close()
@@ -125,7 +110,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var body bytes.Buffer
 	if err := serve.ReadBody(w, r, rt.opts.MaxBodyBytes, &body); err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+		writeError(w, err)
 		return
 	}
 	rt.proxyRouted(w, r, id, http.MethodPost, "/v1/systems/"+id+"/solve", body.Bytes())
@@ -151,30 +136,16 @@ func (rt *Router) handleTuneForce(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	d, err := rt.TuneForce(r.Context(), id)
 	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrUnknownSystem):
-			status = http.StatusNotFound
-		case errors.Is(err, ErrNoShards):
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "tune": d})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "tune": d})
 }
 
 // handleDeleteSystem deregisters a system cluster-wide.
 func (rt *Router) handleDeleteSystem(w http.ResponseWriter, r *http.Request) {
 	if err := rt.Delete(r.Context(), r.PathValue("id")); err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrUnknownSystem):
-			status = http.StatusNotFound
-		case errors.Is(err, ErrNoShards):
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -192,30 +163,20 @@ func (rt *Router) handlePatchSystem(w http.ResponseWriter, r *http.Request) {
 		err = serve.DecodeUpdateRequest(body.Bytes(), &req)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
 	if req.ID != "" && req.ID != id {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("body id %s does not match path id %s", req.ID, id))
+		writeError(w, fmt.Errorf("body id %s does not match path id %s", req.ID, id))
 		return
 	}
 	req.ID = id
 	info, err := rt.update(r.Context(), req, body.Bytes())
 	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrUnknownSystem):
-			status = http.StatusNotFound
-		case errors.Is(err, core.ErrPatternMismatch):
-			status = http.StatusConflict
-		case errors.Is(err, ErrNoShards):
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	serve.WriteJSON(w, http.StatusOK, info)
 }
 
 // Topology is the GET /v1/cluster response: where everything is and how
@@ -239,42 +200,43 @@ func (rt *Router) handleTopology(w http.ResponseWriter, r *http.Request) {
 		}
 		topo.Systems[info.ID] = names
 	}
-	writeJSON(w, http.StatusOK, topo)
+	serve.WriteJSON(w, http.StatusOK, topo)
+}
+
+// shardRequest is the body of POST /v1/cluster/drain and /undrain.
+type shardRequest struct {
+	Shard string `json:"shard"`
 }
 
 func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Shard string `json:"shard"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	var req shardRequest
+	if err := serve.DecodeBody(w, r, rt.opts.MaxBodyBytes, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	rep, err := rt.DrainShard(r.Context(), req.Shard)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	serve.WriteJSON(w, http.StatusOK, rep)
 }
 
 func (rt *Router) handleUndrain(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Shard string `json:"shard"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	var req shardRequest
+	if err := serve.DecodeBody(w, r, rt.opts.MaxBodyBytes, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	if err := rt.UndrainShard(req.Shard); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Stats())
+	serve.WriteJSON(w, http.StatusOK, rt.Stats())
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -295,8 +257,8 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{"status": "ok", "shards": len(st.Shards), "eligible": eligible}
 	if eligible == 0 {
 		body["status"] = "unavailable"
-		writeJSON(w, http.StatusServiceUnavailable, body)
+		serve.WriteJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	serve.WriteJSON(w, http.StatusOK, body)
 }

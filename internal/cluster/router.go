@@ -85,14 +85,10 @@ type Router struct {
 // clusterSystem is one system the router places: the self-contained
 // registration record is everything a replacement shard needs. IDs are
 // stable — a values-only update bumps the record's generation in place and
-// never re-keys — so anchor (the ring-placement ID) normally equals the
-// system ID; it is kept distinct for placement tables imported from the old
-// re-keying contract, whose refreshed systems stay pinned to the shards
-// already holding them warm.
+// never re-keys — so the ring places a system by its ID.
 type clusterSystem struct {
-	info   serve.SystemInfo
-	rec    serve.RegistrationRecord
-	anchor string
+	info serve.SystemInfo
+	rec  serve.RegistrationRecord
 }
 
 // ErrNoShards reports a request for which no eligible replica remains.
@@ -199,7 +195,7 @@ func (rt *Router) shardFor(name string) *shard {
 // shards of its ring preference order. With every shard ineligible it falls
 // back to the raw order — a best-effort attempt beats an instant 503.
 func (rt *Router) replicaSet(id string) []*shard {
-	order := rt.ring.Order(rt.anchorFor(id))
+	order := rt.ring.Order(id)
 	set := make([]*shard, 0, rt.opts.Replicas)
 	for _, name := range order {
 		if sh := rt.shardFor(name); sh != nil && sh.eligible() {
@@ -221,18 +217,6 @@ func (rt *Router) replicaSet(id string) []*shard {
 		}
 	}
 	return set
-}
-
-// anchorFor resolves a system ID to its ring-placement anchor: the original
-// registration's ID for a system re-keyed by values-only updates, the ID
-// itself otherwise.
-func (rt *Router) anchorFor(id string) string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if cs, ok := rt.systems[id]; ok && cs.anchor != "" {
-		return cs.anchor
-	}
-	return id
 }
 
 // ReplicaSet returns the shard URLs currently serving the system, owner
@@ -403,7 +387,7 @@ func (rt *Router) Register(ctx context.Context, req serve.RegisterRequest) (serv
 		}
 	}
 	rt.mu.Lock()
-	rt.systems[rec.ID] = &clusterSystem{info: info, rec: rec, anchor: rec.ID}
+	rt.systems[rec.ID] = &clusterSystem{info: info, rec: rec}
 	rt.mu.Unlock()
 	return info, nil
 }

@@ -526,7 +526,7 @@ func TestRouterUpdateRefreshesReplicaSet(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &up); err != nil {
 		t.Fatal(err)
 	}
-	if up.Previous != info.ID || up.ID != info.ID || up.Generation != info.Generation+1 {
+	if up.ID != info.ID || up.Generation != info.Generation+1 {
 		t.Fatalf("bad update info %+v (registered %+v)", up, info)
 	}
 

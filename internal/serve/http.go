@@ -192,7 +192,7 @@ func (s *Service) handleRegistryImport(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Records []RegistrationRecord `json:"records"`
 	}
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, s.opts.MaxBodyBytes, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -204,12 +204,12 @@ func (s *Service) handleRegistryImport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-// decodeBody decodes a JSON request body bounded by MaxBodyBytes, converting
-// an overrun into the typed ErrBodyTooLarge. It serves the routes whose bodies
-// are config objects; the float-array routes read with ReadBody.
-func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	return bodyError(json.NewDecoder(body).Decode(v))
+// DecodeBody decodes a JSON request body of at most limit bytes into v,
+// converting an overrun into the typed ErrBodyTooLarge. It serves the routes
+// whose bodies are config objects, the router's included; the float-array
+// routes read with ReadBody.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	return bodyError(json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v))
 }
 
 // bodyError types what reading or decoding a request body returned.
@@ -240,7 +240,10 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64, buf *bytes.Bu
 	return bodyError(err)
 }
 
-// httpStatus maps service errors to status codes.
+// HTTPStatus maps service errors to status codes. The router maps its own
+// two errors first and defers to it for the rest.
+func HTTPStatus(err error) int { return httpStatus(err) }
+
 func httpStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrNotFound):
@@ -280,8 +283,11 @@ func encodeError(err error) error {
 	return fmt.Errorf("%w: %v", errEncode, err)
 }
 
+// WriteJSON answers v through the service's writer, for the router.
+func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
+
 // writeJSON encodes v before it writes the header, so a value that cannot be
-// encoded is answered as an error.
+// encoded is answered as an error, never as an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	var buf bytes.Buffer
 	if err := encodeError(json.NewEncoder(&buf).Encode(v)); err != nil {
@@ -299,12 +305,14 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body) // a client that went away is not the handler's error
 }
 
-func writeError(w http.ResponseWriter, err error) {
+// WriteError answers err as {"error": message} under status, except a
+// backend.UnsupportedError, which answers 400 with the typed
+// capability-mismatch body: clients can tell "this replica's backend cannot
+// do that" apart from a malformed request without parsing the message text,
+// and see one contract whether they talk to a shard or the router.
+func WriteError(w http.ResponseWriter, status int, err error) {
 	var ue *backend.UnsupportedError
 	if errors.As(err, &ue) {
-		// Typed capability-mismatch body: clients (and the cluster router)
-		// can tell "this replica's backend cannot do that" apart from a
-		// malformed request without parsing the message text.
 		writeJSON(w, http.StatusBadRequest, map[string]string{
 			"error":       ue.Error(),
 			"backend":     ue.Backend,
@@ -312,12 +320,14 @@ func writeError(w http.ResponseWriter, err error) {
 		})
 		return
 	}
-	writeJSON(w, httpStatus(err), map[string]string{"error": err.Error()})
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
+
+func writeError(w http.ResponseWriter, err error) { WriteError(w, httpStatus(err), err) }
 
 func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, s.opts.MaxBodyBytes, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -618,13 +628,14 @@ func (s *Service) OnesRHS(id string) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys.onesOnce.Do(func() {
+	v := sys.ones
+	v.once.Do(func() {
 		ones := make([]float64, sys.m.N)
 		for i := range ones {
 			ones[i] = 1
 		}
-		sys.ones = make([]float64, sys.m.N)
-		sys.m.MulVec(ones, sys.ones)
+		v.b = make([]float64, sys.m.N)
+		sys.m.MulVec(ones, v.b)
 	})
-	return sys.ones, nil
+	return v.b, nil
 }

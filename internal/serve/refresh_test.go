@@ -50,7 +50,7 @@ func TestUpdateSystemRefreshesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up.ID != info.ID || up.Previous != info.ID || up.Generation != info.Generation+1 {
+	if up.ID != info.ID || up.Generation != info.Generation+1 {
 		t.Fatalf("bad update info %+v (registered %+v)", up, info)
 	}
 	if up.Refreshed == 0 {
@@ -221,7 +221,7 @@ func TestHTTPUpdate(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &up); err != nil {
 		t.Fatal(err)
 	}
-	if up.ID != info.ID || up.Previous != info.ID || up.Generation != 2 || up.Refreshed == 0 {
+	if up.ID != info.ID || up.Generation != 2 || up.Refreshed == 0 {
 		t.Fatalf("bad update response %+v", up)
 	}
 

@@ -9,24 +9,19 @@ package serve
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 	"time"
 
-	"ipusparse/internal/backend"
 	"ipusparse/internal/breaker"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
 	"ipusparse/internal/fault"
 	"ipusparse/internal/ipu"
 	"ipusparse/internal/microbench"
-	"ipusparse/internal/sparse"
 	"ipusparse/internal/telemetry"
-	"ipusparse/internal/tune"
 )
 
 // Typed service errors; the HTTP layer maps them to status codes.
@@ -241,98 +236,6 @@ func (o *Options) fill() {
 	}
 }
 
-// Key identifies one prepared pipeline: the exact matrix (fingerprint over
-// structure and values), the solver hierarchy (hash of its canonical JSON),
-// the simulated machine and the partition strategy. Two solves sharing a Key
-// can share a compiled program.
-type Key struct {
-	Matrix   uint64
-	Config   uint64
-	Machine  ipu.Config
-	Strategy core.PartitionStrategy
-	Backend  string // canonical backend name; sim and native replicas never mix
-}
-
-// configHash digests the solver-relevant blocks of a configuration via their
-// canonical JSON (field order is fixed by the struct definitions).
-func configHash(c config.Config) uint64 {
-	h := fnv.New64a()
-	enc := json.NewEncoder(h)
-	_ = enc.Encode(struct {
-		S config.SolverConfig    `json:"s"`
-		M *config.MPIRConfig     `json:"m"`
-		R *config.RecoveryConfig `json:"r"`
-	}{c.Solver, c.MPIR, c.Recovery})
-	return h.Sum64()
-}
-
-// system is one registered linear system: the matrix is retained so evicted
-// pipelines can be re-prepared on demand and so every returned answer can be
-// residual-verified against the true operator.
-type system struct {
-	id         string
-	m          *sparse.Matrix
-	cfg        config.Config // effective config (tuned preconditioner applied)
-	base       config.Config // registered config before tuning overrides
-	key        Key
-	pattern    uint64  // sparsity-pattern fingerprint (values excluded)
-	backend    string  // canonical execution-backend name for this system
-	solver     string  // solver name, filled at registration
-	verifyTol  float64 // effective residual-verification threshold
-	generation int     // values generation, 1 at registration, +1 per PATCH
-
-	// Tuning state. strategy/par are the effective execution knobs (the
-	// service defaults until a race overrides them); tune is the cached race
-	// decision; lat is the per-system latency window the background retune
-	// scanner watches — shared across value generations so a PATCH does not
-	// reset regression detection.
-	strategy core.PartitionStrategy
-	par      int
-	tune     *tune.Decision
-	lat      *latWindow
-
-	// ones is b = A·1, computed on first use. A system is immutable (a PATCH
-	// or a tune decision builds a new one), so every request shares the
-	// vector; nothing downstream writes a right-hand side.
-	onesOnce sync.Once
-	ones     []float64
-}
-
-// pkey is the system's pattern key: its cache key with the full matrix
-// fingerprint replaced by the values-free pattern digest. Two systems sharing
-// a pkey run the same compiled program modulo numeric payloads, so a pipeline
-// prepared for one can be refreshed in place for the other.
-func (sys *system) pkey() Key {
-	k := sys.key
-	k.Matrix = sys.pattern
-	return k
-}
-
-// entry is one cache slot: a pool of idle Prepared replicas for a key. idle
-// is buffered to ReplicasPerKey and created never exceeds that, so returning
-// a replica never blocks — even after the entry was evicted, which lets
-// in-flight jobs drain against evicted entries without coordination.
-type entry struct {
-	key     Key
-	pkey    Key // pattern key, indexing the entry for values-only adoption
-	idle    chan *core.Prepared
-	created int // replicas built (guarded by Service.mu)
-	elem    *list.Element
-}
-
-// job is one queued solve.
-type job struct {
-	ctx  context.Context
-	sys  *system
-	b    []float64
-	done chan jobResult // buffered: the worker never blocks on a gone caller
-}
-
-type jobResult struct {
-	res *core.Result
-	err error
-}
-
 // Service is the solver service: registry, prepared-pipeline cache, job
 // queue, worker pool and the supervision layer around them (retry, hedging,
 // circuit breaking, replica quarantine, residual verification, crash-safe
@@ -344,6 +247,10 @@ type Service struct {
 	// rebuilds run under it, so Close cancels them instead of leaking work.
 	baseCtx context.Context
 	cancel  context.CancelFunc
+
+	// wmu serializes publish, the one writer of systems and the registry;
+	// it is never held across a prepare and never taken on the solve path.
+	wmu sync.Mutex
 
 	mu       sync.Mutex
 	closed   bool
@@ -422,8 +329,9 @@ func New(opts Options) *Service {
 // Open starts a crash-safe service: when opts.StateDir is set, the
 // registration WAL and snapshot under it are replayed (each recovered system
 // is re-prepared exactly as a fresh registration would be), the state is
-// compacted into a new snapshot, and every subsequent registration is
-// appended to the WAL before it is acknowledged.
+// compacted into a new snapshot, and every subsequent registration, update,
+// tune decision and deregistration is appended to the WAL before it is
+// installed and acknowledged.
 func Open(opts Options) (*Service, error) {
 	s := New(opts)
 	if s.opts.StateDir == "" {
@@ -461,714 +369,17 @@ func Open(opts Options) (*Service, error) {
 	return s, nil
 }
 
-// SystemInfo describes a registered system. The ID is stable for the
-// system's lifetime: values-only updates bump Generation instead of re-keying.
-type SystemInfo struct {
-	ID         string `json:"id"`
-	N          int    `json:"n"`
-	NNZ        int    `json:"nnz"`
-	Solver     string `json:"solver"`
-	Backend    string `json:"backend,omitempty"`
-	Pattern    string `json:"pattern,omitempty"`    // sparsity-pattern fingerprint
-	Generation int    `json:"generation,omitempty"` // values generation (1 = as registered)
-	Tuned      bool   `json:"tuned,omitempty"`      // a race decision is active
-}
-
-// SystemDetail is the full resource view of one system (GET
-// /v1/systems/{id}): the summary plus the cached tuning decision.
-type SystemDetail struct {
-	SystemInfo
-	Tune *tune.Decision `json:"tune,omitempty"`
-}
-
-func infoFor(sys *system) SystemInfo {
-	return SystemInfo{
-		ID:         sys.id,
-		N:          sys.m.N,
-		NNZ:        sys.m.NNZ(),
-		Solver:     sys.solver,
-		Backend:    sys.backend,
-		Pattern:    sys.m.PatternFingerprintString(),
-		Generation: sys.generation,
-		Tuned:      sys.tune != nil,
-	}
-}
-
-// SystemDetail returns the full resource view of one registered system.
-func (s *Service) SystemDetail(id string) (SystemDetail, error) {
-	sys, err := s.lookup(id)
-	if err != nil {
-		return SystemDetail{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SystemDetail{SystemInfo: infoFor(sys), Tune: sys.tune}, nil
-}
-
-// Register adds a system to the service and warms the cache with one
-// prepared replica, so registration validates the configuration and the
-// first solve is already amortized. The context bounds the warm-up: a caller
-// that goes away cancels its half-built replica wait. A nil cfg uses the
-// service's default solver configuration. Registering the same matrix again
-// is idempotent. With a crash-safe registry attached, the registration is
-// appended to the WAL before it is acknowledged.
-func (s *Service) Register(ctx context.Context, m *sparse.Matrix, cfg *config.Config) (SystemInfo, error) {
-	return s.register(ctx, m, cfg, regMeta{})
-}
-
-// regMeta carries replay/import context into register: the stable system ID
-// and generation when they differ from a fresh registration's (the matrix
-// values have moved past generation 1), the tuning decision riding the record,
-// and whether a race is suppressed (WAL replay never re-races).
-type regMeta struct {
-	id         string
-	generation int
-	tun        *tune.Decision
-	noRace     bool
-}
-
-func (s *Service) register(ctx context.Context, m *sparse.Matrix, cfg *config.Config, meta regMeta) (SystemInfo, error) {
-	c := s.opts.Solver
-	if cfg != nil {
-		c = *cfg
-		if c.Engine == nil {
-			// Engine parallelism is a host-side deployment knob, not part of
-			// the solver hierarchy: per-system configs inherit the service's.
-			c.Engine = s.opts.Solver.Engine
-		}
-	}
-	if err := c.Validate(); err != nil {
-		return SystemInfo{}, err
-	}
-	// Per-system engine.backend overrides the service backend; names are
-	// canonicalized (simulator → sim) so equivalent spellings share replicas.
-	beName := s.opts.Backend
-	if c.Engine != nil && c.Engine.Backend != "" {
-		beName = c.Engine.Backend
-	}
-	be, err := backend.ByName(beName)
-	if err != nil {
-		return SystemInfo{}, err
-	}
-	// Capability gate before the expensive warm-up prepare: a config that
-	// requests simulator-only features on this replica's backend is rejected
-	// here, at registration time, with the typed error the HTTP layer maps to
-	// a 400 — never on the first solve.
-	if err := backend.CheckConfig(be, &c); err != nil {
-		return SystemInfo{}, err
-	}
-	id := meta.id
-	if id == "" {
-		id = m.FingerprintString()
-	}
-	generation := meta.generation
-	if generation <= 0 {
-		generation = 1
-	}
-	sys := &system{
-		id:   id,
-		m:    m,
-		cfg:  c,
-		base: c,
-		key: Key{
-			Matrix:   m.Fingerprint(),
-			Config:   configHash(c),
-			Machine:  s.opts.Machine,
-			Strategy: s.opts.Strategy,
-			Backend:  be.Name(),
-		},
-		pattern:    m.PatternFingerprint(),
-		backend:    be.Name(),
-		verifyTol:  verifyTolFor(s.opts.VerifyTolerance, c),
-		generation: generation,
-		strategy:   s.opts.Strategy,
-		lat:        newLatWindow(),
-	}
-	if meta.tun != nil {
-		s.applyDecision(sys, meta.tun)
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return SystemInfo{}, ErrClosed
-	}
-	if s.draining {
-		s.mu.Unlock()
-		return SystemInfo{}, ErrDraining
-	}
-	if old, ok := s.systems[sys.id]; ok {
-		if old.key == sys.key && old.generation >= sys.generation {
-			info := infoFor(old)
-			s.mu.Unlock()
-			return info, nil
-		}
-		// Re-registration under the stable ID (an import carrying newer
-		// values, or a same-pattern re-register): keep the ID, advance the
-		// generation and carry the latency window forward.
-		if sys.generation <= old.generation {
-			sys.generation = old.generation + 1
-		}
-		sys.lat = old.lat
-		if meta.tun == nil && old.tune != nil {
-			// No decision rides the new record: keep serving the old one.
-			s.mu.Unlock()
-			s.applyDecision(sys, old.tune)
-			s.mu.Lock()
-		}
-	}
-	reg := s.registry
-	s.mu.Unlock()
-
-	// Registration-time autotune: race candidate execution configurations for
-	// this pattern and serve with the measured winner. WAL replay and imports
-	// carrying a decision skip the race — decisions survive kill -9 and ride
-	// cluster migration.
-	if s.opts.Tune && sys.tune == nil && !meta.noRace {
-		if d, err := s.race(sys); err == nil {
-			s.applyDecision(sys, d)
-		}
-	}
-
-	// Values-only refresh path: a cached pool prepared for a different matrix
-	// with this system's exact sparsity pattern (and solver hierarchy,
-	// machine, backend) is adopted by refreshing its numeric payloads in
-	// place, so the warm-up below finds hot replicas instead of paying a cold
-	// Prepare.
-	s.maybeAdopt(sys)
-
-	// Warm the cache outside the lock: preparing is the expensive phase. The
-	// caller's context bounds the warm-up wait; Close additionally cancels
-	// in-flight work through the service-lifetime base context.
-	p, ent, err := s.acquire(ctx, sys)
-	if err != nil {
-		return SystemInfo{}, err
-	}
-	sys.solver = p.Info().Solver
-	s.release(ent, p)
-
-	// Durability before acknowledgement: the record hits the WAL (fsynced)
-	// before the system becomes visible, so an acknowledged registration
-	// survives a crash.
-	if reg != nil {
-		if err := reg.append(newRegistrationRecord(sys)); err != nil {
-			return SystemInfo{}, fmt.Errorf("serve: persisting registration: %w", err)
-		}
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return SystemInfo{}, ErrClosed
-	}
-	s.systems[sys.id] = sys
-	s.mu.Unlock()
-	return infoFor(sys), nil
-}
-
-// verifyTolFor widens the service's verification threshold for systems whose
-// configured solve tolerance is looser than it: an honest answer at the
-// configured tolerance must never be classified as corrupt.
-func verifyTolFor(base float64, c config.Config) float64 {
-	tol := c.Solver.Tolerance
-	if c.MPIR != nil && c.MPIR.Tolerance > 0 {
-		tol = c.MPIR.Tolerance
-	}
-	if t := 100 * tol; t > base {
-		return t
-	}
-	return base
-}
-
-// Systems lists the registered systems.
-func (s *Service) Systems() []SystemInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]SystemInfo, 0, len(s.systems))
-	for _, sys := range s.systems {
-		out = append(out, infoFor(sys))
-	}
-	return out
-}
-
-// lookup returns the registered system (nil if unknown) and whether the
-// service accepts work.
-func (s *Service) lookup(id string) (*system, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	sys, ok := s.systems[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return sys, nil
-}
-
-// Solve queues one right-hand side against a registered system and waits for
-// the result or the context. A full queue rejects immediately with
-// ErrOverloaded; without a caller deadline the service default applies.
-func (s *Service) Solve(ctx context.Context, id string, b []float64) (*core.Result, error) {
-	sys, err := s.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := s.withDeadline(ctx)
-	defer cancel()
-	j, err := s.enqueue(ctx, sys, b)
-	if err != nil {
-		return nil, err
-	}
-	return s.await(ctx, j)
-}
-
-// BatchItem is the per-RHS outcome of SolveBatch.
-type BatchItem struct {
-	Result *core.Result
-	Err    error
-}
-
-// SolveBatch queues every right-hand side of the batch at once (they run
-// concurrently across workers and replicas) and gathers per-item outcomes.
-// Admission control applies per item: with a full queue, later items fail
-// with ErrOverloaded while admitted ones still run.
-func (s *Service) SolveBatch(ctx context.Context, id string, rhs [][]float64) ([]BatchItem, error) {
-	sys, err := s.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := s.withDeadline(ctx)
-	defer cancel()
-	items := make([]BatchItem, len(rhs))
-	queued := make([]*job, len(rhs))
-	for i, b := range rhs {
-		j, err := s.enqueue(ctx, sys, b)
-		if err != nil {
-			items[i].Err = err
-			continue
-		}
-		queued[i] = j
-	}
-	for i, j := range queued {
-		if j == nil {
-			continue
-		}
-		items[i].Result, items[i].Err = s.await(ctx, j)
-	}
-	return items, nil
-}
-
-func (s *Service) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); ok {
-		return context.WithCancel(ctx)
-	}
-	return context.WithTimeout(ctx, s.opts.DefaultTimeout)
-}
-
-func (s *Service) enqueue(ctx context.Context, sys *system, b []float64) (*job, error) {
-	j := &job{ctx: ctx, sys: sys, b: b, done: make(chan jobResult, 1)}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if s.draining {
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	select {
-	case s.jobs <- j:
-		s.mu.Unlock()
-		return j, nil
-	default:
-		s.mu.Unlock()
-		s.stats.rejected.Add(1)
-		return nil, ErrOverloaded
-	}
-}
-
-func (s *Service) await(ctx context.Context, j *job) (*core.Result, error) {
-	select {
-	case r := <-j.done:
-		return r.res, r.err
-	case <-ctx.Done():
-		// The worker sees the same context and abandons or finishes the job;
-		// done is buffered so it never blocks on us.
-		return nil, ctx.Err()
-	}
-}
-
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for j := range s.jobs {
-		j.done <- s.execute(j)
-	}
-}
-
-// execute runs one job through the supervision layer: circuit-breaker gate,
-// then the retry/hedge loop of supervised, recording the outcome on the
-// system's breaker.
-func (s *Service) execute(j *job) jobResult {
-	if err := j.ctx.Err(); err != nil {
-		return jobResult{err: err}
-	}
-	br := s.breakerFor(j.sys.id)
-	if br != nil && !br.Allow() {
-		s.stats.breakerRejected.Add(1)
-		return jobResult{err: fmt.Errorf("%w: %s", ErrCircuitOpen, j.sys.id)}
-	}
-	start := time.Now()
-	res, err := s.supervised(j.ctx, j.sys, j.b)
-	if br != nil {
-		if err == nil {
-			br.Success()
-		} else if !errors.Is(err, ErrClosed) {
-			br.Failure()
-		}
-	}
-	if err != nil {
-		return jobResult{err: err}
-	}
-	wall := time.Since(start)
-	s.stats.recordSolve(wall, res.Machine.TotalCycles)
-	if j.sys.lat != nil {
-		j.sys.lat.add(wall.Seconds())
-	}
-	return jobResult{res: res}
-}
-
-// acquire hands out a Prepared replica for the system's key: an idle cached
-// replica (hit), a newly built one when the pool is below ReplicasPerKey
-// (miss — the expensive prepare runs outside the lock), or it blocks until a
-// replica frees up or the context expires.
-func (s *Service) acquire(ctx context.Context, sys *system) (*core.Prepared, *entry, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	s.mu.Lock()
-	ent, ok := s.cache[sys.key]
-	if ok {
-		s.lru.MoveToFront(ent.elem)
-	} else {
-		ent = &entry{key: sys.key, pkey: sys.pkey(), idle: make(chan *core.Prepared, s.opts.ReplicasPerKey)}
-		ent.elem = s.lru.PushFront(ent)
-		s.cache[sys.key] = ent
-		s.patterns[ent.pkey] = ent
-		for s.lru.Len() > s.opts.CacheCapacity {
-			tail := s.lru.Back()
-			old := tail.Value.(*entry)
-			s.lru.Remove(tail)
-			delete(s.cache, old.key)
-			if s.patterns[old.pkey] == old {
-				delete(s.patterns, old.pkey)
-			}
-			s.stats.evictions.Add(1)
-		}
-	}
-	select {
-	case p := <-ent.idle:
-		s.mu.Unlock()
-		s.stats.hits.Add(1)
-		return p, ent, nil
-	default:
-	}
-	if ent.created < s.opts.ReplicasPerKey {
-		ent.created++
-		s.mu.Unlock()
-		s.stats.misses.Add(1)
-		p, err := s.prepareSys(sys)
-		if err != nil {
-			s.mu.Lock()
-			ent.created--
-			s.mu.Unlock()
-			return nil, nil, err
-		}
-		return p, ent, nil
-	}
-	s.mu.Unlock()
-	// Every replica of this key is busy: wait for one.
-	select {
-	case p := <-ent.idle:
-		s.stats.hits.Add(1)
-		return p, ent, nil
-	case <-ctx.Done():
-		return nil, nil, ctx.Err()
-	}
-}
-
-// release returns a replica to its entry's pool. The buffered channel (cap =
-// ReplicasPerKey ≥ created) guarantees the send never blocks, and evicted
-// entries still accept their replicas so blocked acquirers drain; once no
-// job references an evicted entry it is garbage collected wholesale.
-func (s *Service) release(ent *entry, p *core.Prepared) {
-	ent.idle <- p
-}
-
-// prepareSys builds one replica with the system's effective execution knobs:
-// the tuned partition strategy, backend and engine parallelism when a race
-// decision is active, the service defaults otherwise.
-func (s *Service) prepareSys(sys *system) (*core.Prepared, error) {
-	strategy := sys.strategy
-	if strategy == "" {
-		strategy = s.opts.Strategy
-	}
-	opts := []core.Option{core.WithTelemetry(s.opts.Telemetry), core.WithBackend(sys.backend)}
-	if sys.par > 0 {
-		opts = append(opts, core.WithParallelism(sys.par))
-	}
-	return core.Prepare(s.opts.Machine, sys.m, sys.cfg, strategy, opts...)
-}
-
-// maybeAdopt re-keys a cached pipeline pool onto sys when one exists for its
-// pattern key but not its exact key, refreshing the idle replicas' numeric
-// payloads in place. It reports how many replicas were refreshed (0 when the
-// path is disabled, the exact key is already cached, or no donor exists).
-func (s *Service) maybeAdopt(sys *system) int {
-	if s.opts.DisableRefresh {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0
-	}
-	if _, ok := s.cache[sys.key]; ok {
-		return 0 // the exact pool is already resident
-	}
-	donor, ok := s.patterns[sys.pkey()]
-	if !ok {
-		return 0
-	}
-	_, refreshed := s.adoptLocked(donor, sys)
-	return refreshed
-}
-
-// adoptLocked retires the donor pool and moves its idle replicas onto the
-// system's key by refreshing their numeric payloads in place — per-tile
-// values, preconditioner refactorization inputs, ABFT checksums — while the
-// partition, halo schedule and compiled instruction streams are reused
-// verbatim. Replicas checked out by in-flight jobs stay with the retired
-// donor: they release into its buffered channel and are garbage collected
-// with it, and their pool slots are not transferred, so later acquires
-// prepare fresh replicas on demand. Callers hold s.mu.
-func (s *Service) adoptLocked(donor *entry, sys *system) (*entry, int) {
-	s.lru.Remove(donor.elem)
-	delete(s.cache, donor.key)
-	if s.patterns[donor.pkey] == donor {
-		delete(s.patterns, donor.pkey)
-	}
-	ent := &entry{key: sys.key, pkey: sys.pkey(), idle: make(chan *core.Prepared, s.opts.ReplicasPerKey)}
-	ent.elem = s.lru.PushFront(ent)
-	s.cache[sys.key] = ent
-	s.patterns[ent.pkey] = ent
-	limit := s.opts.RefreshWarmReplicas
-	refreshed := 0
-	for limit <= 0 || refreshed < limit {
-		select {
-		case p := <-donor.idle:
-			if err := p.UpdateValues(sys.m); err != nil {
-				// The pattern key guarantees structural equality, so a
-				// mismatch here is a defect; drop the replica and let a cold
-				// prepare fill the slot rather than serve stale values.
-				continue
-			}
-			ent.created++
-			ent.idle <- p
-			refreshed++
-			s.stats.refreshed.Inc()
-		default:
-			return ent, refreshed
-		}
-	}
-	return ent, refreshed
-}
-
-// UpdateInfo reports a values-only refresh: the updated registration and how
-// many prepared replicas were refreshed in place rather than re-prepared.
-type UpdateInfo struct {
-	SystemInfo
-	// Previous is the system ID the update targeted. The ID is stable across
-	// updates, so Previous always equals ID; it is retained for callers of
-	// the PR-9 re-keying contract.
-	Previous string `json:"previous"`
-	// Refreshed counts cached replicas whose numeric payloads were rewritten
-	// in place; 0 means the pool had been evicted (or its replicas were all
-	// busy) and the update warm-prepared instead.
-	Refreshed int `json:"refreshed"`
-}
-
-// UpdateSystem applies a values-only matrix update to a registered system
-// (PATCH semantics): the new matrix must keep the registered sparsity pattern
-// exactly — a structural change is rejected with core.ErrPatternMismatch
-// (HTTP 409) — and the solver configuration is untouched. The system's ID is
-// stable: the update bumps its values generation instead of re-keying, so
-// clients keep solving against the handle they registered. Idle cached
-// replicas are refreshed in place instead of re-prepared, and with a
-// crash-safe registry attached the updated record (same ID, new values, next
-// generation) hits the WAL (fsynced) before acknowledgement, so a restarted
-// service recovers exactly the updated values at the updated generation.
-// Updating with the currently registered values is an idempotent no-op. A
-// solve racing the update may observe either values generation.
-func (s *Service) UpdateSystem(ctx context.Context, id string, m *sparse.Matrix) (UpdateInfo, error) {
-	if s.opts.DisableRefresh {
-		return UpdateInfo{}, ErrRefreshDisabled
-	}
-	sys, err := s.lookup(id)
-	if err != nil {
-		return UpdateInfo{}, err
-	}
-	if m == nil {
-		return UpdateInfo{}, errors.New("serve: update needs a matrix")
-	}
-	if err := m.Validate(); err != nil {
-		return UpdateInfo{}, err
-	}
-	if got := m.PatternFingerprint(); got != sys.pattern {
-		s.stats.refreshMismatch.Inc()
-		return UpdateInfo{}, fmt.Errorf("%w: system %s is prepared for pattern %s, update carries %s",
-			core.ErrPatternMismatch, sys.id, sys.m.PatternFingerprintString(), m.PatternFingerprintString())
-	}
-	// Re-run the capability gate: the config was admitted at registration,
-	// but the check is cheap and keeps the refresh path honest if the gate
-	// ever tightens between releases.
-	be, err := backend.ByName(sys.backend)
-	if err != nil {
-		return UpdateInfo{}, err
-	}
-	if err := backend.CheckConfig(be, &sys.cfg); err != nil {
-		return UpdateInfo{}, err
-	}
-
-	if m.Fingerprint() == sys.key.Matrix {
-		return UpdateInfo{SystemInfo: infoFor(sys), Previous: sys.id}, nil
-	}
-	next := &system{
-		id:         sys.id,
-		m:          m,
-		cfg:        sys.cfg,
-		base:       sys.base,
-		key:        sys.key,
-		pattern:    sys.pattern,
-		backend:    sys.backend,
-		solver:     sys.solver,
-		verifyTol:  sys.verifyTol,
-		generation: sys.generation + 1,
-		strategy:   sys.strategy,
-		par:        sys.par,
-		tune:       sys.tune,
-		lat:        sys.lat,
-	}
-	next.key.Matrix = m.Fingerprint()
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return UpdateInfo{}, ErrClosed
-	}
-	if s.draining {
-		s.mu.Unlock()
-		return UpdateInfo{}, ErrDraining
-	}
-	if cur, ok := s.systems[id]; !ok || cur != sys {
-		// A concurrent update replaced this generation first.
-		s.mu.Unlock()
-		return UpdateInfo{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	refreshed := 0
-	if _, ok := s.cache[next.key]; !ok {
-		if donor, ok := s.patterns[next.pkey()]; ok {
-			_, refreshed = s.adoptLocked(donor, next)
-		}
-	}
-	reg := s.registry
-	s.mu.Unlock()
-
-	if refreshed == 0 {
-		// The pool was evicted or fully checked out: warm-prepare so the
-		// first post-update solve is amortized, exactly as registration does.
-		p, ent, err := s.acquire(ctx, next)
-		if err != nil {
-			return UpdateInfo{}, err
-		}
-		s.release(ent, p)
-	}
-
-	// Durability before acknowledgement, as at registration: the updated
-	// record (same ID, next generation, new values) is fsynced into the WAL
-	// before the update becomes visible.
-	if reg != nil {
-		if err := reg.append(newRegistrationRecord(next)); err != nil {
-			return UpdateInfo{}, fmt.Errorf("serve: persisting update: %w", err)
-		}
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return UpdateInfo{}, ErrClosed
-	}
-	if cur, ok := s.systems[id]; !ok || cur != sys {
-		s.mu.Unlock()
-		return UpdateInfo{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	s.systems[id] = next
-	s.mu.Unlock()
-	return UpdateInfo{
-		SystemInfo: infoFor(next),
-		Previous:   sys.id,
-		Refreshed:  refreshed,
-	}, nil
-}
-
-// Deregister removes a registered system: its cache pool is evicted (unless
-// another system shares the key) and, with a crash-safe registry attached, a
-// tombstone record hits the WAL before the removal is acknowledged, so the
-// deletion survives a restart. In-flight solves finish; subsequent solves
-// fail with ErrNotFound.
-func (s *Service) Deregister(ctx context.Context, id string) error {
-	sys, err := s.lookup(id)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	reg := s.registry
-	s.mu.Unlock()
-	if reg != nil {
-		if err := reg.append(RegistrationRecord{ID: id, Deleted: true}); err != nil {
-			return fmt.Errorf("serve: persisting deregistration: %w", err)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+// admitLocked reports whether the service takes new work: ErrClosed once
+// Close started, ErrDraining after Drain. Callers hold s.mu.
+func (s *Service) admitLocked() error {
+	switch {
+	case s.closed:
 		return ErrClosed
-	}
-	if cur, ok := s.systems[id]; !ok || cur != sys {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	delete(s.systems, id)
-	shared := false
-	for _, other := range s.systems {
-		if other.key == sys.key {
-			shared = true
-			break
-		}
-	}
-	if !shared {
-		if ent, ok := s.cache[sys.key]; ok {
-			s.lru.Remove(ent.elem)
-			delete(s.cache, ent.key)
-			if s.patterns[ent.pkey] == ent {
-				delete(s.patterns, ent.pkey)
-			}
-		}
+	case s.draining:
+		return ErrDraining
 	}
 	return nil
 }
-
-// QueueDepth reports the number of queued jobs not yet picked up.
-func (s *Service) QueueDepth() int { return len(s.jobs) }
 
 // Drain closes admission without stopping the workers: new registrations and
 // solves are rejected with ErrDraining while queued and in-flight jobs run to

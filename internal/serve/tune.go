@@ -8,7 +8,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -141,8 +140,6 @@ func (s *Service) TuneDecision(id string) (*tune.Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return sys.tune, nil
 }
 
@@ -150,7 +147,8 @@ func (s *Service) TuneDecision(id string) (*tune.Decision, error) {
 // and the regression scanner both land here. The fresh decision is applied,
 // persisted to the WAL before the swap is acknowledged, and the system's
 // latency window resets so the scanner judges the new configuration on its
-// own samples.
+// own samples. A write that changed the system during the race (a PATCH, a
+// DELETE) wins: the decision is dropped and ForceTune fails with ErrNotFound.
 func (s *Service) ForceTune(ctx context.Context, id string) (*tune.Decision, error) {
 	sys, err := s.lookup(id)
 	if err != nil {
@@ -164,21 +162,7 @@ func (s *Service) ForceTune(ctx context.Context, id string) (*tune.Decision, err
 	if retune {
 		d.Retunes = sys.tune.Retunes + 1
 	}
-	next := &system{
-		id:         sys.id,
-		m:          sys.m,
-		cfg:        sys.cfg,
-		base:       sys.base,
-		key:        sys.key,
-		pattern:    sys.pattern,
-		backend:    sys.backend,
-		solver:     sys.solver,
-		verifyTol:  sys.verifyTol,
-		generation: sys.generation,
-		strategy:   sys.strategy,
-		par:        sys.par,
-		lat:        sys.lat,
-	}
+	next := sys.successor(sys.m, sys.key.Matrix)
 	s.applyDecision(next, d)
 
 	if next.key != sys.key {
@@ -188,33 +172,13 @@ func (s *Service) ForceTune(ctx context.Context, id string) (*tune.Decision, err
 			s.release(ent, p)
 		}
 	}
-
-	s.mu.Lock()
-	reg := s.registry
-	s.mu.Unlock()
-	if reg != nil {
-		if err := reg.append(newRegistrationRecord(next)); err != nil {
-			return nil, fmt.Errorf("serve: persisting tune decision: %w", err)
-		}
+	if err := s.publish(id, sys, next); err != nil {
+		return nil, err
 	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if cur, ok := s.systems[id]; !ok || cur != sys {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	s.systems[id] = next
-	s.mu.Unlock()
 	if retune {
 		s.stats.tuneRetunes.Inc()
 	}
-	if next.lat != nil {
-		next.lat.reset()
-	}
+	next.lat.reset()
 	return d, nil
 }
 
