@@ -7,8 +7,8 @@
 // format of paper §V; without one the paper's reference configuration
 // MPIR(double-word) + PBiCGStab + ILU(0) is used.
 //
-// -tune races candidate configurations (partition strategy × backend × engine
-// parallelism, ordered by a quick microbenchmark calibration) within
+// -tune races candidate configurations (the flags' own choice first, then
+// partition strategy and preconditioner on the native backend) within
 // -tune-budget and solves with the winner.
 //
 // Example:
@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -28,7 +29,6 @@ import (
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
 	"ipusparse/internal/ipu"
-	"ipusparse/internal/microbench"
 	"ipusparse/internal/sparse"
 	"ipusparse/internal/telemetry"
 	"ipusparse/internal/tune"
@@ -69,7 +69,7 @@ func main() {
 	fingerprint := flag.Bool("fingerprint", false, "print the matrix fingerprint (the service cache key) and exit")
 	enginePar := flag.Int("engine-par", -1, "host shards per BSP superstep (-1: from config, 0: all cores, 1: serial; never changes results)")
 	backendName := flag.String("backend", "", "execution backend: sim (default; cycle-accurate) or native (host-speed, no cycle model)")
-	tuneOn := flag.Bool("tune", false, "race candidate configurations first (calibrated by a quick microbenchmark pass) and solve with the winner")
+	tuneOn := flag.Bool("tune", false, "race candidate configurations first (the flags' choice, then native strategy and preconditioner variants) and solve with the winner")
 	tuneBudget := flag.Duration("tune-budget", 2*time.Second, "tuning race budget with -tune")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -147,27 +147,20 @@ func printFingerprint(matrixPath, gen string) error {
 	return nil
 }
 
-// raceCandidates runs the one-shot autotune pass: a quick microbenchmark
-// calibration orders the candidates by predicted cost, then the race measures
-// them within the budget. The positional -partition and -backend choices form
-// the default candidate, so the winner is never slower than what the flags
-// alone would have run.
+// raceCandidates runs the one-shot autotune pass: the race measures the
+// candidates within the budget. The positional -partition and -backend
+// choices form the default candidate, so the winner is never slower than what
+// the flags alone would have run.
 func raceCandidates(mc ipu.Config, m *sparse.Matrix, cfg config.Config, strategy string, budget time.Duration) (*tune.Decision, error) {
-	cal, err := microbench.Run(microbench.Options{Quick: true, Budget: budget / 4, Machine: mc})
-	if err != nil {
-		// Calibration is an ordering hint only; the race itself still measures.
-		cal = nil
-	}
 	// The default candidate is exactly what the flags alone would run: the
 	// -backend/config choice, or the CLI's simulator default.
 	def := cfg.EngineBackend()
 	if def == "" {
 		def = "sim"
 	}
-	return tune.Race(mc, m, cfg, tune.Options{
-		Budget:      budget,
-		Default:     tune.Candidate{Strategy: strategy, Backend: def},
-		Calibration: cal,
+	return tune.Race(context.Background(), mc, m, cfg, tune.Options{
+		Budget:  budget,
+		Default: tune.Candidate{Strategy: strategy, Backend: def},
 	})
 }
 

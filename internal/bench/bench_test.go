@@ -333,6 +333,30 @@ func TestTable9ClusterStudy(t *testing.T) {
 	}
 }
 
+// TestTuneStudyShape checks Table XIII's claims at quick scale: every row
+// races at most 4 candidates, the raced winner never loses to the default,
+// and the sim-pinned profile is repaired onto the native backend.
+func TestTuneStudyShape(t *testing.T) {
+	rows, err := TuneStudy(fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("Table XIII has %d rows, want 3", len(rows))
+	}
+	for _, r := range rows {
+		if r.Races < 1 || r.Races > 4 {
+			t.Errorf("%s: raced %d candidates, want 1..4", r.Profile, r.Races)
+		}
+		if r.Speedup < 1 {
+			t.Errorf("%s: speedup %.3f < 1", r.Profile, r.Speedup)
+		}
+		if strings.HasSuffix(r.Profile, "sim-pinned") && strings.Split(r.Winner, "/")[1] != "native" {
+			t.Errorf("%s: winner %s, want a native repair", r.Profile, r.Winner)
+		}
+	}
+}
+
 func TestRunAllExperimentsPrint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")

@@ -35,16 +35,13 @@ type Tuned struct {
 	// Backend overrides the execution backend when non-empty. An explicit
 	// WithBackend option still wins over it.
 	Backend string
-	// Parallelism overrides the engine host parallelism when > 0. An explicit
-	// WithParallelism option still wins over it.
-	Parallelism int
 }
 
 // WithTuned applies an autotuned execution configuration at Prepare: the
-// decision's partition strategy, backend and engine parallelism replace the
-// positional/config defaults, while explicit WithBackend/WithParallelism
-// options keep precedence. Like the backend itself, WithTuned is a
-// Prepare-time decision — the program is compiled for it.
+// decision's partition strategy and backend replace the positional/config
+// defaults, while an explicit WithBackend option keeps precedence. Like the
+// backend itself, WithTuned is a Prepare-time decision — the program is
+// compiled for it.
 func WithTuned(t Tuned) Option {
 	return func(o *runOptions) { o.tuned, o.tunedSet = t, true }
 }

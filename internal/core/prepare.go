@@ -119,9 +119,6 @@ func Prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 	}
 	p.traceOut = ro.trace
 	p.tracePath = cfg.EngineTrace()
-	if ro.tunedSet && ro.tuned.Parallelism > 0 {
-		p.par = ro.tuned.Parallelism
-	}
 	if ro.parSet {
 		p.par = ro.par
 	}

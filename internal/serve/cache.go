@@ -133,18 +133,15 @@ func (s *Service) release(ent *entry, p *core.Prepared) {
 }
 
 // prepareSys builds one replica with the system's effective execution knobs:
-// the tuned partition strategy, backend and engine parallelism when a race
-// decision is active, the service defaults otherwise.
+// the tuned partition strategy and backend when a race decision is active,
+// the service defaults otherwise.
 func (s *Service) prepareSys(sys *system) (*core.Prepared, error) {
 	strategy := sys.strategy
 	if strategy == "" {
 		strategy = s.opts.Strategy
 	}
-	opts := []core.Option{core.WithTelemetry(s.opts.Telemetry), core.WithBackend(sys.backend)}
-	if sys.par > 0 {
-		opts = append(opts, core.WithParallelism(sys.par))
-	}
-	return core.Prepare(s.opts.Machine, sys.m, sys.cfg, strategy, opts...)
+	return core.Prepare(s.opts.Machine, sys.m, sys.cfg, strategy,
+		core.WithTelemetry(s.opts.Telemetry), core.WithBackend(sys.backend))
 }
 
 // maybeAdopt is the values-only refresh path of registration and PATCH: when

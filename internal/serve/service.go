@@ -20,7 +20,6 @@ import (
 	"ipusparse/internal/core"
 	"ipusparse/internal/fault"
 	"ipusparse/internal/ipu"
-	"ipusparse/internal/microbench"
 	"ipusparse/internal/telemetry"
 )
 
@@ -79,10 +78,10 @@ type Options struct {
 	Chaos            *fault.Chaos  // service-level chaos campaign (nil disables)
 
 	// Tune enables the registration-time autotuner: every newly registered
-	// pattern races candidate execution configurations (partition strategy ×
-	// preconditioner knob × engine parallelism × backend) under TuneBudget and
-	// serves with the measured winner. Decisions persist in the registry WAL
-	// and ride cluster export/import, so a restart or migration never re-races.
+	// pattern races its configured default against native partition-strategy
+	// and preconditioner variants under TuneBudget and serves with the
+	// measured winner. Decisions persist in the registry WAL and ride cluster
+	// export/import, so a restart or migration never re-races.
 	Tune bool
 	// TuneBudget bounds one race (default 2s).
 	TuneBudget time.Duration
@@ -273,11 +272,6 @@ type Service struct {
 	// corruptHook, when set by tests, mutates each successful solution
 	// before residual verification — simulating silent device corruption.
 	corruptHook func(x []float64)
-
-	// calOnce lazily runs the quick microbenchmark battery the first time a
-	// race needs the cost model; cal stays nil when the battery fails.
-	calOnce sync.Once
-	cal     *microbench.Calibration
 
 	stats statsCollector
 }

@@ -35,13 +35,12 @@ type system struct {
 	generation int     // values generation, 1 at registration, +1 per PATCH
 	ones       *onesVec
 
-	// Tuning state. strategy/par are the effective execution knobs (the
-	// service defaults until a race overrides them); tune is the cached race
+	// Tuning state. strategy is the effective partition strategy (the
+	// service default until a race overrides it); tune is the cached race
 	// decision; lat is the per-system latency window the background retune
 	// scanner watches — shared across value generations so a PATCH does not
 	// reset regression detection.
 	strategy core.PartitionStrategy
-	par      int
 	tune     *tune.Decision
 	lat      *latWindow
 }
@@ -273,7 +272,7 @@ func (s *Service) register(ctx context.Context, m *sparse.Matrix, cfg *config.Co
 	// carrying a decision skip the race — decisions survive kill -9 and ride
 	// cluster migration.
 	if s.opts.Tune && sys.tune == nil && !meta.noRace {
-		if d, err := s.race(sys); err == nil {
+		if d, err := s.race(ctx, sys); err == nil {
 			s.applyDecision(sys, d)
 		}
 	}

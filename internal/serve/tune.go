@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ipusparse/internal/core"
-	"ipusparse/internal/microbench"
 	"ipusparse/internal/tune"
 )
 
@@ -68,36 +67,22 @@ func (w *latWindow) reset() {
 	w.mu.Unlock()
 }
 
-// calibration lazily runs the quick microbenchmark battery; the first race
-// pays for it once, later races reuse the model. A failed battery leaves the
-// model nil — candidate ordering then falls back to enumeration order.
-func (s *Service) calibration() *microbench.Calibration {
-	s.calOnce.Do(func() {
-		cal, err := microbench.Run(microbench.Options{
-			Quick:   true,
-			Budget:  500 * time.Millisecond,
-			Machine: s.opts.Machine,
-		})
-		if err == nil {
-			s.cal = cal
-		}
-	})
-	return s.cal
-}
-
 // race runs one candidate race for the system against its registered (base)
-// configuration and records the race telemetry.
-func (s *Service) race(sys *system) (*tune.Decision, error) {
+// configuration and records the race telemetry. A done ctx stops the race
+// before its next candidate with ctx.Err(); an abandoned race is not counted.
+func (s *Service) race(ctx context.Context, sys *system) (*tune.Decision, error) {
 	start := time.Now()
-	d, err := tune.Race(s.opts.Machine, sys.m, sys.base, tune.Options{
+	d, err := tune.Race(ctx, s.opts.Machine, sys.m, sys.base, tune.Options{
 		Budget: s.opts.TuneBudget,
 		Solves: s.opts.TuneSolves,
 		Default: tune.Candidate{
 			Strategy: string(s.opts.Strategy),
 			Backend:  sys.backend,
 		},
-		Calibration: s.calibration(),
 	})
+	if err != nil && ctx.Err() != nil {
+		return nil, err
+	}
 	s.stats.tuneRaces.Inc()
 	s.stats.tuneRaceSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
@@ -112,10 +97,10 @@ func (s *Service) race(sys *system) (*tune.Decision, error) {
 }
 
 // applyDecision rewrites the system's effective execution knobs from a race
-// decision: partition strategy, backend, engine parallelism, and the tuned
-// preconditioner applied over the registered base configuration. The cache
-// key follows, so tuned and untuned pipelines never share a pool. The system
-// must not be published yet (callers mutate a private copy).
+// decision: partition strategy, backend, and the tuned preconditioner
+// applied over the registered base configuration. The cache key follows, so
+// tuned and untuned pipelines never share a pool. The system must not be
+// published yet (callers mutate a private copy).
 func (s *Service) applyDecision(sys *system, d *tune.Decision) {
 	sys.tune = d
 	w := d.Winner
@@ -126,7 +111,6 @@ func (s *Service) applyDecision(sys *system, d *tune.Decision) {
 	if w.Backend != "" {
 		sys.backend = w.Backend
 	}
-	sys.par = w.Parallelism
 	sys.verifyTol = verifyTolFor(s.opts.VerifyTolerance, sys.cfg)
 	sys.key.Config = configHash(sys.cfg)
 	sys.key.Strategy = sys.strategy
@@ -149,12 +133,14 @@ func (s *Service) TuneDecision(id string) (*tune.Decision, error) {
 // latency window resets so the scanner judges the new configuration on its
 // own samples. A write that changed the system during the race (a PATCH, a
 // DELETE) wins: the decision is dropped and ForceTune fails with ErrNotFound.
+// A ctx that is done before the race finishes (a disconnected client, Close)
+// stops it and publishes nothing.
 func (s *Service) ForceTune(ctx context.Context, id string) (*tune.Decision, error) {
 	sys, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	d, err := s.race(sys)
+	d, err := s.race(ctx, sys)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -63,9 +65,22 @@ func TestTuneRegistrationRaces(t *testing.T) {
 	}
 }
 
+// legacyDecision is a race decision in the JSON shape older releases wrote:
+// candidates carry an engine "parallelism" and races a cost-model
+// "predictedSeconds". Both fields are gone; a replayed record must still
+// serve its recorded winner.
+const legacyDecision = `{"pattern":"p0","default":{"strategy":"contiguous","backend":"native","precond":"ilu0"},` +
+	`"winner":{"strategy":"greedy","backend":"native","precond":"jacobi"},` +
+	`"defaultSeconds":0.002,"winnerSeconds":0.001,"speedup":2,"races":[` +
+	`{"strategy":"contiguous","backend":"native","precond":"ilu0","seconds":0.002,"prepareSeconds":0.01,"iterations":9,"converged":true,"predictedSeconds":0.0004},` +
+	`{"strategy":"contiguous","backend":"sim","parallelism":1,"precond":"ilu0","seconds":0.009,"prepareSeconds":0.02,"iterations":9,"converged":true,"predictedSeconds":0.003},` +
+	`{"strategy":"greedy","backend":"native","precond":"jacobi","seconds":0.001,"prepareSeconds":0.01,"iterations":30,"converged":true,"predictedSeconds":0.0004}],` +
+	`"budgetSeconds":0.3,"elapsedSeconds":0.05,"calibratedAt":"2025-01-01T00:00:00Z"}`
+
 // TestTuneDecisionSurvivesRestart is the WAL-replay contract: a killed
 // process's replacement recovers the race decision from the registry and
-// serves the tuned configuration WITHOUT racing again.
+// serves the tuned configuration WITHOUT racing again — including a decision
+// in the legacy JSON shape appended to the WAL.
 func TestTuneDecisionSurvivesRestart(t *testing.T) {
 	opts := tuneTestOptions()
 	opts.StateDir = t.TempDir()
@@ -89,12 +104,37 @@ func TestTuneDecisionSurvivesRestart(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	legacyM := sparse.Poisson2D(6, 6)
+	rec, err := json.Marshal(NewRegistrationRecord(legacyM, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := string(rec[:len(rec)-1]) + `,"tune":` + legacyDecision + "}\n"
+	f, err := os.OpenFile(filepath.Join(opts.StateDir, walName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(line); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	s2, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	legacy, err := s2.lookup(legacyM.FingerprintString())
+	if err != nil {
+		t.Fatalf("legacy-shape record did not replay: %v", err)
+	}
+	if legacy.strategy != "greedy" || legacy.backend != "native" || legacy.cfg.Solver.Preconditioner.Type != "jacobi" {
+		t.Fatalf("legacy decision serves %s/%s/%s, want its winner greedy/native/jacobi",
+			legacy.strategy, legacy.backend, legacy.cfg.Solver.Preconditioner.Type)
+	}
+	if res, err := s2.Solve(context.Background(), legacy.id, onesRHS(legacyM)); err != nil || !res.Stats.Converged {
+		t.Fatalf("legacy tuned solve did not converge: %v", err)
+	}
 	after, err := s2.TuneDecision(info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -191,6 +231,56 @@ func TestForceTuneCountsRetunes(t *testing.T) {
 	}
 	if !res.Stats.Converged {
 		t.Fatalf("solve after forced retune did not converge")
+	}
+}
+
+// TestForceTuneCancelledPublishesNothing: a re-race whose caller is already
+// gone (a disconnected client, Close cancelling the retune loop) returns the
+// context's error and leaves the system, the race counter and the WAL as they
+// were.
+func TestForceTuneCancelledPublishesNothing(t *testing.T) {
+	opts := tuneTestOptions()
+	opts.StateDir = t.TempDir()
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	info, err := s.Register(context.Background(), sparse.Poisson2D(8, 8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	races := s.Stats().Tuned
+	wal, err := os.Stat(filepath.Join(opts.StateDir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if d, err := s.ForceTune(ctx, info.ID); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ForceTune on a cancelled context = (%+v, %v), want context.Canceled", d, err)
+	}
+	after, err := s.lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before || after.tune != before.tune || after.generation != before.generation {
+		t.Fatalf("cancelled ForceTune published a successor: generation %d -> %d", before.generation, after.generation)
+	}
+	if got := s.Stats().Tuned; got != races {
+		t.Fatalf("tune_races_total %d -> %d on a cancelled ForceTune", races, got)
+	}
+	st, err := os.Stat(filepath.Join(opts.StateDir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != wal.Size() {
+		t.Fatalf("cancelled ForceTune wrote the WAL: %d -> %d bytes", wal.Size(), st.Size())
 	}
 }
 

@@ -426,10 +426,10 @@ func TestConvectionDiffusionNonsymmetric(t *testing.T) {
 }
 
 func TestBandwidth(t *testing.T) {
-	if bw := Laplacian1D(10).Profile().Bandwidth; bw != 1 {
+	if bw := Laplacian1D(10).ComputeStats().Bandwidth; bw != 1 {
 		t.Errorf("tridiagonal bandwidth = %d", bw)
 	}
-	if bw := Poisson2D(5, 5).Profile().Bandwidth; bw != 5 {
+	if bw := Poisson2D(5, 5).ComputeStats().Bandwidth; bw != 5 {
 		t.Errorf("5-point 5x5 bandwidth = %d, want 5", bw)
 	}
 }

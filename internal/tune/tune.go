@@ -1,34 +1,33 @@
-// Package tune is the per-pattern autotuner: it races candidate execution
-// configurations — partition strategy × preconditioner knob × engine
-// parallelism × backend — against the actual matrix on the actual host, under
-// a bounded time budget, and returns the measured winner. The microbench
-// cost model (internal/microbench) orders the candidates so the budget is
-// spent on the most promising ones first; the static default is always raced
-// first, so the winner beats or ties it by construction. The serving layer
-// caches decisions in its registry WAL and re-races in the background when
-// the measured latency regresses.
+// Package tune is the per-pattern autotuner: it races the static default
+// execution configuration against native partition-strategy and
+// preconditioner variants, on the actual matrix on the actual host, under a
+// bounded time budget, and returns the measured winner. The default is always
+// raced first, so the winner beats or ties it by construction; challengers
+// run the native backend only, because the simulator has never won a race
+// against it. The serving layer caches decisions in its registry WAL and
+// re-races in the background when the measured latency regresses.
 package tune
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
 	"ipusparse/internal/ipu"
-	"ipusparse/internal/microbench"
 	"ipusparse/internal/sparse"
 )
 
 // Candidate is one execution configuration in the race. Zero-valued fields
 // keep the registered configuration's choice.
 type Candidate struct {
-	Strategy    string `json:"strategy,omitempty"`    // partition strategy
-	Backend     string `json:"backend,omitempty"`     // execution backend
-	Parallelism int    `json:"parallelism,omitempty"` // engine host shards (0 = all cores)
-	Precond     string `json:"precond,omitempty"`     // preconditioner type ("" = registered)
+	Strategy string `json:"strategy,omitempty"` // partition strategy
+	Backend  string `json:"backend,omitempty"`  // execution backend
+	Precond  string `json:"precond,omitempty"`  // preconditioner type ("" = registered)
 }
 
 // String renders the candidate compactly for logs and tables.
@@ -45,9 +44,6 @@ func (c Candidate) String() string {
 	if c.Precond != "" {
 		out += "/" + c.Precond
 	}
-	if c.Parallelism > 0 {
-		out += fmt.Sprintf("/par=%d", c.Parallelism)
-	}
 	return out
 }
 
@@ -58,7 +54,6 @@ type Measurement struct {
 	PrepareSeconds float64 `json:"prepareSeconds"` // one-time pipeline build cost
 	Iterations     int     `json:"iterations,omitempty"`
 	Converged      bool    `json:"converged"`
-	Predicted      float64 `json:"predictedSeconds,omitempty"` // cost-model ordering estimate
 	Error          string  `json:"error,omitempty"`
 }
 
@@ -89,11 +84,6 @@ type Options struct {
 	// Default is the static configuration to beat; its zero value means the
 	// registered configuration as-is (contiguous/config backend).
 	Default Candidate
-	// Calibration, when set, orders candidates by predicted cost so the
-	// budget is spent on the most promising ones first.
-	Calibration *microbench.Calibration
-	// MaxCandidates caps the enumeration (default 8, the default included).
-	MaxCandidates int
 }
 
 func (o Options) withDefaults() Options {
@@ -103,69 +93,33 @@ func (o Options) withDefaults() Options {
 	if o.Solves <= 0 {
 		o.Solves = 3
 	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 8
-	}
 	return o
 }
 
-// Candidates enumerates the race field for a matrix/config pair, the default
-// first, the rest ordered by the cost model when one is given. Candidates the
-// configuration cannot run (a backend that rejects the config's features, a
-// preconditioner swap under MPIR) are excluded.
-func Candidates(m *sparse.Matrix, cfg config.Config, o Options) []Candidate {
-	def := normalize(o.Default, cfg)
+// Candidates enumerates the race field for a configuration: the normalized
+// default first, then the native challengers — each partition strategy at the
+// default preconditioner, and the preconditioner swap at the default
+// strategy. The simulator races only when it is the default: it has never
+// beaten native on the same answer. Candidates the configuration cannot run
+// (a backend that rejects the config's features, a preconditioner swap under
+// MPIR) are excluded, so the field holds at most 4.
+func Candidates(cfg config.Config, def Candidate) []Candidate {
+	def = normalize(def, cfg)
 	out := []Candidate{def}
-	seen := map[Candidate]bool{def: true}
-
-	strategies := []string{"contiguous", "greedy"}
-	backends := []string{"native", "sim"}
-	pars := []int{0, 1}
-	var preconds []string
+	add := func(c Candidate) {
+		if c = normalize(c, cfg); !slices.Contains(out, c) && runnable(c, cfg) {
+			out = append(out, c)
+		}
+	}
+	for _, st := range []string{"contiguous", "greedy"} {
+		add(Candidate{Strategy: st, Backend: "native", Precond: def.Precond})
+	}
 	if cfg.MPIR == nil && cfg.Solver.Preconditioner != nil && !cfg.Solver.Preconditioner.Coarse {
 		// Swap only between the cheap-setup general-purpose preconditioners;
 		// the race's convergence gate rejects a swap that does not converge.
-		preconds = []string{"jacobi", "ilu0"}
-	}
-
-	var rest []Candidate
-	add := func(c Candidate) {
-		c = normalize(c, cfg)
-		if seen[c] {
-			return
+		for _, pc := range []string{"jacobi", "ilu0"} {
+			add(Candidate{Strategy: def.Strategy, Backend: "native", Precond: pc})
 		}
-		if !runnable(c, cfg) {
-			return
-		}
-		seen[c] = true
-		rest = append(rest, c)
-	}
-	for _, st := range strategies {
-		for _, be := range backends {
-			for _, par := range pars {
-				add(Candidate{Strategy: st, Backend: be, Parallelism: par, Precond: def.Precond})
-			}
-		}
-	}
-	for _, pc := range preconds {
-		add(Candidate{Strategy: def.Strategy, Backend: def.Backend, Parallelism: def.Parallelism, Precond: pc})
-	}
-
-	if o.Calibration != nil {
-		prof := m.Profile()
-		tiles := 64
-		predicted := func(c Candidate) float64 {
-			return o.Calibration.PredictSolve(prof, c.Backend, tiles)
-		}
-		for i := 1; i < len(rest); i++ {
-			for j := i; j > 0 && predicted(rest[j]) < predicted(rest[j-1]); j-- {
-				rest[j], rest[j-1] = rest[j-1], rest[j]
-			}
-		}
-	}
-	out = append(out, rest...)
-	if len(out) > o.MaxCandidates {
-		out = out[:o.MaxCandidates]
 	}
 	return out
 }
@@ -187,9 +141,6 @@ func normalize(c Candidate, cfg config.Config) Candidate {
 	}
 	if c.Precond == "" && cfg.MPIR == nil && cfg.Solver.Preconditioner != nil {
 		c.Precond = cfg.Solver.Preconditioner.Type
-	}
-	if c.Parallelism < 0 || c.Backend != "sim" {
-		c.Parallelism = 0 // host shards are read by the simulator only
 	}
 	return c
 }
@@ -220,21 +171,18 @@ func ApplyPrecond(cfg config.Config, precond string) config.Config {
 
 // Tuned converts a candidate to the core prepare-time override.
 func (c Candidate) Tuned() core.Tuned {
-	return core.Tuned{
-		Strategy:    core.PartitionStrategy(c.Strategy),
-		Backend:     c.Backend,
-		Parallelism: c.Parallelism,
-	}
+	return core.Tuned{Strategy: core.PartitionStrategy(c.Strategy), Backend: c.Backend}
 }
 
 // Race measures the candidates against b = A·1 and returns the decision. The
 // default candidate is always raced first and in full, so the winner beats or
 // ties it by construction; the remainder race until the budget is spent. A
 // candidate that fails to prepare or to converge is recorded but can never
-// win.
-func Race(mc ipu.Config, m *sparse.Matrix, cfg config.Config, o Options) (*Decision, error) {
+// win. ctx is checked before each candidate: once it is done the race stops
+// and returns ctx.Err() with no decision.
+func Race(ctx context.Context, mc ipu.Config, m *sparse.Matrix, cfg config.Config, o Options) (*Decision, error) {
 	o = o.withDefaults()
-	cands := Candidates(m, cfg, o)
+	cands := Candidates(cfg, o.Default)
 	start := time.Now()
 	deadline := start.Add(o.Budget)
 
@@ -252,14 +200,13 @@ func Race(mc ipu.Config, m *sparse.Matrix, cfg config.Config, o Options) (*Decis
 		CalibratedAt: time.Now().UTC().Format(time.RFC3339),
 	}
 	for i, c := range cands {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if i > 0 && time.Now().After(deadline) {
 			break
 		}
-		mm := measure(mc, m, cfg, c, b, o.Solves)
-		if o.Calibration != nil {
-			mm.Predicted = o.Calibration.PredictSolve(m.Profile(), c.Backend, mc.NumTiles())
-		}
-		d.Races = append(d.Races, mm)
+		d.Races = append(d.Races, measure(mc, m, cfg, c, b, o.Solves))
 	}
 	d.ElapsedSec = time.Since(start).Seconds()
 

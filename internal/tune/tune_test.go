@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -24,14 +25,12 @@ func cgJacobi() config.Config {
 }
 
 // TestCandidatesDefaultFirstAndDeduped pins the enumeration contract: the
-// normalized default leads, no two candidates prepare the same pipeline (only
-// the simulator reads Parallelism), the cap holds, and without a calibration
-// the preconditioner swap still makes the field.
+// normalized default leads, no two candidates prepare the same pipeline, and
+// the preconditioner swap makes the field.
 func TestCandidatesDefaultFirstAndDeduped(t *testing.T) {
-	m := sparse.Poisson2D(8, 8)
-	cands := Candidates(m, cgJacobi(), Options{}.withDefaults())
-	if len(cands) == 0 || len(cands) > 8 {
-		t.Fatalf("enumerated %d candidates, want 1..8", len(cands))
+	cands := Candidates(cgJacobi(), Candidate{})
+	if len(cands) == 0 {
+		t.Fatal("enumerated no candidates")
 	}
 	def := cands[0]
 	if def.Strategy != "contiguous" || def.Backend != "native" || def.Precond != "jacobi" {
@@ -40,9 +39,6 @@ func TestCandidatesDefaultFirstAndDeduped(t *testing.T) {
 	seen := map[Candidate]bool{}
 	swap := false
 	for _, c := range cands {
-		if c.Backend != "sim" {
-			c.Parallelism = 0
-		}
 		if seen[c] {
 			t.Fatalf("candidate %v prepares a pipeline already in the field %v", c, cands)
 		}
@@ -60,8 +56,7 @@ func TestCandidatesDefaultFirstAndDeduped(t *testing.T) {
 func TestCandidatesRespectSimPinnedDefault(t *testing.T) {
 	cfg := cgJacobi()
 	cfg.Engine = &config.EngineConfig{Backend: "sim"}
-	m := sparse.Poisson2D(8, 8)
-	cands := Candidates(m, cfg, Options{}.withDefaults())
+	cands := Candidates(cfg, Candidate{})
 	if cands[0].Backend != "sim" {
 		t.Fatalf("default backend %q, want the config's sim", cands[0].Backend)
 	}
@@ -76,11 +71,42 @@ func TestCandidatesRespectSimPinnedDefault(t *testing.T) {
 	}
 }
 
+// TestCandidatesRaceOnlyWhatCanWin: every challenger runs native, so a native
+// default races at most 3 candidates (the default, the other partition
+// strategy, the preconditioner swap) and the simulator enters the field only
+// as a sim-pinned default, followed directly by its native repairs.
+func TestCandidatesRaceOnlyWhatCanWin(t *testing.T) {
+	native := Candidates(cgJacobi(), Candidate{})
+	if len(native) > 3 {
+		t.Fatalf("native default races %d candidates, want <= 3: %v", len(native), native)
+	}
+	for _, c := range native {
+		if c.Backend == "sim" {
+			t.Fatalf("sim challenger %v in a native default's field %v", c, native)
+		}
+	}
+
+	cfg := cgJacobi()
+	cfg.Engine = &config.EngineConfig{Backend: "sim"}
+	sim := Candidates(cfg, Candidate{})
+	if len(sim) < 2 || len(sim) > 4 {
+		t.Fatalf("sim default races %d candidates, want 2..4: %v", len(sim), sim)
+	}
+	if sim[0].Backend != "sim" || sim[1].Backend != "native" {
+		t.Fatalf("sim default field %v: want sim first, native second", sim)
+	}
+	for _, c := range sim[1:] {
+		if c.Backend == "sim" {
+			t.Fatalf("sim challenger %v in a sim default's field %v", c, sim)
+		}
+	}
+}
+
 // TestRaceWinnerBeatsDefault is the core guarantee: the default is always
 // raced in full, so the returned winner ties or beats it.
 func TestRaceWinnerBeatsDefault(t *testing.T) {
 	m := sparse.Poisson2D(8, 8)
-	d, err := Race(testMachine(), m, cgJacobi(), Options{
+	d, err := Race(context.Background(), testMachine(), m, cgJacobi(), Options{
 		Budget: 500 * time.Millisecond,
 		Solves: 1,
 	})
@@ -114,7 +140,7 @@ func TestRaceRepairsSimPinnedConfig(t *testing.T) {
 	cfg := cgJacobi()
 	cfg.Engine = &config.EngineConfig{Backend: "sim"}
 	m := sparse.Poisson2D(10, 10)
-	d, err := Race(testMachine(), m, cfg, Options{Budget: 2 * time.Second, Solves: 2})
+	d, err := Race(context.Background(), testMachine(), m, cfg, Options{Budget: 2 * time.Second, Solves: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +172,15 @@ func TestApplyPrecondNeverAliases(t *testing.T) {
 // TestCandidateStringAndTuned covers the compact rendering and the core
 // override conversion.
 func TestCandidateStringAndTuned(t *testing.T) {
-	c := Candidate{Strategy: "greedy", Backend: "native", Parallelism: 2, Precond: "ilu0"}
-	if got := c.String(); got != "greedy/native/ilu0/par=2" {
+	c := Candidate{Strategy: "greedy", Backend: "native", Precond: "ilu0"}
+	if got := c.String(); got != "greedy/native/ilu0" {
 		t.Fatalf("String() = %q", got)
 	}
 	if got := (Candidate{}).String(); got != "contiguous/native" {
 		t.Fatalf("zero String() = %q", got)
 	}
 	tu := c.Tuned()
-	if string(tu.Strategy) != "greedy" || tu.Backend != "native" || tu.Parallelism != 2 {
+	if string(tu.Strategy) != "greedy" || tu.Backend != "native" {
 		t.Fatalf("Tuned() = %+v", tu)
 	}
 }
