@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check build test vet race fuzz-smoke bench bench-backend-smoke serve-smoke sdc-smoke bench-cluster bench-sdc bench-tune clean
+.PHONY: check build test vet race fuzz-smoke bench bench-backend-smoke serve-smoke sdc-smoke bench-sdc bench-tune clean
 
 ## check: vet + build + race-enabled tests in shuffled order + a short fuzz of
-## the wire decoders (the pre-merge gate; a shuffled failure prints its
-## -shuffle seed, which replays the order)
+## the wire decoders and the Matrix Market reader (the pre-merge gate; a
+## shuffled failure prints its -shuffle seed, which replays the order)
 check: vet build race fuzz-smoke
 
 build:
@@ -19,12 +19,14 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-## fuzz-smoke: ten seconds of native Go fuzzing per wire decoder, each held to
-## encoding/json on the same struct (seed corpus in
-## internal/serve/testdata/fuzz; a finding lands there as a new file)
+## fuzz-smoke: ten seconds of native Go fuzzing per target: each wire decoder
+## held to encoding/json on the same struct, and the Matrix Market reader held
+## to "a valid matrix or an error" (seed corpora in internal/{serve,sparse}/
+## testdata/fuzz; a finding lands there as a new file)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSolveRequest$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUpdateRequest$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 10s ./internal/sparse
 
 ## bench: regenerate every table and figure of the evaluation section
 bench:
@@ -71,11 +73,6 @@ serve-smoke:
 sdc-smoke:
 	$(GO) run ./cmd/sdcsmoke
 	$(GO) run ./cmd/sdcsmoke -backend sim
-
-## bench-cluster: the availability-under-shard-loss study (Table IX) on an
-## in-process cluster: replica factor 1 vs 2 vs 3 around a cold shard kill
-bench-cluster:
-	$(GO) run ./cmd/benchsuite -experiment cluster
 
 ## bench-sdc: the silent-data-corruption study (Table XI) and its
 ## BENCH_sdc.json artifact: ABFT-on vs ABFT-off warm CG latency on both

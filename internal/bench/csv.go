@@ -86,27 +86,3 @@ func WriteTable4CSV(w io.Writer, rows []Table4Row) error {
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
-
-// WriteTable7CSV writes the chaos-study rows.
-func WriteTable7CSV(w io.Writer, rows []Table7Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"scenario", "rate", "requests", "served",
-		"availability", "wrong_answers", "injected", "retries", "panics",
-		"quarantined", "rebuilt", "verified", "p50_ms", "p99_ms"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			r.Scenario, fmtF(r.Rate), strconv.Itoa(r.Requests), strconv.Itoa(r.Served),
-			fmtF(r.Availability), strconv.Itoa(r.WrongAnswers), strconv.Itoa(r.Injected),
-			strconv.FormatUint(r.Retries, 10), strconv.FormatUint(r.Panics, 10),
-			strconv.FormatUint(r.Quarantined, 10), strconv.FormatUint(r.Rebuilt, 10),
-			strconv.FormatUint(r.Verified, 10), fmtF(r.P50Ms), fmtF(r.P99Ms),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -63,21 +63,6 @@ func TestTable4CSV(t *testing.T) {
 	}
 }
 
-func TestTable7CSV(t *testing.T) {
-	rows := []Table7Row{{
-		Scenario: "mixed-0.3", Rate: 0.3, Requests: 60, Served: 60,
-		Availability: 1, Injected: 12, Retries: 9, Panics: 3, Verified: 60,
-	}}
-	var buf bytes.Buffer
-	if err := WriteTable7CSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "mixed-0.3") || !strings.Contains(out, "wrong_answers") {
-		t.Errorf("bad table7 csv: %s", out)
-	}
-}
-
 func TestRunCSVEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	o := fastOpts()

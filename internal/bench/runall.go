@@ -34,7 +34,6 @@ var experiments = []experiment{
 	{name: "table3", run: show(func(o Options) ([]platform.Platform, error) { return Table3(o), nil }, PrintTable3)},
 	{name: "table4", run: show(Table4, PrintTable4), csv: records(Table4, WriteTable4CSV)},
 	{name: "table5", run: show(Table5, PrintTable5)},
-	{name: "table7", run: show(Table7, PrintTable7), csv: records(Table7, WriteTable7CSV)},
 	{name: "fig5", run: show(Fig5, PrintFig5), csv: records(Fig5, WriteScalingCSV)},
 	{name: "fig6", run: show(Fig6, PrintFig6), csv: records(Fig6, WriteScalingCSV)},
 	{name: "fig7", run: show(Fig7, PrintFig7), csv: records(Fig7, WriteCompareCSV)},
@@ -42,7 +41,6 @@ var experiments = []experiment{
 	{name: "fig9", run: show(Fig9, printConvergenceAs("Fig 9 (Geo_1438-like)")), csv: records(Fig9, WriteConvergenceCSV)},
 	{name: "fig10", run: show(Fig10, printConvergenceAs("Fig 10 (af_shell7-like)")), csv: records(Fig10, WriteConvergenceCSV)},
 	{name: "halo", run: show(HaloStudy, PrintHaloStudy)},
-	{name: "cluster", run: show(Table9, PrintTable9)},
 	{name: "sdc", run: show(SDCStudy, PrintSDCStudy), json: func(a *artifact, v any) {
 		t := v.(SDCTable)
 		a.Overhead, a.Campaigns = t.Overhead, t.Campaigns

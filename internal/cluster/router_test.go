@@ -464,6 +464,38 @@ func TestRouterConcurrentLoadWithKill(t *testing.T) {
 	}
 }
 
+// TestRouterSoleReplicaKillIsUnroutableUntilRepair pins the replica-factor-1
+// outage window: with the only holder dead, a solve answers a typed 503 and
+// never a 200 that could carry a wrong x; one probe + reconcile pass re-places the system on a
+// survivor while the victim is still down, and solves answer again.
+func TestRouterSoleReplicaKillIsUnroutableUntilRepair(t *testing.T) {
+	rt, shards := testCluster(t, 3, 1)
+	h := rt.Handler()
+	info := registerGen(t, rt, "poisson2d:7")
+	solveOnes(t, h, info.ID)
+
+	shardByURL(shards, rt.replicaSet(info.ID)[0].name).kill()
+	for i := 0; i < 3; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/systems/"+info.ID+"/solve",
+			bytes.NewReader([]byte(`{"rhs":"ones"}`)))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusServiceUnavailable || !contains(w.Body.String(), ErrNoShards.Error()) {
+			t.Fatalf("solve %d = %d %s, want 503 %q", i, w.Code, w.Body.String(), ErrNoShards)
+		}
+	}
+	if st := rt.Stats(); st.Unroutable == 0 {
+		t.Fatalf("outage window not counted as unroutable: %+v", st)
+	}
+
+	rt.ProbeNow()
+	rt.Reconcile(context.Background())
+	if st := rt.Stats(); st.Reregistrations == 0 {
+		t.Fatalf("reconcile did not re-place the system: %+v", st)
+	}
+	solveOnes(t, h, info.ID)
+}
+
 // TestRouterCapabilityGate: a registration whose config pins the native
 // backend and requests a simulator-only feature is rejected by the router
 // itself — typed, before any shard traffic — with the same HTTP 400 body a

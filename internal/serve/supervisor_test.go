@@ -16,7 +16,8 @@ import (
 // every fault kind against a supervised service: every answer that comes back
 // must pass residual verification, availability must stay high because
 // retries and quarantines absorb the injected failures, and the supervision
-// counters must show the campaign actually fired.
+// counters must show every armed kind fired and every mechanism (retry,
+// caught panic, quarantine, rebuild) ran.
 func TestChaosCampaignZeroWrongAnswers(t *testing.T) {
 	opts := testOptions()
 	opts.Workers = 4
@@ -43,7 +44,7 @@ func TestChaosCampaignZeroWrongAnswers(t *testing.T) {
 	}
 	base := onesRHS(m)
 
-	const total = 60
+	const total = 100
 	var wg sync.WaitGroup
 	errs := make(chan error, total)
 	for k := 0; k < total; k++ {
@@ -90,8 +91,21 @@ func TestChaosCampaignZeroWrongAnswers(t *testing.T) {
 	if st.Retries == 0 {
 		t.Error("campaign fired but no retries were recorded")
 	}
-	if injected := len(opts.Chaos.Events()); injected == 0 {
-		t.Error("chaos campaign injected nothing")
+	for _, k := range opts.Chaos.Plan().Kinds {
+		if opts.Chaos.Count(k) == 0 {
+			t.Errorf("chaos campaign injected no %v", k)
+		}
+	}
+	if st.Panics == 0 || st.Quarantined == 0 {
+		t.Errorf("injected crashes left panics = %d, quarantined = %d", st.Panics, st.Quarantined)
+	}
+	// A quarantined replica is rebuilt asynchronously, off the request path.
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Stats().Rebuilt == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no quarantined replica was rebuilt")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if st.VerifyFailed != 0 {
 		t.Errorf("verifyFailed = %d; chaos kinds here fail loudly, never corrupt silently", st.VerifyFailed)

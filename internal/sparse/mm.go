@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -12,6 +13,8 @@ import (
 // symmetric) into a modified-CRS matrix. Pattern matrices get unit values.
 // This is the ingestion path for real SuiteSparse files when they are
 // available; the harness otherwise falls back to the synthetic stand-ins.
+// Malformed input is an error, never a panic: a size line below 1x1 or with
+// no entries, more rows than the entries can fill, a non-finite value.
 func ReadMatrixMarket(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -55,9 +58,21 @@ func ReadMatrixMarket(r io.Reader) (*Matrix, error) {
 	if n != cols {
 		return nil, fmt.Errorf("sparse/mm: matrix is %dx%d, need square", n, cols)
 	}
-	b := NewBuilder(n)
-	read := 0
-	for sc.Scan() && read < nnz {
+	if n < 1 || nnz < 1 {
+		return nil, fmt.Errorf("sparse/mm: missing or empty size line (%d rows, %d entries)", n, nnz)
+	}
+	if n-nnz > nnz { // n > 2·nnz without overflow
+		return nil, fmt.Errorf("sparse/mm: %d entries cannot fill %d rows: the matrix has an empty row", nnz, n)
+	}
+	// The entries are collected before any n-sized storage is allocated, so
+	// memory is bounded by the input (n <= 2·nnz once nnz lines were read),
+	// not by what the size line claims.
+	type entry struct {
+		i, j int
+		v    float64
+	}
+	var entries []entry
+	for len(entries) < nnz && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
@@ -85,19 +100,39 @@ func ReadMatrixMarket(r io.Reader) (*Matrix, error) {
 		if i < 1 || i > n || j < 1 || j > n {
 			return nil, fmt.Errorf("sparse/mm: entry (%d,%d) out of range", i, j)
 		}
-		b.Add(i-1, j-1, v)
-		if symmetric && i != j {
-			b.Add(j-1, i-1, v)
-		}
-		read++
+		entries = append(entries, entry{i - 1, j - 1, v})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if read != nnz {
-		return nil, fmt.Errorf("sparse/mm: expected %d entries, got %d", nnz, read)
+	if len(entries) != nnz {
+		return nil, fmt.Errorf("sparse/mm: expected %d entries, got %d", nnz, len(entries))
 	}
-	return b.Build()
+	b := NewBuilder(n)
+	for _, e := range entries {
+		b.Add(e.i, e.j, e.v)
+		if symmetric && e.i != e.j {
+			b.Add(e.j, e.i, e.v)
+		}
+	}
+	m, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	// One check covers a non-finite value and duplicates that sum to one.
+	if !allFinite(m.Diag) || !allFinite(m.Vals) {
+		return nil, fmt.Errorf("sparse/mm: matrix has a non-finite entry")
+	}
+	return m, nil
+}
+
+func allFinite(vs []float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // WriteMatrixMarket writes the matrix in Matrix Market "coordinate real

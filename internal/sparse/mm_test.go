@@ -73,16 +73,24 @@ func TestReadMatrixMarketPattern(t *testing.T) {
 
 func TestReadMatrixMarketErrors(t *testing.T) {
 	cases := map[string]string{
-		"empty":        "",
-		"no header":    "1 1 1\n1 1 2.0\n",
-		"array format": "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n",
-		"complex":      "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n",
-		"nonsquare":    "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n",
-		"out of range": "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n",
-		"short":        "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n",
-		"bad value":    "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 xyz\n",
-		"bad indices":  "%%MatrixMarket matrix coordinate real general\n1 1 1\na b 1.0\n",
-		"skew":         "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+		"empty":         "",
+		"no header":     "1 1 1\n1 1 2.0\n",
+		"array format":  "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n",
+		"complex":       "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n",
+		"nonsquare":     "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n",
+		"out of range":  "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n",
+		"short":         "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n",
+		"bad value":     "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 xyz\n",
+		"bad indices":   "%%MatrixMarket matrix coordinate real general\n1 1 1\na b 1.0\n",
+		"skew":          "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+		"negative size": "%%MatrixMarket matrix coordinate real general\n-1 -1 0\n",
+		"no size line":  "%%MatrixMarket matrix coordinate real general\n% only a comment\n",
+		"zero entries":  "%%MatrixMarket matrix coordinate real general\n2 2 0\n",
+		"nan value":     "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 nan\n",
+		"inf value":     "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 -inf\n",
+		"overflow sum":  "%%MatrixMarket matrix coordinate real general\n1 1 2\n1 1 1e308\n1 1 1e308\n",
+		"empty row":     "%%MatrixMarket matrix coordinate real symmetric\n5 5 2\n1 1 1.0\n2 1 1.0\n",
+		"huge size":     "%%MatrixMarket matrix coordinate real general\n4000000000000000000 4000000000000000000 1\n1 1 1.0\n",
 	}
 	for name, src := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(src)); err == nil {
@@ -108,4 +116,22 @@ func TestReadMatrixMarketSkipsComments(t *testing.T) {
 	if m.Diag[0] != 3.5 || m.Diag[1] != 4.5 {
 		t.Error("values wrong")
 	}
+}
+
+// FuzzReadMatrixMarket holds the reader to its contract on any input: a
+// matrix that passes Validate, or an error, never a panic. The seed corpus is
+// in testdata/fuzz/FuzzReadMatrixMarket; a finding lands there as a new file.
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadMatrixMarket(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted an invalid matrix: %v", err)
+		}
+		if m.N < 1 || !allFinite(m.Diag) || !allFinite(m.Vals) {
+			t.Fatalf("accepted an empty or non-finite %dx%d matrix", m.N, m.N)
+		}
+	})
 }
