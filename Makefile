@@ -36,13 +36,15 @@ bench:
 ## microbenchmarks plus the zero-alloc gate on the default hierarchy (the CI
 ## guard that warm native SolveInto stays allocation-free), the
 ## fused-vs-plain stream equivalence property and the FusedSets gate (the
-## guards that the native fusions stay bit-identical and stay on), and the
-## kernel-vs-codelet property with its packed-sweep order checks (the guard
-## behind the ilu0-apply and dilu-apply rows the first line runs)
+## guards that the native fusions stay bit-identical and stay on), the
+## kernel-vs-codelet property with its packed-sweep order checks and its
+## natural-order sweep oracle (the guard behind the ilu0-apply and
+## dilu-apply rows the first line runs, and behind the packed sweeps both
+## backends run), and the sim-cold exact counts and bits, without -race
 bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels' -benchtime 1x -benchmem .
 	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets' ./internal/solver
-	$(GO) test -short -run 'TestNativeFusedSets' ./internal/core
+	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact' ./internal/core
 
 ## serve-smoke: build one race-enabled ipuserved (and, for the cluster phase,
 ## one ipurouterd) and drive the servesmoke phases named by PHASES against

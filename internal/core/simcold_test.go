@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,7 +17,10 @@ import (
 // benchmark's sim-cold suite: same matrices, same configs (read from
 // benchmark/configs), 64 tiles, b = A·1. IPU cycle counts depend only on the
 // sparsity pattern and the compiled program, so these numbers repeat exactly;
-// a change that moves simulated cycles edits them here, visibly.
+// a change that moves simulated cycles edits them here, visibly. The values
+// are pinned too, as the relative residual's bits and a 64-bit FNV-1a of x's
+// float64 bits: a change to how the simulator computes values must leave
+// them exactly.
 func TestSimColdCountsExact(t *testing.T) {
 	suite := []struct {
 		gen, cfg   string
@@ -22,10 +28,11 @@ func TestSimColdCountsExact(t *testing.T) {
 		cycles     uint64
 		supersteps uint64
 		iterations int
+		relRes, x  uint64 // float64 bits of relRes; FNV-1a of x's bits
 	}{
-		{"poisson3d:24", "sim-mpir-dw-ilu.json", PartitionContiguous, 7_030_332, 3_536, 140},
-		{"poisson3d:24", "sim-cg-chebyshev.json", PartitionContiguous, 2_024_694, 1_297, 45},
-		{"stencil27:16", "sim-bicgstab-ilu-coarse.json", PartitionGreedy, 4_092_062, 781, 22},
+		{"poisson3d:24", "sim-mpir-dw-ilu.json", PartitionContiguous, 7_030_332, 3_536, 140, 0x3d582bcad74ced09, 0xe4aa22dd19d883fc},
+		{"poisson3d:24", "sim-cg-chebyshev.json", PartitionContiguous, 2_024_694, 1_297, 45, 0x3eaab3c80ad29149, 0xbe47da65ccd16b6a},
+		{"stencil27:16", "sim-bicgstab-ilu-coarse.json", PartitionGreedy, 4_092_062, 781, 22, 0x3e8f51ae63d6cf42, 0xfb81ad10d0e2ccc4},
 	}
 	mc := ipu.Mk2M2000()
 	mc.Chips, mc.TilesPerChip = 1, 64
@@ -63,6 +70,15 @@ func TestSimColdCountsExact(t *testing.T) {
 			t.Errorf("%s x %s: %d cycles, %d supersteps, %d iterations; want %d, %d, %d",
 				e.gen, e.cfg, r.Machine.TotalCycles, r.Machine.Supersteps, r.Stats.Iterations,
 				e.cycles, e.supersteps, e.iterations)
+		}
+		h := fnv.New64a()
+		var word [8]byte
+		for _, v := range r.X {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+		if rel, x := math.Float64bits(r.Stats.RelRes), h.Sum64(); rel != e.relRes || x != e.x {
+			t.Errorf("%s x %s: relRes bits %#x, x hash %#x; want %#x, %#x", e.gen, e.cfg, rel, x, e.relRes, e.x)
 		}
 		cycles += r.Machine.TotalCycles
 		supersteps += r.Machine.Supersteps

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ipusparse/internal/graph"
+	"ipusparse/internal/halo"
 	"ipusparse/internal/ipu"
 	"ipusparse/internal/partition"
 	"ipusparse/internal/sparse"
@@ -113,13 +114,76 @@ func f32Bits(blocks [][]float32) []uint64 {
 
 // kernelProgram is one rewritten compute set (or a preconditioner's three)
 // scheduled on its own system, with the inputs to load before each run and
-// the outputs to compare after it.
+// the outputs to compare after it. oracle, when set, recomputes the outputs
+// independently of both backends from the inputs and factors a run left.
 type kernelProgram struct {
 	name    string
 	sess    *tensordsl.Session
 	sys     *System
 	load    func()
 	outputs func() []uint64
+	oracle  func() []uint64
+}
+
+// naturalILUSweeps is the sweep oracle of ILU(0): forward and backward
+// substitution as plain row loops, every row in natural order, scanning its
+// whole stored row and keeping entries by their column. It shares no code
+// with the packed sweeps both backends run.
+func naturalILUSweeps(lm *halo.LocalMatrix, fvals, fdiag, z, r []float32) {
+	for i := 0; i < lm.NumOwned; i++ {
+		s := r[i]
+		for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
+			if j := int(lm.Cols[k]); j < i {
+				s -= fvals[k] * z[j]
+			}
+		}
+		z[i] = s
+	}
+	for i := lm.NumOwned - 1; i >= 0; i-- {
+		s := z[i]
+		for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
+			if j := int(lm.Cols[k]); j > i && j < lm.NumOwned {
+				s -= fvals[k] * z[j]
+			}
+		}
+		z[i] = s / fdiag[i]
+	}
+}
+
+// naturalDILUSweeps is the sweep oracle of DILU, written like
+// naturalILUSweeps over the original off-diagonal values.
+func naturalDILUSweeps(lm *halo.LocalMatrix, vals, fdiag, z, r []float32) {
+	for i := 0; i < lm.NumOwned; i++ {
+		s := r[i]
+		for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
+			if j := int(lm.Cols[k]); j < i {
+				s -= vals[k] * z[j]
+			}
+		}
+		z[i] = s / fdiag[i]
+	}
+	for i := lm.NumOwned - 1; i >= 0; i-- {
+		s := float32(0)
+		for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
+			if j := int(lm.Cols[k]); j > i && j < lm.NumOwned {
+				s += vals[k] * z[j]
+			}
+		}
+		z[i] -= s / fdiag[i]
+	}
+}
+
+// oracleSweeps runs a sweep oracle on every populated tile, from the r tensor
+// into a fresh z, and flattens z the way tensorBits does.
+func oracleSweeps(sys *System, r *tensordsl.Tensor, sweep func(t int, z, r []float32)) []uint64 {
+	z := make([][]float32, len(sys.Locals))
+	for t, lm := range sys.Locals {
+		if lm.NumOwned > 0 {
+			z[t] = make([]float32, lm.NumOwned)
+			sweep(t, z[t], r.Buf(t).F32)
+		}
+	}
+	return f32Bits(z)
 }
 
 // sweepCoverage records which shapes of packed sweep the generator produced.
@@ -203,9 +267,11 @@ func checkPackedSweeps(t *testing.T, sys *System, ts *triSchedule, cover *sweepC
 // generated systems every rewritten compute set's native kernel leaves exactly
 // the bits its codelets leave — SpMV, both extended residuals, and the
 // factor/forward/backward sets of ILU(0) and DILU — with NaN and ±Inf among
-// the inputs, and again after a values-only refresh. The sweeps run packed in
-// level order and once more packed in natural order: any topological order
-// leaves the codelets' bits.
+// the inputs, and again after a values-only refresh. Both backends run the
+// same packed sweeps, so each backend's ILU(0) and DILU result must also
+// match the natural-order sweep oracle. The sweeps run packed in level order
+// and once more packed in natural order: any topological order leaves the
+// oracle's bits.
 func TestNativeKernelsMatchCodelets(t *testing.T) {
 	var sawNoHalo, sawEmptyTile, sawEmptyRow bool
 	var cover sweepCoverage
@@ -243,7 +309,7 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 				sys.SpMV(y, x)
 				progs = append(progs, kernelProgram{"spmv", sess, sys,
 					func() { sys.SetGlobal(x, xh); y.FillHost(7) },
-					func() []uint64 { return tensorBits(sys, y) }})
+					func() []uint64 { return tensorBits(sys, y) }, nil})
 				for _, lm := range sys.Locals {
 					sawNoHalo = sawNoHalo || (tiles > 1 && lm.NumOwned > 0 && lm.NumHalo == 0)
 					sawEmptyTile = sawEmptyTile || lm.NumOwned == 0
@@ -258,7 +324,7 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 				sys.ResidualExt(r, b, x)
 				progs = append(progs, kernelProgram{fmt.Sprintf("residual-%v", ext), sess, sys,
 					func() { sys.SetGlobal(x, xh); sys.SetGlobal(b, bh); r.FillHost(7) },
-					func() []uint64 { return tensorBits(sys, r) }})
+					func() []uint64 { return tensorBits(sys, r) }, nil})
 			}
 			for _, natural := range []bool{false, true} {
 				sess, sys := newSystem()
@@ -276,6 +342,12 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 					func() { sys.SetGlobal(r, xh); z.FillHost(7) },
 					func() []uint64 {
 						return append(append(tensorBits(sys, z), f32Bits(p.fvals)...), f32Bits(p.fdiag)...)
+					},
+					func() []uint64 {
+						z := oracleSweeps(sys, r, func(t int, z, r []float32) {
+							naturalILUSweeps(sys.Locals[t], p.fvals[t], p.fdiag[t], z, r)
+						})
+						return append(append(z, f32Bits(p.fvals)...), f32Bits(p.fdiag)...)
 					}})
 			}
 			for _, natural := range []bool{false, true} {
@@ -292,7 +364,13 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 				checkPackedSweeps(t, sys, p.tri, cov)
 				progs = append(progs, kernelProgram{name, sess, sys,
 					func() { sys.SetGlobal(r, xh); z.FillHost(7) },
-					func() []uint64 { return append(tensorBits(sys, z), f32Bits(p.fdiag)...) }})
+					func() []uint64 { return append(tensorBits(sys, z), f32Bits(p.fdiag)...) },
+					func() []uint64 {
+						z := oracleSweeps(sys, r, func(t int, z, r []float32) {
+							naturalDILUSweeps(sys.Locals[t], sys.vals[t], p.fdiag[t], z, r)
+						})
+						return append(z, f32Bits(p.fdiag)...)
+					}})
 			}
 
 			for _, kp := range progs {
@@ -302,20 +380,34 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					kp.load()
-					runStraight(t, kp.sess.Program(), false)
-					want := kp.outputs()
-					kp.load()
-					runStraight(t, kp.sess.Program(), true)
-					got := kp.outputs()
-					if len(got) != len(want) || len(want) == 0 {
-						t.Fatalf("%s: %d output words, codelets left %d", kp.name, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("tiles=%d greedy=%v %s (%s): output word %d is %#x natively, %#x from the codelets",
-								tiles, greedy, kp.name, phase, i, got[i], want[i])
+					same := func(what string, got, want []uint64) {
+						t.Helper()
+						if len(got) != len(want) || len(want) == 0 {
+							t.Fatalf("%s: %d output words %s, want %d", kp.name, len(got), what, len(want))
 						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("tiles=%d greedy=%v %s (%s): output word %d is %#x %s, want %#x",
+									tiles, greedy, kp.name, phase, i, got[i], what, want[i])
+							}
+						}
+					}
+					var want []uint64
+					for _, native := range []bool{false, true} {
+						what := "from the codelets"
+						if native {
+							what = "natively"
+						}
+						kp.load()
+						runStraight(t, kp.sess.Program(), native)
+						got := kp.outputs()
+						if kp.oracle != nil {
+							same(what+" (natural-order oracle)", got, kp.oracle())
+						}
+						if native {
+							same(what, got, want)
+						}
+						want = got
 					}
 				}
 			}

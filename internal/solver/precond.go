@@ -46,7 +46,7 @@ func (p *Jacobi) ApplyStep(z, r Tensor) {
 
 // triSchedule holds what the triangular substitution sweeps of ILU and DILU
 // need: per tile, the static level-set parallel costs the simulator bills;
-// per block of the system's table, the packed sweeps the native kernels run.
+// per block of the system's table, the packed sweeps both backends run.
 // The level schedules themselves are setup-time values; nothing keeps them
 // alive.
 type triSchedule struct {
@@ -59,16 +59,18 @@ type triSchedule struct {
 // sweepPack is one block's substitution sweep in one direction, packed in the
 // order it runs. Step s visits row[s] and owns the entries up to end[s]: for
 // the lower sweep the stored entries with Cols[k] < i, for the upper sweep
-// those with i < Cols[k] < owned — what the codelet's column test keeps, in
-// storage order. The rows follow the sweep's level sets (levels concatenated,
-// rows ascending inside a level), so consecutive steps rarely depend on each
-// other and the core overlaps them. Every row still subtracts the same
-// products in the same order from the same operands, whatever topological
-// order the rows come in, so the sweep leaves exactly the codelet's bits.
+// those with i < Cols[k] < owned (halo columns carry lagged values and are
+// left out), in storage order. The rows follow the sweep's level sets (levels
+// concatenated, rows ascending inside a level), so consecutive steps rarely
+// depend on each other and the core overlaps them. Every row still subtracts
+// the same products in the same order from the same operands, whatever
+// topological order the rows come in, so the sweep leaves exactly the bits of
+// a natural-order row scan (the kernel property test keeps one as its oracle).
+// The sim codelets and the native kernels both run it.
 //
 // col and src are pattern data; val and diag are gathered from the factor
-// arrays by the factor kernel (gather), so a values refresh needs nothing
-// beyond the re-factorization every solve runs anyway.
+// arrays by the factor codelet or kernel (gather), so a values refresh needs
+// nothing beyond the re-factorization every solve runs anyway.
 type sweepPack struct {
 	row  []int32   // row visited at step s
 	end  []int32   // one past step s's last entry
@@ -144,7 +146,7 @@ func (sp *sweepPack) gather(vals, diag []float32) {
 // front leaves the entry loop with the two checks it needs (q and the column)
 // and few enough live slice headers that q and acc stay in registers.
 
-// solveUnit is the native substitution with a unit diagonal (ILU's L):
+// solveUnit is the substitution with a unit diagonal (ILU's L):
 // z_i = r_i - Σ val·z[col] over the packed sweep.
 func (sp *sweepPack) solveUnit(z, r []float32) {
 	row, col := sp.row, sp.col
@@ -160,7 +162,7 @@ func (sp *sweepPack) solveUnit(z, r []float32) {
 	}
 }
 
-// solve is the native substitution that divides: z_i = (r_i - Σ val·z[col]) /
+// solve is the substitution that divides: z_i = (r_i - Σ val·z[col]) /
 // diag_i. r may alias z (ILU's backward sweep): a row's right-hand side is
 // read before the row is written and never after.
 func (sp *sweepPack) solve(z, r []float32) {
@@ -230,12 +232,11 @@ func buildTriSchedule(sys *System, fwdDiv bool) (*triSchedule, []*levelset.Sched
 	return ts, lowers
 }
 
-// NaturalOrderSweeps re-packs the native sweeps of an ILU or DILU whose
-// SetupStep has run in natural row order (ascending forward, descending
-// backward) — the order the codelets walk, also a topological one, so the
-// bits stay. The next factor kernel gathers the values. It exists for the
-// evidence: the natural-ns/op column of BenchmarkNativeKernels and the
-// any-order arm of the kernel property test.
+// NaturalOrderSweeps re-packs the sweeps of an ILU or DILU whose SetupStep
+// has run in natural row order (ascending forward, descending backward), also
+// a topological order, so the bits stay. The next factor codelet or kernel
+// gathers the values. It exists for the evidence: the natural-ns/op column of
+// BenchmarkNativeKernels and the any-order arm of the kernel property test.
 func NaturalOrderSweeps(p Preconditioner) {
 	var (
 		sys *System
@@ -352,6 +353,16 @@ func factorILU0(b *tileBlock, fdiag, fvals []float32, pos []int32, rowCost []uin
 	}
 }
 
+// factorBlock factors block bi in storage order and gathers the values its
+// packed sweeps read: the body of the factor codelet and of the factor kernel.
+func (p *ILU) factorBlock(bi int, pos []int32, rowCost []uint64) {
+	b := &p.Sys.blocks[bi]
+	fvals, fdiag := p.fvals[b.tile], p.fdiag[b.tile]
+	factorILU0(b, fdiag, fvals, pos, rowCost)
+	p.tri.fwd[bi].gather(fvals, nil)
+	p.tri.bwd[bi].gather(fvals, fdiag)
+}
+
 // newPosScratch returns the all -1 scratch factorILU0 needs for n rows.
 func newPosScratch(n int) []int32 {
 	pos := make([]int32, n)
@@ -404,26 +415,20 @@ func (p *ILU) SetupStep() {
 			if cost == 0 {
 				pos = newPosScratch(b.owned)
 				rowCost := make([]uint64, b.owned)
-				factorILU0(b, p.fdiag[t], p.fvals[t], pos, rowCost)
+				p.factorBlock(bi, pos, rowCost)
 				cost = levelset.Lower(b.owned, b.rowPtr, b.cols).Assign(workers, nil).
 					CriticalCost(func(i int) uint64 { return rowCost[i] }, levelSyncCycles) + workerStart
 				return cost
 			}
-			factorILU0(b, p.fdiag[t], p.fvals[t], pos, nil)
+			p.factorBlock(bi, pos, nil)
 			return cost
 		}))
 	}
 	pos := newPosScratch(maxOwned) // tiles factor one after another natively
 	// The factor kernels touch the matrix and factor arrays only, no tensor.
-	// The factorization stays in storage order, single-sourced with the
-	// codelet; the packed sweeps then gather what they read.
 	cs.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
-			b := &sys.blocks[bi]
-			fvals, fdiag := p.fvals[b.tile], p.fdiag[b.tile]
-			factorILU0(b, fdiag, fvals, pos, nil)
-			p.tri.fwd[bi].gather(fvals, nil)
-			p.tri.bwd[bi].gather(fvals, fdiag)
+			p.factorBlock(bi, pos, nil)
 		}
 	}, nil, nil)
 	sys.Sess.Append(graph.Compute{Set: cs})
@@ -431,33 +436,24 @@ func (p *ILU) SetupStep() {
 
 // ApplyStep implements Preconditioner: z = U⁻¹ L⁻¹ r via level-set-scheduled
 // forward and backward substitution (two compute sets, each one codelet per
-// tile internally fanned out to six workers — the IPUTHREADING pattern). The
-// native kernels run the same two sweeps over the packed factors, in level
-// order.
+// tile internally fanned out to six workers — the IPUTHREADING pattern). Each
+// codelet runs its block's packed sweep, in level order, and bills the sweep's
+// level-set parallel cost; the native kernels run the same sweeps block after
+// block.
 func (p *ILU) ApplyStep(z, r Tensor) {
 	sys := p.Sys
 	ops := sys.sweepOperands(z, r)
 	fwd := graph.NewComputeSet("ilu0:forward", "ILU(0) Solve")
-	for t, lm := range sys.Locals {
-		if lm.NumOwned == 0 {
-			continue
-		}
-
-		zb, rb := z.Buf(t), r.Buf(t)
-		cost := p.tri.fwdCost[t]
-		fwd.Add(t, graph.CodeletFunc(func() uint64 {
-			zv, rv := zb.F32, rb.F32
-			fvals := p.fvals[t]
-			for i := 0; i < lm.NumOwned; i++ {
-				s := rv[i]
-				for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-					if j := int(lm.Cols[k]); j < i {
-						s -= fvals[k] * zv[j]
-					}
-				}
-				zv[i] = s
-			}
-			return cost
+	bwd := graph.NewComputeSet("ilu0:backward", "ILU(0) Solve")
+	for bi, b := range sys.blocks {
+		o, fwdCost, bwdCost := ops[bi], p.tri.fwdCost[b.tile], p.tri.bwdCost[b.tile]
+		fwd.Add(b.tile, graph.CodeletFunc(func() uint64 {
+			p.tri.fwd[bi].solveUnit(o.z, o.r)
+			return fwdCost
+		}))
+		bwd.Add(b.tile, graph.CodeletFunc(func() uint64 {
+			p.tri.bwd[bi].solve(o.z, o.z)
+			return bwdCost
 		}))
 	}
 	fwd.NativeKernel = graph.OpaqueKernel(func() {
@@ -466,30 +462,6 @@ func (p *ILU) ApplyStep(z, r Tensor) {
 		}
 	}, sys.blockBufs(nil, r), sys.blockBufs(nil, z))
 	sys.Sess.Append(graph.Compute{Set: fwd})
-
-	bwd := graph.NewComputeSet("ilu0:backward", "ILU(0) Solve")
-	for t, lm := range sys.Locals {
-		if lm.NumOwned == 0 {
-			continue
-		}
-
-		zb := z.Buf(t)
-		cost := p.tri.bwdCost[t]
-		bwd.Add(t, graph.CodeletFunc(func() uint64 {
-			zv := zb.F32
-			fvals, fdiag := p.fvals[t], p.fdiag[t]
-			for i := lm.NumOwned - 1; i >= 0; i-- {
-				s := zv[i]
-				for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-					if j := int(lm.Cols[k]); j > i && j < lm.NumOwned {
-						s -= fvals[k] * zv[j]
-					}
-				}
-				zv[i] = s / fdiag[i]
-			}
-			return cost
-		}))
-	}
 	bwd.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range ops {
 			p.tri.bwd[bi].solve(ops[bi].z, ops[bi].z)
@@ -538,6 +510,16 @@ func factorDILU(b *tileBlock, fdiag []float32) {
 	}
 }
 
+// factorBlock computes block bi's DILU diagonal and gathers the values its
+// packed sweeps read: the body of the factor codelet and of the factor kernel.
+func (p *DILU) factorBlock(bi int) {
+	b := &p.Sys.blocks[bi]
+	fdiag := p.fdiag[b.tile]
+	factorDILU(b, fdiag)
+	p.tri.fwd[bi].gather(b.vals, fdiag)
+	p.tri.bwd[bi].gather(b.vals, fdiag)
+}
+
 // SetupStep implements Preconditioner: schedules the DILU diagonal
 // factorization over the tile-local block.
 func (p *DILU) SetupStep() {
@@ -563,48 +545,35 @@ func (p *DILU) SetupStep() {
 			return 2 * ipu.Cost(ipu.OpFMA, ipu.F32)
 		}, levelSyncCycles) + workerStart
 		cs.Add(t, graph.CodeletFunc(func() uint64 {
-			factorDILU(b, p.fdiag[t])
+			p.factorBlock(bi)
 			return cost
 		}))
 	}
 	cs.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
-			b := &sys.blocks[bi]
-			factorDILU(b, p.fdiag[b.tile])
-			p.tri.fwd[bi].gather(b.vals, p.fdiag[b.tile])
-			p.tri.bwd[bi].gather(b.vals, p.fdiag[b.tile])
+			p.factorBlock(bi)
 		}
 	}, nil, nil)
 	sys.Sess.Append(graph.Compute{Set: cs})
 }
 
 // ApplyStep implements Preconditioner: z = (D+U)⁻¹ D (D+L)⁻¹ r with the DILU
-// diagonal D, via level-set-scheduled sweeps; the native kernels run packed
-// sweeps like ILU's, over the original off-diagonal values.
+// diagonal D, via level-set-scheduled sweeps; codelets and native kernels run
+// packed sweeps like ILU's, over the original off-diagonal values.
 func (p *DILU) ApplyStep(z, r Tensor) {
 	sys := p.Sys
 	ops := sys.sweepOperands(z, r)
 	fwd := graph.NewComputeSet("dilu:forward", "DILU Solve")
-	for t, lm := range sys.Locals {
-		if lm.NumOwned == 0 {
-			continue
-		}
-
-		zb, rb := z.Buf(t), r.Buf(t)
-		cost := p.tri.fwdCost[t]
-		fwd.Add(t, graph.CodeletFunc(func() uint64 {
-			zv, rv := zb.F32, rb.F32
-			vals, fdiag := sys.vals[t], p.fdiag[t]
-			for i := 0; i < lm.NumOwned; i++ {
-				s := rv[i]
-				for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-					if j := int(lm.Cols[k]); j < i {
-						s -= vals[k] * zv[j]
-					}
-				}
-				zv[i] = s / fdiag[i]
-			}
-			return cost
+	bwd := graph.NewComputeSet("dilu:backward", "DILU Solve")
+	for bi, b := range sys.blocks {
+		o, fwdCost, bwdCost := ops[bi], p.tri.fwdCost[b.tile], p.tri.bwdCost[b.tile]
+		fwd.Add(b.tile, graph.CodeletFunc(func() uint64 {
+			p.tri.fwd[bi].solve(o.z, o.r)
+			return fwdCost
+		}))
+		bwd.Add(b.tile, graph.CodeletFunc(func() uint64 {
+			p.tri.bwd[bi].correct(o.z)
+			return bwdCost
 		}))
 	}
 	fwd.NativeKernel = graph.OpaqueKernel(func() {
@@ -613,30 +582,6 @@ func (p *DILU) ApplyStep(z, r Tensor) {
 		}
 	}, sys.blockBufs(nil, r), sys.blockBufs(nil, z))
 	sys.Sess.Append(graph.Compute{Set: fwd})
-
-	bwd := graph.NewComputeSet("dilu:backward", "DILU Solve")
-	for t, lm := range sys.Locals {
-		if lm.NumOwned == 0 {
-			continue
-		}
-
-		zb := z.Buf(t)
-		cost := p.tri.bwdCost[t]
-		bwd.Add(t, graph.CodeletFunc(func() uint64 {
-			zv := zb.F32
-			vals, fdiag := sys.vals[t], p.fdiag[t]
-			for i := lm.NumOwned - 1; i >= 0; i-- {
-				s := float32(0)
-				for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-					if j := int(lm.Cols[k]); j > i && j < lm.NumOwned {
-						s += vals[k] * zv[j]
-					}
-				}
-				zv[i] -= s / fdiag[i]
-			}
-			return cost
-		}))
-	}
 	bwd.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range ops {
 			p.tri.bwd[bi].correct(ops[bi].z)

@@ -413,7 +413,7 @@ func (sys *System) SpMV(dst, src *tensordsl.Tensor) {
 		}
 
 		sb, db, hb := src.Buf(t), dst.Buf(t), halos[t]
-		diag, vals := sys.diag[t], sys.vals[t]
+		diag, vals, cols, owned := sys.diag[t], sys.vals[t], lm.Cols, int32(lm.NumOwned)
 		for w := 0; w < workers; w++ {
 			lo := lm.NumOwned * w / workers
 			hi := lm.NumOwned * (w + 1) / workers
@@ -423,17 +423,23 @@ func (sys *System) SpMV(dst, src *tensordsl.Tensor) {
 
 			nnz := int(lm.RowPtr[hi] - lm.RowPtr[lo])
 			cost := spmvCost(nnz, hi-lo, ipu.F32) + workerStart
+			// The worker's rows, cut to [lo,hi) up front, share one running
+			// entry cursor k; with vals cut to len(cols) too, the inner loop
+			// keeps only the checks it needs and k stays in a register.
+			rowPtr, d := lm.RowPtr[lo:hi+1], diag[lo:hi]
 			cs.Add(t, graph.CodeletFunc(func() uint64 {
-				x, y, h := sb.F32, db.F32, hb.F32
-				for i := lo; i < hi; i++ {
-					s := diag[i] * x[i]
-					for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-						j := int(lm.Cols[k])
+				x, h, vals := sb.F32, hb.F32, vals[:len(cols)]
+				y, xo := db.F32[lo:hi], x[lo:hi]
+				y, xo = y[:len(d)], xo[:len(d)]
+				k := rowPtr[0]
+				for i := range y {
+					s := d[i] * xo[i]
+					for end := rowPtr[i+1]; k < end; k++ {
 						var xj float32
-						if j < lm.NumOwned {
+						if j := cols[k]; j < owned {
 							xj = x[j]
 						} else {
-							xj = h[j-lm.NumOwned]
+							xj = h[j-owned]
 						}
 						s += vals[k] * xj
 					}
@@ -505,7 +511,7 @@ func (sys *System) ResidualExt(r, b, x *tensordsl.Tensor) {
 		}
 
 		xb, bb, rb, hb := x.Buf(t), b.Buf(t), r.Buf(t), halos[t]
-		diag, vals := sys.diag[t], sys.vals[t]
+		diag, vals, cols, owned := sys.diag[t], sys.vals[t], lm.Cols, int32(lm.NumOwned)
 		for w := 0; w < workers; w++ {
 			lo := lm.NumOwned * w / workers
 			hi := lm.NumOwned * (w + 1) / workers
@@ -515,39 +521,49 @@ func (sys *System) ResidualExt(r, b, x *tensordsl.Tensor) {
 
 			nnz := int(lm.RowPtr[hi] - lm.RowPtr[lo])
 			cost := spmvCost(nnz, hi-lo, dt) + workerStart
+			// Rows and entries as in SpMV: one running cursor over [lo,hi).
+			rowPtr, d := lm.RowPtr[lo:hi+1], diag[lo:hi]
 			if dt == ipu.DW {
 				cs.Add(t, graph.CodeletFunc(func() uint64 {
-					for i := lo; i < hi; i++ {
-						acc := twofloat.MulFloat(xb.GetDW(i), diag[i])
-						for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-							j := int(lm.Cols[k])
+					xHi, xLo, hHi, hLo, vals := xb.Hi, xb.Lo, hb.Hi, hb.Lo, vals[:len(cols)]
+					bHi, bLo := bb.Hi[lo:hi], bb.Lo[lo:hi]
+					rHi, rLo := rb.Hi[lo:hi], rb.Lo[lo:hi]
+					bLo, rHi, rLo = bLo[:len(bHi)], rHi[:len(bHi)], rLo[:len(bHi)]
+					k := rowPtr[0]
+					for i := range bHi {
+						acc := twofloat.MulFloat(twofloat.DW{Hi: xHi[lo+i], Lo: xLo[lo+i]}, d[i])
+						for end := rowPtr[i+1]; k < end; k++ {
 							var xj twofloat.DW
-							if j < lm.NumOwned {
-								xj = xb.GetDW(j)
+							if j := cols[k]; j < owned {
+								xj = twofloat.DW{Hi: xHi[j], Lo: xLo[j]}
 							} else {
-								xj = hb.GetDW(j - lm.NumOwned)
+								xj = twofloat.DW{Hi: hHi[j-owned], Lo: hLo[j-owned]}
 							}
 							acc = twofloat.Add(acc, twofloat.MulFloat(xj, vals[k]))
 						}
-						rb.SetDW(i, twofloat.Sub(bb.GetDW(i), acc))
+						res := twofloat.Sub(twofloat.DW{Hi: bHi[i], Lo: bLo[i]}, acc)
+						rHi[i], rLo[i] = res.Hi, res.Lo
 					}
 					return cost
 				}))
 			} else {
 				cs.Add(t, graph.CodeletFunc(func() uint64 {
-					for i := lo; i < hi; i++ {
-						acc := float64(diag[i]) * xb.F64[i]
-						for k := lm.RowPtr[i]; k < lm.RowPtr[i+1]; k++ {
-							j := int(lm.Cols[k])
+					x, h, vals := xb.F64, hb.F64, vals[:len(cols)]
+					bf, rf := bb.F64[lo:hi], rb.F64[lo:hi]
+					rf = rf[:len(bf)]
+					k := rowPtr[0]
+					for i := range bf {
+						acc := float64(d[i]) * x[lo+i]
+						for end := rowPtr[i+1]; k < end; k++ {
 							var xj float64
-							if j < lm.NumOwned {
-								xj = xb.F64[j]
+							if j := cols[k]; j < owned {
+								xj = x[j]
 							} else {
-								xj = hb.F64[j-lm.NumOwned]
+								xj = h[j-owned]
 							}
 							acc += float64(vals[k]) * xj
 						}
-						rb.F64[i] = bb.F64[i] - acc
+						rf[i] = bf[i] - acc
 					}
 					return cost
 				}))

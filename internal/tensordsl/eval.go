@@ -70,12 +70,15 @@ func (v vec) slice(n int) vec {
 	return v
 }
 
-// evalScratch is a per-codelet arena of intermediate vectors. An expression
-// tree requests the same sequence of (type, length) slots on every run, so
-// after the first execution every get is a reslice and the steady-state solve
-// loop allocates nothing. Each generated codelet owns its scratch: codelets
-// run concurrently across host shards but a single codelet never races with
-// itself within a superstep.
+// evalScratch is a per-codelet arena of intermediate vectors: operator
+// results, constants, broadcast scalars and leaves converted from another
+// scalar type (a leaf already of the eval type is read in place and takes no
+// slot). An expression tree requests the same sequence of (type, length)
+// slots on every run, so after the first execution every get is a reslice and
+// the steady-state solve loop allocates nothing. Each generated codelet owns
+// its scratch: codelets run concurrently across host shards but a single
+// codelet never races with itself within a superstep. A native kernel, which
+// evaluates its tiles one after another, shares one across them.
 type evalScratch struct {
 	vecs []vec
 	next int
@@ -142,9 +145,11 @@ func evalVec(e *Expr, tile int, k ipu.Scalar, n int, sc *evalScratch) vec {
 }
 
 // loadLeaf reads a tensor leaf's local data (broadcasting replicated scalars)
-// converted to eval type k.
+// converted to eval type k. A leaf already of type k is read in place, with
+// no copy: every operator writes a scratch vector and evalInto stores into dst
+// only after the whole tree has been read, so no leaf, dst included, is
+// written while it is still an operand.
 func loadLeaf(t *Tensor, tile int, k ipu.Scalar, n int, sc *evalScratch) vec {
-	out := sc.get(k, n)
 	var src *graph.Buffer
 	broadcast := false
 	if t.repl {
@@ -157,6 +162,7 @@ func loadLeaf(t *Tensor, tile int, k ipu.Scalar, n int, sc *evalScratch) vec {
 		src = t.bufs[tile]
 	}
 	if broadcast {
+		out := sc.get(k, n)
 		out.fill(src.Get(0))
 		// Exact broadcast for DW scalars (fill() rounds through float64,
 		// which is lossless for DW anyway; keep hi/lo verbatim).
@@ -170,6 +176,10 @@ func loadLeaf(t *Tensor, tile int, k ipu.Scalar, n int, sc *evalScratch) vec {
 	if src.Len() != n {
 		panic(fmt.Sprintf("tensordsl: leaf %q local length %d, want %d", t.Name, src.Len(), n))
 	}
+	if src.Scalar == k {
+		return vec{k: k, f: src.F32, hi: src.Hi, lo: src.Lo, p: src.F64}
+	}
+	out := sc.get(k, n)
 	convertBufInto(out, src)
 	return out
 }
@@ -290,26 +300,31 @@ func storeVec(dst *graph.Buffer, v vec) {
 	}
 }
 
+// applyUnary and applyBinary cut their operands to len(out) up front, so the
+// element loops run without bounds checks.
 func applyUnary(op byte, out, a vec) {
 	switch out.k {
 	case ipu.F32:
-		for i := range out.f {
-			x := a.f[i]
+		o, ax := out.f, a.f[:len(out.f)]
+		for i := range o {
+			x := ax[i]
 			switch op {
 			case 'n':
-				out.f[i] = -x
+				o[i] = -x
 			case 'a':
 				if x < 0 {
 					x = -x
 				}
-				out.f[i] = x
+				o[i] = x
 			case 'q':
-				out.f[i] = float32(math.Sqrt(float64(x)))
+				o[i] = float32(math.Sqrt(float64(x)))
 			}
 		}
 	case ipu.DW:
-		for i := range out.hi {
-			x := twofloat.DW{Hi: a.hi[i], Lo: a.lo[i]}
+		oHi, n := out.hi, len(out.hi)
+		oLo, aHi, aLo := out.lo[:n], a.hi[:n], a.lo[:n]
+		for i := range oHi {
+			x := twofloat.DW{Hi: aHi[i], Lo: aLo[i]}
 			var r twofloat.DW
 			switch op {
 			case 'n':
@@ -319,18 +334,19 @@ func applyUnary(op byte, out, a vec) {
 			case 'q':
 				r = twofloat.Sqrt(x)
 			}
-			out.hi[i], out.lo[i] = r.Hi, r.Lo
+			oHi[i], oLo[i] = r.Hi, r.Lo
 		}
 	case ipu.F64:
-		for i := range out.p {
-			x := a.p[i]
+		o, ax := out.p, a.p[:len(out.p)]
+		for i := range o {
+			x := ax[i]
 			switch op {
 			case 'n':
-				out.p[i] = -x
+				o[i] = -x
 			case 'a':
-				out.p[i] = math.Abs(x)
+				o[i] = math.Abs(x)
 			case 'q':
-				out.p[i] = math.Sqrt(x)
+				o[i] = math.Sqrt(x)
 			}
 		}
 	}
@@ -339,28 +355,31 @@ func applyUnary(op byte, out, a vec) {
 func applyBinary(op byte, out, a, b vec) {
 	switch out.k {
 	case ipu.F32:
+		o, x, y := out.f, a.f[:len(out.f)], b.f[:len(out.f)]
 		switch op {
 		case '+':
-			for i := range out.f {
-				out.f[i] = a.f[i] + b.f[i]
+			for i := range o {
+				o[i] = x[i] + y[i]
 			}
 		case '-':
-			for i := range out.f {
-				out.f[i] = a.f[i] - b.f[i]
+			for i := range o {
+				o[i] = x[i] - y[i]
 			}
 		case '*':
-			for i := range out.f {
-				out.f[i] = a.f[i] * b.f[i]
+			for i := range o {
+				o[i] = x[i] * y[i]
 			}
 		case '/':
-			for i := range out.f {
-				out.f[i] = a.f[i] / b.f[i]
+			for i := range o {
+				o[i] = x[i] / y[i]
 			}
 		}
 	case ipu.DW:
-		for i := range out.hi {
-			x := twofloat.DW{Hi: a.hi[i], Lo: a.lo[i]}
-			y := twofloat.DW{Hi: b.hi[i], Lo: b.lo[i]}
+		oHi, n := out.hi, len(out.hi)
+		oLo, aHi, aLo, bHi, bLo := out.lo[:n], a.hi[:n], a.lo[:n], b.hi[:n], b.lo[:n]
+		for i := range oHi {
+			x := twofloat.DW{Hi: aHi[i], Lo: aLo[i]}
+			y := twofloat.DW{Hi: bHi[i], Lo: bLo[i]}
 			var r twofloat.DW
 			switch op {
 			case '+':
@@ -372,25 +391,26 @@ func applyBinary(op byte, out, a, b vec) {
 			case '/':
 				r = twofloat.Div(x, y)
 			}
-			out.hi[i], out.lo[i] = r.Hi, r.Lo
+			oHi[i], oLo[i] = r.Hi, r.Lo
 		}
 	case ipu.F64:
+		o, x, y := out.p, a.p[:len(out.p)], b.p[:len(out.p)]
 		switch op {
 		case '+':
-			for i := range out.p {
-				out.p[i] = a.p[i] + b.p[i]
+			for i := range o {
+				o[i] = x[i] + y[i]
 			}
 		case '-':
-			for i := range out.p {
-				out.p[i] = a.p[i] - b.p[i]
+			for i := range o {
+				o[i] = x[i] - y[i]
 			}
 		case '*':
-			for i := range out.p {
-				out.p[i] = a.p[i] * b.p[i]
+			for i := range o {
+				o[i] = x[i] * y[i]
 			}
 		case '/':
-			for i := range out.p {
-				out.p[i] = a.p[i] / b.p[i]
+			for i := range o {
+				o[i] = x[i] / y[i]
 			}
 		}
 	}
