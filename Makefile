@@ -37,14 +37,19 @@ bench:
 ## guard that warm native SolveInto stays allocation-free), the
 ## fused-vs-plain stream equivalence property and the FusedSets gate (the
 ## guards that the native fusions stay bit-identical and stay on), the
-## kernel-vs-codelet property with its packed-sweep order checks and its
-## natural-order sweep oracle (the guard behind the ilu0-apply and
-## dilu-apply rows the first line runs, and behind the packed sweeps both
-## backends run), and the sim-cold exact counts and bits, without -race
+## kernel property with its packed-sweep order checks and its oracles (the
+## per-worker SpMV and DW/F64 residual row loops and the natural-order
+## sweeps: the guard behind the ilu0-apply and dilu-apply rows the first
+## line runs, and behind the kernels the simulator runs for its billed
+## sets), the engine's billed-set, exchange-replay and zero-alloc tests, and
+## the sim-cold exact counts and bits and the paper golden file, without
+## -race
 bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels' -benchtime 1x -benchmem .
 	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets' ./internal/solver
+	$(GO) test -short -run 'TestBilledSet|TestValidateBilledSets|TestExchangeBillReplayed|TestEngineSuperstepZeroAlloc' ./internal/graph
 	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact' ./internal/core
+	$(GO) test -short -run 'TestPaperGolden' ./internal/bench
 
 ## serve-smoke: build one race-enabled ipuserved (and, for the cluster phase,
 ## one ipurouterd) and drive the servesmoke phases named by PHASES against

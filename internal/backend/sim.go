@@ -27,10 +27,12 @@ type simExec struct {
 	eng  *graph.Engine
 }
 
-// Refresh implements Executable. The engine interprets the program's compute
-// sets and exchanges directly against the session's tensor buffers and the
-// solver's tile value blocks, so rewriting those in place is the whole
-// refresh: the next Run reads the new values through the same references.
+// Refresh implements Executable. The engine runs the program's compute sets
+// (their codelets or, for billed sets, their native kernels) and exchanges
+// directly against the session's tensor buffers and the solver's tile value
+// blocks, so rewriting those in place is the whole refresh: the next Run
+// reads the new values through the same references. Bills and exchange costs
+// depend on the pattern alone and survive a refresh.
 func (x *simExec) Refresh(rewrite func() error) error {
 	return rewrite()
 }

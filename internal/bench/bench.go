@@ -17,6 +17,7 @@ import (
 	"io"
 	"math/rand"
 
+	"ipusparse/internal/graph"
 	"ipusparse/internal/ipu"
 	"ipusparse/internal/partition"
 	"ipusparse/internal/solver"
@@ -38,6 +39,11 @@ type Options struct {
 	Out io.Writer
 	// Seed for synthetic right-hand sides.
 	Seed int64
+
+	// observe, when set, receives every simulated run an experiment makes,
+	// under a row name, with the solver statistics when the run has them:
+	// TestPaperGolden records its exact-repeat fields through it.
+	observe func(row string, eng *graph.Engine, st *solver.RunStats)
 }
 
 // withDefaults fills unset fields.
@@ -67,6 +73,15 @@ func (o Options) printf(format string, args ...interface{}) {
 	if o.Out != nil {
 		fmt.Fprintf(o.Out, format, args...)
 	}
+}
+
+// run executes the session's program and shows the engine to o.observe.
+func (o Options) run(sess *tensordsl.Session, row string, st *solver.RunStats) (*graph.Engine, error) {
+	eng, err := sess.Run()
+	if err == nil && o.observe != nil {
+		o.observe(row, eng, st)
+	}
+	return eng, err
 }
 
 // newSystem builds a machine + session + system for a matrix using grid-aware

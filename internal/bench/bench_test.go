@@ -219,7 +219,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Convergence(t *testing.T) {
-	series, err := convergenceStudy(fastOpts(), "Geo_1438", 40, 5)
+	series, err := convergenceStudy(fastOpts(), "fig9", "Geo_1438", 40, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

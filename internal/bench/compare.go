@@ -77,7 +77,7 @@ func Fig7(o Options) ([]CompareRow, error) {
 			return nil, err
 		}
 		sys.SpMV(y, x)
-		eng, err := sess.Run()
+		eng, err := o.run(sess, "fig7/"+s.Name, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +168,7 @@ func Fig8(o Options) ([]CompareRow, error) {
 		}
 		var st solver.RunStats
 		mp.ScheduleSolve(x, bt, &st)
-		eng, err := sess.Run()
+		eng, err := o.run(sess, "fig8/"+s.Name, &st)
 		if err != nil {
 			return nil, err
 		}

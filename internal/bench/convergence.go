@@ -44,7 +44,7 @@ func trueRelRes32(m *sparse.Matrix, x, b []float64) float64 {
 // working-precision IR, and with MPIR using double-word and soft-double
 // extended precision. Every configuration performs `inner` solver iterations
 // between refinement/restart events, `rounds` times.
-func convergenceStudy(o Options, matrixName string, inner, rounds int) ([]ConvSeries, error) {
+func convergenceStudy(o Options, fig, matrixName string, inner, rounds int) ([]ConvSeries, error) {
 	o = o.withDefaults()
 	prof, err := sparse.SuiteLikeByName(matrixName)
 	if err != nil {
@@ -85,7 +85,7 @@ func convergenceStudy(o Options, matrixName string, inner, rounds int) ([]ConvSe
 			}
 			s.ScheduleSolve(x, bt, nil)
 		}
-		if _, err := sess.Run(); err != nil {
+		if _, err := o.run(sess, fig+"/"+series.Config, nil); err != nil {
 			return nil, err
 		}
 		out = append(out, series)
@@ -135,7 +135,7 @@ func convergenceStudy(o Options, matrixName string, inner, rounds int) ([]ConvSe
 		}
 		var st solver.RunStats
 		mp.ScheduleSolve(x, bt, &st)
-		if _, err := sess.Run(); err != nil {
+		if _, err := o.run(sess, fig+"/"+cfg.name, &st); err != nil {
 			return nil, err
 		}
 		record()
@@ -147,13 +147,13 @@ func convergenceStudy(o Options, matrixName string, inner, rounds int) ([]ConvSe
 // Fig9 is the convergence study on the Geo_1438-like matrix.
 func Fig9(o Options) ([]ConvSeries, error) {
 	o = o.withDefaults()
-	return convergenceStudy(o, "Geo_1438", 60, 8)
+	return convergenceStudy(o, "fig9", "Geo_1438", 60, 8)
 }
 
 // Fig10 is the convergence study on the af_shell7-like matrix.
 func Fig10(o Options) ([]ConvSeries, error) {
 	o = o.withDefaults()
-	return convergenceStudy(o, "af_shell7", 60, 8)
+	return convergenceStudy(o, "fig10", "af_shell7", 60, 8)
 }
 
 // PrintConvergence renders a convergence study.

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"ipusparse/internal/sparse"
 )
 
@@ -19,7 +21,7 @@ type ScalingPoint struct {
 
 // spmvOnce builds the machine and system, runs one SpMV, and returns the
 // phase times.
-func (o Options) spmvOnce(chips, nx, ny, nz int) (ScalingPoint, error) {
+func (o Options) spmvOnce(row string, chips, nx, ny, nz int) (ScalingPoint, error) {
 	m := sparse.Poisson3D(nx, ny, nz)
 	cfg := o.machineConfig(chips)
 	sess, sys, err := newSystem(cfg, m, nx, ny, nz)
@@ -32,7 +34,7 @@ func (o Options) spmvOnce(chips, nx, ny, nz int) (ScalingPoint, error) {
 		return ScalingPoint{}, err
 	}
 	sys.SpMV(y, x)
-	eng, err := sess.Run()
+	eng, err := o.run(sess, fmt.Sprintf("%s/chips=%d", row, chips), nil)
 	if err != nil {
 		return ScalingPoint{}, err
 	}
@@ -59,7 +61,7 @@ func Fig5(o Options) ([]ScalingPoint, error) {
 	side := scaleSide(200, o.Scale)
 	var out []ScalingPoint
 	for _, chips := range []int{1, 2, 4, 8, 16} {
-		p, err := o.spmvOnce(chips, side, side, side)
+		p, err := o.spmvOnce("fig5", chips, side, side, side)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +112,7 @@ func Fig6(o Options) ([]ScalingPoint, error) {
 	var out []ScalingPoint
 	for _, chips := range []int{1, 2, 4, 8, 16} {
 		// Grow the z extent with the chip count: rows/tile stays constant.
-		p, err := o.spmvOnce(chips, side, side, side*chips)
+		p, err := o.spmvOnce("fig6", chips, side, side, side*chips)
 		if err != nil {
 			return nil, err
 		}

@@ -216,7 +216,7 @@ func Table4(o Options) ([]Table4Row, error) {
 		}
 		var st solver.RunStats
 		mp.ScheduleSolve(x, b, &st)
-		eng, err := sess.Run()
+		eng, err := o.run(sess, "table4/"+ext, &st)
 		if err != nil {
 			return nil, err
 		}

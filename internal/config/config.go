@@ -272,8 +272,8 @@ type ClusterConfig struct {
 }
 
 // EngineConfig tunes the host-side BSP engine. Parallelism never changes
-// results — compute supersteps and exchange accounting are bit-identical and
-// cycle-identical at every setting — only host wall time.
+// results — compute supersteps are bit-identical and cycle-identical at every
+// setting — only host wall time.
 type EngineConfig struct {
 	// Parallelism is the number of host shards per BSP superstep: 0 (the
 	// default) uses the shared host pool's worker count (GOMAXPROCS), 1 runs

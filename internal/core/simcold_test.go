@@ -2,7 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
+	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,32 +16,58 @@ import (
 	"ipusparse/internal/sparse"
 )
 
+// simColdEntry is one entry of the sim-cold suite with everything the
+// simulator must repeat for it.
+type simColdEntry struct {
+	gen, cfg   string
+	strategy   PartitionStrategy
+	iterations int
+	relRes, x  uint64 // float64 bits of relRes; FNV-1a of x's bits
+	stats      ipu.Stats
+	tiles      uint64            // FNV-1a of every tile's (Cycles, XBytes)
+	profile    map[string]uint64 // cycles per profiling label (Table IV's classes)
+}
+
 // TestSimColdCountsExact pins the simulated counts of one cold pass of the
 // benchmark's sim-cold suite: same matrices, same configs (read from
 // benchmark/configs), 64 tiles, b = A·1. IPU cycle counts depend only on the
 // sparsity pattern and the compiled program, so these numbers repeat exactly;
-// a change that moves simulated cycles edits them here, visibly. The values
-// are pinned too, as the relative residual's bits and a 64-bit FNV-1a of x's
-// float64 bits: a change to how the simulator computes values must leave
-// them exactly.
+// a change that moves simulated cycles edits them here, visibly. Per entry it
+// pins the whole machine accounting (ipu.Stats), each tile's compute cycles
+// and exchange traffic (as one FNV-1a), the per-label cycle profile, the
+// iteration count, the relative residual's bits and an FNV-1a of x's float64
+// bits; for the first entry also every traced phase (name, kind, start,
+// cycles). A change to how the simulator computes values or bills cycles
+// must leave all of it exactly.
 func TestSimColdCountsExact(t *testing.T) {
-	suite := []struct {
-		gen, cfg   string
-		strategy   PartitionStrategy
-		cycles     uint64
-		supersteps uint64
-		iterations int
-		relRes, x  uint64 // float64 bits of relRes; FNV-1a of x's bits
-	}{
-		{"poisson3d:24", "sim-mpir-dw-ilu.json", PartitionContiguous, 7_030_332, 3_536, 140, 0x3d582bcad74ced09, 0xe4aa22dd19d883fc},
-		{"poisson3d:24", "sim-cg-chebyshev.json", PartitionContiguous, 2_024_694, 1_297, 45, 0x3eaab3c80ad29149, 0xbe47da65ccd16b6a},
-		{"stencil27:16", "sim-bicgstab-ilu-coarse.json", PartitionGreedy, 4_092_062, 781, 22, 0x3e8f51ae63d6cf42, 0xfb81ad10d0e2ccc4},
+	suite := []simColdEntry{
+		{"poisson3d:24", "sim-mpir-dw-ilu.json", PartitionContiguous, 140, 0x3d582bcad74ced09, 0xe4aa22dd19d883fc,
+			ipu.Stats{ComputeCycles: 6_320_274, ExchangeCycles: 179_658, SyncCycles: 530_400, TotalCycles: 7_030_332,
+				Supersteps: 3_536, Exchanges: 1_701, ExchangeInstructions: 134_802, ExchangeBytes: 16_107_520,
+				Seconds: 0.005285963909774436, EnergyJoules: 0.5550262105263157, MemPeakBytes: 38_324},
+			0xf0b70237ca04e2f9,
+			map[string]uint64{"Elementwise Ops": 755_230, "Exchange": 83_946, "Extended-Precision Ops": 169_954,
+				"ILU(0) Factor": 2_994, "ILU(0) Solve": 3_138_240, "Reduce": 1_129_876, "SpMV": 1_750_092}},
+		{"poisson3d:24", "sim-cg-chebyshev.json", PartitionContiguous, 45, 0x3eaab3c80ad29149, 0xbe47da65ccd16b6a,
+			ipu.Stats{ComputeCycles: 1_753_651, ExchangeCycles: 76_493, SyncCycles: 194_550, TotalCycles: 2_024_694,
+				Supersteps: 1_297, Exchanges: 488, ExchangeInstructions: 70_324, ExchangeBytes: 10_765_056,
+				Seconds: 0.0015223263157894736, EnergyJoules: 0.15984426315789474, MemPeakBytes: 28_804},
+			0x072f1b4ff9b9084d,
+			map[string]uint64{"Elementwise Ops": 546_669, "Exchange": 56_648, "Reduce": 217_413, "SpMV": 1_203_964}},
+		{"stencil27:16", "sim-bicgstab-ilu-coarse.json", PartitionGreedy, 22, 0x3e8f51ae63d6cf42, 0xfb81ad10d0e2ccc4,
+			ipu.Stats{ComputeCycles: 3_917_279, ExchangeCycles: 57_633, SyncCycles: 117_150, TotalCycles: 4_092_062,
+				Supersteps: 781, Exchanges: 401, ExchangeInstructions: 171_844, ExchangeBytes: 1_354_164,
+				Seconds: 0.003076738345864662, EnergyJoules: 0.3230575263157895, MemPeakBytes: 55_748},
+			0x88affcbb05796277,
+			map[string]uint64{"Coarse Factor": 1_048_742, "Coarse Solve": 1_129_128, "Elementwise Ops": 74_909,
+				"Exchange": 24_297, "ILU(0) Factor": 17_072, "ILU(0) Solve": 1_001_352, "Reduce": 121_408, "SpMV": 675_154}},
 	}
+	const traceEvents, traceHash = 5_810, 0x22b6339f7051a128 // the first entry's timeline
 	mc := ipu.Mk2M2000()
 	mc.Chips, mc.TilesPerChip = 1, 64
 
-	var cycles, supersteps uint64
-	for _, e := range suite {
+	var total ipu.Stats
+	for i, e := range suite {
 		f, err := os.Open(filepath.Join("..", "..", "benchmark", "configs", e.cfg))
 		if err != nil {
 			t.Fatal(err)
@@ -59,31 +88,82 @@ func TestSimColdCountsExact(t *testing.T) {
 		b := make([]float64, m.N)
 		m.MulVec(ones, b)
 
-		r, err := Solve(mc, m, b, cfg, e.strategy, WithBackend("sim"))
+		p, err := Prepare(mc, m, cfg, e.strategy, WithBackend("sim"))
 		if err != nil {
 			t.Fatalf("%s x %s: %v", e.gen, e.cfg, err)
 		}
-		if !r.Stats.Converged {
-			t.Errorf("%s x %s: did not converge", e.gen, e.cfg)
+		r, err := p.Solve(b)
+		if err != nil {
+			t.Fatalf("%s x %s: %v", e.gen, e.cfg, err)
 		}
-		if r.Machine.TotalCycles != e.cycles || r.Machine.Supersteps != e.supersteps || r.Stats.Iterations != e.iterations {
-			t.Errorf("%s x %s: %d cycles, %d supersteps, %d iterations; want %d, %d, %d",
-				e.gen, e.cfg, r.Machine.TotalCycles, r.Machine.Supersteps, r.Stats.Iterations,
-				e.cycles, e.supersteps, e.iterations)
+		name := e.gen + " x " + e.cfg
+		if !r.Stats.Converged {
+			t.Errorf("%s: did not converge", name)
+		}
+		if r.Stats.Iterations != e.iterations {
+			t.Errorf("%s: %d iterations, want %d", name, r.Stats.Iterations, e.iterations)
+		}
+		if r.Machine != e.stats {
+			t.Errorf("%s: machine accounting\n%#v\nwant\n%#v", name, r.Machine, e.stats)
 		}
 		h := fnv.New64a()
-		var word [8]byte
 		for _, v := range r.X {
-			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
-			h.Write(word[:])
+			putWord(h, math.Float64bits(v))
 		}
 		if rel, x := math.Float64bits(r.Stats.RelRes), h.Sum64(); rel != e.relRes || x != e.x {
-			t.Errorf("%s x %s: relRes bits %#x, x hash %#x; want %#x, %#x", e.gen, e.cfg, rel, x, e.relRes, e.x)
+			t.Errorf("%s: relRes bits %#x, x hash %#x; want %#x, %#x", name, rel, x, e.relRes, e.x)
 		}
-		cycles += r.Machine.TotalCycles
-		supersteps += r.Machine.Supersteps
+		h.Reset()
+		for tile := 0; tile < p.ctx.Machine.NumTiles(); tile++ {
+			tl := p.ctx.Machine.Tile(tile)
+			putWord(h, tl.Cycles)
+			putWord(h, tl.XBytes)
+		}
+		if got := h.Sum64(); got != e.tiles {
+			t.Errorf("%s: per-tile cycles and traffic hash %#x, want %#x", name, got, e.tiles)
+		}
+		profile := map[string]uint64{}
+		for _, pe := range r.Profile {
+			profile[pe.Label] = pe.Cycles
+		}
+		if !maps.Equal(profile, e.profile) {
+			t.Errorf("%s: profile %#v, want %#v", name, profile, e.profile)
+		}
+		if i == 0 {
+			// A warm re-run is bit- and cycle-identical to the cold one;
+			// this one records the device timeline.
+			p.mu.Lock()
+			rr, _, err := p.runLocked(b, runOptions{trace: io.Discard}, false)
+			p.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Reset()
+			for _, ev := range rr.Tracer.Events {
+				io.WriteString(h, ev.Name+"\x00"+ev.Kind+"\x00")
+				putWord(h, ev.Start)
+				putWord(h, ev.Cycles)
+			}
+			if n, got := len(rr.Tracer.Events), h.Sum64(); n != traceEvents || got != traceHash {
+				t.Errorf("%s: %d trace events hashing to %#x, want %d and %#x", name, n, got, traceEvents, uint64(traceHash))
+			}
+		}
+		total.ComputeCycles += r.Machine.ComputeCycles
+		total.ExchangeCycles += r.Machine.ExchangeCycles
+		total.SyncCycles += r.Machine.SyncCycles
+		total.TotalCycles += r.Machine.TotalCycles
+		total.Supersteps += r.Machine.Supersteps
+		total.ExchangeBytes += r.Machine.ExchangeBytes
 	}
-	if cycles != 13_147_088 || supersteps != 5_614 {
-		t.Errorf("suite total %d cycles, %d supersteps; want 13,147,088 and 5,614", cycles, supersteps)
+	want := ipu.Stats{ComputeCycles: 11_991_204, ExchangeCycles: 313_784, SyncCycles: 842_100,
+		TotalCycles: 13_147_088, Supersteps: 5_614, ExchangeBytes: 28_226_740}
+	if total != want {
+		t.Errorf("suite totals %+v; want %+v", total, want)
 	}
+}
+
+func putWord(h hash.Hash64, v uint64) {
+	var word [8]byte
+	binary.LittleEndian.PutUint64(word[:], v)
+	h.Write(word[:])
 }

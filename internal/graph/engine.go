@@ -13,16 +13,26 @@ import (
 // accumulating per-label cycle profiles. It plays the role of the Poplar
 // engine plus its profiler.
 //
-// Compute supersteps are sharded across the shared host worker pool
-// (package hostpool): BSP semantics guarantee tiles touch only their own SRAM
-// within a compute superstep, so the tile list of a frozen compute set splits
-// into contiguous ranges that execute concurrently. Every shard writes
-// per-tile costs into disjoint slots and the coordinator merges them with
-// order-independent reductions (uint64 max, integer sums), so results and
-// cycle profiles are bit-identical at every parallelism level — including
-// serial. Nondeterminism sources (Injector decisions, the Tracer, the Profile
-// map) stay on the coordinator goroutine, and fault-campaign runs fall back
-// to serial shards so seeded campaigns replay exactly.
+// A compute set is billed or interpreted (see Codelet). A billed set runs its
+// native kernel once per superstep, on the coordinator, and bills each tile a
+// cost computed on the set's first execution: the kernel does the codelets'
+// arithmetic in their order, and a Fixed vertex's cost cannot depend on data.
+// An interpreted set runs its vertices; its supersteps are sharded across the
+// shared host worker pool (package hostpool): BSP semantics guarantee tiles
+// touch only their own SRAM within a compute superstep, so the tile list of a
+// frozen compute set splits into contiguous ranges that execute concurrently.
+// Every shard writes per-tile costs into disjoint slots and the coordinator
+// merges them with order-independent reductions (uint64 max, integer sums),
+// so results and cycle profiles are bit-identical at every parallelism level
+// — including serial. Nondeterminism sources (Injector decisions, the Tracer,
+// the Profile map) stay on the coordinator goroutine, and fault-campaign runs
+// fall back to serial shards so seeded campaigns replay exactly.
+//
+// An exchange's cost depends on its move list alone, so a fault-free run
+// costs each exchange phase once (ipu.Machine.CostExchange) and bills the
+// same cost every later time it runs; its moves' data movement still runs
+// every time. Under a fault campaign the phase bills its actual transfer
+// list, re-delivered drops included, through the same costing.
 type Engine struct {
 	M *ipu.Machine
 
@@ -50,6 +60,7 @@ type Engine struct {
 	tileCost        []uint64 // dense per-tile costs (fault-campaign path)
 	workerCost      []uint64
 	transferScratch []ipu.Transfer
+	xcosts          map[*Move]*ipu.ExchangeCost // fault-free exchange costs, by first move
 	tracer          *Tracer
 	metrics         *EngineMetrics
 }
@@ -73,10 +84,10 @@ func NewEngine(m *ipu.Machine) *Engine {
 	return e
 }
 
-// SetParallelism sets the number of host shards used per compute superstep
-// and for exchange-cost accounting: 0 selects the shared pool's worker count
-// (GOMAXPROCS), 1 executes serially. Results are bit-identical and
-// cycle-identical at every setting; parallelism only changes host wall time.
+// SetParallelism sets the number of host shards used per interpreted compute
+// superstep: 0 selects the shared pool's worker count (GOMAXPROCS), 1
+// executes serially. Results are bit-identical and cycle-identical at every
+// setting; parallelism only changes host wall time.
 func (e *Engine) SetParallelism(p int) {
 	if p <= 0 {
 		p = hostpool.Parallelism()
@@ -85,7 +96,6 @@ func (e *Engine) SetParallelism(p int) {
 	if cap(e.shards) < p {
 		e.shards = make([]computeShard, p)
 	}
-	e.M.SetHostParallelism(p)
 }
 
 // Parallelism returns the configured host-shard count.
@@ -227,7 +237,67 @@ func (e *Engine) computeSuperstep(cs *ComputeSet, fs *frozenSet) error {
 		return &StepError{Step: cs.Name, Superstep: e.Supersteps, Err: err}
 	}
 
-	step := e.M.ComputeSparse(fs.tiles, costs)
+	e.superstepDone(cs, e.M.ComputeSparse(fs.tiles, costs), nsh)
+	return nil
+}
+
+// resolve classifies a compute set on its first simulated execution and, for
+// a billed one, computes its per-tile bill: the max over the tile's Fixed
+// workers, like a tile finishing with its slowest worker.
+func (e *Engine) resolve(cs *ComputeSet, fs *frozenSet) error {
+	billed, err := cs.costOnly()
+	if err != nil {
+		return &StepError{Step: cs.Name, Superstep: e.Supersteps, Err: err}
+	}
+	if billed {
+		slots := e.M.Config().WorkersPerTile
+		bill := make([]uint64, len(fs.tiles))
+		for i, ws := range fs.verts {
+			if tile := fs.tiles[i]; tile < 0 || tile >= e.M.NumTiles() {
+				return &StepError{Step: cs.Name, Superstep: e.Supersteps,
+					Err: fmt.Errorf("graph: compute set places vertex on invalid tile %d", tile)}
+			} else if len(ws) > slots {
+				return &StepError{Step: cs.Name, Superstep: e.Supersteps,
+					Err: fmt.Errorf("tile %d: %w: %d workers for %d slots", tile, ipu.ErrOversubscribed, len(ws), slots)}
+			}
+			for _, w := range ws {
+				bill[i] = max(bill[i], uint64(w.(Fixed)))
+			}
+		}
+		fs.bill = bill
+	}
+	fs.resolved = true
+	return nil
+}
+
+// billedSuperstep executes one superstep of a billed set: the native kernel
+// computes the values, the set's bill is the cost. Under a fault campaign the
+// injector is consulted first, so the kernel computes on memory it flipped,
+// and a stall lengthens the stalled tile's bill.
+func (e *Engine) billedSuperstep(cs *ComputeSet, fs *frozenSet) error {
+	stallTile, stall := -1, uint64(0)
+	if e.Injector != nil {
+		stallTile, stall = e.Injector.ComputeFault(cs.Name, e.Supersteps, len(e.tileCost))
+	}
+	cs.NativeKernel.Run()
+	var step uint64
+	if stall > 0 && stallTile >= 0 && stallTile < len(e.tileCost) {
+		clear(e.tileCost)
+		for i, tile := range fs.tiles {
+			e.tileCost[tile] = fs.bill[i]
+		}
+		e.tileCost[stallTile] += stall
+		step = e.M.Compute(e.tileCost)
+	} else {
+		step = e.M.ComputeSparse(fs.tiles, fs.bill)
+	}
+	e.superstepDone(cs, step, 1)
+	return nil
+}
+
+// superstepDone records one executed compute superstep of step cycles, run
+// on shards host shards.
+func (e *Engine) superstepDone(cs *ComputeSet, step uint64, shards int) {
 	e.addProfile(cs.Label, step)
 	e.Supersteps++
 	if e.tracer != nil {
@@ -236,9 +306,29 @@ func (e *Engine) computeSuperstep(cs *ComputeSet, fs *frozenSet) error {
 	if e.metrics != nil {
 		e.metrics.Supersteps.Inc()
 		e.metrics.SuperstepCycles.Observe(float64(step))
-		e.metrics.ShardsPerSuperstep.Observe(float64(nsh))
+		e.metrics.ShardsPerSuperstep.Observe(float64(shards))
 	}
-	return nil
+}
+
+// exchangeCost returns the cost of a fault-free exchange phase, computed on
+// the phase's first execution. The key is the phase's first move: a program's
+// exchanges each own their move list.
+func (e *Engine) exchangeCost(moves []Move) *ipu.ExchangeCost {
+	if c := e.xcosts[&moves[0]]; c != nil {
+		return c
+	}
+	transfers := e.transferScratch[:0]
+	for i := range moves {
+		transfers = append(transfers, transferFromMove(moves[i]))
+	}
+	c := &ipu.ExchangeCost{}
+	e.M.CostExchange(transfers, c)
+	e.transferScratch = transfers[:0]
+	if e.xcosts == nil {
+		e.xcosts = map[*Move]*ipu.ExchangeCost{}
+	}
+	e.xcosts[&moves[0]] = c
+	return c
 }
 
 // ProfileShares returns the profile as (label, fraction-of-total) pairs

@@ -10,14 +10,15 @@ import (
 
 // This file holds the native kernel descriptor and the one table of host
 // loops behind it. A compute set that has a flat host-speed implementation
-// carries a NativeKernel; the cycle-accurate engine ignores it, the native
-// backend runs it instead of the vertices. The three fusable kinds (SpMV,
-// fused float32 assign, float32 sum/dot partial) expose their operands as
-// per-block slice tables, so the native backend's peephole pass can hand an
-// adjacent run of them to FuseKernels and get one loop that finishes every
-// statement for element j before it touches j+1, with produced values kept in
-// registers. Every other kernel is opaque: the pass only needs to know which
-// buffers it writes, or that it does not know (Barrier).
+// carries a NativeKernel; the native backend runs it instead of the vertices,
+// and the cycle-accurate engine runs it for a billed set (see Codelet). The
+// three fusable kinds (SpMV, fused float32 assign, float32 sum/dot partial)
+// expose their operands as per-block slice tables, so the native backend's
+// peephole pass can hand an adjacent run of them to FuseKernels and get one
+// loop that finishes every statement for element j before it touches j+1,
+// with produced values kept in registers. Every other kernel is opaque: the
+// pass only needs to know which buffers it writes, or that it does not know
+// (Barrier).
 
 // KernelKind classifies a native kernel for the fusion pass.
 type KernelKind uint8
@@ -37,7 +38,8 @@ const (
 )
 
 // NativeKernel describes the host-native implementation of one compute set.
-// Run produces the same memory effects as running every vertex of the set.
+// Run produces the set's memory effects: those of running every vertex of an
+// interpreted set, and all of a billed set's, whose vertices are costs only.
 // Exactly the payload fields the kind needs are set.
 type NativeKernel struct {
 	Kind KernelKind
@@ -111,9 +113,9 @@ func BarrierKernel(run func()) *NativeKernel {
 	return &NativeKernel{Run: run, Barrier: true}
 }
 
-// SpMVKernel describes y = A·x over the block table. Rows run in the
-// codelets' order with the codelets' per-row summation order, so results are
-// bit-identical to the worker codelets.
+// SpMVKernel describes y = A·x over the block table. Each row sums its
+// diagonal product, then its stored entries in storage order; every fused
+// loop keeps that order, so both backends leave the same bits.
 func SpMVKernel(csr []CSRBlock, gather []float32) *NativeKernel {
 	return bind(&NativeKernel{Kind: KernelSpMV, CSR: csr, Gather: gather})
 }

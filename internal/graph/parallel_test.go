@@ -24,8 +24,8 @@ func parallelTestMachine(t *testing.T) *ipu.Machine {
 }
 
 // parallelTestProgram schedules a few supersteps over every tile plus an
-// exchange with one move per tile, with tile-dependent cycle costs, so both
-// the compute sharding and the sharded exchange accounting are exercised.
+// exchange with one move per tile, with tile-dependent cycle costs, so the
+// compute sharding is exercised next to the exchange accounting.
 func parallelTestProgram(m *ipu.Machine, ran *atomic.Int64) *Sequence {
 	nt := m.NumTiles()
 	prog := &Sequence{Name: "par-test"}

@@ -4,12 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"ipusparse/internal/ipu"
 )
 
 // Codelet is one computational vertex executing on one worker thread of one
 // tile. Run performs the computation functionally and returns the cycle cost
 // it consumed (data-dependent control flow makes the cost a result of
 // execution, exactly as Poplar's cycle estimators work per invocation).
+//
+// A vertex whose cost is a build-time constant is a Fixed instead: it has no
+// code, so its cost cannot depend on data. A compute set whose vertices are
+// all Fixed is billed: the engine runs the set's native kernel for the values
+// and bills each tile the max over its Fixed workers, computed once. Every
+// other set is interpreted, vertex by vertex.
 type Codelet interface {
 	Run() uint64
 }
@@ -20,6 +28,12 @@ type CodeletFunc func() uint64
 // Run implements Codelet.
 func (f CodeletFunc) Run() uint64 { return f() }
 
+// Fixed is a cost-only vertex: one worker's cycle bill, with no computation.
+type Fixed uint64
+
+// Run implements Codelet: the bill, nothing else.
+func (f Fixed) Run() uint64 { return uint64(f) }
+
 // ComputeSet groups vertices that execute in parallel within one BSP compute
 // superstep. Vertices on the same tile occupy distinct worker-thread slots.
 type ComputeSet struct {
@@ -29,9 +43,10 @@ type ComputeSet struct {
 	// NativeKernel, when non-nil, describes a flat host-speed implementation
 	// of the whole compute set (see kernel.go): running it produces the same
 	// memory effects as running every vertex, without per-tile dispatch or
-	// cycle accounting. The cycle-accurate engine ignores it; the native
-	// backend executes it instead of the vertices, alone or fused with its
-	// neighbours.
+	// cycle accounting. The native backend executes it instead of the
+	// vertices, alone or fused with its neighbours; the cycle-accurate engine
+	// executes it for a billed set (all vertices Fixed), whose values it
+	// alone computes, and ignores it otherwise.
 	NativeKernel *NativeKernel
 
 	vertices map[int][]Codelet // tile -> worker codelets
@@ -64,6 +79,12 @@ func (cs *ComputeSet) Empty() bool { return len(cs.vertices) == 0 }
 type frozenSet struct {
 	tiles []int
 	verts [][]Codelet
+
+	// bill is a billed set's per-tile cost, in tiles order; resolved says
+	// the engine has classified the set. Both are set on the set's first
+	// simulated execution (see Engine.resolve), never by the native backend.
+	bill     []uint64
+	resolved bool
 }
 
 // Finalize returns the frozen form of the set, building it if a vertex was
@@ -105,6 +126,30 @@ func (cs *ComputeSet) Vertices() []Codelet {
 		out = append(out, ws...)
 	}
 	return out
+}
+
+// costOnly reports whether the set is billed: every vertex Fixed. A set that
+// mixes Fixed and computing vertices, and a billed set without the native
+// kernel that computes its values, are errors.
+func (cs *ComputeSet) costOnly() (bool, error) {
+	fixed, n := 0, 0
+	for _, ws := range cs.vertices {
+		for _, w := range ws {
+			if _, ok := w.(Fixed); ok {
+				fixed++
+			}
+			n++
+		}
+	}
+	switch {
+	case fixed == 0:
+		return false, nil
+	case fixed < n:
+		return false, fmt.Errorf("graph: compute set %q mixes cost-only and computing vertices", cs.Name)
+	case cs.NativeKernel == nil:
+		return false, fmt.Errorf("graph: billed compute set %q has no native kernel", cs.Name)
+	}
+	return true, nil
 }
 
 // Freeze finalizes every compute set reachable from s. The prepare phase
@@ -169,6 +214,14 @@ func (c Compute) exec(e *Engine) error {
 		return nil
 	}
 	fs := c.Set.finalized()
+	if !fs.resolved {
+		if err := e.resolve(c.Set, fs); err != nil {
+			return err
+		}
+	}
+	if fs.bill != nil {
+		return e.billedSuperstep(c.Set, fs)
+	}
 	if e.Injector != nil {
 		// Fault campaigns run on the coordinator with serial shards: injector
 		// decisions (stalls, bit flips) stay in deterministic program order,
@@ -205,17 +258,7 @@ func (c Compute) execInjected(e *Engine, fs *frozenSet) error {
 	if stall > 0 && stallTile >= 0 && stallTile < len(e.tileCost) {
 		e.tileCost[stallTile] += stall
 	}
-	step := e.M.Compute(e.tileCost)
-	e.addProfile(c.Set.Label, step)
-	e.Supersteps++
-	if e.tracer != nil {
-		e.tracer.add(c.Set.Name, c.Set.Label, "compute", step)
-	}
-	if e.metrics != nil {
-		e.metrics.Supersteps.Inc()
-		e.metrics.SuperstepCycles.Observe(float64(step))
-		e.metrics.ShardsPerSuperstep.Observe(1)
-	}
+	e.superstepDone(c.Set, e.M.Compute(e.tileCost), 1)
 	return nil
 }
 
@@ -243,6 +286,49 @@ func (x Exchange) exec(e *Engine) error {
 	if len(x.Moves) == 0 {
 		return nil
 	}
+	var st ipu.ExchangeStats
+	var err error
+	if e.Injector == nil {
+		st, err = x.replay(e)
+	} else {
+		st, err = x.execInjected(e)
+	}
+	if err != nil {
+		return err
+	}
+	label := x.Label
+	if label == "" {
+		label = "Exchange"
+	}
+	e.addProfile(label, st.Cycles)
+	if e.tracer != nil {
+		e.tracer.add(x.Name, label, "exchange", st.Cycles)
+	}
+	if e.metrics != nil {
+		e.metrics.Exchanges.Inc()
+		e.metrics.ExchangeCycles.Observe(float64(st.Cycles))
+		e.metrics.ExchangeBytes.Observe(float64(st.Bytes))
+	}
+	return nil
+}
+
+// replay moves a fault-free exchange's data and bills its cost, which the
+// engine computes on the phase's first execution and replays after.
+func (x Exchange) replay(e *Engine) (ipu.ExchangeStats, error) {
+	for i := range x.Moves {
+		if do := x.Moves[i].Do; do != nil {
+			if err := do(); err != nil {
+				return ipu.ExchangeStats{}, &StepError{Step: x.Name, Superstep: e.Supersteps, Err: err}
+			}
+		}
+	}
+	return e.M.BillExchange(e.exchangeCost(x.Moves)), nil
+}
+
+// execInjected moves and bills an exchange under a fault campaign: the
+// injector decides each move's fate, and the phase bills its actual transfer
+// list, dropped payloads billed twice.
+func (x Exchange) execInjected(e *Engine) (ipu.ExchangeStats, error) {
 	transfers := e.transferScratch[:0]
 	for i := range x.Moves {
 		mv := &x.Moves[i]
@@ -253,12 +339,12 @@ func (x Exchange) exec(e *Engine) error {
 		}
 		if act == MoveFail {
 			e.transferScratch = transfers[:0]
-			return &StepError{Step: x.Name, Superstep: e.Supersteps, Err: ferr}
+			return ipu.ExchangeStats{}, &StepError{Step: x.Name, Superstep: e.Supersteps, Err: ferr}
 		}
 		if mv.Do != nil {
 			if err := mv.Do(); err != nil {
 				e.transferScratch = transfers[:0]
-				return &StepError{Step: x.Name, Superstep: e.Supersteps, Err: err}
+				return ipu.ExchangeStats{}, &StepError{Step: x.Name, Superstep: e.Supersteps, Err: err}
 			}
 		}
 		switch act {
@@ -277,20 +363,7 @@ func (x Exchange) exec(e *Engine) error {
 	}
 	st := e.M.Exchange(transfers)
 	e.transferScratch = transfers[:0]
-	label := x.Label
-	if label == "" {
-		label = "Exchange"
-	}
-	e.addProfile(label, st.Cycles)
-	if e.tracer != nil {
-		e.tracer.add(x.Name, label, "exchange", st.Cycles)
-	}
-	if e.metrics != nil {
-		e.metrics.Exchanges.Inc()
-		e.metrics.ExchangeCycles.Observe(float64(st.Cycles))
-		e.metrics.ExchangeBytes.Observe(float64(st.Bytes))
-	}
-	return nil
+	return st, nil
 }
 
 // Repeat executes Body N times.

@@ -83,7 +83,8 @@ func walk(s Step, depth int, r *Report) {
 
 // Validate checks the program against a machine configuration: no compute
 // set may place more worker vertices on a tile than the tile has worker
-// slots, and no move may reference a tile outside the machine.
+// slots, a set is either billed (all vertices Fixed, with a native kernel) or
+// has no Fixed vertex, and no move may reference a tile outside the machine.
 func Validate(s Step, cfg ipu.Config) error {
 	var err error
 	var check func(s Step)
@@ -97,6 +98,9 @@ func Validate(s Step, cfg ipu.Config) error {
 				check(sub)
 			}
 		case Compute:
+			if _, err = st.Set.costOnly(); err != nil {
+				return
+			}
 			for tile, workers := range st.Set.vertices {
 				if tile < 0 || tile >= cfg.NumTiles() {
 					err = fmt.Errorf("graph: compute set %q on invalid tile %d", st.Set.Name, tile)

@@ -1,7 +1,7 @@
 // Package hostpool provides the process-wide worker pool that host-parallel
 // execution layers share. The BSP machine model simulates up to thousands of
-// tiles per superstep; the graph engine and the exchange-cost accounting split
-// that work into shards and offer them here.
+// tiles per superstep; the graph engine splits an interpreted compute
+// superstep into shards and offers them here.
 //
 // One pool serves the whole process so concurrent engines (the serve layer
 // runs one engine per Prepared replica) cannot oversubscribe the host: the

@@ -32,10 +32,6 @@ package ipu
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"ipusparse/internal/hostpool"
 )
 
 // Config describes an IPU system. The zero value is not valid; use
@@ -142,17 +138,13 @@ type Machine struct {
 	exchangeInstructions uint64
 	exchangeBytes        uint64
 
-	// Host-parallel exchange accounting (see Exchange). hostPar is the shard
-	// budget set by the engine; accBuf holds the five per-tile integer
-	// accumulators (instructions, on-chip/link send bytes, on-chip/link
-	// receive bytes) and is zero outside Exchange calls; xstamp makes the
-	// per-transfer chip-dedup stamps globally unique.
-	hostPar  int
+	// Exchange costing scratch (see CostExchange): accBuf holds the five
+	// per-tile integer accumulators (instructions, on-chip/link send bytes,
+	// on-chip/link receive bytes) and chipMark the per-transfer chip-dedup
+	// stamps; both are zero outside CostExchange. xcost is Exchange's cost.
 	accBuf   []int64
 	chipMark []int64
-	xstamp   int64
-	xshards  []exchangeShard
-	xwg      sync.WaitGroup
+	xcost    ExchangeCost
 }
 
 // Tile is one processor core with its private SRAM.
@@ -256,17 +248,6 @@ func (m *Machine) ComputeSparse(tiles []int, cycles []uint64) uint64 {
 	return step
 }
 
-// SetHostParallelism sets the host-shard budget for the per-transfer traffic
-// accumulation inside Exchange (values below 1 select serial accumulation).
-// The setting never changes accounting results — per-tile traffic totals are
-// integers merged with order-independent additions — only host wall time.
-func (m *Machine) SetHostParallelism(p int) {
-	if p < 1 {
-		p = 1
-	}
-	m.hostPar = p
-}
-
 // ErrOversubscribed reports a compute set that places more worker vertices on
 // a tile than the tile has hardware thread slots.
 var ErrOversubscribed = errors.New("ipu: worker slots oversubscribed")
@@ -305,41 +286,42 @@ type ExchangeStats struct {
 	Bytes        uint64 // sender-side bytes (broadcasts counted once)
 }
 
-// exchangeShard accumulates the traffic of one contiguous transfer range into
-// the machine's per-tile accumulators. Two transfers in different shards may
-// target the same tile, so sharded accumulation uses atomic adds — integer
-// additions commute, so the totals (and therefore the phase cost) are
-// bit-identical no matter how the transfer list is split or interleaved.
-type exchangeShard struct {
-	m         *Machine
-	transfers []Transfer
-	stampBase int64 // global index of the shard's first transfer
-	chipMark  []int64
-	bytes     uint64 // sender-side bytes of this shard's transfers
-	wg        *sync.WaitGroup
+// ExchangeCost is the pure cost of one exchange phase: what Exchange bills,
+// computed from the transfer list and the machine configuration alone. The
+// traffic of the tiles the phase touches is listed sparsely, so billing a
+// cost (BillExchange) touches only those tiles.
+type ExchangeCost struct {
+	ExchangeStats
+	Tiles   []int    // tiles with traffic, ascending
+	Traffic []uint64 // sent plus received bytes of Tiles[i]
 }
 
-// Run implements hostpool.Task.
-func (sh *exchangeShard) Run() {
-	sh.accumulate(true)
-	sh.wg.Done()
-}
-
-func (sh *exchangeShard) accumulate(concurrent bool) {
-	m := sh.m
+// CostExchange computes into c, reusing its slices, the cost of one BSP
+// exchange phase consisting of the given transfer instructions. The phase
+// cost is the maximum per-tile traffic divided by the per-tile exchange
+// bandwidth (link bandwidth for transfers that cross chips), plus the fixed
+// setup cost. This is the property that yields the paper's flat weak scaling:
+// total traffic grows with the machine, per-tile traffic does not. Traffic is
+// accumulated per tile as integer byte and instruction counts and converted
+// to cycles once at the end. An empty transfer list costs nothing.
+func (m *Machine) CostExchange(transfers []Transfer, c *ExchangeCost) {
+	c.ExchangeStats = ExchangeStats{}
+	c.Tiles, c.Traffic = c.Tiles[:0], c.Traffic[:0]
+	if len(transfers) == 0 {
+		return
+	}
 	nt := len(m.tiles)
+	if m.accBuf == nil {
+		m.accBuf = make([]int64, 5*nt)
+		m.chipMark = make([]int64, m.cfg.Chips)
+	}
 	instr := m.accBuf[:nt]
 	sendOn := m.accBuf[nt : 2*nt]
 	sendLink := m.accBuf[2*nt : 3*nt]
 	recvOn := m.accBuf[3*nt : 4*nt]
 	recvLink := m.accBuf[4*nt:]
-	add := func(p *int64, v int64) { *p += v }
-	if concurrent {
-		add = func(p *int64, v int64) { atomic.AddInt64(p, v) }
-	}
-	sh.bytes = 0
-	for i := range sh.transfers {
-		tr := &sh.transfers[i]
+	for i := range transfers {
+		tr := &transfers[i]
 		src := tr.SrcTile
 		srcChip := m.cfg.Chip(src)
 		b := int64(tr.Bytes)
@@ -347,105 +329,33 @@ func (sh *exchangeShard) accumulate(concurrent bool) {
 		// remote chip the block additionally traverses the IPU-Link once
 		// per remote chip. Each instruction costs issue overhead on the
 		// sender, which is why blockwise programs beat per-cell programs.
-		add(&instr[src], 1)
-		add(&sendOn[src], b)
-		stamp := sh.stampBase + int64(i) + 1
+		instr[src]++
+		sendOn[src] += b
+		stamp := int64(i) + 1
 		var remote int64
 		for _, d := range tr.DstTiles {
 			if dc := m.cfg.Chip(d); dc != srcChip {
-				if sh.chipMark[dc] != stamp {
-					sh.chipMark[dc] = stamp
+				if m.chipMark[dc] != stamp {
+					m.chipMark[dc] = stamp
 					remote++
 				}
-				add(&recvLink[d], b)
+				recvLink[d] += b
 			} else {
-				add(&recvOn[d], b)
+				recvOn[d] += b
 			}
 		}
-		if remote > 0 {
-			add(&sendLink[src], remote*b)
-		}
-		sh.bytes += uint64(tr.Bytes)
+		sendLink[src] += remote * b
+		c.Bytes += uint64(tr.Bytes)
 	}
-}
-
-// minExchangeShardTransfers is the smallest transfer range worth one shard.
-const minExchangeShardTransfers = 64
-
-// Exchange accounts one BSP exchange phase consisting of the given transfer
-// instructions. The phase cost is the maximum per-tile traffic divided by the
-// per-tile exchange bandwidth (link bandwidth for transfers that cross
-// chips), plus the fixed setup cost. This is the property that yields the
-// paper's flat weak scaling: total traffic grows with the machine, per-tile
-// traffic does not.
-//
-// Traffic is accumulated per tile as integer byte and instruction counts
-// (converted to cycles once at the end), so large transfer lists shard across
-// the host pool with bit-identical results at any parallelism setting.
-func (m *Machine) Exchange(transfers []Transfer) ExchangeStats {
-	if len(transfers) == 0 {
-		return ExchangeStats{}
-	}
-	nt := len(m.tiles)
-	if m.accBuf == nil {
-		m.accBuf = make([]int64, 5*nt)
-	}
-
-	n := len(transfers)
-	nsh := m.hostPar
-	if nsh > n/minExchangeShardTransfers {
-		nsh = n / minExchangeShardTransfers
-	}
-	if nsh < 1 {
-		nsh = 1
-	}
-	var bytes uint64
-	if nsh == 1 {
-		if m.chipMark == nil {
-			m.chipMark = make([]int64, m.cfg.Chips)
-		}
-		sh := exchangeShard{m: m, transfers: transfers, stampBase: m.xstamp, chipMark: m.chipMark}
-		sh.accumulate(false)
-		bytes = sh.bytes
-	} else {
-		if len(m.xshards) < nsh {
-			m.xshards = make([]exchangeShard, m.hostPar)
-			for s := range m.xshards {
-				m.xshards[s].chipMark = make([]int64, m.cfg.Chips)
-			}
-		}
-		shards := m.xshards[:nsh]
-		m.xwg.Add(nsh - 1)
-		for s := 0; s < nsh; s++ {
-			lo, hi := n*s/nsh, n*(s+1)/nsh
-			shards[s].m = m
-			shards[s].transfers = transfers[lo:hi]
-			shards[s].stampBase = m.xstamp + int64(lo)
-			shards[s].wg = &m.xwg
-			if s > 0 {
-				hostpool.Submit(&shards[s])
-			}
-		}
-		shards[0].accumulate(true)
-		m.xwg.Wait()
-		for s := 0; s < nsh; s++ {
-			bytes += shards[s].bytes
-		}
-	}
-	m.xstamp += int64(n)
 
 	// Fold the integer per-tile totals to cycles and take the BSP max.
-	instr := m.accBuf[:nt]
-	sendOn := m.accBuf[nt : 2*nt]
-	sendLink := m.accBuf[2*nt : 3*nt]
-	recvOn := m.accBuf[3*nt : 4*nt]
-	recvLink := m.accBuf[4*nt:]
 	instrC := float64(m.cfg.ExchangeInstrCycles)
 	exBW, linkBW := m.cfg.ExchangeBytesPerCycle, m.cfg.LinkBytesPerCycle
 	var max float64
 	for t := 0; t < nt; t++ {
 		if traffic := sendOn[t] + sendLink[t] + recvOn[t] + recvLink[t]; traffic > 0 {
-			m.tiles[t].XBytes += uint64(traffic)
+			c.Tiles = append(c.Tiles, t)
+			c.Traffic = append(c.Traffic, uint64(traffic))
 		}
 		v := float64(instr[t])*instrC + float64(sendOn[t])/exBW + float64(sendLink[t])/linkBW
 		if r := float64(recvOn[t])/exBW + float64(recvLink[t])/linkBW; r > v {
@@ -455,14 +365,34 @@ func (m *Machine) Exchange(transfers []Transfer) ExchangeStats {
 			max = v
 		}
 	}
-	clear(m.accBuf) // restore the all-zero invariant for the next phase
+	clear(m.accBuf) // restore the all-zero invariants for the next phase
+	clear(m.chipMark)
+	c.Cycles = uint64(max) + m.cfg.ExchangeSetupCycles
+	c.Instructions = len(transfers)
+}
 
-	cycles := uint64(max) + m.cfg.ExchangeSetupCycles
-	m.exchangeCycles += cycles
+// BillExchange accounts one exchange phase of the given cost and returns its
+// summary. A cost depends on the transfer list alone, so a phase that repeats
+// bills the same cost again.
+func (m *Machine) BillExchange(c *ExchangeCost) ExchangeStats {
+	if c.Instructions == 0 {
+		return ExchangeStats{}
+	}
+	for i, t := range c.Tiles {
+		m.tiles[t].XBytes += c.Traffic[i]
+	}
+	m.exchangeCycles += c.Cycles
 	m.exchanges++
-	m.exchangeInstructions += uint64(len(transfers))
-	m.exchangeBytes += bytes
-	return ExchangeStats{Cycles: cycles, Instructions: len(transfers), Bytes: bytes}
+	m.exchangeInstructions += uint64(c.Instructions)
+	m.exchangeBytes += c.Bytes
+	return c.ExchangeStats
+}
+
+// Exchange accounts one BSP exchange phase consisting of the given transfer
+// instructions: CostExchange, then BillExchange.
+func (m *Machine) Exchange(transfers []Transfer) ExchangeStats {
+	m.CostExchange(transfers, &m.xcost)
+	return m.BillExchange(&m.xcost)
 }
 
 // Stats is a snapshot of the machine's accumulated accounting.

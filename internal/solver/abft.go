@@ -13,9 +13,9 @@
 // pending detection that the solver's monitor callback consumes on the next
 // iteration boundary and routes through its fail() path — tripping the
 // checkpoint/restart guard when a Recovery policy is attached, and otherwise
-// stopping the solve with a typed ErrBreakdown. Accumulation runs per tile in
-// tile order with identical arithmetic in the simulator codelets and the
-// native kernel, so the check itself is bit-identical across backends.
+// stopping the solve with a typed ErrBreakdown. Both backends run the one
+// check kernel (the simulator bills it per tile), so the check itself is
+// bit-identical across them.
 package solver
 
 import (
@@ -56,7 +56,7 @@ type abftState struct {
 	cabs [][]float32
 
 	// Per-tile partials of the fused check kernel (one slot per tile, written
-	// by that tile's codelet or the native kernel, summed by the host check).
+	// by the kernel, summed by the host check).
 	sy, cx, scale []float64
 	active        []bool
 
@@ -240,18 +240,8 @@ func abftCheckCost(n int) uint64 {
 func (sys *System) scheduleABFTCheck(dst, src *tensordsl.Tensor) {
 	a := sys.abft
 	cs := graph.NewComputeSet("abft:"+dst.Name, "ABFT")
-	for t, lm := range sys.Locals {
-		if lm.NumOwned == 0 {
-			continue
-		}
-		xb, yb := src.Buf(t), dst.Buf(t)
-		c, cabs := a.c[t], a.cabs[t]
-		n := lm.NumOwned
-		cost := abftCheckCost(n)
-		cs.Add(t, graph.CodeletFunc(func() uint64 {
-			abftPartial(a, t, xb.F32, yb.F32, c, cabs, n)
-			return cost
-		}))
+	for _, b := range sys.blocks {
+		cs.Add(b.tile, graph.Fixed(abftCheckCost(b.owned)))
 	}
 	// The check's partials live in the ABFT state, not in a tensor.
 	cs.NativeKernel = graph.OpaqueKernel(sys.nativeABFTCheck(dst, src), sys.blockBufs(nil, src, dst), nil)
@@ -293,8 +283,8 @@ func (sys *System) scheduleABFTCheck(dst, src *tensordsl.Tensor) {
 // the SpMV's own f32 rounding — eps32 per entry of |A||x| — is what the
 // scale must cover, and its dominant term is |A|ᵀ1·|x|; the cheap |Σy|
 // cancellation guard keeps the threshold robust without a second per-element
-// Abs chain.) Both backends call this
-// one function, so the partials are bit-identical across them by
+// Abs chain.) Both backends run it through
+// the check kernel, so the partials are bit-identical across them by
 // construction. The accumulation is four-way interleaved (index i mod 4
 // selects the accumulator, lanes combined pairwise at the end) — a fixed,
 // deterministic order that breaks the serial float64 dependency chains,

@@ -12,6 +12,7 @@ import (
 	"ipusparse/internal/partition"
 	"ipusparse/internal/sparse"
 	"ipusparse/internal/tensordsl"
+	"ipusparse/internal/twofloat"
 )
 
 // raggedSystem generates a diagonally dominant matrix with ragged row lengths
@@ -51,11 +52,19 @@ func raggedSystem(n int, pseed, vseed int64) *sparse.Matrix {
 	return m
 }
 
-// runStraight executes a straight-line program: exchanges always, every
-// compute set through its native kernel or through its codelets.
-func runStraight(t *testing.T, prog *graph.Sequence, native bool) {
+// runStraight executes a straight-line program on one backend: on the
+// simulator's engine, which runs billed sets through their native kernels and
+// interpreted ones through their codelets, or natively, every compute set
+// through its native kernel.
+func runStraight(t *testing.T, sess *tensordsl.Session, native bool) {
 	t.Helper()
-	for _, st := range prog.Steps {
+	if !native {
+		if err := graph.NewEngine(sess.M).Run(sess.Program()); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for _, st := range sess.Program().Steps {
 		switch s := st.(type) {
 		case graph.Exchange:
 			for _, mv := range s.Moves {
@@ -64,16 +73,10 @@ func runStraight(t *testing.T, prog *graph.Sequence, native bool) {
 				}
 			}
 		case graph.Compute:
-			switch {
-			case !native:
-				for _, c := range s.Set.Vertices() {
-					c.Run()
-				}
-			case s.Set.NativeKernel == nil:
+			if s.Set.NativeKernel == nil {
 				t.Fatalf("compute set %q has no native kernel", s.Set.Name)
-			default:
-				s.Set.NativeKernel.Run()
 			}
+			s.Set.NativeKernel.Run()
 		default:
 			t.Fatalf("unexpected step %T in a kernel program", st)
 		}
@@ -114,8 +117,9 @@ func f32Bits(blocks [][]float32) []uint64 {
 
 // kernelProgram is one rewritten compute set (or a preconditioner's three)
 // scheduled on its own system, with the inputs to load before each run and
-// the outputs to compare after it. oracle, when set, recomputes the outputs
-// independently of both backends from the inputs and factors a run left.
+// the outputs to compare after it. oracle recomputes the outputs
+// independently of both backends from the inputs, halo copies and factors a
+// run left.
 type kernelProgram struct {
 	name    string
 	sess    *tensordsl.Session
@@ -123,6 +127,98 @@ type kernelProgram struct {
 	load    func()
 	outputs func() []uint64
 	oracle  func() []uint64
+}
+
+// spmvOracle is the SpMV oracle: the per-worker row loop the SpMV codelets
+// ran before the simulator billed them, reading x through the owned/halo
+// branch where the kernels read a gathered vector. It shares no code with
+// them. It reads the halo buffers a run left and returns y flattened the way
+// tensorBits does.
+func spmvOracle(sys *System, x *tensordsl.Tensor) []uint64 {
+	workers := sys.Sess.M.Config().WorkersPerTile
+	y := make([][]float32, len(sys.Locals))
+	for t, lm := range sys.Locals {
+		if lm.NumOwned == 0 {
+			continue
+		}
+		xs, h, owned := x.Buf(t).F32, sys.haloF32[t].F32, int32(lm.NumOwned)
+		y[t] = make([]float32, lm.NumOwned)
+		for w := 0; w < workers; w++ {
+			lo, hi := lm.NumOwned*w/workers, lm.NumOwned*(w+1)/workers
+			k := lm.RowPtr[lo]
+			for i := lo; i < hi; i++ {
+				s := sys.diag[t][i] * xs[i]
+				for end := lm.RowPtr[i+1]; k < end; k++ {
+					var xj float32
+					if j := lm.Cols[k]; j < owned {
+						xj = xs[j]
+					} else {
+						xj = h[j-owned]
+					}
+					s += sys.vals[t][k] * xj
+				}
+				y[t][i] = s
+			}
+		}
+	}
+	return f32Bits(y)
+}
+
+// residualOracle is the extended residual r = b − A·x written like
+// spmvOracle: the residual codelets' double-word and soft-double row loops.
+func residualOracle(sys *System, b, x *tensordsl.Tensor) []uint64 {
+	workers := sys.Sess.M.Config().WorkersPerTile
+	dw := x.Type() == ipu.DW
+	halos, _ := sys.haloBuffers(x.Type())
+	var out []uint64
+	for t, lm := range sys.Locals {
+		if lm.NumOwned == 0 {
+			continue
+		}
+		xb, bb, hb, owned := x.Buf(t), b.Buf(t), halos[t], int32(lm.NumOwned)
+		diag, vals := sys.diag[t], sys.vals[t]
+		rHi, rLo, rf := make([]float32, lm.NumOwned), make([]float32, lm.NumOwned), make([]float64, lm.NumOwned)
+		for w := 0; w < workers; w++ {
+			lo, hi := lm.NumOwned*w/workers, lm.NumOwned*(w+1)/workers
+			k := lm.RowPtr[lo]
+			for i := lo; i < hi; i++ {
+				if dw {
+					acc := twofloat.MulFloat(twofloat.DW{Hi: xb.Hi[i], Lo: xb.Lo[i]}, diag[i])
+					for end := lm.RowPtr[i+1]; k < end; k++ {
+						var xj twofloat.DW
+						if j := lm.Cols[k]; j < owned {
+							xj = twofloat.DW{Hi: xb.Hi[j], Lo: xb.Lo[j]}
+						} else {
+							xj = twofloat.DW{Hi: hb.Hi[j-owned], Lo: hb.Lo[j-owned]}
+						}
+						acc = twofloat.Add(acc, twofloat.MulFloat(xj, vals[k]))
+					}
+					res := twofloat.Sub(twofloat.DW{Hi: bb.Hi[i], Lo: bb.Lo[i]}, acc)
+					rHi[i], rLo[i] = res.Hi, res.Lo
+					continue
+				}
+				acc := float64(diag[i]) * xb.F64[i]
+				for end := lm.RowPtr[i+1]; k < end; k++ {
+					var xj float64
+					if j := lm.Cols[k]; j < owned {
+						xj = xb.F64[j]
+					} else {
+						xj = hb.F64[j-owned]
+					}
+					acc += float64(vals[k]) * xj
+				}
+				rf[i] = bb.F64[i] - acc
+			}
+		}
+		if dw {
+			out = append(out, f32Bits([][]float32{rHi, rLo})...)
+			continue
+		}
+		for _, v := range rf {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	return out
 }
 
 // naturalILUSweeps is the sweep oracle of ILU(0): forward and backward
@@ -264,14 +360,16 @@ func checkPackedSweeps(t *testing.T, sys *System, ts *triSchedule, cover *sweepC
 }
 
 // TestNativeKernelsMatchCodelets is the kernel-vs-codelet property: on
-// generated systems every rewritten compute set's native kernel leaves exactly
-// the bits its codelets leave — SpMV, both extended residuals, and the
-// factor/forward/backward sets of ILU(0) and DILU — with NaN and ±Inf among
-// the inputs, and again after a values-only refresh. Both backends run the
-// same packed sweeps, so each backend's ILU(0) and DILU result must also
-// match the natural-order sweep oracle. The sweeps run packed in level order
-// and once more packed in natural order: any topological order leaves the
-// oracle's bits.
+// generated systems every rewritten compute set — SpMV, both extended
+// residuals, and the factor/forward/backward sets of ILU(0) and DILU — leaves
+// exactly the bits of its oracle on both backends, with NaN and ±Inf among the
+// inputs, and again after a values-only refresh. The simulator runs the
+// billed sets through the native kernels, so the oracles stand for the
+// codelet loops those sets no longer have: the per-worker SpMV and residual
+// row loops with their owned/halo branch, and the natural-order sweeps. The
+// ILU(0) factor is interpreted, so there the native kernel must also match
+// its codelets. The sweeps run packed in level order and once more packed in
+// natural order: any topological order leaves the oracle's bits.
 func TestNativeKernelsMatchCodelets(t *testing.T) {
 	var sawNoHalo, sawEmptyTile, sawEmptyRow bool
 	var cover sweepCoverage
@@ -309,7 +407,8 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 				sys.SpMV(y, x)
 				progs = append(progs, kernelProgram{"spmv", sess, sys,
 					func() { sys.SetGlobal(x, xh); y.FillHost(7) },
-					func() []uint64 { return tensorBits(sys, y) }, nil})
+					func() []uint64 { return tensorBits(sys, y) },
+					func() []uint64 { return spmvOracle(sys, x) }})
 				for _, lm := range sys.Locals {
 					sawNoHalo = sawNoHalo || (tiles > 1 && lm.NumOwned > 0 && lm.NumHalo == 0)
 					sawEmptyTile = sawEmptyTile || lm.NumOwned == 0
@@ -324,7 +423,8 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 				sys.ResidualExt(r, b, x)
 				progs = append(progs, kernelProgram{fmt.Sprintf("residual-%v", ext), sess, sys,
 					func() { sys.SetGlobal(x, xh); sys.SetGlobal(b, bh); r.FillHost(7) },
-					func() []uint64 { return tensorBits(sys, r) }, nil})
+					func() []uint64 { return tensorBits(sys, r) },
+					func() []uint64 { return residualOracle(sys, b, x) }})
 			}
 			for _, natural := range []bool{false, true} {
 				sess, sys := newSystem()
@@ -394,16 +494,14 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 					}
 					var want []uint64
 					for _, native := range []bool{false, true} {
-						what := "from the codelets"
+						what := "on the simulator"
 						if native {
 							what = "natively"
 						}
 						kp.load()
-						runStraight(t, kp.sess.Program(), native)
+						runStraight(t, kp.sess, native)
 						got := kp.outputs()
-						if kp.oracle != nil {
-							same(what+" (natural-order oracle)", got, kp.oracle())
-						}
+						same(what+" (oracle)", got, kp.oracle())
 						if native {
 							same(what, got, want)
 						}

@@ -66,7 +66,7 @@ type triSchedule struct {
 // the same products in the same order from the same operands, whatever
 // topological order the rows come in, so the sweep leaves exactly the bits of
 // a natural-order row scan (the kernel property test keeps one as its oracle).
-// The sim codelets and the native kernels both run it.
+// Both backends run it, through the sweep sets' native kernels.
 //
 // col and src are pattern data; val and diag are gathered from the factor
 // arrays by the factor codelet or kernel (gather), so a values refresh needs
@@ -434,28 +434,26 @@ func (p *ILU) SetupStep() {
 	sys.Sess.Append(graph.Compute{Set: cs})
 }
 
+// sweepSets returns the billed forward and backward compute sets of a
+// triangular solve: one vertex per tile, internally fanned out to six workers
+// (the IPUTHREADING pattern), billed its sweep's level-set parallel cost.
+func (ts *triSchedule) sweepSets(sys *System, name, label string) (fwd, bwd *graph.ComputeSet) {
+	fwd = graph.NewComputeSet(name+":forward", label)
+	bwd = graph.NewComputeSet(name+":backward", label)
+	for _, b := range sys.blocks {
+		fwd.Add(b.tile, graph.Fixed(ts.fwdCost[b.tile]))
+		bwd.Add(b.tile, graph.Fixed(ts.bwdCost[b.tile]))
+	}
+	return fwd, bwd
+}
+
 // ApplyStep implements Preconditioner: z = U⁻¹ L⁻¹ r via level-set-scheduled
-// forward and backward substitution (two compute sets, each one codelet per
-// tile internally fanned out to six workers — the IPUTHREADING pattern). Each
-// codelet runs its block's packed sweep, in level order, and bills the sweep's
-// level-set parallel cost; the native kernels run the same sweeps block after
-// block.
+// forward and backward substitution, two billed compute sets whose kernels
+// run each block's packed sweep, in level order.
 func (p *ILU) ApplyStep(z, r Tensor) {
 	sys := p.Sys
 	ops := sys.sweepOperands(z, r)
-	fwd := graph.NewComputeSet("ilu0:forward", "ILU(0) Solve")
-	bwd := graph.NewComputeSet("ilu0:backward", "ILU(0) Solve")
-	for bi, b := range sys.blocks {
-		o, fwdCost, bwdCost := ops[bi], p.tri.fwdCost[b.tile], p.tri.bwdCost[b.tile]
-		fwd.Add(b.tile, graph.CodeletFunc(func() uint64 {
-			p.tri.fwd[bi].solveUnit(o.z, o.r)
-			return fwdCost
-		}))
-		bwd.Add(b.tile, graph.CodeletFunc(func() uint64 {
-			p.tri.bwd[bi].solve(o.z, o.z)
-			return bwdCost
-		}))
-	}
+	fwd, bwd := p.tri.sweepSets(sys, "ilu0", "ILU(0) Solve")
 	fwd.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range ops {
 			p.tri.fwd[bi].solveUnit(ops[bi].z, ops[bi].r)
@@ -511,7 +509,7 @@ func factorDILU(b *tileBlock, fdiag []float32) {
 }
 
 // factorBlock computes block bi's DILU diagonal and gathers the values its
-// packed sweeps read: the body of the factor codelet and of the factor kernel.
+// packed sweeps read: the body of the factor kernel.
 func (p *DILU) factorBlock(bi int) {
 	b := &p.Sys.blocks[bi]
 	fdiag := p.fdiag[b.tile]
@@ -537,17 +535,11 @@ func (p *DILU) SetupStep() {
 	}
 	cs := graph.NewComputeSet("dilu:factor", "DILU Factor")
 	workers := sys.Sess.M.Config().WorkersPerTile
-	for bi := range sys.blocks {
-		b := &sys.blocks[bi]
-		t := b.tile
+	for _, b := range sys.blocks {
 		// Two FMAs per row over the forward sweep's DAG: a static bill.
-		cost := lowers[t].Assign(workers, nil).CriticalCost(func(i int) uint64 {
+		cs.Add(b.tile, graph.Fixed(lowers[b.tile].Assign(workers, nil).CriticalCost(func(i int) uint64 {
 			return 2 * ipu.Cost(ipu.OpFMA, ipu.F32)
-		}, levelSyncCycles) + workerStart
-		cs.Add(t, graph.CodeletFunc(func() uint64 {
-			p.factorBlock(bi)
-			return cost
-		}))
+		}, levelSyncCycles)+workerStart))
 	}
 	cs.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range sys.blocks {
@@ -558,24 +550,12 @@ func (p *DILU) SetupStep() {
 }
 
 // ApplyStep implements Preconditioner: z = (D+U)⁻¹ D (D+L)⁻¹ r with the DILU
-// diagonal D, via level-set-scheduled sweeps; codelets and native kernels run
-// packed sweeps like ILU's, over the original off-diagonal values.
+// diagonal D, via level-set-scheduled sweeps, billed like ILU's; their
+// kernels run packed sweeps over the original off-diagonal values.
 func (p *DILU) ApplyStep(z, r Tensor) {
 	sys := p.Sys
 	ops := sys.sweepOperands(z, r)
-	fwd := graph.NewComputeSet("dilu:forward", "DILU Solve")
-	bwd := graph.NewComputeSet("dilu:backward", "DILU Solve")
-	for bi, b := range sys.blocks {
-		o, fwdCost, bwdCost := ops[bi], p.tri.fwdCost[b.tile], p.tri.bwdCost[b.tile]
-		fwd.Add(b.tile, graph.CodeletFunc(func() uint64 {
-			p.tri.fwd[bi].solve(o.z, o.r)
-			return fwdCost
-		}))
-		bwd.Add(b.tile, graph.CodeletFunc(func() uint64 {
-			p.tri.bwd[bi].correct(o.z)
-			return bwdCost
-		}))
-	}
+	fwd, bwd := p.tri.sweepSets(sys, "dilu", "DILU Solve")
 	fwd.NativeKernel = graph.OpaqueKernel(func() {
 		for bi := range ops {
 			p.tri.fwd[bi].solve(ops[bi].z, ops[bi].r)

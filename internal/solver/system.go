@@ -155,8 +155,8 @@ func NewSystem(sess *tensordsl.Session, m *sparse.Matrix, p *partition.Partition
 }
 
 // tileBlock is one populated tile of the table the system's native kernels
-// share: the index and value arrays the tile's codelets read — same slices,
-// no copy. Call sites keep only their operand slices.
+// share: the tile's index and value arrays — same slices, no copy. Call sites
+// keep only their operand slices.
 type tileBlock struct {
 	tile         int
 	owned, total int
@@ -396,59 +396,35 @@ func spmvCost(nnz, rows int, dt ipu.Scalar) uint64 {
 	}
 }
 
+// spmvSet returns a billed compute set with the SpMV-shaped bill of every
+// populated tile: the rows split evenly across the six worker threads, each
+// worker billed spmvCost of its chunk at scalar type dt.
+func (sys *System) spmvSet(name, label string, dt ipu.Scalar) *graph.ComputeSet {
+	cs := graph.NewComputeSet(name, label)
+	workers := sys.Sess.M.Config().WorkersPerTile
+	for _, b := range sys.blocks {
+		for w := 0; w < workers; w++ {
+			lo, hi := b.owned*w/workers, b.owned*(w+1)/workers
+			if lo < hi {
+				nnz := int(b.rowPtr[hi] - b.rowPtr[lo])
+				cs.Add(b.tile, graph.Fixed(spmvCost(nnz, hi-lo, dt)+workerStart))
+			}
+		}
+	}
+	return cs
+}
+
 // SpMV schedules dst = A*src in working precision (float32): a halo exchange
 // of src followed by one compute set whose per-tile vertex is split across
-// the six worker threads.
+// the six worker threads. The native kernel computes it; the simulator bills
+// each worker its chunk's spmvCost.
 func (sys *System) SpMV(dst, src *tensordsl.Tensor) {
 	sys.ExchangeStep(src)
 	halos := sys.haloF32
 	if halos == nil {
 		return // halo allocation failed; ExchangeStep scheduled the error
 	}
-	cs := graph.NewComputeSet("spmv", "SpMV")
-	workers := sys.Sess.M.Config().WorkersPerTile
-	for t, lm := range sys.Locals {
-		if lm.NumOwned == 0 {
-			continue
-		}
-
-		sb, db, hb := src.Buf(t), dst.Buf(t), halos[t]
-		diag, vals, cols, owned := sys.diag[t], sys.vals[t], lm.Cols, int32(lm.NumOwned)
-		for w := 0; w < workers; w++ {
-			lo := lm.NumOwned * w / workers
-			hi := lm.NumOwned * (w + 1) / workers
-			if lo == hi {
-				continue
-			}
-
-			nnz := int(lm.RowPtr[hi] - lm.RowPtr[lo])
-			cost := spmvCost(nnz, hi-lo, ipu.F32) + workerStart
-			// The worker's rows, cut to [lo,hi) up front, share one running
-			// entry cursor k; with vals cut to len(cols) too, the inner loop
-			// keeps only the checks it needs and k stays in a register.
-			rowPtr, d := lm.RowPtr[lo:hi+1], diag[lo:hi]
-			cs.Add(t, graph.CodeletFunc(func() uint64 {
-				x, h, vals := sb.F32, hb.F32, vals[:len(cols)]
-				y, xo := db.F32[lo:hi], x[lo:hi]
-				y, xo = y[:len(d)], xo[:len(d)]
-				k := rowPtr[0]
-				for i := range y {
-					s := d[i] * xo[i]
-					for end := rowPtr[i+1]; k < end; k++ {
-						var xj float32
-						if j := cols[k]; j < owned {
-							xj = x[j]
-						} else {
-							xj = h[j-owned]
-						}
-						s += vals[k] * xj
-					}
-					y[i] = s
-				}
-				return cost
-			}))
-		}
-	}
+	cs := sys.spmvSet("spmv", "SpMV", ipu.F32)
 	cs.NativeKernel = sys.nativeSpMV(dst, src, halos)
 	sys.Sess.Append(graph.Compute{Set: cs})
 	if sys.abft != nil {
@@ -503,81 +479,16 @@ func (sys *System) ResidualExt(r, b, x *tensordsl.Tensor) {
 	if err != nil {
 		return // halo allocation failed; ExchangeStep scheduled the error
 	}
-	cs := graph.NewComputeSet("residual-ext", "Extended-Precision Ops")
-	workers := sys.Sess.M.Config().WorkersPerTile
-	for t, lm := range sys.Locals {
-		if lm.NumOwned == 0 {
-			continue
-		}
-
-		xb, bb, rb, hb := x.Buf(t), b.Buf(t), r.Buf(t), halos[t]
-		diag, vals, cols, owned := sys.diag[t], sys.vals[t], lm.Cols, int32(lm.NumOwned)
-		for w := 0; w < workers; w++ {
-			lo := lm.NumOwned * w / workers
-			hi := lm.NumOwned * (w + 1) / workers
-			if lo == hi {
-				continue
-			}
-
-			nnz := int(lm.RowPtr[hi] - lm.RowPtr[lo])
-			cost := spmvCost(nnz, hi-lo, dt) + workerStart
-			// Rows and entries as in SpMV: one running cursor over [lo,hi).
-			rowPtr, d := lm.RowPtr[lo:hi+1], diag[lo:hi]
-			if dt == ipu.DW {
-				cs.Add(t, graph.CodeletFunc(func() uint64 {
-					xHi, xLo, hHi, hLo, vals := xb.Hi, xb.Lo, hb.Hi, hb.Lo, vals[:len(cols)]
-					bHi, bLo := bb.Hi[lo:hi], bb.Lo[lo:hi]
-					rHi, rLo := rb.Hi[lo:hi], rb.Lo[lo:hi]
-					bLo, rHi, rLo = bLo[:len(bHi)], rHi[:len(bHi)], rLo[:len(bHi)]
-					k := rowPtr[0]
-					for i := range bHi {
-						acc := twofloat.MulFloat(twofloat.DW{Hi: xHi[lo+i], Lo: xLo[lo+i]}, d[i])
-						for end := rowPtr[i+1]; k < end; k++ {
-							var xj twofloat.DW
-							if j := cols[k]; j < owned {
-								xj = twofloat.DW{Hi: xHi[j], Lo: xLo[j]}
-							} else {
-								xj = twofloat.DW{Hi: hHi[j-owned], Lo: hLo[j-owned]}
-							}
-							acc = twofloat.Add(acc, twofloat.MulFloat(xj, vals[k]))
-						}
-						res := twofloat.Sub(twofloat.DW{Hi: bHi[i], Lo: bLo[i]}, acc)
-						rHi[i], rLo[i] = res.Hi, res.Lo
-					}
-					return cost
-				}))
-			} else {
-				cs.Add(t, graph.CodeletFunc(func() uint64 {
-					x, h, vals := xb.F64, hb.F64, vals[:len(cols)]
-					bf, rf := bb.F64[lo:hi], rb.F64[lo:hi]
-					rf = rf[:len(bf)]
-					k := rowPtr[0]
-					for i := range bf {
-						acc := float64(d[i]) * x[lo+i]
-						for end := rowPtr[i+1]; k < end; k++ {
-							var xj float64
-							if j := cols[k]; j < owned {
-								xj = x[j]
-							} else {
-								xj = h[j-owned]
-							}
-							acc += float64(vals[k]) * xj
-						}
-						rf[i] = bf[i] - acc
-					}
-					return cost
-				}))
-			}
-		}
-	}
+	cs := sys.spmvSet("residual-ext", "Extended-Precision Ops", dt)
 	cs.NativeKernel = graph.OpaqueKernel(sys.nativeResidualExt(r, b, x, halos, dt),
 		sys.blockBufs(halos, x, b), sys.blockBufs(nil, r))
 	sys.Sess.Append(graph.Compute{Set: cs})
 }
 
-// nativeResidualExt is the flat extended-precision residual kernel: the same
-// row arithmetic as the worker codelets, in the same order (bit-identical),
-// in one sweep per tile block over the gathered [owned | halo] vector.
+// nativeResidualExt is the flat extended-precision residual kernel, one sweep
+// per tile block over the gathered [owned | halo] vector. Both backends run
+// it; the kernel property test keeps the per-worker row loop it replaced as
+// its oracle.
 func (sys *System) nativeResidualExt(r, b, x *tensordsl.Tensor, halos []*graph.Buffer, dt ipu.Scalar) func() {
 	sys.gatherScratch(dt)
 	blocks := sys.blocks

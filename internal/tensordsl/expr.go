@@ -199,42 +199,42 @@ func (t *Tensor) AssignLabeled(v interface{}, label string) {
 	}
 	evalType := promote(e.dt, t.dt)
 	cs := graph.NewComputeSet(t.s.tempName()+":="+t.Name, label)
+	cs.NativeKernel = t.nativeAssign(e, evalType)
 	// The generated codelet splits its tile-local range across the six
 	// worker threads (each vertex is instantiated once per worker on the
-	// hardware), so the tile-time is the per-worker share of the work.
+	// hardware), so the tile-time is the per-worker share of the work. A
+	// kernel that evaluates the expression tree, as the codelets do, computes
+	// the values of a billed set; a fused float32 kernel re-associates the
+	// normalized sum, so its set stays interpreted.
 	workers := uint64(t.s.M.Config().WorkersPerTile)
+	cost := func(n int) uint64 {
+		return (uint64(n)*(e.perElementCost(evalType)+storeCost(t.dt))+workers-1)/workers + workerStart
+	}
+	billed := cs.NativeKernel.Kind != graph.KernelAssign
 	if t.repl {
 		// Replicated results are computed redundantly on every tile (the
 		// cheapest consistent policy on a machine without shared memory);
 		// functionally the shared buffer is written once.
-		perElem := e.perElementCost(evalType) + storeCost(t.dt)
-		cost := (uint64(t.n)*perElem + workers - 1) / workers
-		sc := &evalScratch{} // only the tile-0 vertex evaluates
+		c := graph.Fixed(cost(t.n))
 		for tile := 0; tile < t.s.M.NumTiles(); tile++ {
-			write := tile == 0
-			cs.Add(tile, graph.CodeletFunc(func() uint64 {
-				if write {
-					evalInto(e, -1, evalType, t.rbuf, sc)
-				}
-				return cost + workerStart
-			}))
+			cs.Add(tile, c)
 		}
 	} else {
 		for tile := range t.bufs {
 			if t.sizes[tile] == 0 {
 				continue
 			}
-			perElem := e.perElementCost(evalType) + storeCost(t.dt)
-			cost := (uint64(t.sizes[tile])*perElem + workers - 1) / workers
-			buf := t.bufs[tile]
-			sc := &evalScratch{}
+			if billed {
+				cs.Add(tile, graph.Fixed(cost(t.sizes[tile])))
+				continue
+			}
+			c, buf, sc := cost(t.sizes[tile]), t.bufs[tile], &evalScratch{}
 			cs.Add(tile, graph.CodeletFunc(func() uint64 {
 				evalInto(e, tile, evalType, buf, sc)
-				return cost + workerStart
+				return c
 			}))
 		}
 	}
-	cs.NativeKernel = t.nativeAssign(e, evalType)
 	t.s.Append(graph.Compute{Set: cs})
 }
 

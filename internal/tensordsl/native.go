@@ -7,18 +7,20 @@ import (
 
 // This file lowers materialized expressions into native kernel descriptors —
 // the ComputeSet.NativeKernel the native backend executes instead of per-tile
-// codelets. A kernel makes the same memory effects as running every vertex of
-// the set but with no per-tile dispatch, no cycle model and zero steady-state
-// allocation. float32 expressions that normalize to a sum of
+// codelets, and the simulator executes for a billed set (an evalInto fallback
+// or a reduction). A kernel makes the same memory effects as running every
+// vertex of the set but with no per-tile dispatch, no cycle model and zero
+// steady-state allocation. float32 expressions that normalize to a sum of
 // coeff * vec * vec / vec terms (axpy, scale, elementwise product and divide,
 // any number of terms) become assign descriptors over precomputed slice
 // tables, whose loops live in package graph's table and fuse with their
 // neighbours; everything else is an opaque serial scratch-arena evaluation
 // that is still allocation-free after the first run.
 //
-// Kernels guarantee residual-level agreement with the simulator, not bit
-// identity: a fused loop may associate roundings differently than the
-// codelet evaluation tree. Cross-backend tests assert converged residuals.
+// A fused assign guarantees residual-level agreement with the simulator, not
+// bit identity: its loop may associate roundings differently than the
+// codelet evaluation tree, which is why its set stays interpreted.
+// Cross-backend tests assert converged residuals.
 
 // nativeAssign returns the native kernel for materializing e into t.
 func (t *Tensor) nativeAssign(e *Expr, evalType ipu.Scalar) *graph.NativeKernel {
@@ -240,10 +242,10 @@ func divideTerms(terms []fusedTerm, divisor fusedTerm) ([]fusedTerm, bool) {
 }
 
 // nativeReducePartial returns the native kernel of a reduction's per-tile
-// partial phase: it fills the same sink the partial codelets write, so the
-// final-combine kernel and every host reader see identical state. float32
-// sums and dot products are reduce-partial descriptors whose sequential
-// float32 accumulation matches reduceVec exactly.
+// partial phase, which both backends run: it fills the sink the final-combine
+// kernel reads. float32 sums and dot products are reduce-partial descriptors
+// whose sequential float32 accumulation matches reduceVec exactly; the rest
+// folds through reduceVec itself.
 func (s *Session) nativeReducePartial(e *Expr, sh *Tensor, evalType ipu.Scalar, maxAbs bool,
 	sink *graph.PartialSink, active []bool) *graph.NativeKernel {
 

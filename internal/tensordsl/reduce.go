@@ -58,7 +58,8 @@ func (s *Session) reduce(v interface{}, maxAbs bool, label string) *Tensor {
 
 	// Phase 1: per-tile partial reduction. Like materialized codelets, the
 	// reduction vertex fans its local range out across the six workers
-	// (each worker folds a chunk; the fold tree costs a few extra adds).
+	// (each worker folds a chunk; the fold tree costs a few extra adds). The
+	// set is billed: its kernel folds in reduceVec's order.
 	cs := graph.NewComputeSet(out.Name+":partial", label)
 	addCost := ipu.Cost(ipu.OpAdd, evalType)
 	workers := uint64(s.M.Config().WorkersPerTile)
@@ -72,28 +73,14 @@ func (s *Session) reduce(v interface{}, maxAbs bool, label string) *Tensor {
 		if leaf := e.anyLeaf(); leaf != nil {
 			n = leaf.n
 		}
-		cost := partialCost(n)
 		active[0] = true
-		sc := &evalScratch{}
-		cs.Add(0, graph.CodeletFunc(func() uint64 {
-			sc.reset()
-			partials[0], partsF64[0] = reduceVec(evalVec(e, -1, evalType, n, sc), maxAbs)
-			return cost
-		}))
+		cs.Add(0, graph.Fixed(partialCost(n)))
 	} else {
 		for tile := 0; tile < nt; tile++ {
-			n := sh.sizes[tile]
-			if n == 0 {
-				continue
+			if n := sh.sizes[tile]; n > 0 {
+				active[tile] = true
+				cs.Add(tile, graph.Fixed(partialCost(n)))
 			}
-			active[tile] = true
-			cost := partialCost(n)
-			sc := &evalScratch{}
-			cs.Add(tile, graph.CodeletFunc(func() uint64 {
-				sc.reset()
-				partials[tile], partsF64[tile] = reduceVec(evalVec(e, tile, evalType, n, sc), maxAbs)
-				return cost
-			}))
 		}
 	}
 	sink := &graph.PartialSink{DW: partials, F64: partsF64}
@@ -115,11 +102,7 @@ func (s *Session) reduce(v interface{}, maxAbs bool, label string) *Tensor {
 
 	// Phase 3: final combine on tile 0, writing the replicated buffer.
 	final := graph.NewComputeSet(out.Name+":final", label)
-	combineCost := uint64(nt)*addCost + workerStart
-	final.Add(0, graph.CodeletFunc(func() uint64 {
-		writeCombined(out, partials, partsF64, active, evalType, maxAbs)
-		return combineCost
-	}))
+	final.Add(0, graph.Fixed(uint64(nt)*addCost+workerStart))
 	final.NativeKernel = graph.OpaqueKernel(func() {
 		writeCombined(out, partials, partsF64, active, evalType, maxAbs)
 	}, nil, []*graph.Buffer{out.rbuf})
