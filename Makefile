@@ -41,14 +41,16 @@ bench:
 ## per-worker SpMV and DW/F64 residual row loops and the natural-order
 ## sweeps: the guard behind the ilu0-apply and dilu-apply rows the first
 ## line runs, and behind the kernels the simulator runs for its billed
-## sets), the engine's billed-set, exchange-replay and zero-alloc tests, and
-## the sim-cold exact counts and bits and the paper golden file, without
+## sets), the engine's billed-set, exchange-replay and zero-alloc tests, the
+## sim-cold exact counts and bits, the MPIR convergence property (correction
+## solves stopped at their working-precision tolerance), the ABFT-armed
+## default hierarchy's zero detections and the paper golden file, without
 ## -race
 bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels' -benchtime 1x -benchmem .
 	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets' ./internal/solver
 	$(GO) test -short -run 'TestBilledSet|TestValidateBilledSets|TestExchangeBillReplayed|TestEngineSuperstepZeroAlloc' ./internal/graph
-	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact' ./internal/core
+	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact|TestMPIRConverges|TestABFTMPIRCorrectionsVerifyOnce' ./internal/core
 	$(GO) test -short -run 'TestPaperGolden' ./internal/bench
 
 ## serve-smoke: build one race-enabled ipuserved (and, for the cluster phase,

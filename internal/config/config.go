@@ -32,6 +32,10 @@ import (
 type SolverConfig struct {
 	Type string `json:"type"` // pbicgstab, cg, gaussseidel, richardson, jacobi, ilu0, dilu, none
 
+	// MaxIterations and Tolerance bound the top-level solve. Under an mpir
+	// config the solve reads neither: every correction solve stops at
+	// solver.CorrectionTol, a fixed working-precision tolerance, capped at
+	// mpir.innerIterations, and mpir.tolerance is the solve's tolerance.
 	MaxIterations int     `json:"maxIterations,omitempty"`
 	Tolerance     float64 `json:"tolerance,omitempty"`
 

@@ -85,3 +85,29 @@ func TestABFTFinalVerifyRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestABFTMPIRCorrectionsVerifyOnce arms ABFT on the default hierarchy. Its
+// correction solves stop at solver.CorrectionTol, where their float32 true
+// residual can sit above any float32 final verify's threshold. The outer
+// extended-precision residual is their verification, so they schedule none:
+// every run converges, verified on the host, with zero detections on both
+// backends while the SpMV checksums stay armed.
+func TestABFTMPIRCorrectionsVerifyOnce(t *testing.T) {
+	cfg := config.Default()
+	cfg.Solver.ABFT = true
+	for _, c := range mpirCases(t) {
+		if c.name != "poisson3d:16" && c.name != "convdiff2d:64:10" {
+			continue
+		}
+		for _, be := range []string{"sim", "native"} {
+			r, rr := solveOnes(t, c.m, cfg, be)
+			st := r.Stats
+			if !st.Converged || st.Breakdown || rr > 10*cfg.MPIR.Tolerance {
+				t.Errorf("%s/%s: converged=%v breakdown=%v (%s), host relres %.3g", c.name, be, st.Converged, st.Breakdown, st.BreakdownReason, rr)
+			}
+			if st.ABFTChecks == 0 || len(st.ABFTDetected) != 0 {
+				t.Errorf("%s/%s: %d checks, detections %v; want checks and no detection", c.name, be, st.ABFTChecks, st.ABFTDetected)
+			}
+		}
+	}
+}

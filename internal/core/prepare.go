@@ -184,11 +184,11 @@ func prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 				var is solver.Solver
 				switch inner.Type {
 				case "richardson":
-					is = &solver.Richardson{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: 1e-30}
+					is = &solver.Richardson{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
 				case "cg":
-					is = &solver.CG{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: 1e-30}
+					is = &solver.CG{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
 				default:
-					is = &solver.PBiCGStab{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: 1e-30}
+					is = &solver.PBiCGStab{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
 				}
 				// Harden the correction solves: a breakdown inside one is a
 				// breakdown of the refinement (MPIR propagates it).

@@ -41,13 +41,13 @@ type simColdEntry struct {
 // must leave all of it exactly.
 func TestSimColdCountsExact(t *testing.T) {
 	suite := []simColdEntry{
-		{"poisson3d:24", "sim-mpir-dw-ilu.json", PartitionContiguous, 140, 0x3d582bcad74ced09, 0xe4aa22dd19d883fc,
-			ipu.Stats{ComputeCycles: 6_320_274, ExchangeCycles: 179_658, SyncCycles: 530_400, TotalCycles: 7_030_332,
-				Supersteps: 3_536, Exchanges: 1_701, ExchangeInstructions: 134_802, ExchangeBytes: 16_107_520,
-				Seconds: 0.005285963909774436, EnergyJoules: 0.5550262105263157, MemPeakBytes: 38_324},
-			0xf0b70237ca04e2f9,
-			map[string]uint64{"Elementwise Ops": 755_230, "Exchange": 83_946, "Extended-Precision Ops": 169_954,
-				"ILU(0) Factor": 2_994, "ILU(0) Solve": 3_138_240, "Reduce": 1_129_876, "SpMV": 1_750_092}},
+		{"poisson3d:24", "sim-mpir-dw-ilu.json", PartitionContiguous, 60, 0x3d8da8e4a5b95dee, 0x5b0d9846b2485eae,
+			ipu.Stats{ComputeCycles: 2_866_514, ExchangeCycles: 78_938, SyncCycles: 230_400, TotalCycles: 3_175_852,
+				Supersteps: 1_536, Exchanges: 741, ExchangeInstructions: 58_962, ExchangeBytes: 7_157_760,
+				Seconds: 0.002387858646616541, EnergyJoules: 0.2507251578947368, MemPeakBytes: 38_324},
+			0x3b2e92a0295d088c,
+			map[string]uint64{"Elementwise Ops": 325_310, "Exchange": 37_226, "Extended-Precision Ops": 169_954,
+				"ILU(0) Factor": 2_994, "ILU(0) Solve": 1_344_960, "Reduce": 538_276, "SpMV": 757_132}},
 		{"poisson3d:24", "sim-cg-chebyshev.json", PartitionContiguous, 45, 0x3eaab3c80ad29149, 0xbe47da65ccd16b6a,
 			ipu.Stats{ComputeCycles: 1_753_651, ExchangeCycles: 76_493, SyncCycles: 194_550, TotalCycles: 2_024_694,
 				Supersteps: 1_297, Exchanges: 488, ExchangeInstructions: 70_324, ExchangeBytes: 10_765_056,
@@ -62,9 +62,8 @@ func TestSimColdCountsExact(t *testing.T) {
 			map[string]uint64{"Coarse Factor": 1_048_742, "Coarse Solve": 1_129_128, "Elementwise Ops": 74_909,
 				"Exchange": 24_297, "ILU(0) Factor": 17_072, "ILU(0) Solve": 1_001_352, "Reduce": 121_408, "SpMV": 675_154}},
 	}
-	const traceEvents, traceHash = 5_810, 0x22b6339f7051a128 // the first entry's timeline
-	mc := ipu.Mk2M2000()
-	mc.Chips, mc.TilesPerChip = 1, 64
+	const traceEvents, traceHash = 2_530, 0xe1c12ad25270cff3 // the first entry's timeline
+	mc := mpirMachine()
 
 	var total ipu.Stats
 	for i, e := range suite {
@@ -155,8 +154,8 @@ func TestSimColdCountsExact(t *testing.T) {
 		total.Supersteps += r.Machine.Supersteps
 		total.ExchangeBytes += r.Machine.ExchangeBytes
 	}
-	want := ipu.Stats{ComputeCycles: 11_991_204, ExchangeCycles: 313_784, SyncCycles: 842_100,
-		TotalCycles: 13_147_088, Supersteps: 5_614, ExchangeBytes: 28_226_740}
+	want := ipu.Stats{ComputeCycles: 8_537_444, ExchangeCycles: 213_064, SyncCycles: 542_100,
+		TotalCycles: 9_292_608, Supersteps: 3_614, ExchangeBytes: 19_276_980}
 	if total != want {
 		t.Errorf("suite totals %+v; want %+v", total, want)
 	}

@@ -353,15 +353,16 @@ func (sys *System) nativeABFTCheck(dst, src *tensordsl.Tensor) func() {
 }
 
 // scheduleABFTVerify appends the final residual verification of a converged
-// ABFT solve: when claimed() reports convergence, recompute r = b − A·x with
-// a scheduled SpMV and reject the answer if the true relative residual sits
-// more than abftVerifySlack past the solve tolerance. onFail runs inside the
-// verification's host callback with the offending true residual — the solver
-// routes it into its done-callback state so the solve surfaces a typed
-// breakdown instead of a silently wrong answer.
+// ABFT solve that is not an MPIR correction: when claimed() reports
+// convergence, recompute r = b − A·x with a scheduled SpMV and reject the
+// answer if the true relative residual sits more than abftVerifySlack past
+// the solve tolerance. onFail runs inside the verification's host callback
+// with the offending true residual — the solver routes it into its
+// done-callback state so the solve surfaces a typed breakdown instead of a
+// silently wrong answer.
 func (sys *System) scheduleABFTVerify(name string, x, b *tensordsl.Tensor, tol float64,
 	claimed func() bool, bnorm func() float64, onFail func(trueRel float64)) {
-	if sys.abft == nil || tol <= 0 {
+	if sys.abft == nil || sys.correction || tol <= 0 {
 		return
 	}
 	ts := sys.Sess

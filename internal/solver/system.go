@@ -99,6 +99,11 @@ type System struct {
 
 	// abft, when non-nil, arms checksum-carrying SpMV (see abft.go).
 	abft *abftState
+
+	// correction is set while MPIR schedules a correction solve, whose
+	// verification is the outer extended-precision residual (see
+	// scheduleABFTVerify).
+	correction bool
 }
 
 // NewSystem reorders matrix m under the partition, localizes it per tile,
