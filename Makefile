@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race fuzz-smoke bench bench-backend-smoke serve-smoke sdc-smoke bench-sdc bench-tune clean
+.PHONY: check build test vet race fuzz-smoke bench bench-backend-smoke serve-smoke sdc-smoke bench-sdc bench-tune loc clean
 
 ## check: vet + build + race-enabled tests in shuffled order + a short fuzz of
 ## the wire decoders and the Matrix Market reader (the pre-merge gate; a
@@ -94,6 +94,16 @@ bench-sdc:
 ## the misconfigured sim-pinned profile the tuner repairs
 bench-tune:
 	$(GO) run ./cmd/benchsuite -experiment tune -json BENCH_tune.json
+
+## loc: the line counts every CHANGES.md entry reports -- non-test Go lines
+## outside benchmark/, test lines -- and the distance of the first to the
+## 24,471-line target
+loc:
+	@src=$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l); \
+	tests=$$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l); \
+	echo "non-test Go lines outside benchmark/: $$src"; \
+	echo "test lines: $$tests"; \
+	echo "distance to 24471: $$((src - 24471))"
 
 clean:
 	$(GO) clean ./...

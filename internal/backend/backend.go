@@ -1,30 +1,26 @@
-// Package backend abstracts how a frozen graph program executes. Two
-// implementations exist:
+// Package backend is how a frozen graph program executes. A program runs
+// on one executor: the instruction stream package graph lowers it to, walked
+// by one program-counter loop (graph.Stream). The two backends differ only in
+// the accounting layered over that loop:
 //
-//   - Sim wraps the cycle-accurate BSP engine (package graph) bit-identically
-//     — every superstep billed through the machine's cost model, fault
-//     injection and device tracing available. This is the research and
-//     validation backend and stays the CLI/bench default.
-//   - Native lowers the compiled superstep schedule once, at prepare time,
-//     into a preallocated flat instruction stream: host-speed kernels where
-//     the compute sets describe them (SpMV and extended residuals,
-//     ILU(0)/DILU factor and sweeps, fused assigns, dot/norm partials),
-//     serial codelet execution elsewhere (counted in
-//     RunResult.CodeletSets), halo exchanges as direct slice copies, and no
-//     cycle or exchange accounting at all. Zero per-iteration allocation;
-//     this is the serving default. The lowered stream keeps every injector
-//     consultation point the engine has (accounting-only moves and nil host
-//     callbacks included), so seeded fault campaigns replay identically to
-//     the simulator. Fault-free runs execute a second stream derived from it
-//     by one peephole pass that folds dots and vector updates into the sweep
-//     that produces their operands (counted in RunResult.FusedSets),
-//     bit-identically. Only device tracing stays sim-only.
+//   - Sim runs the stream with the cycle-accurate BSP engine as its
+//     accounting: every compute superstep and exchange phase billed through
+//     the machine's cost model, device tracing available. This is the
+//     research and validation backend and stays the CLI/bench default.
+//   - Native runs the stream with no accounting: host-speed kernels where
+//     the compute sets describe them, serial codelets elsewhere (counted in
+//     RunResult.CodeletSets), halo exchanges as direct slice copies. Fault-free
+//     runs execute a fused stream derived from the lowered one, which folds
+//     dots and vector updates into the sweep that produces their operands
+//     (counted in RunResult.FusedSets), bit-identically. Zero per-iteration
+//     allocation; this is the serving default.
 //
-// Both backends run the *same* compiled program against the same device
-// buffers, so every host callback, While condition and solver statistic works
-// unchanged. The cross-backend contract is residual identity — a native
-// answer converges to the same tolerance on the same system — not bit
-// identity: fused kernels may associate float roundings differently.
+// Both backends consult a fault injector at the same points in the same
+// order, because the loop does, so a seeded campaign replays identically on
+// either. The cross-backend contract is residual identity (a native answer
+// converges to the same tolerance on the same system), not bit identity:
+// fused and billed kernels may associate float roundings differently from
+// the codelets.
 package backend
 
 import (
@@ -44,67 +40,42 @@ type Backend interface {
 	// Compile lowers a frozen program for machine m into an executable
 	// artifact. rep is the program's analysis report (pre-sizing hints).
 	Compile(prog *graph.Sequence, m *ipu.Machine, rep graph.Report) (Executable, error)
-	// SupportsFaults reports whether Run accepts a fault injector. Both
-	// backends consult the injector at the same program points in the same
-	// order, so a seeded campaign replays identically on either.
-	SupportsFaults() bool
 	// SupportsTrace reports whether Run can record a device timeline.
 	SupportsTrace() bool
 }
 
 // RunConfig carries the per-run knobs of an Executable.
 type RunConfig struct {
-	// Parallelism is the host-shard count (simulator only; 0 = all cores).
+	// Parallelism is the engine's host-shard count for interpreted compute
+	// sets (Sim only; 0 = all cores).
 	Parallelism int
-	// Injector, when non-nil, drives a fault campaign. Both backends consult
-	// it at identical program points in identical order, so seeded campaigns
-	// replay exactly across backends.
+	// Injector, when non-nil, drives a fault campaign. The executor consults
+	// it at the same program points on either backend.
 	Injector graph.Injector
-	// Metrics, when non-nil, receives engine telemetry (simulator only).
+	// Metrics, when non-nil, receives the engine's telemetry (Sim only).
 	Metrics *graph.EngineMetrics
-	// Trace requests a device timeline; the result carries the Tracer.
+	// Trace requests a device timeline; the result carries the Tracer (Sim
+	// only).
 	Trace bool
-	// CollectProfile requests the per-label cycle profile (simulator only;
-	// the lean re-solve path leaves it off to stay allocation-free).
+	// CollectProfile requests the per-label cycle profile (Sim only; the lean
+	// re-solve path leaves it off to stay allocation-free).
 	CollectProfile bool
 }
 
-// RunResult is the executable's accounting of one run.
+// RunResult is the executor's count of one run plus, on Sim, the engine's
+// accounting.
 type RunResult struct {
-	Profile      []graph.ProfileEntry // nil unless CollectProfile on a backend with a cost model
-	Supersteps   uint64
-	FaultRetries uint64
-	// CodeletSets counts the compute sets the native backend ran codelet by
-	// codelet because they carry no native kernel (0 on the simulator, where
-	// codelets are the execution model). A count that grows with the
-	// iteration count means a kernel inside a solver loop fell back.
-	CodeletSets uint64
-	// FusedSets counts the compute sets the native backend executed inside a
-	// fused kernel (0 on the simulator and on fault-armed native runs, which
-	// execute the unfused stream). A count that stops growing with the
-	// iteration count means a solver loop lost its fusions.
-	FusedSets uint64
-	Tracer    *graph.Tracer // non-nil when Trace was requested and supported
+	graph.RunStats
+	Profile []graph.ProfileEntry // nil unless CollectProfile on Sim
+	Tracer  *graph.Tracer        // non-nil when Trace was requested on Sim
 }
 
-// Executable is a compiled program bound to one machine's buffers. Run is not
-// safe for concurrent use — callers serialize (core.Prepared holds a mutex).
+// Executable is a compiled program bound to one machine's buffers. It runs
+// against those buffers by reference, so an in-place rewrite of the solver's
+// tile value blocks is visible to the next Run with no recompile. Run is not
+// safe for concurrent use: callers serialize (core.Prepared holds a mutex).
 type Executable interface {
 	Run(cfg RunConfig) (RunResult, error)
-
-	// Refresh adopts a values-only update of the numeric payloads the
-	// executable was lowered from, without recompiling the program. rewrite
-	// performs the in-place overwrite of the host-side source arrays (tile
-	// value blocks, snapshot tensors, checksums); the executable brackets it
-	// with whatever re-lowering its own storage needs. Both current backends
-	// execute against those arrays by reference — the simulator's codelets
-	// and the native backend's preallocated flat kernels capture the same
-	// slice headers at compile time — so adopting the rewrite is exactly the
-	// pass-through that keeps the two bit-identical by construction, and the
-	// native path allocation-free. A backend holding device-private copies
-	// (a real accelerator would) re-uploads here instead. Not safe for
-	// concurrent use with Run.
-	Refresh(rewrite func() error) error
 }
 
 // Sim is the cycle-accurate simulator backend.
@@ -155,9 +126,6 @@ func IsUnsupported(err error) bool {
 func CheckConfig(be Backend, cfg *config.Config) error {
 	if cfg == nil {
 		return nil
-	}
-	if cfg.Fault != nil && cfg.Fault.Rate > 0 && !be.SupportsFaults() {
-		return &UnsupportedError{Backend: be.Name(), Feature: "fault injection"}
 	}
 	if cfg.EngineTrace() != "" && !be.SupportsTrace() {
 		return &UnsupportedError{Backend: be.Name(), Feature: "device tracing"}

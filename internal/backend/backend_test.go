@@ -32,11 +32,8 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("fpga"); err == nil {
 		t.Fatal("ByName accepted an unknown backend")
 	}
-	if !Sim.SupportsFaults() || !Sim.SupportsTrace() {
-		t.Fatal("sim must support faults and tracing")
-	}
-	if !Native.SupportsFaults() {
-		t.Fatal("native must support fault campaigns")
+	if !Sim.SupportsTrace() {
+		t.Fatal("sim must support tracing")
 	}
 	if Native.SupportsTrace() {
 		t.Fatal("native must not claim trace support")

@@ -225,10 +225,11 @@ type RefreshConfig struct {
 }
 
 // TuneConfig is the autotuner block of the serve tier: newly registered
-// patterns race candidate execution configurations (partition strategy ×
-// preconditioner knob × engine parallelism × backend) under a bounded budget
-// and serve with the measured winner; decisions persist in the registry WAL
-// and ride cluster migration records.
+// patterns race the registered configuration against native challengers
+// (each partition strategy, and for a plain preconditioned solve a swap
+// between jacobi and ilu0; see tune.Candidates) under a bounded budget and
+// serve with the measured winner; decisions persist in the registry WAL and
+// ride cluster migration records.
 type TuneConfig struct {
 	// Enabled turns registration-time races on.
 	Enabled bool `json:"enabled,omitempty"`
@@ -285,9 +286,9 @@ type EngineConfig struct {
 	Parallelism int `json:"parallelism,omitempty"`
 
 	// Backend selects the execution backend: "sim"/"simulator" (the default;
-	// cycle-accurate, supports fault campaigns and device tracing) or
-	// "native" (flat host-speed kernels, no cycle accounting — the serving
-	// default). Backends agree at residual level, not bit level.
+	// cycle-accurate, supports device tracing) or "native" (flat host-speed
+	// kernels, no cycle accounting — the serving default). Both run fault
+	// campaigns. Backends agree at residual level, not bit level.
 	Backend string `json:"backend,omitempty"`
 
 	// Trace, when set, writes each run's combined host/device timeline to

@@ -67,8 +67,8 @@ func WithParallelism(par int) Option {
 }
 
 // WithBackend selects the execution backend by name: "sim"/"simulator" (the
-// default; cycle-accurate, supports fault campaigns and device tracing) or
-// "native" (flat host-speed kernels, zero cycle accounting). The backend is a
+// default; cycle-accurate, supports device tracing) or "native" (flat
+// host-speed kernels, zero cycle accounting). The backend is a
 // Prepare-time decision — the program is compiled for it — so WithBackend is
 // only accepted by Prepare; passing it to a Solve call returns an error.
 // It takes precedence over the engine.backend config key.

@@ -48,12 +48,6 @@ type Prepared struct {
 	patternFP  uint64 // sparsity-pattern digest the pipeline was compiled for
 	par        int    // engine host parallelism (0 = automatic)
 
-	// Reused values-only refresh closure: UpdateValues stages the incoming
-	// matrix in refreshM and hands the backend the same rewrite function
-	// every time, keeping the steady-state refresh hot path allocation-free.
-	refreshM  *sparse.Matrix
-	refreshFn func() error
-
 	// Execution backend, fixed at Prepare: the program is compiled for it.
 	be   backend.Backend
 	exec backend.Executable
@@ -223,10 +217,10 @@ func prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 	// Freeze every compute set now so the first Solve pays no finalization
 	// cost and supersteps can shard over the dense tile-sorted form.
 	graph.Freeze(ctx.Session.Program())
-	// Lower the frozen program for the selected backend: the simulator binds
-	// a persistent pre-sized engine, the native backend flattens the schedule
-	// into its instruction stream. Either way every later Solve just runs the
-	// compiled artifact.
+	// Compile the frozen program for the selected backend: the native
+	// backend lowers it to its instruction stream now, the simulator binds a
+	// persistent pre-sized engine that lowers it on the first run. Either way
+	// every later Solve just runs the compiled artifact.
 	exec, err := be.Compile(ctx.Session.Program(), ctx.Machine, p.report)
 	if err != nil {
 		return nil, err
@@ -297,13 +291,9 @@ func (p *Prepared) UpdateValues(m *sparse.Matrix) error {
 		return fmt.Errorf("%w: prepared p%016x, got p%016x", ErrPatternMismatch, p.patternFP, got)
 	}
 	start := time.Now()
-	if p.refreshFn == nil {
-		p.refreshFn = func() error { return p.sys.RefreshValues(p.refreshM) }
-	}
-	p.refreshM = m
-	err := p.exec.Refresh(p.refreshFn)
-	p.refreshM = nil
-	if err != nil {
+	// Both backends run against the tile value blocks by reference, so the
+	// in-place rewrite is the whole refresh.
+	if err := p.sys.RefreshValues(m); err != nil {
 		return fmt.Errorf("core: UpdateValues: %w", err)
 	}
 	p.inst.observeRefresh(time.Since(start).Seconds())

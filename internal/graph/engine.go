@@ -9,9 +9,11 @@ import (
 	"ipusparse/internal/ipu"
 )
 
-// Engine executes a program (a tree of Steps) on a simulated IPU machine,
-// accumulating per-label cycle profiles. It plays the role of the Poplar
-// engine plus its profiler.
+// Engine is the accounting layer over the one executor (see Stream): it runs
+// a program's lowered stream on a simulated IPU machine, executing and
+// billing every compute superstep and exchange phase, and accumulates
+// per-label cycle profiles. It plays the role of the Poplar engine plus its
+// profiler.
 //
 // A compute set is billed or interpreted (see Codelet). A billed set runs its
 // native kernel once per superstep, on the coordinator, and bills each tile a
@@ -57,12 +59,14 @@ type Engine struct {
 	wg     sync.WaitGroup
 
 	costBuf         []uint64 // per-entry superstep costs, reused every superstep
-	tileCost        []uint64 // dense per-tile costs (fault-campaign path)
-	workerCost      []uint64
+	tileCost        []uint64 // dense per-tile costs of a stalled superstep
 	transferScratch []ipu.Transfer
 	xcosts          map[*Move]*ipu.ExchangeCost // fault-free exchange costs, by first move
 	tracer          *Tracer
 	metrics         *EngineMetrics
+
+	prog   *Sequence // the program stream was lowered from
+	stream *Stream
 }
 
 // minShardEntries is the smallest number of populated tiles one shard is
@@ -110,8 +114,27 @@ func (e *Engine) Reserve(maxMoves int) {
 	}
 }
 
-// Run executes the program step.
-func (e *Engine) Run(program Step) error { return program.exec(e) }
+// Run executes the program: the stream lowered from it (see Stream), with
+// the engine executing and billing every compute superstep and exchange
+// phase. A *Sequence program is lowered once and its stream reused while
+// none of its sequences gains or loses a step; another program, or one that
+// grew, is lowered again.
+func (e *Engine) Run(program Step) error {
+	s := e.stream
+	seq, ok := program.(*Sequence)
+	if !ok || seq != e.prog || !s.current() {
+		s = &Stream{numTiles: e.M.NumTiles()}
+		if err := s.lower(program); err != nil {
+			return err
+		}
+		if ok {
+			e.prog, e.stream = seq, s
+		}
+	}
+	e.transferScratch = e.transferScratch[:0]
+	_, err := s.exec(e, e.Injector)
+	return err
+}
 
 // SetTracer attaches (or, with nil, detaches) a device-timeline tracer.
 // Persistent engines reuse this between runs: Trace only ever attaches.
@@ -182,22 +205,65 @@ func (sh *computeShard) run() {
 	}
 }
 
-// computeSuperstep executes one fault-free compute superstep across the
-// engine's shards and merges costs deterministically on the coordinator.
-func (e *Engine) computeSuperstep(cs *ComputeSet, fs *frozenSet) error {
+// compute executes one compute superstep of cs and bills it. A billed set
+// runs its native kernel and bills its frozen per-tile cost; an interpreted
+// set runs its codelets across the engine's shards, or serially on the
+// coordinator under a fault campaign so that the codelets meet the
+// injector's bit flips in program order. The executor consulted the injector
+// already: a stall lengthens stallTile's compute phase.
+func (e *Engine) compute(cs *ComputeSet, injected bool, stallTile int, stall uint64) error {
+	fs := cs.finalized()
+	if !fs.resolved {
+		if err := e.resolve(cs, fs); err != nil {
+			return err
+		}
+	}
+	costs, shards := fs.bill, 1
+	if costs != nil {
+		cs.NativeKernel.Run()
+	} else {
+		if !injected {
+			shards = e.par
+		}
+		var err error
+		if costs, shards, err = e.interpret(fs, shards); err != nil {
+			return &StepError{Step: cs.Name, Superstep: e.Supersteps, Err: err}
+		}
+	}
+	var step uint64
+	if stall > 0 && stallTile >= 0 && stallTile < len(e.tileCost) {
+		clear(e.tileCost)
+		for i, tile := range fs.tiles {
+			e.tileCost[tile] = costs[i]
+		}
+		e.tileCost[stallTile] += stall
+		step = e.M.Compute(e.tileCost)
+	} else {
+		step = e.M.ComputeSparse(fs.tiles, costs)
+	}
+	e.addProfile(cs.Label, step)
+	if e.tracer != nil {
+		e.tracer.add(cs.Name, cs.Label, "compute", step)
+	}
+	if e.metrics != nil {
+		e.metrics.Supersteps.Inc()
+		e.metrics.SuperstepCycles.Observe(float64(step))
+		e.metrics.ShardsPerSuperstep.Observe(float64(shards))
+	}
+	return nil
+}
+
+// interpret runs an interpreted set's codelets on up to par host shards and
+// returns the per-tile costs in tiles order and the shard count it used. The
+// error is the failing entry with the smallest index, independent of shard
+// scheduling.
+func (e *Engine) interpret(fs *frozenSet, par int) ([]uint64, int, error) {
 	n := len(fs.tiles)
 	if cap(e.costBuf) < n {
 		e.costBuf = make([]uint64, n)
 	}
 	costs := e.costBuf[:n]
-
-	nsh := e.par
-	if nsh > n/minShardEntries {
-		nsh = n / minShardEntries
-	}
-	if nsh < 1 {
-		nsh = 1
-	}
+	nsh := max(min(par, n/minShardEntries), 1)
 	shards := e.shards[:nsh]
 	slots := e.M.Config().WorkersPerTile
 	nt := e.M.NumTiles()
@@ -223,9 +289,6 @@ func (e *Engine) computeSuperstep(cs *ComputeSet, fs *frozenSet) error {
 		shards[0].run()
 		e.wg.Wait()
 	}
-
-	// Deterministic error selection: the failing entry with the smallest
-	// global index wins, independent of shard scheduling.
 	var err error
 	best := -1
 	for s := range shards {
@@ -233,12 +296,7 @@ func (e *Engine) computeSuperstep(cs *ComputeSet, fs *frozenSet) error {
 			best, err = shards[s].errIdx, shards[s].err
 		}
 	}
-	if err != nil {
-		return &StepError{Step: cs.Name, Superstep: e.Supersteps, Err: err}
-	}
-
-	e.superstepDone(cs, e.M.ComputeSparse(fs.tiles, costs), nsh)
-	return nil
+	return costs, nsh, err
 }
 
 // resolve classifies a compute set on its first simulated execution and, for
@@ -270,43 +328,51 @@ func (e *Engine) resolve(cs *ComputeSet, fs *frozenSet) error {
 	return nil
 }
 
-// billedSuperstep executes one superstep of a billed set: the native kernel
-// computes the values, the set's bill is the cost. Under a fault campaign the
-// injector is consulted first, so the kernel computes on memory it flipped,
-// and a stall lengthens the stalled tile's bill.
-func (e *Engine) billedSuperstep(cs *ComputeSet, fs *frozenSet) error {
-	stallTile, stall := -1, uint64(0)
-	if e.Injector != nil {
-		stallTile, stall = e.Injector.ComputeFault(cs.Name, e.Supersteps, len(e.tileCost))
-	}
-	cs.NativeKernel.Run()
-	var step uint64
-	if stall > 0 && stallTile >= 0 && stallTile < len(e.tileCost) {
-		clear(e.tileCost)
-		for i, tile := range fs.tiles {
-			e.tileCost[tile] = fs.bill[i]
+// transfer adds a delivered move to the phase's transfer list under a fault
+// campaign. A dropped payload is redelivered by the fabric, so its traffic is
+// billed a second time on the same phase.
+func (e *Engine) transfer(mv *Move, dropped bool) {
+	t := transferFromMove(*mv)
+	if dropped {
+		e.transferScratch = append(e.transferScratch, t)
+		if e.metrics != nil {
+			e.metrics.FaultRetries.Inc()
 		}
-		e.tileCost[stallTile] += stall
-		step = e.M.Compute(e.tileCost)
-	} else {
-		step = e.M.ComputeSparse(fs.tiles, fs.bill)
 	}
-	e.superstepDone(cs, step, 1)
-	return nil
+	e.transferScratch = append(e.transferScratch, t)
 }
 
-// superstepDone records one executed compute superstep of step cycles, run
-// on shards host shards.
-func (e *Engine) superstepDone(cs *ComputeSet, step uint64, shards int) {
-	e.addProfile(cs.Label, step)
-	e.Supersteps++
+// exchange bills one exchange phase whose moves have run: a fault-free phase
+// its replayed cost (see exchangeCost), a phase under a fault campaign its
+// actual transfer list.
+func (e *Engine) exchange(name, label string, moves []Move, injected bool) {
+	var st ipu.ExchangeStats
+	if injected {
+		st = e.M.Exchange(e.transferScratch)
+		e.transferScratch = e.transferScratch[:0]
+	} else {
+		st = e.M.BillExchange(e.exchangeCost(moves))
+	}
+	e.addProfile(label, st.Cycles)
 	if e.tracer != nil {
-		e.tracer.add(cs.Name, cs.Label, "compute", step)
+		e.tracer.add(name, label, "exchange", st.Cycles)
 	}
 	if e.metrics != nil {
-		e.metrics.Supersteps.Inc()
-		e.metrics.SuperstepCycles.Observe(float64(step))
-		e.metrics.ShardsPerSuperstep.Observe(float64(shards))
+		e.metrics.Exchanges.Inc()
+		e.metrics.ExchangeCycles.Observe(float64(st.Cycles))
+		e.metrics.ExchangeBytes.Observe(float64(st.Bytes))
+	}
+}
+
+// hostCall records one host callback. Host callbacks are zero-cycle on the
+// device timeline; they show up as instants on the host-call track of the
+// exported trace.
+func (e *Engine) hostCall(name string) {
+	if e.metrics != nil {
+		e.metrics.HostCalls.Inc()
+	}
+	if e.tracer != nil {
+		e.tracer.add(name, "Host", "host", 0)
 	}
 }
 

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"errors"
+	"maps"
 	"math"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"ipusparse/internal/ipu"
@@ -306,5 +309,48 @@ func TestNestedControlFlow(t *testing.T) {
 	}
 	if e.Supersteps != 12 {
 		t.Errorf("supersteps = %d, want 12", e.Supersteps)
+	}
+}
+
+// TestEngineLoweringCache: an engine lowers a program once and reuses the
+// stream, and lowers again when handed another program or one that gained a
+// step. Every run on the one engine leaves the profile, superstep count,
+// machine stats and trace of a fresh engine running that program.
+func TestEngineLoweringCache(t *testing.T) {
+	type snapshot struct {
+		profile    map[string]uint64
+		supersteps uint64
+		stats      ipu.Stats
+		events     []TraceEvent
+	}
+	run := func(e *Engine, prog *Sequence) snapshot {
+		e.ResetProfile()
+		e.M.ResetStats()
+		tr := e.Trace()
+		if err := e.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		return snapshot{maps.Clone(e.Profile), e.Supersteps, e.M.Stats(), tr.Events}
+	}
+	m := parallelTestMachine(t)
+	var ran atomic.Int64
+	runs := 0
+	a := parallelTestProgram(m, &ran)
+	b := billedProgram(NewBuffer(ipu.F32, 4), NewBuffer(ipu.F32, 4), &runs, 2)
+	extra := NewComputeSet("extra", "Extra")
+	extra.Add(1, CodeletFunc(func() uint64 { return 40 }))
+
+	shared := NewEngine(m)
+	for i, prog := range []*Sequence{a, b, a, a} {
+		if i == 3 {
+			a.Append(Compute{Set: extra})
+		}
+		got, want := run(shared, prog), run(NewEngine(parallelTestMachine(t)), prog)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d on a reused engine:\n  got  %+v\n  want %+v", i, got, want)
+		}
+	}
+	if got := shared.Supersteps; got != 4 {
+		t.Fatalf("the appended step did not run: %d supersteps, want 4", got)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"ipusparse/internal/ipu"
 )
 
 // Codelet is one computational vertex executing on one worker thread of one
@@ -43,7 +41,7 @@ type ComputeSet struct {
 	// NativeKernel, when non-nil, describes a flat host-speed implementation
 	// of the whole compute set (see kernel.go): running it produces the same
 	// memory effects as running every vertex, without per-tile dispatch or
-	// cycle accounting. The native backend executes it instead of the
+	// cycle accounting. A native run executes it instead of the
 	// vertices, alone or fused with its neighbours; the cycle-accurate engine
 	// executes it for a billed set (all vertices Fixed), whose values it
 	// alone computes, and ignores it otherwise.
@@ -82,7 +80,7 @@ type frozenSet struct {
 
 	// bill is a billed set's per-tile cost, in tiles order; resolved says
 	// the engine has classified the set. Both are set on the set's first
-	// simulated execution (see Engine.resolve), never by the native backend.
+	// simulated execution (see Engine.resolve), never by a native run.
 	bill     []uint64
 	resolved bool
 }
@@ -177,9 +175,10 @@ func Freeze(s Step) {
 	}
 }
 
-// Step is one node of the execution schedule.
+// Step is one node of the execution schedule. Only this package's step types
+// implement it: lowering (see stream.go) knows each of them.
 type Step interface {
-	exec(e *Engine) error
+	step()
 }
 
 // Sequence executes its steps in order. It is the body type of all control
@@ -195,71 +194,9 @@ func (s *Sequence) Append(st Step) { s.Steps = append(s.Steps, st) }
 // Len returns the number of steps.
 func (s *Sequence) Len() int { return len(s.Steps) }
 
-func (s *Sequence) exec(e *Engine) error {
-	for _, st := range s.Steps {
-		if err := st.exec(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Compute executes one compute set as a BSP superstep.
 type Compute struct {
 	Set *ComputeSet
-}
-
-func (c Compute) exec(e *Engine) error {
-	if c.Set.Empty() {
-		return nil
-	}
-	fs := c.Set.finalized()
-	if !fs.resolved {
-		if err := e.resolve(c.Set, fs); err != nil {
-			return err
-		}
-	}
-	if fs.bill != nil {
-		return e.billedSuperstep(c.Set, fs)
-	}
-	if e.Injector != nil {
-		// Fault campaigns run on the coordinator with serial shards: injector
-		// decisions (stalls, bit flips) stay in deterministic program order,
-		// so a seeded campaign replays exactly at any parallelism setting.
-		return c.execInjected(e, fs)
-	}
-	return e.computeSuperstep(c.Set, fs)
-}
-
-// execInjected is the coordinator-serial compute path used under a fault
-// campaign. The fault model is consulted before the codelets run, so injected
-// bit flips corrupt the memory this superstep computes on.
-func (c Compute) execInjected(e *Engine, fs *frozenSet) error {
-	for i := range e.tileCost {
-		e.tileCost[i] = 0
-	}
-	stallTile, stall := e.Injector.ComputeFault(c.Set.Name, e.Supersteps, len(e.tileCost))
-	for i, tile := range fs.tiles {
-		if tile < 0 || tile >= len(e.tileCost) {
-			return &StepError{Step: c.Set.Name, Superstep: e.Supersteps,
-				Err: fmt.Errorf("graph: compute set places vertex on invalid tile %d", tile)}
-		}
-		e.workerCost = e.workerCost[:0]
-		for _, w := range fs.verts[i] {
-			e.workerCost = append(e.workerCost, w.Run())
-		}
-		cost, err := e.M.WorkerMax(e.workerCost)
-		if err != nil {
-			return &StepError{Step: c.Set.Name, Superstep: e.Supersteps,
-				Err: fmt.Errorf("tile %d: %w", tile, err)}
-		}
-		e.tileCost[tile] = cost
-	}
-	if stall > 0 && stallTile >= 0 && stallTile < len(e.tileCost) {
-		e.tileCost[stallTile] += stall
-	}
-	e.superstepDone(c.Set, e.M.Compute(e.tileCost), 1)
-	return nil
 }
 
 // Move is one blockwise transfer of an Exchange step: Bytes sent from
@@ -282,103 +219,10 @@ type Exchange struct {
 	Moves []Move
 }
 
-func (x Exchange) exec(e *Engine) error {
-	if len(x.Moves) == 0 {
-		return nil
-	}
-	var st ipu.ExchangeStats
-	var err error
-	if e.Injector == nil {
-		st, err = x.replay(e)
-	} else {
-		st, err = x.execInjected(e)
-	}
-	if err != nil {
-		return err
-	}
-	label := x.Label
-	if label == "" {
-		label = "Exchange"
-	}
-	e.addProfile(label, st.Cycles)
-	if e.tracer != nil {
-		e.tracer.add(x.Name, label, "exchange", st.Cycles)
-	}
-	if e.metrics != nil {
-		e.metrics.Exchanges.Inc()
-		e.metrics.ExchangeCycles.Observe(float64(st.Cycles))
-		e.metrics.ExchangeBytes.Observe(float64(st.Bytes))
-	}
-	return nil
-}
-
-// replay moves a fault-free exchange's data and bills its cost, which the
-// engine computes on the phase's first execution and replays after.
-func (x Exchange) replay(e *Engine) (ipu.ExchangeStats, error) {
-	for i := range x.Moves {
-		if do := x.Moves[i].Do; do != nil {
-			if err := do(); err != nil {
-				return ipu.ExchangeStats{}, &StepError{Step: x.Name, Superstep: e.Supersteps, Err: err}
-			}
-		}
-	}
-	return e.M.BillExchange(e.exchangeCost(x.Moves)), nil
-}
-
-// execInjected moves and bills an exchange under a fault campaign: the
-// injector decides each move's fate, and the phase bills its actual transfer
-// list, dropped payloads billed twice.
-func (x Exchange) execInjected(e *Engine) (ipu.ExchangeStats, error) {
-	transfers := e.transferScratch[:0]
-	for i := range x.Moves {
-		mv := &x.Moves[i]
-		act := MoveDeliver
-		var ferr error
-		if e.Injector != nil {
-			act, ferr = e.Injector.MoveFault(x.Name, e.Supersteps, i, mv.Targets)
-		}
-		if act == MoveFail {
-			e.transferScratch = transfers[:0]
-			return ipu.ExchangeStats{}, &StepError{Step: x.Name, Superstep: e.Supersteps, Err: ferr}
-		}
-		if mv.Do != nil {
-			if err := mv.Do(); err != nil {
-				e.transferScratch = transfers[:0]
-				return ipu.ExchangeStats{}, &StepError{Step: x.Name, Superstep: e.Supersteps, Err: err}
-			}
-		}
-		switch act {
-		case MoveCorrupt:
-			e.Injector.CorruptPayload(x.Name, e.Supersteps, mv.Targets)
-		case MoveDrop:
-			// Parity-detected loss: the fabric redelivers the block, so its
-			// traffic is billed a second time on the same phase.
-			transfers = append(transfers, transferFromMove(*mv))
-			e.FaultRetries++
-			if e.metrics != nil {
-				e.metrics.FaultRetries.Inc()
-			}
-		}
-		transfers = append(transfers, transferFromMove(*mv))
-	}
-	st := e.M.Exchange(transfers)
-	e.transferScratch = transfers[:0]
-	return st, nil
-}
-
 // Repeat executes Body N times.
 type Repeat struct {
 	N    int
 	Body *Sequence
-}
-
-func (r Repeat) exec(e *Engine) error {
-	for i := 0; i < r.N; i++ {
-		if err := r.Body.exec(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // While executes Body while Cond() is true. Cond typically reads a scalar
@@ -394,40 +238,11 @@ type While struct {
 // ErrMaxIter is returned when a While exceeds its iteration cap.
 var ErrMaxIter = errors.New("graph: while loop exceeded MaxIter")
 
-func (w While) exec(e *Engine) error {
-	max := w.MaxIter
-	if max <= 0 {
-		max = 1 << 30
-	}
-	for i := 0; i < max; i++ {
-		if !w.Cond() {
-			return nil
-		}
-		if err := w.Body.exec(e); err != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("%w (%q, %d iterations)", ErrMaxIter, w.Name, max)
-}
-
 // If executes Then or Else depending on Cond.
 type If struct {
 	Cond func() bool
 	Then *Sequence
 	Else *Sequence
-}
-
-func (f If) exec(e *Engine) error {
-	if f.Cond() {
-		if f.Then != nil {
-			return f.Then.exec(e)
-		}
-		return nil
-	}
-	if f.Else != nil {
-		return f.Else.exec(e)
-	}
-	return nil
 }
 
 // HostCall invokes a CPU callback, used for data transfer and user progress
@@ -437,25 +252,10 @@ type HostCall struct {
 	Fn   func() error
 }
 
-func (h HostCall) exec(e *Engine) error {
-	if e.Injector != nil {
-		if err := e.Injector.HostFault(h.Name, e.Supersteps); err != nil {
-			return &StepError{Step: h.Name, Superstep: e.Supersteps, Err: err}
-		}
-	}
-	if e.metrics != nil {
-		e.metrics.HostCalls.Inc()
-	}
-	if e.tracer != nil {
-		// Host callbacks are zero-cycle on the device timeline; they show up
-		// as instants on the host-call track of the exported trace.
-		e.tracer.add(h.Name, "Host", "host", 0)
-	}
-	if h.Fn == nil {
-		return nil
-	}
-	if err := h.Fn(); err != nil {
-		return &StepError{Step: h.Name, Superstep: e.Supersteps, Err: err}
-	}
-	return nil
-}
+func (*Sequence) step() {}
+func (Compute) step()   {}
+func (Exchange) step()  {}
+func (Repeat) step()    {}
+func (While) step()     {}
+func (If) step()        {}
+func (HostCall) step()  {}

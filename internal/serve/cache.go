@@ -54,16 +54,14 @@ type entry struct {
 }
 
 // addLocked makes an empty pool for the system's key the most recently used
-// entry, evicting from the LRU tail beyond CacheCapacity. Callers hold s.mu.
+// entry. It evicts nothing: the LRU tail goes once the new pool holds a
+// replica (see acquire), so a prepare that fails never costs a warm pool.
+// Callers hold s.mu.
 func (s *Service) addLocked(sys *system) *entry {
 	ent := &entry{key: sys.key, pkey: sys.pkey(), idle: make(chan *core.Prepared, s.opts.ReplicasPerKey)}
 	ent.elem = s.lru.PushFront(ent)
 	s.cache[ent.key] = ent
 	s.patterns[ent.pkey] = ent
-	for s.lru.Len() > s.opts.CacheCapacity {
-		s.dropLocked(s.lru.Back().Value.(*entry))
-		s.stats.evictions.Add(1)
-	}
 	return ent
 }
 
@@ -105,11 +103,19 @@ func (s *Service) acquire(ctx context.Context, sys *system) (*core.Prepared, *en
 		s.mu.Unlock()
 		s.stats.misses.Add(1)
 		p, err := s.prepareSys(sys)
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		if err != nil {
-			s.mu.Lock()
-			ent.created--
-			s.mu.Unlock()
+			// An entry left with no replica is removed, so a system that
+			// cannot be prepared leaves the cache as it found it.
+			if ent.created--; ent.created == 0 && s.cache[sys.key] == ent {
+				s.dropLocked(ent)
+			}
 			return nil, nil, err
+		}
+		for s.lru.Len() > s.opts.CacheCapacity {
+			s.dropLocked(s.lru.Back().Value.(*entry))
+			s.stats.evictions.Add(1)
 		}
 		return p, ent, nil
 	}

@@ -61,8 +61,8 @@ type Options struct {
 
 	// Backend selects the execution backend for prepared replicas: "native"
 	// (the serving default — flat host-speed kernels, no cycle accounting) or
-	// "sim"/"simulator" (cycle-accurate; required for fault campaigns and
-	// device tracing). Per-system configs override it through their
+	// "sim"/"simulator" (cycle-accurate; required for device tracing).
+	// Per-system configs override it through their
 	// engine.backend key. On the native backend CyclesPerSolve reads zero.
 	Backend string
 

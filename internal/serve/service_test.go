@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -221,6 +222,40 @@ func TestServiceEviction(t *testing.T) {
 	st = s.Stats()
 	if st.CacheMisses != missesBefore+1 {
 		t.Errorf("misses = %d, want %d (evicted system re-prepared)", st.CacheMisses, missesBefore+1)
+	}
+}
+
+// TestFailedRegisterKeepsWarmPool: a register whose prepare fails with a
+// typed error (the matrix block does not fit a tile) leaves the cache as it
+// found it. With room for one pool, the warm system's pool survives and its
+// next solve is a hit.
+func TestFailedRegisterKeepsWarmPool(t *testing.T) {
+	opts := testOptions()
+	opts.CacheCapacity = 1
+	opts.ReplicasPerKey = 1
+	s := New(opts)
+	defer s.Close()
+
+	warm := sparse.Poisson2D(6, 6)
+	info, err := s.Register(context.Background(), warm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	if _, err := s.Register(context.Background(), sparse.Poisson3D(50, 50, 50), nil); err == nil ||
+		!strings.Contains(err.Error(), "out of memory") {
+		t.Fatalf("register of a matrix too big for the tiles: %v, want an out-of-memory error", err)
+	}
+	after := s.Stats()
+	if after.CacheSize != before.CacheSize {
+		t.Fatalf("cache size %d after a failed register, want %d", after.CacheSize, before.CacheSize)
+	}
+	if _, err := s.Solve(context.Background(), info.ID, onesRHS(warm)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.CacheMisses != after.CacheMisses || st.Evictions != before.Evictions {
+		t.Fatalf("warm solve after a failed register: %d misses, %d evictions; want %d and %d",
+			st.CacheMisses, st.Evictions, after.CacheMisses, before.Evictions)
 	}
 }
 

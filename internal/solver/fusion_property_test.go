@@ -261,7 +261,7 @@ func TestFusedStreamMatchesPlain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := exec.(interface{ Fusion() backend.FusionReport }).Fusion()
+			rep := exec.(interface{ Fusion() graph.FusionReport }).Fusion()
 			hoists += rep.Hoists
 			for sig, c := range rep.Groups {
 				groups[sig] += c

@@ -146,7 +146,7 @@ func normalize(c Candidate, cfg config.Config) Candidate {
 }
 
 // runnable reports whether the candidate's backend can execute the
-// configuration (fault campaigns and device tracing are simulator-only).
+// configuration (device tracing is simulator-only).
 func runnable(c Candidate, cfg config.Config) bool {
 	be, err := backend.ByName(c.Backend)
 	if err != nil {
