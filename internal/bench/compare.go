@@ -156,8 +156,8 @@ func Fig8(o Options) ([]CompareRow, error) {
 		ilu.SetupStep()
 		mp := &solver.MPIR{
 			Sys: sys, ExtType: ipu.DW,
-			MakeInner: func(maxIter int) solver.Solver {
-				return &solver.PBiCGStab{Sys: sys, Pre: ilu, MaxIter: maxIter, Tol: 1e-30}
+			MakeInner: func(maxIter int) (solver.Solver, *float64) {
+				return &solver.PBiCGStab{Sys: sys, Pre: ilu, MaxIter: maxIter, Tol: 1e-30}, nil
 			},
 			InnerIters: 100, MaxOuter: 200, Tol: 1e-9,
 		}

@@ -122,11 +122,11 @@ func convergenceStudy(o Options, fig, matrixName string, inner, rounds int) ([]C
 		}
 		mp := &solver.MPIR{
 			Sys: sys, ExtType: cfg.ext,
-			MakeInner: func(maxIter int) solver.Solver {
+			MakeInner: func(maxIter int) (solver.Solver, *float64) {
 				return &solver.PBiCGStab{
 					Sys: sys, Pre: ilu, MaxIter: maxIter, Tol: 1e-30,
 					Monitor: func(iter int) { total++ },
-				}
+				}, nil
 			},
 			InnerIters: inner,
 			MaxOuter:   rounds,

@@ -204,8 +204,8 @@ func Table4(o Options) ([]Table4Row, error) {
 		ilu.SetupStep()
 		mp := &solver.MPIR{
 			Sys: sys, ExtType: extT,
-			MakeInner: func(maxIter int) solver.Solver {
-				return &solver.PBiCGStab{Sys: sys, Pre: ilu, MaxIter: maxIter, Tol: 1e-30}
+			MakeInner: func(maxIter int) (solver.Solver, *float64) {
+				return &solver.PBiCGStab{Sys: sys, Pre: ilu, MaxIter: maxIter, Tol: 1e-30}, nil
 			},
 			InnerIters: 10, MaxOuter: 5, Tol: 0,
 		}

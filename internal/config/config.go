@@ -33,9 +33,10 @@ type SolverConfig struct {
 	Type string `json:"type"` // pbicgstab, cg, gaussseidel, richardson, jacobi, ilu0, dilu, none
 
 	// MaxIterations and Tolerance bound the top-level solve. Under an mpir
-	// config the solve reads neither: every correction solve stops at
-	// solver.CorrectionTol, a fixed working-precision tolerance, capped at
-	// mpir.innerIterations, and mpir.tolerance is the solve's tolerance.
+	// config the solve reads neither: each correction solve stops at the
+	// reduction the outer loop still needs, never below solver.CorrectionTol,
+	// capped at mpir.innerIterations, and mpir.tolerance is the solve's
+	// tolerance.
 	MaxIterations int     `json:"maxIterations,omitempty"`
 	Tolerance     float64 `json:"tolerance,omitempty"`
 
@@ -402,6 +403,9 @@ func (c Config) Validate() error {
 		}
 		if c.MPIR.MaxOuter <= 0 {
 			return fmt.Errorf("config: mpir.maxOuter must be positive")
+		}
+		if c.MPIR.Tolerance < 0 {
+			return fmt.Errorf("config: mpir.tolerance must not be negative")
 		}
 	}
 	if c.Fault != nil {

@@ -58,6 +58,7 @@ func TestParseErrors(t *testing.T) {
 		"bad mpir ext":   `{"solver": {"type": "pbicgstab"}, "mpir": {"extended": "fp8", "innerIterations": 1, "maxOuter": 1}}`,
 		"bad mpir inner": `{"solver": {"type": "pbicgstab"}, "mpir": {"extended": "dw", "innerIterations": 0, "maxOuter": 1}}`,
 		"neg tol":        `{"solver": {"type": "pbicgstab", "tolerance": -1}}`,
+		"neg mpir tol":   `{"solver": {"type": "pbicgstab"}, "mpir": {"extended": "dw", "innerIterations": 1, "maxOuter": 1, "tolerance": -1}}`,
 		"pre on jacobi":  `{"solver": {"type": "jacobi", "preconditioner": {"type": "ilu0"}}}`,
 		"not json":       `hello`,
 	}

@@ -174,20 +174,28 @@ func prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 		mp := &solver.MPIR{
 			Sys:     sys,
 			ExtType: ext,
-			MakeInner: func(maxIter int) solver.Solver {
-				var is solver.Solver
+			// Each correction solve stops at the tolerance MPIR sets from the
+			// outer residual before it runs.
+			MakeInner: func(maxIter int) (solver.Solver, *float64) {
+				var (
+					is  solver.Solver
+					tol *float64
+				)
 				switch inner.Type {
 				case "richardson":
-					is = &solver.Richardson{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
+					rich := &solver.Richardson{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
+					is, tol = rich, &rich.Tol
 				case "cg":
-					is = &solver.CG{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
+					cg := &solver.CG{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
+					is, tol = cg, &cg.Tol
 				default:
-					is = &solver.PBiCGStab{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
+					bicg := &solver.PBiCGStab{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
+					is, tol = bicg, &bicg.Tol
 				}
 				// Harden the correction solves: a breakdown inside one is a
 				// breakdown of the refinement (MPIR propagates it).
 				solver.WithRecovery(is, rec)
-				return is
+				return is, tol
 			},
 			InnerIters: cfg.MPIR.InnerIterations,
 			MaxOuter:   cfg.MPIR.MaxOuter,

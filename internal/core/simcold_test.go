@@ -41,13 +41,13 @@ type simColdEntry struct {
 // must leave all of it exactly.
 func TestSimColdCountsExact(t *testing.T) {
 	suite := []simColdEntry{
-		{"poisson3d:24", "sim-mpir-dw-ilu.json", PartitionContiguous, 60, 0x3d8da8e4a5b95dee, 0x5b0d9846b2485eae,
-			ipu.Stats{ComputeCycles: 2_866_514, ExchangeCycles: 78_938, SyncCycles: 230_400, TotalCycles: 3_175_852,
-				Supersteps: 1_536, Exchanges: 741, ExchangeInstructions: 58_962, ExchangeBytes: 7_157_760,
-				Seconds: 0.002387858646616541, EnergyJoules: 0.2507251578947368, MemPeakBytes: 38_324},
-			0x3b2e92a0295d088c,
-			map[string]uint64{"Elementwise Ops": 325_310, "Exchange": 37_226, "Extended-Precision Ops": 169_954,
-				"ILU(0) Factor": 2_994, "ILU(0) Solve": 1_344_960, "Reduce": 538_276, "SpMV": 757_132}},
+		{"poisson3d:24", "sim-mpir-dw-ilu.json", PartitionContiguous, 49, 0x3dfb4fdb1bc0cb2f, 0x2741ee1863dda356,
+			ipu.Stats{ComputeCycles: 2_391_622, ExchangeCycles: 65_089, SyncCycles: 189_150, TotalCycles: 2_645_861,
+				Supersteps: 1_261, Exchanges: 609, ExchangeInstructions: 48_534, ExchangeBytes: 5_927_168,
+				Seconds: 0.0019893691729323307, EnergyJoules: 0.20888376315789473, MemPeakBytes: 38_324},
+			0x210eabbd8c9733f5,
+			map[string]uint64{"Elementwise Ops": 266_196, "Exchange": 30_802, "Extended-Precision Ops": 169_954,
+				"ILU(0) Factor": 2_994, "ILU(0) Solve": 1_098_384, "Reduce": 456_931, "SpMV": 620_600}},
 		{"poisson3d:24", "sim-cg-chebyshev.json", PartitionContiguous, 45, 0x3eaab3c80ad29149, 0xbe47da65ccd16b6a,
 			ipu.Stats{ComputeCycles: 1_753_651, ExchangeCycles: 76_493, SyncCycles: 194_550, TotalCycles: 2_024_694,
 				Supersteps: 1_297, Exchanges: 488, ExchangeInstructions: 70_324, ExchangeBytes: 10_765_056,
@@ -62,7 +62,7 @@ func TestSimColdCountsExact(t *testing.T) {
 			map[string]uint64{"Coarse Factor": 1_048_742, "Coarse Solve": 1_129_128, "Elementwise Ops": 74_909,
 				"Exchange": 24_297, "ILU(0) Factor": 17_072, "ILU(0) Solve": 1_001_352, "Reduce": 121_408, "SpMV": 675_154}},
 	}
-	const traceEvents, traceHash = 2_530, 0xe1c12ad25270cff3 // the first entry's timeline
+	const traceEvents, traceHash = 2_079, 0x840b192e4c3424b // the first entry's timeline
 	mc := mpirMachine()
 
 	var total ipu.Stats
@@ -154,8 +154,8 @@ func TestSimColdCountsExact(t *testing.T) {
 		total.Supersteps += r.Machine.Supersteps
 		total.ExchangeBytes += r.Machine.ExchangeBytes
 	}
-	want := ipu.Stats{ComputeCycles: 8_537_444, ExchangeCycles: 213_064, SyncCycles: 542_100,
-		TotalCycles: 9_292_608, Supersteps: 3_614, ExchangeBytes: 19_276_980}
+	want := ipu.Stats{ComputeCycles: 8_062_552, ExchangeCycles: 199_215, SyncCycles: 500_850,
+		TotalCycles: 8_762_617, Supersteps: 3_339, ExchangeBytes: 18_046_388}
 	if total != want {
 		t.Errorf("suite totals %+v; want %+v", total, want)
 	}

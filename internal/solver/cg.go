@@ -81,7 +81,7 @@ func (s *CG) ScheduleSolve(x, b Tensor, st *RunStats) {
 	)
 	abftOn := sys.ABFTEnabled()
 	if s.Recover != nil {
-		g = newGuard(s.Recover, x, s.Tol, st)
+		g = newGuard(s.Recover, x, st)
 	}
 	fail := func(reason string) {
 		if st != nil {

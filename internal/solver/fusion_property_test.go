@@ -87,13 +87,13 @@ func scheduleProfile(t *testing.T, sys *solver.System, cfg config.Config, st *so
 	pre.SetupStep()
 	mp := &solver.MPIR{
 		Sys: sys, ExtType: ext,
-		MakeInner: func(maxIter int) solver.Solver {
+		MakeInner: func(maxIter int) (solver.Solver, *float64) {
 			var is solver.Solver = &solver.PBiCGStab{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: 1e-30}
 			if cfg.Solver.Type == "cg" {
 				is = &solver.CG{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: 1e-30}
 			}
 			solver.WithRecovery(is, rec)
-			return is
+			return is, nil
 		},
 		InnerIters: cfg.MPIR.InnerIterations, MaxOuter: cfg.MPIR.MaxOuter, Tol: cfg.MPIR.Tolerance,
 	}

@@ -93,7 +93,7 @@ func (s *PBiCGStab) ScheduleSolve(x, b Tensor, st *RunStats) {
 	)
 	abftOn := sys.ABFTEnabled()
 	if s.Recover != nil {
-		g = newGuard(s.Recover, x, s.Tol, st)
+		g = newGuard(s.Recover, x, st)
 	}
 	// fail reports a breakdown detected at the current iteration: without a
 	// Recovery policy it stops the loop (seed behaviour); with one it arms a
@@ -390,7 +390,7 @@ func (s *Richardson) ScheduleSolve(x, b Tensor, st *RunStats) {
 	)
 	abftOn := sys.ABFTEnabled()
 	if s.Recover != nil {
-		g = newGuard(s.Recover, x, s.Tol, st)
+		g = newGuard(s.Recover, x, st)
 	}
 	fail := func(reason string) {
 		if st != nil {

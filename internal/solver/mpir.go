@@ -22,11 +22,28 @@ func sub(a, b interface{}) *tensordsl.Expr { return tensordsl.Sub(a, b) }
 // solve cannot make its true residual much smaller than a few roundoffs of
 // it; past this point the recursive residual keeps falling, towards the
 // subnormal range and an underflowing recursion scalar, while the correction
-// no longer changes. Each refinement step then gains about this factor, and
+// no longer changes. A refinement step gains at most about this factor, and
 // the outer loop, which checks the extended-precision residual, supplies the
 // rest. The inner iteration budget (MPIRConfig.InnerIterations) stays the
-// cap.
+// cap, and correctionTol raises the tolerance when the outer loop needs less.
 const CorrectionTol = 16 * 0x1p-24
+
+// correctionTol is the tolerance of the correction solve that follows an
+// outer relative residual ρ, for the outer tolerance τ: max(CorrectionTol,
+// ½·τ/ρ). The step only has to shrink ρ by τ/ρ; the ½ is margin for rounding
+// the residual to float32 and for the extended-precision update. A correction
+// runs only while ρ > τ, so the result stays below ½ and the inner solve takes
+// at least one iteration. GMRES-IR sets its inner tolerance this way (Carson
+// & Higham, SIAM J. Sci. Comput. 40(2), 2018), inexact Newton its forcing
+// terms (Eisenstat & Walker, SIAM J. Sci. Comput. 17(1), 1996). τ ≤ 0 (run
+// every step) and ρ = +Inf reach the floor through ½·τ/ρ ≤ 0; a ρ that is
+// zero, negative or NaN gets it explicitly.
+func correctionTol(tau, rho float64) float64 {
+	if !(rho > 0) {
+		return CorrectionTol
+	}
+	return math.Max(CorrectionTol, 0.5*tau/rho)
+}
 
 // MPIR is the Mixed-Precision Iterative Refinement driver (paper §V-B):
 //
@@ -46,7 +63,11 @@ type MPIR struct {
 
 	// MakeInner builds the working-precision inner solver capped at
 	// InnerIters iterations (built fresh so nested monitors can hook it).
-	MakeInner  func(maxIter int) Solver
+	// tol, when not nil, is the inner solver's run-time stopping tolerance:
+	// before each correction solve ScheduleSolve's loop sets it to
+	// correctionTol of the outer residual it has just measured. Returning
+	// nil keeps the inner solver's fixed tolerance.
+	MakeInner  func(maxIter int) (inner Solver, tol *float64)
 	InnerIters int
 	MaxOuter   int
 	Tol        float64
@@ -57,13 +78,14 @@ type MPIR struct {
 
 // Name implements Solver.
 func (s *MPIR) Name() string {
+	inner, _ := s.MakeInner(1)
 	switch s.ExtType {
 	case ipu.DW:
-		return "mpir-dw+" + s.MakeInner(1).Name()
+		return "mpir-dw+" + inner.Name()
 	case ipu.F64:
-		return "mpir-dp+" + s.MakeInner(1).Name()
+		return "mpir-dp+" + inner.Name()
 	default:
-		return "ir+" + s.MakeInner(1).Name()
+		return "ir+" + inner.Name()
 	}
 }
 
@@ -104,6 +126,7 @@ func (s *MPIR) ScheduleSolve(x, b Tensor, st *RunStats) {
 		return s.Tol <= 0 || relres > s.Tol
 	}
 	ts.While(cond, s.MaxOuter+1, func() {
+		innerSolver, innerTol := s.MakeInner(s.InnerIters)
 		// Step 1: extended-precision residual.
 		if ext == ipu.F32 {
 			ax := sys.Vector("mpir:ax")
@@ -125,6 +148,9 @@ func (s *MPIR) ScheduleSolve(x, b Tensor, st *RunStats) {
 			} else {
 				relres = sqrtPos(res2.Value()) / bnormHost
 			}
+			if innerTol != nil {
+				*innerTol = correctionTol(s.Tol, relres)
+			}
 			if st != nil {
 				st.RelRes = relres
 				st.record(inner, relres, sys.Sess.M.Stats().Seconds)
@@ -136,7 +162,6 @@ func (s *MPIR) ScheduleSolve(x, b Tensor, st *RunStats) {
 			// Step 2: round to working precision, solve the correction.
 			rWork.AssignLabeled(tensordsl.E(rExt), "Extended-Precision Ops")
 			c.Assign(0.0)
-			innerSolver := s.MakeInner(s.InnerIters)
 			var innerStats RunStats
 			// The outer ResidualExt verifies every correction, so the inner
 			// solve schedules no ABFT final verify of its own; its SpMV
@@ -153,7 +178,7 @@ func (s *MPIR) ScheduleSolve(x, b Tensor, st *RunStats) {
 					st.Iterations = inner
 					// Propagate the inner solver's resilience record only
 					// when it actually restarted. A correction solve normally
-					// ends at CorrectionTol; scalar stagnation before it is
+					// ends at its correctionTol; scalar stagnation before it is
 					// now the exception (a system whose float32 recursion
 					// stalls above that level), and it is still the benign
 					// end of an approximate inner solve that the outer

@@ -52,7 +52,6 @@ type guard struct {
 	rec *Recovery
 	x   Tensor
 	st  *RunStats
-	tol float64
 
 	ckpt       []float64 // last verified solution (host copy)
 	ckptIter   int
@@ -66,8 +65,8 @@ type guard struct {
 	failRel    float64 // recursion residual at the last trip
 }
 
-func newGuard(rec *Recovery, x Tensor, tol float64, st *RunStats) *guard {
-	return &guard{rec: rec, x: x, tol: tol, st: st}
+func newGuard(rec *Recovery, x Tensor, st *RunStats) *guard {
+	return &guard{rec: rec, x: x, st: st}
 }
 
 // reset re-arms the guard and captures the initial guess as the first

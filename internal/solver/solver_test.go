@@ -295,8 +295,8 @@ func TestMPIRBeatsPlainIR(t *testing.T) {
 		mp := &MPIR{
 			Sys:     sys,
 			ExtType: ext,
-			MakeInner: func(maxIter int) Solver {
-				return &PBiCGStab{Sys: sys, Pre: &Jacobi{Sys: sys}, MaxIter: maxIter, Tol: 1e-30}
+			MakeInner: func(maxIter int) (Solver, *float64) {
+				return &PBiCGStab{Sys: sys, Pre: &Jacobi{Sys: sys}, MaxIter: maxIter, Tol: 1e-30}, nil
 			},
 			InnerIters: 60,
 			MaxOuter:   12,
@@ -308,8 +308,8 @@ func TestMPIRBeatsPlainIR(t *testing.T) {
 		// Preconditioner setup must precede the loop.
 		jac := &Jacobi{Sys: sys}
 		jac.SetupStep()
-		mp.MakeInner = func(maxIter int) Solver {
-			return &PBiCGStab{Sys: sys, Pre: jac, MaxIter: maxIter, Tol: 1e-30}
+		mp.MakeInner = func(maxIter int) (Solver, *float64) {
+			return &PBiCGStab{Sys: sys, Pre: jac, MaxIter: maxIter, Tol: 1e-30}, nil
 		}
 		sys.SetGlobal(b, bh)
 		var st RunStats
@@ -338,6 +338,41 @@ func TestMPIRBeatsPlainIR(t *testing.T) {
 	}
 }
 
+// TestCorrectionTol pins MPIR's inner stopping rule max(16u, ½·τ/ρ): the
+// floor, the exact loose branch, a tolerance below ½ whenever a correction
+// runs (ρ > τ), and the floor for τ ≤ 0 and for a ρ that is not finite.
+func TestCorrectionTol(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		tau, rho float64
+		want     float64 // 0: only the ρ > τ bound is checked
+	}{
+		{"floor at the first step", 1e-9, 1, CorrectionTol},
+		{"floor where ½·τ/ρ meets 16u", 1e-9, 0.5e-9 / CorrectionTol, CorrectionTol},
+		{"floor just below the crossover", 1e-9, 1e-3, CorrectionTol},
+		{"loose branch", 1e-9, 1.9e-6, 0.5 * 1e-9 / 1.9e-6},
+		{"loose branch, tiny residual", 1e-9, 1e-8, 0.05},
+		{"just above tau", 1e-9, 1.0000001e-9, 0},
+		{"barely above tau", 1e-13, math.Nextafter(1e-13, 1), 0},
+		{"tau zero", 0, 1e-6, CorrectionTol},
+		{"tau negative", -1, 1e-6, CorrectionTol},
+		{"rho +Inf", 1e-9, math.Inf(1), CorrectionTol},
+		{"rho NaN", 1e-9, math.NaN(), CorrectionTol},
+		{"rho zero", 1e-9, 0, CorrectionTol},
+	} {
+		got := correctionTol(c.tau, c.rho)
+		if c.want != 0 && got != c.want {
+			t.Errorf("%s: correctionTol(%g, %g) = %g, want %g", c.name, c.tau, c.rho, got, c.want)
+		}
+		if got < CorrectionTol {
+			t.Errorf("%s: correctionTol(%g, %g) = %g is below the 16u floor", c.name, c.tau, c.rho, got)
+		}
+		if c.rho > c.tau && c.tau > 0 && !(got < 0.5) {
+			t.Errorf("%s: correctionTol(%g, %g) = %g, want < ½ while ρ > τ", c.name, c.tau, c.rho, got)
+		}
+	}
+}
+
 func TestProfileLabelsTableIV(t *testing.T) {
 	// An MPIR+PBiCGStab+ILU(0) run must produce exactly the Table IV
 	// operation classes (plus Exchange and the factorization). The matrix
@@ -350,8 +385,8 @@ func TestProfileLabelsTableIV(t *testing.T) {
 	mp := &MPIR{
 		Sys:     sys,
 		ExtType: ipu.DW,
-		MakeInner: func(maxIter int) Solver {
-			return &PBiCGStab{Sys: sys, Pre: ilu, MaxIter: maxIter, Tol: 1e-30}
+		MakeInner: func(maxIter int) (Solver, *float64) {
+			return &PBiCGStab{Sys: sys, Pre: ilu, MaxIter: maxIter, Tol: 1e-30}, nil
 		},
 		InnerIters: 10,
 		MaxOuter:   3,
