@@ -36,7 +36,9 @@ bench:
 ## microbenchmarks plus the zero-alloc gate on the default hierarchy (the CI
 ## guard that warm native SolveInto stays allocation-free), the
 ## fused-vs-plain stream equivalence property and the FusedSets gate (the
-## guards that the native fusions stay bit-identical and stay on), the
+## guards that the native fusions stay bit-identical and stay on; both
+## properties fail unless their generator ran every run-specialised SpMV row
+## body and the generic row loop), the SpMV run table's contract, the
 ## kernel property with its packed-sweep order checks and its oracles (the
 ## per-worker SpMV and DW/F64 residual row loops and the natural-order
 ## sweeps: the guard behind the ilu0-apply and dilu-apply rows the first
@@ -49,7 +51,7 @@ bench:
 bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels' -benchtime 1x -benchmem .
 	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets|TestCorrectionTol' ./internal/solver
-	$(GO) test -short -run 'TestBilledSet|TestValidateBilledSets|TestExchangeBillReplayed|TestEngineSuperstepZeroAlloc' ./internal/graph
+	$(GO) test -short -run 'TestBilledSet|TestValidateBilledSets|TestExchangeBillReplayed|TestEngineSuperstepZeroAlloc|TestRowRuns' ./internal/graph
 	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact|TestMPIRConverges|TestABFTMPIRCorrectionsVerifyOnce' ./internal/core
 	$(GO) test -short -run 'TestPaperGolden' ./internal/bench
 

@@ -107,24 +107,29 @@ func TestNativeRefreshZeroAlloc(t *testing.T) {
 	}
 }
 
-// compileNativeKernel compiles, for the native backend, the program schedule
-// builds on a served-shape system (64 tiles, contiguous partition): the
-// compute set under test plus whatever exchange it needs, nothing else.
-// schedule returns the bytes one run moves, computed from array sizes (4-byte
-// values and indices), so the MB/s column is a computed rate, not a measured
-// one. The executable has run once.
-func compileNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sparse.Matrix) int64) (backend.Executable, int64, backend.RunResult) {
+// kernelBenchMatrix is the system of the kernel benchmarks: poisson3d:32,
+// poisson3d:16 under -short.
+func kernelBenchMatrix() *sparse.Matrix {
 	n := 32
 	if testing.Short() {
 		n = 16
 	}
+	return sparse.Poisson3D(n, n, n)
+}
+
+// compileNativeKernel compiles, for the native backend, the program schedule
+// builds on a served-shape system of m (64 tiles, contiguous partition): the
+// compute set under test plus whatever exchange it needs, nothing else.
+// schedule returns the bytes one run moves, computed from array sizes (4-byte
+// values and indices), so the MB/s column is a computed rate, not a measured
+// one. The executable has run once.
+func compileNativeKernel(b *testing.B, m *sparse.Matrix, schedule func(sys *solver.System, m *sparse.Matrix) int64) (backend.Executable, int64, backend.RunResult) {
 	cfg := ipu.Mk2M2000()
 	cfg.TilesPerChip, cfg.Chips = 64, 1
 	mach, err := ipu.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := sparse.Poisson3D(n, n, n)
 	sess := tensordsl.NewSession(mach)
 	sys, err := solver.NewSystem(sess, m, partition.Contiguous(m, mach.NumTiles()))
 	if err != nil {
@@ -169,11 +174,11 @@ func reportRuns(b *testing.B, exec backend.Executable, rc backend.RunConfig, uni
 	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N), unit)
 }
 
-// benchmarkNativeKernel times one native run of the program schedule builds.
-// When the program runs as a fused kernel, unfused-ns/op is the same program
-// run kernel by kernel right after.
-func benchmarkNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sparse.Matrix) int64) {
-	exec, bytes, warm := compileNativeKernel(b, schedule)
+// benchmarkNativeKernel times one native run of the program schedule builds
+// on m. When the program runs as a fused kernel, unfused-ns/op is the same
+// program run kernel by kernel right after.
+func benchmarkNativeKernel(b *testing.B, m *sparse.Matrix, schedule func(sys *solver.System, m *sparse.Matrix) int64) {
+	exec, bytes, warm := compileNativeKernel(b, m, schedule)
 	timeRuns(b, exec, bytes)
 	if warm.FusedSets > 0 {
 		// An armed injector, here one that never fires, gets the unfused stream.
@@ -187,7 +192,7 @@ func benchmarkNativeKernel(b *testing.B, schedule func(sys *solver.System, m *sp
 // on a stencil every row waits for the row before it: the difference is what
 // level order buys, the rest of the gain over the parent is the packing.
 // rowBytes is what the two sweeps move per row beside the entries.
-func benchmarkSweeps(b *testing.B, rowBytes int, newPrecond func(sys *solver.System) solver.Preconditioner) {
+func benchmarkSweeps(b *testing.B, m *sparse.Matrix, rowBytes int, newPrecond func(sys *solver.System) solver.Preconditioner) {
 	schedule := func(natural bool) func(sys *solver.System, m *sparse.Matrix) int64 {
 		return func(sys *solver.System, m *sparse.Matrix) int64 {
 			p := newPrecond(sys)
@@ -215,8 +220,8 @@ func benchmarkSweeps(b *testing.B, rowBytes int, newPrecond func(sys *solver.Sys
 			return int64(8*entries + rowBytes*m.N)
 		}
 	}
-	natural, _, _ := compileNativeKernel(b, schedule(true))
-	exec, bytes, _ := compileNativeKernel(b, schedule(false))
+	natural, _, _ := compileNativeKernel(b, m, schedule(true))
+	exec, bytes, _ := compileNativeKernel(b, m, schedule(false))
 	timeRuns(b, exec, bytes)
 	reportRuns(b, natural, backend.RunConfig{}, "natural-ns/op")
 }
@@ -241,14 +246,15 @@ func BenchmarkNativeKernels(b *testing.B) {
 	// Matrix traffic of one sweep over all stored entries: value + column per
 	// off-diagonal, diagonal + row pointer per row.
 	matrixBytes := func(m *sparse.Matrix) int64 { return int64(8*(m.NNZ()-m.N) + 8*m.N) }
+	poisson := kernelBenchMatrix()
 	b.Run("spmv-f32", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			sys.SpMV(sys.Vector("y"), benchVector(b, sys, "x", ipu.F32))
 			return matrixBytes(m) + int64(8*m.N)
 		})
 	})
 	b.Run("residual-dw", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			x, rhs := benchVector(b, sys, "x", ipu.DW), benchVector(b, sys, "b", ipu.DW)
 			sys.ResidualExt(sys.VectorTyped("r", ipu.DW), rhs, x)
 			return matrixBytes(m) + int64(24*m.N)
@@ -257,19 +263,19 @@ func BenchmarkNativeKernels(b *testing.B) {
 	// Per row, forward: row, end, r, z; backward: row, end, diagonal, z read
 	// and written. DILU's forward sweep divides too.
 	b.Run("ilu0-apply", func(b *testing.B) {
-		benchmarkSweeps(b, 36, func(sys *solver.System) solver.Preconditioner { return &solver.ILU{Sys: sys} })
+		benchmarkSweeps(b, poisson, 36, func(sys *solver.System) solver.Preconditioner { return &solver.ILU{Sys: sys} })
 	})
 	b.Run("dilu-apply", func(b *testing.B) {
-		benchmarkSweeps(b, 40, func(sys *solver.System) solver.Preconditioner { return &solver.DILU{Sys: sys} })
+		benchmarkSweeps(b, poisson, 40, func(sys *solver.System) solver.Preconditioner { return &solver.DILU{Sys: sys} })
 	})
 	b.Run("dot", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			sys.Sess.Dot(benchVector(b, sys, "x", ipu.F32), benchVector(b, sys, "y", ipu.F32))
 			return int64(8 * m.N)
 		})
 	})
 	b.Run("assign-2term", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			x, y := benchVector(b, sys, "x", ipu.F32), benchVector(b, sys, "y", ipu.F32)
 			alpha := sys.Sess.MustScalar("alpha", ipu.F32)
 			alpha.SetValue(0.5)
@@ -278,7 +284,7 @@ func BenchmarkNativeKernels(b *testing.B) {
 		})
 	})
 	b.Run("assign-3term", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			r, v := benchVector(b, sys, "r", ipu.F32), benchVector(b, sys, "v", ipu.F32)
 			beta, omega := sys.Sess.MustScalar("beta", ipu.F32), sys.Sess.MustScalar("omega", ipu.F32)
 			beta.SetValue(0.5)
@@ -293,15 +299,35 @@ func BenchmarkNativeKernels(b *testing.B) {
 	// The fused groups of the two served iteration loops, one sweep each; the
 	// unfused-ns/op column is the same group run kernel by kernel.
 	b.Run("spmv+dot", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			x, y := benchVector(b, sys, "x", ipu.F32), sys.Vector("y")
 			sys.SpMV(y, x)
 			sys.Sess.Dot(x, y) // CG's p·Ap
 			return matrixBytes(m) + int64(8*m.N)
 		})
 	})
+	// The same group on two other patterns: stencil27:16, whose rows of 26
+	// and 17 entries take the SpMV's longest row bodies, and a scattered
+	// pattern whose runs are about one row long, so nearly every row takes
+	// the generic row loop.
+	for _, p := range []struct {
+		name string
+		m    *sparse.Matrix
+	}{
+		{"spmv+dot-stencil27", sparse.Stencil27(16, 16, 16)},
+		{"spmv+dot-scattered", sparse.RandomSPD(16384, 6, 1)},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			benchmarkNativeKernel(b, p.m, func(sys *solver.System, m *sparse.Matrix) int64 {
+				x, y := benchVector(b, sys, "x", ipu.F32), sys.Vector("y")
+				sys.SpMV(y, x)
+				sys.Sess.Dot(x, y)
+				return matrixBytes(m) + int64(8*m.N)
+			})
+		})
+	}
 	b.Run("spmv+2dot", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			x, s, t := benchVector(b, sys, "x", ipu.F32), benchVector(b, sys, "s", ipu.F32), sys.Vector("t")
 			sys.SpMV(t, x)
 			sys.Sess.Dot(t, s) // PBiCGStab's t·s and t·t
@@ -310,7 +336,7 @@ func BenchmarkNativeKernels(b *testing.B) {
 		})
 	})
 	b.Run("cg-update", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			p, q, invd := benchVector(b, sys, "p", ipu.F32), benchVector(b, sys, "q", ipu.F32), benchVector(b, sys, "invd", ipu.F32)
 			alpha := sys.Sess.MustScalar("alpha", ipu.F32)
 			alpha.SetValue(1e-3)
@@ -327,7 +353,7 @@ func BenchmarkNativeKernels(b *testing.B) {
 		})
 	})
 	b.Run("bicg-update", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			y, z, s, t := benchVector(b, sys, "y", ipu.F32), benchVector(b, sys, "z", ipu.F32), benchVector(b, sys, "s", ipu.F32), benchVector(b, sys, "t", ipu.F32)
 			alpha, omega := sys.Sess.MustScalar("alpha", ipu.F32), sys.Sess.MustScalar("omega", ipu.F32)
 			alpha.SetValue(1e-3)
@@ -344,7 +370,7 @@ func BenchmarkNativeKernels(b *testing.B) {
 	// of serve-mpir sees (residual ~1e-10·|b|): the microcode assist per
 	// subnormal product is what PBiCGStab's fusions cannot hide there.
 	b.Run("dot-subnormal", func(b *testing.B) {
-		benchmarkNativeKernel(b, func(sys *solver.System, m *sparse.Matrix) int64 {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			h := make([]float64, sys.N())
 			for i := range h {
 				h[i] = 1e-10

@@ -8,8 +8,11 @@
 // -help lists the experiment names.
 //
 // The default scale shrinks all workloads by 64x so the suite completes in
-// minutes; -scale 1 -full reproduces paper-scale sizes (needs tens of GB of
-// RAM and hours of CPU time).
+// minutes; -scale 1 -full reproduces paper-scale sizes. There, Table IV
+// (-experiment table4) takes 28 s at a peak RSS of 1.4 GB on a two-core x86
+// host, and Fig 8 stops at its first MPIR solve: the contiguous partition
+// gives its accumulated shortfall to the last of 5,888 tiles, and the "mpir:r"
+// vector no longer fits that tile's SRAM (a panic in MustTensor).
 package main
 
 import (

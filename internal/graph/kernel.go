@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,10 +16,11 @@ import (
 // three fusable kinds (SpMV, fused float32 assign, float32 sum/dot partial)
 // expose their operands as per-block slice tables, so the native backend's
 // peephole pass can hand an adjacent run of them to FuseKernels and get one
-// loop that finishes every statement for element j before it touches j+1,
-// with produced values kept in registers. Every other kernel is opaque: the
-// pass only needs to know which buffers it writes, or that it does not know
-// (Barrier).
+// loop: an assign group finishes every statement for element j before it
+// touches j+1, with produced values kept in registers; an SpMV group computes
+// a block's rows, then its dots over them while they are in L1. Every other
+// kernel is opaque: the pass only needs to know which buffers it writes, or
+// that it does not know (Barrier).
 
 // KernelKind classifies a native kernel for the fusion pass.
 type KernelKind uint8
@@ -95,11 +97,56 @@ func (t *Term) coeff() float32 {
 }
 
 // CSRBlock is one block of y = A·x: the tile's CSR arrays with columns
-// indexing the gathered [owned | halo] vector, and the three operand slices.
+// indexing the gathered [owned | halo] vector, the three operand slices, and
+// the block's rows cut into runs (SpMVKernel fills Runs).
 type CSRBlock struct {
 	RowPtr, Cols []int32
 	Diag, Vals   []float32
 	X, H, Y      []float32 // owned source, halo source, destination
+	Runs         []RowRun
+}
+
+// RowRun is the rows [First, End) of a block. Count is the number of stored
+// off-diagonal entries of every row, or MixedRun for rows that take the
+// generic row loop.
+type RowRun struct{ First, End, Count int32 }
+
+// MixedRun is the Count of a run of rows without a row body of their own.
+const MixedRun = -1
+
+// minBodyRun is the shortest run that gets its row body: a single row costs
+// more to dispatch than its body saves.
+const minBodyRun = 2
+
+// rowBodies lists the off-diagonal counts CSRBlock.rows has a row body for:
+// the 2-D five-point and 3-D seven-point stencils, their boundary rows of 5,
+// and the 27-point stencil's interior and face rows.
+var rowBodies = [...]int32{4, 5, 6, 17, 26}
+
+// RowBodies returns the off-diagonal counts that have a row body.
+func RowBodies() []int32 { return slices.Clone(rowBodies[:]) }
+
+// appendRuns cuts rows [0, len(rowPtr)-1) into runs and appends them to
+// runs, in row order: each maximal run of at least minBodyRun rows of one
+// count with a body, and maximal mixed runs of the rows in between.
+func appendRuns(runs []RowRun, rowPtr []int32) []RowRun {
+	first := len(runs)
+	for i, n := 0, len(rowPtr)-1; i < n; {
+		c, end := rowPtr[i+1]-rowPtr[i], i+1
+		for end < n && rowPtr[end+1]-rowPtr[end] == c {
+			end++
+		}
+		if !slices.Contains(rowBodies[:], c) || end-i < minBodyRun {
+			c = MixedRun
+		}
+		if last := len(runs) - 1; last >= first && c == MixedRun && runs[last].Count == MixedRun {
+			runs[last].End = int32(end)
+		} else {
+			runs = append(runs, RowRun{First: int32(i), End: int32(end), Count: c})
+		}
+		i = end
+	}
+	return runs
 }
 
 // OpaqueKernel describes a kernel the fusion pass cannot look into but whose
@@ -113,10 +160,18 @@ func BarrierKernel(run func()) *NativeKernel {
 	return &NativeKernel{Run: run, Barrier: true}
 }
 
-// SpMVKernel describes y = A·x over the block table. Each row sums its
-// diagonal product, then its stored entries in storage order; every fused
-// loop keeps that order, so both backends leave the same bits.
+// SpMVKernel describes y = A·x over the block table and cuts each block's
+// rows into its run table, once, when the program is scheduled. Each row sums
+// its diagonal product, then its stored entries in storage order, in
+// CSRBlock.rows whichever loop runs it, so both backends leave the same bits.
 func SpMVKernel(csr []CSRBlock, gather []float32) *NativeKernel {
+	var runs []RowRun // the blocks' tables, appended to one slice
+	for i := range csr {
+		b := &csr[i]
+		start := len(runs)
+		runs = appendRuns(runs, b.RowPtr[:len(b.Y)+1])
+		b.Runs = runs[start:len(runs):len(runs)]
+	}
 	return bind(&NativeKernel{Kind: KernelSpMV, CSR: csr, Gather: gather})
 }
 
@@ -151,9 +206,9 @@ func bind(k *NativeKernel) *NativeKernel {
 }
 
 // FuseKernels returns one loop executing two or more statements in order,
-// element by element, and the signature it was looked up under; nil when the
-// statements do not share a block table or the table has no loop of that
-// signature.
+// element by element (block by block behind an SpMV), and the signature it
+// was looked up under; nil when the statements do not share a block table or
+// the table has no loop of that signature.
 //
 // A signature spells each statement and where each vector operand comes from:
 // m is memory, vK the value statement K of the run produced for the same
@@ -301,28 +356,104 @@ func (b *CSRBlock) gather(scratch []float32) []float32 {
 	return xh
 }
 
-// The three SpMV loops cut every row-indexed slice to the row count and the
-// columns to the values before the sweep: the row loop then carries neither
-// bounds checks nor slice lengths. That is what keeps the entry loop's
-// operands in registers once dot products ride along; with them spilled a
-// rider costs more than the standalone dot it replaces.
+// The three SpMV loops compute every row in CSRBlock.rows: one set of row
+// bodies, so the plain loop and the loops with dot riders execute the same
+// instructions per row and leave the same bits, NaN signs included (x86 keeps
+// the first operand's NaN, so two loops whose adds took their operands in a
+// different order could disagree). A rider is then the standalone partial's
+// own dot over the block's rows, still in L1.
+
+// rows computes y = A·x for the block from the gathered source xh, run by
+// run. A count with a body runs a row loop with the count as a constant: the
+// entries unrolled, the vals/cols windows cut to the count, no per-entry exit
+// branch. A mixed run takes the generic entry loop. Each row sums its diagonal
+// product, then its entries in storage order. It is kept out of line so that
+// every loop shares its instructions.
+//
+//go:noinline
+func (b *CSRBlock) rows(xh []float32) {
+	for _, r := range b.Runs {
+		// Loaded per run: hoisted out of the run loop, they cost a register
+		// the row loops need (poisson3d:32 ran 17 % slower).
+		k, vals, cols := int(b.RowPtr[r.First]), b.Vals, b.Cols
+		y := b.Y[r.First:r.End]
+		d, xo := b.Diag[r.First:r.End][:len(y)], xh[r.First:r.End][:len(y)]
+		switch r.Count {
+		case 4: // 2-D five-point rows
+			for i := range y {
+				y[i] = add4(d[i]*xo[i], vals[k:k+4:k+4], cols[k:k+4:k+4], xh)
+				k += 4
+			}
+		case 5:
+			for i := range y {
+				y[i] = add5(d[i]*xo[i], vals[k:k+5:k+5], cols[k:k+5:k+5], xh)
+				k += 5
+			}
+		case 6: // 3-D seven-point rows
+			for i := range y {
+				y[i] = add6(d[i]*xo[i], vals[k:k+6:k+6], cols[k:k+6:k+6], xh)
+				k += 6
+			}
+		case 17:
+			for i := range y {
+				v, c := vals[k:k+17:k+17], cols[k:k+17:k+17]
+				s := add6(d[i]*xo[i], v[:6], c[:6], xh)
+				s = add6(s, v[6:12], c[6:12], xh)
+				y[i] = add5(s, v[12:], c[12:], xh)
+				k += 17
+			}
+		case 26: // 3-D 27-point rows
+			for i := range y {
+				v, c := vals[k:k+26:k+26], cols[k:k+26:k+26]
+				s := add6(d[i]*xo[i], v[:6], c[:6], xh)
+				s = add6(s, v[6:12], c[6:12], xh)
+				s = add6(s, v[12:18], c[12:18], xh)
+				s = add4(s, v[18:22], c[18:22], xh)
+				y[i] = add4(s, v[22:], c[22:], xh)
+				k += 26
+			}
+		default:
+			ends, cols := b.RowPtr[r.First+1 : r.End+1][:len(y)], cols[:len(vals)]
+			for i := range y {
+				s := d[i] * xo[i]
+				for end := int(ends[i]); k < end; k++ {
+					s += vals[k] * xh[cols[k]]
+				}
+				y[i] = s
+			}
+		}
+	}
+}
+
+// add4, add5 and add6 add a row's next 4, 5 or 6 entries to s, in order.
+func add4(s float32, v []float32, c []int32, xh []float32) float32 {
+	v, c = v[:4:4], c[:4:4]
+	s += v[0] * xh[c[0]]
+	s += v[1] * xh[c[1]]
+	s += v[2] * xh[c[2]]
+	return s + v[3]*xh[c[3]]
+}
+
+func add5(s float32, v []float32, c []int32, xh []float32) float32 {
+	return add4(s, v[:4], c[:4], xh) + v[4]*xh[c[4]]
+}
+
+func add6(s float32, v []float32, c []int32, xh []float32) float32 {
+	v, c = v[:6:6], c[:6:6]
+	s += v[0] * xh[c[0]]
+	s += v[1] * xh[c[1]]
+	s += v[2] * xh[c[2]]
+	s += v[3] * xh[c[3]]
+	s += v[4] * xh[c[4]]
+	return s + v[5]*xh[c[5]]
+}
 
 func spmvLoop(st *NativeKernel) func() {
 	blocks, scratch := st.CSR, st.Gather
 	return func() {
 		for bi := range blocks {
 			b := &blocks[bi]
-			xh, y, vals := b.gather(scratch), b.Y, b.Vals
-			n := len(y)
-			rowPtr, diag, xo, cols := b.RowPtr[:n+1], b.Diag[:n], xh[:n], b.Cols[:len(vals)]
-			k := rowPtr[0]
-			for i := range y {
-				s := diag[i] * xo[i]
-				for end := rowPtr[i+1]; k < end; k++ {
-					s += vals[k] * xh[cols[k]]
-				}
-				y[i] = s
-			}
+			b.rows(b.gather(scratch))
 		}
 	}
 }
@@ -334,21 +465,8 @@ func spmvDotLoop(s []*NativeKernel) func() {
 	return func() {
 		for bi := range blocks {
 			b := &blocks[bi]
-			xh, y, vals := b.gather(scratch), b.Y, b.Vals
-			n := len(y)
-			rowPtr, diag, xo, cols := b.RowPtr[:n+1], b.Diag[:n], xh[:n], b.Cols[:len(vals)]
-			o := d.A[bi][:n]
-			var sum float32
-			k := rowPtr[0]
-			for i := range y {
-				s := diag[i] * xo[i]
-				for end := rowPtr[i+1]; k < end; k++ {
-					s += vals[k] * xh[cols[k]]
-				}
-				y[i] = s
-				sum += float32(o[i] * s)
-			}
-			d.Sink.put(d.Tiles[bi], sum)
+			b.rows(b.gather(scratch))
+			d.Sink.put(d.Tiles[bi], dot(d.A[bi], b.Y))
 		}
 	}
 }
@@ -360,23 +478,9 @@ func spmvTwoDotLoop(s []*NativeKernel) func() {
 	return func() {
 		for bi := range blocks {
 			b := &blocks[bi]
-			xh, y, vals := b.gather(scratch), b.Y, b.Vals
-			n := len(y)
-			rowPtr, diag, xo, cols := b.RowPtr[:n+1], b.Diag[:n], xh[:n], b.Cols[:len(vals)]
-			o := d0.B[bi][:n]
-			var sum0, sum1 float32
-			k := rowPtr[0]
-			for i := range y {
-				s := diag[i] * xo[i]
-				for end := rowPtr[i+1]; k < end; k++ {
-					s += vals[k] * xh[cols[k]]
-				}
-				y[i] = s
-				sum0 += float32(s * o[i])
-				sum1 += float32(s * s)
-			}
-			d0.Sink.put(d0.Tiles[bi], sum0)
-			d1.Sink.put(d1.Tiles[bi], sum1)
+			b.rows(b.gather(scratch))
+			d0.Sink.put(d0.Tiles[bi], dot(b.Y, d0.B[bi]))
+			d1.Sink.put(d1.Tiles[bi], dot(b.Y, b.Y))
 		}
 	}
 }
@@ -502,14 +606,25 @@ func partialLoop(k *NativeKernel) func() {
 					sum += v
 				}
 			} else {
-				y := k.B[bi]
-				for j := range x {
-					sum += float32(x[j] * y[j])
-				}
+				sum = dot(x, k.B[bi])
 			}
 			k.Sink.put(k.Tiles[bi], sum)
 		}
 	}
+}
+
+// dot is one block's float32 Σ a∘b, each product rounded before the add, in
+// index order: the loop of every standalone dot partial and of every SpMV
+// rider, kept out of line like CSRBlock.rows so that they leave the same bits.
+//
+//go:noinline
+func dot(a, b []float32) float32 {
+	b = b[:len(a)]
+	var sum float32
+	for j := range a {
+		sum += float32(a[j] * b[j])
+	}
+	return sum
 }
 
 // cgUpdateLoop is CG's vector update in one sweep: two axpys, the Jacobi

@@ -228,7 +228,7 @@ func TestFusedStreamMatchesPlain(t *testing.T) {
 		layouts = layouts[1:3]
 	}
 
-	hoists, groups := 0, map[string]int{}
+	hoists, groups, sawRun := 0, map[string]int{}, map[int32]bool{}
 	for _, name := range names {
 		cfg := profiles[name]
 		for _, lay := range layouts {
@@ -255,6 +255,13 @@ func TestFusedStreamMatchesPlain(t *testing.T) {
 			x, b := scheduleProfile(t, sys, cfg, &st)
 			prog := sess.Program()
 			graph.Freeze(prog)
+			for _, k := range solver.SpMVKernels(prog) {
+				for _, b := range k.CSR {
+					for _, r := range b.Runs {
+						sawRun[r.Count] = true
+					}
+				}
+			}
 			state.addKernels(prog)
 			state.dedupe()
 			exec, err := backend.Native.Compile(prog, mach, graph.Analyze(prog))
@@ -327,6 +334,7 @@ func TestFusedStreamMatchesPlain(t *testing.T) {
 	if hoists == 0 {
 		t.Error("no profile hoisted a reduction partial")
 	}
+	solver.CheckRowBodies(t, sawRun)
 	for _, sig := range graph.FusedSignatures() {
 		if groups[sig] == 0 {
 			t.Errorf("no profile produced a %q group", sig)

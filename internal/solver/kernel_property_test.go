@@ -18,16 +18,41 @@ import (
 // raggedSystem generates a diagonally dominant matrix with ragged row lengths
 // (0 to 8 off-diagonals), one row and column with no off-diagonal at all, and
 // a tail block that couples only to itself, so some partitions get a tile
-// without halo cells. vseed drives the values only: two calls that differ in
-// vseed alone share the pattern.
+// without halo cells. Right after the empty row a band of rows holds every
+// count the SpMV has a row body for, in runs of 4, then 2, then 1 rows, so
+// the partitions cut runs at tile boundaries; the band takes no random
+// entries, and its own are not mirrored. vseed drives the values only: two
+// calls that differ in vseed alone share the pattern.
 func raggedSystem(n int, pseed, vseed int64) *sparse.Matrix {
 	prng, vrng := rand.New(rand.NewSource(pseed)), rand.New(rand.NewSource(vseed))
 	empty, tail := n/3, n-n/4
+	var band []int // off-diagonal count of each band row
+	for _, run := range []int{4, 2, 1} {
+		for _, c := range graph.RowBodies() {
+			for r := 0; r < run; r++ {
+				band = append(band, int(c))
+			}
+		}
+	}
+	inBand := func(i int) bool { return i > empty && i <= empty+len(band) }
+	if empty+len(band) >= tail {
+		panic("raggedSystem: n too small for the band")
+	}
 	b := sparse.NewBuilder(n)
 	for i := 0; i < n; i++ {
+		if inBand(i) {
+			cols := prng.Perm(tail)
+			for c := band[i-empty-1]; c > 0; cols = cols[1:] {
+				if j := cols[0]; j != i && j != empty {
+					b.Set(i, j, 1)
+					c--
+				}
+			}
+			continue
+		}
 		for k := prng.Intn(5); k > 0; k-- {
 			j := prng.Intn(n)
-			if i == j || i == empty || j == empty || (i >= tail) != (j >= tail) {
+			if i == j || i == empty || j == empty || (i >= tail) != (j >= tail) || inBand(j) {
 				continue
 			}
 			b.Set(i, j, 1)
@@ -50,6 +75,46 @@ func raggedSystem(n int, pseed, vseed int64) *sparse.Matrix {
 		m.Diag[i] = sum + 1 + vrng.Float64()
 	}
 	return m
+}
+
+// spmvKernels returns the SpMV kernel descriptors of a program.
+func spmvKernels(s graph.Step) []*graph.NativeKernel {
+	switch st := s.(type) {
+	case *graph.Sequence:
+		var out []*graph.NativeKernel
+		for _, sub := range st.Steps {
+			out = append(out, spmvKernels(sub)...)
+		}
+		return out
+	case graph.Compute:
+		if k := st.Set.NativeKernel; k != nil && k.Kind == graph.KernelSpMV {
+			return []*graph.NativeKernel{k}
+		}
+	case graph.Repeat:
+		return spmvKernels(st.Body)
+	case graph.While:
+		return spmvKernels(st.Body)
+	case graph.If:
+		var out []*graph.NativeKernel
+		for _, br := range []*graph.Sequence{st.Then, st.Else} {
+			if br != nil {
+				out = append(out, spmvKernels(br)...)
+			}
+		}
+		return out
+	}
+	return nil
+}
+
+// checkRowBodies fails unless the SpMV kernels ran a run of every row body and
+// a mixed run: sawRun holds the counts of the runs they walked.
+func checkRowBodies(t *testing.T, sawRun map[int32]bool) {
+	t.Helper()
+	for _, c := range append(graph.RowBodies(), graph.MixedRun) {
+		if !sawRun[c] {
+			t.Fatalf("generator lost a row shape: no SpMV run of count %d (%d is the generic loop)", c, graph.MixedRun)
+		}
+	}
 }
 
 // runStraight executes a straight-line program on one backend: on the
@@ -371,7 +436,8 @@ func checkPackedSweeps(t *testing.T, sys *System, ts *triSchedule, cover *sweepC
 // its codelets. The sweeps run packed in level order and once more packed in
 // natural order: any topological order leaves the oracle's bits.
 func TestNativeKernelsMatchCodelets(t *testing.T) {
-	var sawNoHalo, sawEmptyTile, sawEmptyRow bool
+	var sawNoHalo, sawEmptyTile, sawEmptyRow, sawCutRun bool
+	sawRun := map[int32]bool{}
 	var cover sweepCoverage
 	for _, tiles := range []int{1, 3, 5, 64} {
 		for _, greedy := range []bool{false, true} {
@@ -414,6 +480,22 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 					sawEmptyTile = sawEmptyTile || lm.NumOwned == 0
 					for i := 0; i < lm.NumOwned; i++ {
 						sawEmptyRow = sawEmptyRow || lm.RowPtr[i] == lm.RowPtr[i+1]
+					}
+				}
+				for _, k := range spmvKernels(sess.Program()) {
+					for bi, b := range k.CSR {
+						for _, r := range b.Runs {
+							sawRun[r.Count] = true
+						}
+						// A body run on the block's first row whose count the row
+						// before it, on another tile, shares: a run cut by a tile
+						// boundary.
+						if r := b.Runs[0]; r.Count != graph.MixedRun {
+							if g := sys.Layout.Tiles[sys.blocks[bi].tile].Owned[0]; g > 0 {
+								lo, hi := m.RowRange(g - 1)
+								sawCutRun = sawCutRun || int32(hi-lo) == r.Count
+							}
+						}
 					}
 				}
 			}
@@ -511,10 +593,11 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 			}
 		}
 	}
-	if !sawNoHalo || !sawEmptyTile || !sawEmptyRow {
-		t.Fatalf("generator lost an edge case: multi-tile block without halo %v, empty tile %v, empty row %v",
-			sawNoHalo, sawEmptyTile, sawEmptyRow)
+	if !sawNoHalo || !sawEmptyTile || !sawEmptyRow || !sawCutRun {
+		t.Fatalf("generator lost an edge case: multi-tile block without halo %v, empty tile %v, empty row %v, "+
+			"row run cut by a tile boundary %v", sawNoHalo, sawEmptyTile, sawEmptyRow, sawCutRun)
 	}
+	checkRowBodies(t, sawRun)
 	if cover != (sweepCoverage{true, true, true, true, true}) {
 		t.Fatalf("generator lost a sweep shape: %+v", cover)
 	}
