@@ -44,14 +44,15 @@ bench:
 ## sweeps: the guard behind the ilu0-apply and dilu-apply rows the first
 ## line runs, and behind the kernels the simulator runs for its billed
 ## sets), the engine's billed-set, exchange-replay and zero-alloc tests, the
-## sim-cold exact counts and bits, MPIR's inner stopping rule and its
+## guard that native and simulated runs walk one stream identically (control
+## flow and injector consultation order), the sim-cold exact counts and bits, MPIR's inner stopping rule and its
 ## convergence property (correction solves stop at max(16u, ½·τ/ρ)), the
 ## ABFT-armed default hierarchy's zero detections and the paper golden file,
 ## without -race
 bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels' -benchtime 1x -benchmem .
 	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets|TestCorrectionTol' ./internal/solver
-	$(GO) test -short -run 'TestBilledSet|TestValidateBilledSets|TestExchangeBillReplayed|TestEngineSuperstepZeroAlloc|TestRowRuns' ./internal/graph
+	$(GO) test -short -run 'TestBilledSet|TestValidateBilledSets|TestExchangeBillReplayed|TestEngineSuperstepZeroAlloc|TestRowRuns|TestNativeControlFlowMatchesEngine|TestNativeInjectorConsultationOrder' ./internal/graph
 	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact|TestMPIRConverges|TestABFTMPIRCorrectionsVerifyOnce' ./internal/core
 	$(GO) test -short -run 'TestPaperGolden' ./internal/bench
 

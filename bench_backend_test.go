@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
 	"ipusparse/internal/fault"
@@ -117,13 +116,13 @@ func kernelBenchMatrix() *sparse.Matrix {
 	return sparse.Poisson3D(n, n, n)
 }
 
-// compileNativeKernel compiles, for the native backend, the program schedule
-// builds on a served-shape system of m (64 tiles, contiguous partition): the
-// compute set under test plus whatever exchange it needs, nothing else.
+// compileNativeKernel lowers the program schedule builds on a served-shape
+// system of m (64 tiles, contiguous partition): the compute set under test
+// plus whatever exchange it needs, nothing else.
 // schedule returns the bytes one run moves, computed from array sizes (4-byte
 // values and indices), so the MB/s column is a computed rate, not a measured
-// one. The executable has run once.
-func compileNativeKernel(b *testing.B, m *sparse.Matrix, schedule func(sys *solver.System, m *sparse.Matrix) int64) (backend.Executable, int64, backend.RunResult) {
+// one. The stream has run natively once.
+func compileNativeKernel(b *testing.B, m *sparse.Matrix, schedule func(sys *solver.System, m *sparse.Matrix) int64) (*graph.Stream, int64, graph.RunStats) {
 	cfg := ipu.Mk2M2000()
 	cfg.TilesPerChip, cfg.Chips = 64, 1
 	mach, err := ipu.New(cfg)
@@ -138,11 +137,11 @@ func compileNativeKernel(b *testing.B, m *sparse.Matrix, schedule func(sys *solv
 	bytes := schedule(sys, m)
 	prog := sess.Program()
 	graph.Freeze(prog)
-	exec, err := backend.Native.Compile(prog, mach, graph.Analyze(prog))
+	exec, err := graph.Lower(prog, mach.NumTiles())
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm, err := exec.Run(backend.RunConfig{})
+	warm, err := exec.Run(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,12 +149,12 @@ func compileNativeKernel(b *testing.B, m *sparse.Matrix, schedule func(sys *solv
 }
 
 // timeRuns is the measured part of a kernel benchmark: b.N runs of exec.
-func timeRuns(b *testing.B, exec backend.Executable, bytes int64) {
+func timeRuns(b *testing.B, exec *graph.Stream, bytes int64) {
 	b.SetBytes(bytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(backend.RunConfig{}); err != nil {
+		if _, err := exec.Run(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,10 +163,10 @@ func timeRuns(b *testing.B, exec backend.Executable, bytes int64) {
 
 // reportRuns times b.N more runs of exec, after timeRuns has stopped the
 // benchmark's own timer, and reports them as a second column next to ns/op.
-func reportRuns(b *testing.B, exec backend.Executable, rc backend.RunConfig, unit string) {
+func reportRuns(b *testing.B, exec *graph.Stream, inj graph.Injector, unit string) {
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(rc); err != nil {
+		if _, err := exec.Run(inj); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +181,7 @@ func benchmarkNativeKernel(b *testing.B, m *sparse.Matrix, schedule func(sys *so
 	timeRuns(b, exec, bytes)
 	if warm.FusedSets > 0 {
 		// An armed injector, here one that never fires, gets the unfused stream.
-		reportRuns(b, exec, backend.RunConfig{Injector: fault.New(fault.Plan{})}, "unfused-ns/op")
+		reportRuns(b, exec, fault.New(fault.Plan{}), "unfused-ns/op")
 	}
 }
 
@@ -223,7 +222,7 @@ func benchmarkSweeps(b *testing.B, m *sparse.Matrix, rowBytes int, newPrecond fu
 	natural, _, _ := compileNativeKernel(b, m, schedule(true))
 	exec, bytes, _ := compileNativeKernel(b, m, schedule(false))
 	timeRuns(b, exec, bytes)
-	reportRuns(b, natural, backend.RunConfig{}, "natural-ns/op")
+	reportRuns(b, natural, nil, "natural-ns/op")
 }
 
 // benchVector is a system vector holding a fixed non-trivial pattern.

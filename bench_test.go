@@ -355,45 +355,6 @@ func BenchmarkAblationPlainCSR(b *testing.B) {
 	b.ReportMetric(float64(m.Bytes()), "bytes")
 }
 
-// BenchmarkAblationFormatELL measures SpMV over the ELLPACK format (padding
-// to the global max row width, §II-C)...
-func BenchmarkAblationFormatELL(b *testing.B) {
-	m := sparse.Poisson3D(20, 20, 20)
-	e := m.ToELL()
-	x := make([]float64, m.N)
-	y := make([]float64, m.N)
-	for i := range x {
-		x[i] = float64(i % 5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.MulVec(x, y)
-	}
-	b.ReportMetric(float64(e.Bytes()), "bytes")
-	b.ReportMetric(e.Padding()*100, "padding%")
-}
-
-// BenchmarkAblationFormatSELL ...and the Sliced ELLPACK variant, whose
-// per-slice widths bound the padding.
-func BenchmarkAblationFormatSELL(b *testing.B) {
-	m := sparse.Poisson3D(20, 20, 20)
-	s, err := m.ToSELL(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, m.N)
-	y := make([]float64, m.N)
-	for i := range x {
-		x[i] = float64(i % 5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.MulVec(x, y)
-	}
-	b.ReportMetric(float64(s.Bytes()), "bytes")
-	b.ReportMetric(s.Padding()*100, "padding%")
-}
-
 // BenchmarkAblationCoarseCorrection measures a full solve with the two-level
 // coarse correction over local ILU(0)...
 func BenchmarkAblationCoarseCorrection(b *testing.B) {

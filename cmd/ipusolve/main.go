@@ -156,7 +156,7 @@ func raceCandidates(mc ipu.Config, m *sparse.Matrix, cfg config.Config, strategy
 	// -backend/config choice, or the CLI's simulator default.
 	def := cfg.EngineBackend()
 	if def == "" {
-		def = "sim"
+		def = config.BackendSim
 	}
 	return tune.Race(context.Background(), mc, m, cfg, tune.Options{
 		Budget:  budget,

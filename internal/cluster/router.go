@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"ipusparse/internal/backend"
 	"ipusparse/internal/breaker"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
@@ -341,11 +340,7 @@ func (rt *Router) Register(ctx context.Context, req serve.RegisterRequest) (serv
 	// config that leaves the backend to each shard is checked by the shard's
 	// own registration gate.
 	if req.Config != nil && req.Config.EngineBackend() != "" {
-		be, err := backend.ByName(req.Config.EngineBackend())
-		if err != nil {
-			return serve.SystemInfo{}, err
-		}
-		if err := backend.CheckConfig(be, req.Config); err != nil {
+		if _, err := config.ResolveBackend(req.Config.EngineBackend(), req.Config.EngineTrace() != ""); err != nil {
 			return serve.SystemInfo{}, err
 		}
 	}

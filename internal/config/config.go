@@ -286,17 +286,18 @@ type EngineConfig struct {
 	// serially on the coordinator goroutine.
 	Parallelism int `json:"parallelism,omitempty"`
 
-	// Backend selects the execution backend: "sim"/"simulator" (the default;
-	// cycle-accurate, supports device tracing) or "native" (flat host-speed
-	// kernels, no cycle accounting — the serving default). Both run fault
-	// campaigns. Backends agree at residual level, not bit level.
+	// Backend selects the execution backend (see ResolveBackend): "sim"/
+	// "simulator" (the default; cycle-accurate, supports device tracing) or
+	// "native" (flat host-speed kernels, no cycle accounting — the serving
+	// default). Both run fault campaigns. Backends agree at residual level,
+	// not bit level.
 	Backend string `json:"backend,omitempty"`
 
 	// Trace, when set, writes each run's combined host/device timeline to
 	// this file in Chrome trace-event JSON — the config spelling of the
 	// core WithTrace option. Device tracing is simulator-only: resolving
 	// this key against the native backend is a typed capability mismatch
-	// (backend.UnsupportedError), rejected at Prepare / registration time.
+	// (UnsupportedError), rejected at Prepare / registration time.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -442,10 +443,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: engine.parallelism must be >= 0, got %d", c.Engine.Parallelism)
 	}
 	if c.Engine != nil {
-		switch c.Engine.Backend {
-		case "", "sim", "simulator", "native":
-		default:
-			return fmt.Errorf("config: engine.backend must be sim, simulator or native, got %q", c.Engine.Backend)
+		if _, err := ResolveBackend(c.Engine.Backend, false); err != nil {
+			return err
 		}
 	}
 	if s := c.Serve; s != nil {

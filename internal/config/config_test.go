@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -202,5 +203,52 @@ func TestEngineValidation(t *testing.T) {
 	c.Engine = &EngineConfig{Parallelism: 0}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("parallelism 0 (automatic) rejected: %v", err)
+	}
+}
+
+// TestResolveBackend is the table of backend spellings and the one
+// capability rule: every name canonicalizes, an unknown one is rejected, and
+// device tracing on native is a typed UnsupportedError naming the backend.
+func TestResolveBackend(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		trace bool
+		want  string
+		err   string // "" ok, "unsupported" typed, else a plain error
+	}{
+		{"", false, "sim", ""},
+		{"sim", false, "sim", ""},
+		{"simulator", false, "sim", ""},
+		{"native", false, "native", ""},
+		{"", true, "sim", ""},
+		{"simulator", true, "sim", ""},
+		{"native", true, "", "unsupported"},
+		{"fpga", false, "", "plain"},
+		{"fpga", true, "", "plain"},
+	} {
+		got, err := ResolveBackend(tc.name, tc.trace)
+		switch tc.err {
+		case "":
+			if err != nil || got != tc.want {
+				t.Errorf("ResolveBackend(%q, %v) = %q, %v; want %q", tc.name, tc.trace, got, err, tc.want)
+			}
+		case "unsupported":
+			var ue *UnsupportedError
+			if !IsUnsupported(err) || !errors.As(err, &ue) || ue.Backend != "native" || ue.Feature != "device tracing" {
+				t.Errorf("ResolveBackend(%q, %v): %#v, want a typed UnsupportedError", tc.name, tc.trace, err)
+			}
+		default:
+			if err == nil || IsUnsupported(err) {
+				t.Errorf("ResolveBackend(%q, %v) = %q, %v; want an unknown-backend error", tc.name, tc.trace, got, err)
+			}
+		}
+	}
+	if IsUnsupported(errors.New("other")) {
+		t.Fatal("IsUnsupported matched an unrelated error")
+	}
+	c := Default()
+	c.Engine = &EngineConfig{Backend: "fpga"}
+	if err := c.Validate(); err == nil {
+		t.Fatal("Validate accepted an unknown engine.backend")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/graph"
 	"ipusparse/internal/solver"
@@ -333,7 +332,7 @@ func TestNativeRejectsTraceAndPerCallBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Solve(b, WithTrace(discardWriter{})); !backend.IsUnsupported(err) {
+	if _, err := prep.Solve(b, WithTrace(discardWriter{})); !config.IsUnsupported(err) {
 		t.Fatalf("trace on native: got %v, want UnsupportedError", err)
 	}
 	if _, err := prep.Solve(b, WithBackend("sim")); err == nil {

@@ -66,12 +66,16 @@ func WithParallelism(par int) Option {
 	}
 }
 
-// WithBackend selects the execution backend by name: "sim"/"simulator" (the
-// default; cycle-accurate, supports device tracing) or "native" (flat
-// host-speed kernels, zero cycle accounting). The backend is a
-// Prepare-time decision — the program is compiled for it — so WithBackend is
-// only accepted by Prepare; passing it to a Solve call returns an error.
-// It takes precedence over the engine.backend config key.
+// WithBackend selects the execution backend by name: "sim" or "native"
+// (config.ResolveBackend holds every spelling). Both run the program's one
+// lowered stream. Sim attaches the cycle-accurate engine, which bills every
+// superstep and supports device tracing; it is the CLI and bench default, so
+// research runs stay cycle-accurate unless asked. Native runs the stream
+// with no accounting, on host-speed and fused kernels with zero allocation
+// per run; it is the serving default. The backend is a Prepare-time
+// decision, so WithBackend is only accepted by Prepare; passing it to a Solve
+// call returns an error. It takes precedence over the engine.backend config
+// key.
 func WithBackend(name string) Option {
 	return func(o *runOptions) { o.backend, o.backendSet = name, true }
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/fault"
 	"ipusparse/internal/graph"
@@ -48,9 +47,13 @@ type Prepared struct {
 	patternFP  uint64 // sparsity-pattern digest the pipeline was compiled for
 	par        int    // engine host parallelism (0 = automatic)
 
-	// Execution backend, fixed at Prepare: the program is compiled for it.
-	be   backend.Backend
-	exec backend.Executable
+	// Execution backend, fixed at Prepare: its canonical name, the lowered
+	// program both backends run and, on sim, the persistent engine that
+	// executes and bills it (nil on native).
+	backend string
+	stream  *graph.Stream
+	eng     *graph.Engine
+	tracer  *graph.Tracer // the last run's device timeline, nil unless traced
 
 	// Prepare-time option defaults, overridable per Solve call.
 	traceOut io.Writer
@@ -90,14 +93,11 @@ func Prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 	if ro.backendSet {
 		beName = ro.backend
 	}
-	be, err := backend.ByName(beName)
-	if err != nil {
-		return nil, err
-	}
 	// Capability gate: a config that requests simulator-only features on a
 	// backend that cannot honor them fails here, with the same typed error
 	// the serving layers surface at registration time.
-	if err := backend.CheckConfig(be, &cfg); err != nil {
+	be, err := config.ResolveBackend(beName, cfg.EngineTrace() != "")
+	if err != nil {
 		return nil, err
 	}
 	// The injector must be registered before any tensors exist so bit flips
@@ -122,7 +122,7 @@ func Prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 // prepare builds the full pipeline up to (but not including) execution. The
 // caller has validated cfg; inj, when non-nil, is registered before any
 // tensors exist so bit flips can target every device buffer.
-func prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strategy PartitionStrategy, inj *fault.Injector, be backend.Backend, inst *coreInstruments) (*Prepared, error) {
+func prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strategy PartitionStrategy, inj *fault.Injector, be string, inst *coreInstruments) (*Prepared, error) {
 	ctx, err := NewContext(machineCfg)
 	if err != nil {
 		return nil, err
@@ -153,7 +153,7 @@ func prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 		n:          m.N,
 		patternFP:  m.PatternFingerprint(),
 		par:        cfg.EngineParallelism(),
-		be:         be,
+		backend:    be,
 		inst:       inst,
 	}
 	phaseStart = time.Now()
@@ -225,22 +225,23 @@ func prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 	// Freeze every compute set now so the first Solve pays no finalization
 	// cost and supersteps can shard over the dense tile-sorted form.
 	graph.Freeze(ctx.Session.Program())
-	// Compile the frozen program for the selected backend: the native
-	// backend lowers it to its instruction stream now, the simulator binds a
-	// persistent pre-sized engine that lowers it on the first run. Either way
-	// every later Solve just runs the compiled artifact.
-	exec, err := be.Compile(ctx.Session.Program(), ctx.Machine, p.report)
-	if err != nil {
+	// Lower the frozen program to the stream every later Solve runs; the
+	// simulator attaches a persistent engine, pre-sized for the program's
+	// largest exchange, so steady-state runs allocate nothing.
+	if p.stream, err = graph.Lower(ctx.Session.Program(), ctx.Machine.NumTiles()); err != nil {
 		return nil, err
 	}
-	p.exec = exec
+	if be == config.BackendSim {
+		p.eng = graph.NewEngine(ctx.Machine)
+		p.eng.Reserve(p.report.MaxExchangeMoves)
+	}
 	compileSecs := time.Since(phaseStart).Seconds()
 
 	p.prepPartition, p.prepSchedule, p.prepCompile = partitionSecs, scheduleSecs, compileSecs
 	inst.observePhase("partition", partitionSecs)
 	inst.observePhase("schedule", scheduleSecs)
 	inst.observePhase("compile", compileSecs)
-	inst.observeBackend(be.Name())
+	inst.observeBackend(be)
 	return p, nil
 }
 
@@ -262,7 +263,7 @@ type PipelineInfo struct {
 // Info returns the prepared pipeline's description.
 func (p *Prepared) Info() PipelineInfo {
 	return PipelineInfo{
-		N: p.n, Solver: p.st.Solver, Backend: p.be.Name(),
+		N: p.n, Solver: p.st.Solver, Backend: p.backend,
 		ABFT:               p.sys.ABFTEnabled(),
 		PatternFingerprint: p.patternFP,
 		Report:             p.report,
@@ -342,7 +343,7 @@ func applyOptionsSlow(opts []Option) runOptions {
 func (p *Prepared) run(b []float64, ro runOptions) (*Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rr, execWall, err := p.runLocked(b, ro, true)
+	rr, execWall, err := p.runLocked(b, ro)
 	if err != nil {
 		return nil, err
 	}
@@ -350,20 +351,20 @@ func (p *Prepared) run(b []float64, ro runOptions) (*Result, error) {
 	if traceOut == nil {
 		traceOut = p.traceOut
 	}
-	if rr.Tracer != nil {
+	if p.tracer != nil {
 		if traceOut == nil && p.tracePath != "" {
 			f, err := os.Create(p.tracePath)
 			if err != nil {
 				return nil, fmt.Errorf("core: engine.trace: %w", err)
 			}
-			werr := p.writeTrace(f, rr.Tracer, execWall.Seconds())
+			werr := p.writeTrace(f, p.tracer, execWall.Seconds())
 			if cerr := f.Close(); werr == nil {
 				werr = cerr
 			}
 			if werr != nil {
 				return nil, werr
 			}
-		} else if err := p.writeTrace(traceOut, rr.Tracer, execWall.Seconds()); err != nil {
+		} else if err := p.writeTrace(traceOut, p.tracer, execWall.Seconds()); err != nil {
 			return nil, err
 		}
 	}
@@ -377,10 +378,12 @@ func (p *Prepared) run(b []float64, ro runOptions) (*Result, error) {
 	res := &Result{
 		X:               p.sys.GetGlobal(p.xT),
 		Stats:           stats,
-		Profile:         rr.Profile,
 		Machine:         p.ctx.Machine.Stats(),
 		Report:          p.report,
 		ExecWallSeconds: execWall.Seconds(),
+	}
+	if p.eng != nil {
+		res.Profile = p.eng.ProfileShares()
 	}
 	if p.inj != nil {
 		res.Faults = p.inj.Events
@@ -389,21 +392,22 @@ func (p *Prepared) run(b []float64, ro runOptions) (*Result, error) {
 	return res, nil
 }
 
-// runLocked resets all per-run state, executes the compiled program once and
-// flushes post-run telemetry. The caller holds p.mu.
-func (p *Prepared) runLocked(b []float64, ro runOptions, collectProfile bool) (backend.RunResult, time.Duration, error) {
+// runLocked resets all per-run state, runs the lowered program once (with
+// the engine attached on sim) and flushes post-run telemetry. The caller
+// holds p.mu.
+func (p *Prepared) runLocked(b []float64, ro runOptions) (graph.RunStats, time.Duration, error) {
 	if ro.backendSet {
-		return backend.RunResult{}, 0, fmt.Errorf("core: the backend is fixed at Prepare; pass WithBackend to Prepare, not Solve")
+		return graph.RunStats{}, 0, fmt.Errorf("core: the backend is fixed at Prepare; pass WithBackend to Prepare, not Solve")
 	}
 	if ro.tunedSet {
-		return backend.RunResult{}, 0, fmt.Errorf("core: a tuned configuration is fixed at Prepare; pass WithTuned to Prepare, not Solve")
+		return graph.RunStats{}, 0, fmt.Errorf("core: a tuned configuration is fixed at Prepare; pass WithTuned to Prepare, not Solve")
 	}
 	traceOut := ro.trace
 	if traceOut == nil {
 		traceOut = p.traceOut
 	}
-	if traceOut != nil && !p.be.SupportsTrace() {
-		return backend.RunResult{}, 0, &backend.UnsupportedError{Backend: p.be.Name(), Feature: "device tracing"}
+	if _, err := config.ResolveBackend(p.backend, traceOut != nil); err != nil {
+		return graph.RunStats{}, 0, err
 	}
 	par := p.par
 	if ro.parSet {
@@ -416,7 +420,7 @@ func (p *Prepared) runLocked(b []float64, ro runOptions, collectProfile bool) (b
 		inst = newCoreInstruments(ro.reg)
 	}
 	if len(b) != p.n {
-		return backend.RunResult{}, 0, fmt.Errorf("core: %d right-hand-side values for %d rows", len(b), p.n)
+		return graph.RunStats{}, 0, fmt.Errorf("core: %d right-hand-side values for %d rows", len(b), p.n)
 	}
 	// Reset everything a previous run left behind: the solution (the next
 	// run's initial guess must be zero), the per-run stats the scheduled
@@ -427,7 +431,7 @@ func (p *Prepared) runLocked(b []float64, ro runOptions, collectProfile bool) (b
 	p.st.ResetForRun()
 	p.xT.FillHost(0)
 	if err := p.sys.SetGlobal(p.bT, b); err != nil {
-		return backend.RunResult{}, 0, err
+		return graph.RunStats{}, 0, err
 	}
 	p.ctx.Machine.ResetStats()
 	if p.inj != nil {
@@ -437,21 +441,38 @@ func (p *Prepared) runLocked(b []float64, ro runOptions, collectProfile bool) (b
 	}
 	p.sys.ABFTResetRun()
 
-	rc := backend.RunConfig{
-		Parallelism:    par,
-		Trace:          traceOut != nil || p.tracePath != "",
-		CollectProfile: collectProfile,
-	}
+	var inj graph.Injector
 	if p.inj != nil {
-		rc.Injector = p.inj
+		inj = p.inj
 	}
-	if inst != nil {
-		rc.Metrics = inst.engine
-	}
+	var (
+		rr  graph.RunStats
+		err error
+	)
 	execStart := time.Now()
-	rr, err := p.exec.Run(rc)
+	if e := p.eng; e != nil {
+		e.ResetProfile()
+		e.FaultRetries = 0
+		e.SetParallelism(par)
+		e.Injector = inj
+		var em *graph.EngineMetrics
+		if inst != nil {
+			em = inst.engine
+		}
+		e.SetMetrics(em)
+		p.tracer = nil
+		if traceOut != nil || p.tracePath != "" {
+			p.tracer = e.Trace()
+		} else {
+			e.SetTracer(nil)
+		}
+		err = e.RunStream(p.stream)
+		rr = graph.RunStats{Supersteps: e.Supersteps, FaultRetries: e.FaultRetries}
+	} else {
+		rr, err = p.stream.Run(inj)
+	}
 	if err != nil {
-		return backend.RunResult{}, 0, err
+		return graph.RunStats{}, 0, err
 	}
 	execWall := time.Since(execStart)
 	if p.sys.ABFTEnabled() {
@@ -481,10 +502,10 @@ type SolveStats struct {
 	Recovered       bool
 	ABFTChecks      uint64
 	ExecWallSeconds float64
-	// CodeletSets is backend.RunResult.CodeletSets: compute sets the native
+	// CodeletSets is graph.RunStats.CodeletSets: compute sets the native
 	// backend had no kernel for. 0 means the whole solve ran native kernels.
 	CodeletSets uint64
-	// FusedSets is backend.RunResult.FusedSets: compute sets the native
+	// FusedSets is graph.RunStats.FusedSets: compute sets the native
 	// backend executed inside fused kernels. It grows with the iteration
 	// count when the solver loop's fusions hold (7 per cg+jacobi iteration).
 	FusedSets uint64
@@ -503,7 +524,7 @@ func (p *Prepared) SolveInto(x, b []float64, opts ...Option) (SolveStats, error)
 	if len(x) != p.n {
 		return SolveStats{}, fmt.Errorf("core: %d solution slots for %d rows", len(x), p.n)
 	}
-	rr, execWall, err := p.runLocked(b, ro, false)
+	rr, execWall, err := p.runLocked(b, ro)
 	if err != nil {
 		return SolveStats{}, err
 	}

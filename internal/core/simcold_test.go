@@ -132,18 +132,19 @@ func TestSimColdCountsExact(t *testing.T) {
 			// A warm re-run is bit- and cycle-identical to the cold one;
 			// this one records the device timeline.
 			p.mu.Lock()
-			rr, _, err := p.runLocked(b, runOptions{trace: io.Discard}, false)
+			_, _, err := p.runLocked(b, runOptions{trace: io.Discard})
+			tr := p.tracer
 			p.mu.Unlock()
 			if err != nil {
 				t.Fatal(err)
 			}
 			h.Reset()
-			for _, ev := range rr.Tracer.Events {
+			for _, ev := range tr.Events {
 				io.WriteString(h, ev.Name+"\x00"+ev.Kind+"\x00")
 				putWord(h, ev.Start)
 				putWord(h, ev.Cycles)
 			}
-			if n, got := len(rr.Tracer.Events), h.Sum64(); n != traceEvents || got != traceHash {
+			if n, got := len(tr.Events), h.Sum64(); n != traceEvents || got != traceHash {
 				t.Errorf("%s: %d trace events hashing to %#x, want %d and %#x", name, n, got, traceEvents, uint64(traceHash))
 			}
 		}

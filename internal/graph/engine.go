@@ -64,9 +64,6 @@ type Engine struct {
 	xcosts          map[*Move]*ipu.ExchangeCost // fault-free exchange costs, by first move
 	tracer          *Tracer
 	metrics         *EngineMetrics
-
-	prog   *Sequence // the program stream was lowered from
-	stream *Stream
 }
 
 // minShardEntries is the smallest number of populated tiles one shard is
@@ -114,23 +111,20 @@ func (e *Engine) Reserve(maxMoves int) {
 	}
 }
 
-// Run executes the program: the stream lowered from it (see Stream), with
-// the engine executing and billing every compute superstep and exchange
-// phase. A *Sequence program is lowered once and its stream reused while
-// none of its sequences gains or loses a step; another program, or one that
-// grew, is lowered again.
+// Run lowers the program (see Lower) and runs the stream with the engine
+// attached: a one-shot run. A program that runs more than once is lowered
+// once and handed to RunStream each time.
 func (e *Engine) Run(program Step) error {
-	s := e.stream
-	seq, ok := program.(*Sequence)
-	if !ok || seq != e.prog || !s.current() {
-		s = &Stream{numTiles: e.M.NumTiles()}
-		if err := s.lower(program); err != nil {
-			return err
-		}
-		if ok {
-			e.prog, e.stream = seq, s
-		}
+	s, err := Lower(program, e.M.NumTiles())
+	if err != nil {
+		return err
 	}
+	return e.RunStream(s)
+}
+
+// RunStream runs a lowered stream under e.Injector with the engine executing
+// and billing every compute superstep and exchange phase.
+func (e *Engine) RunStream(s *Stream) error {
 	e.transferScratch = e.transferScratch[:0]
 	_, err := s.exec(e, e.Injector)
 	return err

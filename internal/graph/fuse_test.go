@@ -1,4 +1,4 @@
-package backend
+package graph_test
 
 import (
 	"testing"
@@ -62,11 +62,11 @@ func TestFuseStopsAtControlFlow(t *testing.T) {
 		prog.Append(bystander()) // the dot never sits right behind the border already
 		prog.Append(kernelStep("r.r", dot()))
 		graph.Freeze(prog)
-		exec, err := Native.Compile(prog, testMachine(t), graph.Report{})
+		exec, err := graph.Lower(prog, testMachine(t).NumTiles())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := exec.(*nativeExec).Fusion().Hoists; got != tc.hoists {
+		if got := exec.Fusion().Hoists; got != tc.hoists {
 			t.Errorf("%s between producer and partial: %d hoists, want %d", tc.name, got, tc.hoists)
 		}
 		for _, taken = range []bool{false, true} {
@@ -75,7 +75,7 @@ func TestFuseStopsAtControlFlow(t *testing.T) {
 				want = 9.0 * 14
 			}
 			sink.F64[0] = -1
-			if _, err := exec.Run(RunConfig{}); err != nil {
+			if _, err := exec.Run(nil); err != nil {
 				t.Fatal(err)
 			}
 			if sink.F64[0] != want {

@@ -45,21 +45,15 @@ type instr struct {
 	n      int // repeat count / while iteration cap
 }
 
-// Stream is a program lowered to a flat instruction stream. Run is not safe
-// for concurrent use.
+// Stream is a program lowered to a flat instruction stream. It runs against
+// the program's buffers by reference, so an in-place rewrite of a tile value
+// block is visible to the next run. Runs are not safe for concurrent use.
 type Stream struct {
 	ins      []instr // the lowered stream: simulated and fault-armed runs, and fuse's input
 	fused    []instr // the stream of fault-free native runs (set by Lower)
 	fusion   FusionReport
 	counters []int
 	numTiles int
-	seqs     []seqMark // every sequence lowered, to tell when the program grew
-}
-
-// seqMark records a lowered sequence and its steps at lowering.
-type seqMark struct {
-	seq   *Sequence
-	steps []Step
 }
 
 // RunStats counts what one run of a stream executed.
@@ -84,10 +78,12 @@ type FusionReport struct {
 	Groups map[string]int // fused kernels by statement signature (see FuseKernels)
 }
 
-// Lower flattens prog for native execution on a machine of numTiles tiles.
-// Fault-free runs execute a second stream derived from the lowered one by the
-// fusion pass (see fuse); fault-armed runs execute the lowered one, because a
-// hoisted or merged compute set would draw a different injector decision.
+// Lower flattens prog into the stream both backends run on a machine of
+// numTiles tiles: natively (Run) or with an engine attached
+// (Engine.RunStream). Fault-free native runs execute a second stream derived
+// from the lowered one by the fusion pass (see fuse); simulated and
+// fault-armed runs execute the lowered one, because a hoisted or merged
+// compute set would bill and draw injector decisions differently.
 func Lower(prog Step, numTiles int) (*Stream, error) {
 	s := &Stream{numTiles: numTiles}
 	if err := s.lower(prog); err != nil {
@@ -106,24 +102,12 @@ func (s *Stream) Fusion() FusionReport { return s.fusion }
 // count as fault retries.
 func (s *Stream) Run(inj Injector) (RunStats, error) { return s.exec(nil, inj) }
 
-// current reports whether no sequence of the program changed since it was
-// lowered.
-func (s *Stream) current() bool {
-	for _, m := range s.seqs {
-		if len(m.seq.Steps) != len(m.steps) || (len(m.steps) > 0 && &m.seq.Steps[0] != &m.steps[0]) {
-			return false
-		}
-	}
-	return true
-}
-
 // lower appends the step to s.ins. Empty compute sets and zero-move
 // exchanges are neither executed nor consulted; accounting-only moves and
 // nil host callbacks stay in the stream as consultation points.
 func (s *Stream) lower(st Step) error {
 	switch st := st.(type) {
 	case *Sequence:
-		s.seqs = append(s.seqs, seqMark{st, st.Steps})
 		for _, sub := range st.Steps {
 			if err := s.lower(sub); err != nil {
 				return err

@@ -1,4 +1,4 @@
-package backend
+package graph_test
 
 import (
 	"errors"
@@ -16,28 +16,6 @@ func testMachine(t *testing.T) *ipu.Machine {
 		t.Fatal(err)
 	}
 	return m
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"", "sim", "simulator"} {
-		be, err := ByName(name)
-		if err != nil || be.Name() != "sim" {
-			t.Fatalf("ByName(%q) = %v, %v", name, be, err)
-		}
-	}
-	be, err := ByName("native")
-	if err != nil || be.Name() != "native" {
-		t.Fatalf("ByName(native) = %v, %v", be, err)
-	}
-	if _, err := ByName("fpga"); err == nil {
-		t.Fatal("ByName accepted an unknown backend")
-	}
-	if !Sim.SupportsTrace() {
-		t.Fatal("sim must support tracing")
-	}
-	if Native.SupportsTrace() {
-		t.Fatal("native must not claim trace support")
-	}
 }
 
 // countingStep returns a compute step whose execution appends tag to *trace.
@@ -114,11 +92,11 @@ func TestNativeControlFlowMatchesEngine(t *testing.T) {
 	natIters := 0
 	natProg := build(&natTrace, &natIters)
 	graph.Freeze(natProg)
-	exec, err := Native.Compile(natProg, testMachine(t), graph.Report{})
+	exec, err := graph.Lower(natProg, testMachine(t).NumTiles())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.Run(RunConfig{}); err != nil {
+	if _, err := exec.Run(nil); err != nil {
 		t.Fatalf("native: %v", err)
 	}
 
@@ -137,7 +115,7 @@ func TestNativeControlFlowMatchesEngine(t *testing.T) {
 	rerun := natTrace
 	natTrace = nil
 	_ = rerun
-	if _, err := exec.Run(RunConfig{}); err != nil {
+	if _, err := exec.Run(nil); err != nil {
 		t.Fatalf("native warm: %v", err)
 	}
 	if fmt.Sprint(natTrace) != fmt.Sprint(simTrace) {
@@ -156,11 +134,11 @@ func TestNativeKernelPreferred(t *testing.T) {
 	prog.Append(graph.Compute{Set: cs})
 	graph.Freeze(prog)
 
-	exec, err := Native.Compile(prog, testMachine(t), graph.Report{})
+	exec, err := graph.Lower(prog, testMachine(t).NumTiles())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := exec.Run(RunConfig{})
+	rr, err := exec.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +176,11 @@ func TestNativeMaxIterMatchesEngine(t *testing.T) {
 		t.Fatalf("engine error %v", simErr)
 	}
 
-	exec, err := Native.Compile(build(), testMachine(t), graph.Report{})
+	exec, err := graph.Lower(build(), testMachine(t).NumTiles())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, natErr := exec.Run(RunConfig{})
+	_, natErr := exec.Run(nil)
 	if !errors.Is(natErr, graph.ErrMaxIter) {
 		t.Fatalf("native error %v", natErr)
 	}
@@ -219,11 +197,11 @@ func TestNativeErrorWrapping(t *testing.T) {
 	prog.Append(graph.Exchange{Name: "halo", Moves: []graph.Move{
 		{SrcTile: 0, DstTiles: []int{1}, Bytes: 4, Do: func() error { return boom }},
 	}})
-	exec, err := Native.Compile(prog, testMachine(t), graph.Report{})
+	exec, err := graph.Lower(prog, testMachine(t).NumTiles())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runErr := exec.Run(RunConfig{})
+	_, runErr := exec.Run(nil)
 	var se *graph.StepError
 	if !errors.As(runErr, &se) || se.Step != "halo" || !errors.Is(runErr, boom) {
 		t.Fatalf("move error %v (%T)", runErr, runErr)
@@ -231,11 +209,11 @@ func TestNativeErrorWrapping(t *testing.T) {
 
 	prog2 := &graph.Sequence{}
 	prog2.Append(graph.HostCall{Name: "cb", Fn: func() error { return boom }})
-	exec2, err := Native.Compile(prog2, testMachine(t), graph.Report{})
+	exec2, err := graph.Lower(prog2, testMachine(t).NumTiles())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runErr2 := exec2.Run(RunConfig{})
+	_, runErr2 := exec2.Run(nil)
 	if !errors.As(runErr2, &se) || se.Step != "cb" || !errors.Is(runErr2, boom) {
 		t.Fatalf("host error %v (%T)", runErr2, runErr2)
 	}
@@ -265,32 +243,6 @@ func (ri *recordingInjector) CorruptPayload(name string, ss uint64, _ []graph.Mo
 func (ri *recordingInjector) HostFault(name string, ss uint64) error {
 	ri.log = append(ri.log, fmt.Sprintf("host:%s@%d", name, ss))
 	return nil
-}
-
-// TestNativeRejectsSimOnlyFeatures: device tracing gets a typed
-// UnsupportedError rejection, not a silent no-op. Fault injection — sim-only
-// before the native fault stream existed — must now be accepted.
-func TestNativeRejectsSimOnlyFeatures(t *testing.T) {
-	prog := &graph.Sequence{}
-	prog.Append(graph.HostCall{Name: "noop", Fn: func() error { return nil }})
-	exec, err := Native.Compile(prog, testMachine(t), graph.Report{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = exec.Run(RunConfig{Injector: &recordingInjector{}}); err != nil {
-		t.Fatalf("injector must be accepted on native: %v", err)
-	}
-	_, err = exec.Run(RunConfig{Trace: true})
-	if !IsUnsupported(err) {
-		t.Fatalf("trace: %v", err)
-	}
-	var ue *UnsupportedError
-	if !errors.As(err, &ue) || ue.Backend != "native" {
-		t.Fatalf("unsupported error shape: %#v", err)
-	}
-	if IsUnsupported(errors.New("other")) {
-		t.Fatal("IsUnsupported matched an unrelated error")
-	}
 }
 
 // TestNativeInjectorConsultationOrder runs a program exercising every step
@@ -352,12 +304,12 @@ func TestNativeInjectorConsultationOrder(t *testing.T) {
 	natIters := 0
 	natProg := build(&natIters)
 	graph.Freeze(natProg)
-	exec, err := Native.Compile(natProg, testMachine(t), graph.Report{})
+	exec, err := graph.Lower(natProg, testMachine(t).NumTiles())
 	if err != nil {
 		t.Fatal(err)
 	}
 	natInj := &recordingInjector{}
-	if _, err := exec.Run(RunConfig{Injector: natInj}); err != nil {
+	if _, err := exec.Run(natInj); err != nil {
 		t.Fatalf("native: %v", err)
 	}
 
@@ -371,13 +323,13 @@ func TestNativeInjectorConsultationOrder(t *testing.T) {
 	// A fault-free run after an injected one must still use the fast stream
 	// (no consultations, same results).
 	natIters = 0
-	if _, err := exec.Run(RunConfig{}); err != nil {
+	if _, err := exec.Run(nil); err != nil {
 		t.Fatalf("native fault-free after injected: %v", err)
 	}
 	// And a second injected run replays the same sequence.
 	natIters = 0
 	natInj2 := &recordingInjector{}
-	if _, err := exec.Run(RunConfig{Injector: natInj2}); err != nil {
+	if _, err := exec.Run(natInj2); err != nil {
 		t.Fatalf("native warm injected: %v", err)
 	}
 	if fmt.Sprint(natInj2.log) != fmt.Sprint(natInj.log) {
@@ -403,7 +355,7 @@ func TestNativeMoveActions(t *testing.T) {
 		{SrcTile: 1, DstTiles: []int{2}, Bytes: 4, Do: func() error { delivered++; return nil }},
 		{SrcTile: 2, DstTiles: []int{0}, Bytes: 4, Do: func() error { delivered++; return nil }},
 	}})
-	exec, err := Native.Compile(prog, testMachine(t), graph.Report{})
+	exec, err := graph.Lower(prog, testMachine(t).NumTiles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +367,7 @@ func TestNativeMoveActions(t *testing.T) {
 		}
 		return act, nil
 	}
-	rr, runErr := exec.Run(RunConfig{Injector: &scriptedInjector{inner: inj, moveFault: moveFault}})
+	rr, runErr := exec.Run(&scriptedInjector{inner: inj, moveFault: moveFault})
 	if runErr != nil {
 		t.Fatalf("run: %v", runErr)
 	}
@@ -433,7 +385,7 @@ func TestNativeMoveActions(t *testing.T) {
 	inj.i = 0
 	inj.acts = []graph.MoveAction{graph.MoveFail}
 	delivered = 0
-	_, runErr = exec.Run(RunConfig{Injector: &scriptedInjector{inner: inj, moveFault: moveFault}})
+	_, runErr = exec.Run(&scriptedInjector{inner: inj, moveFault: moveFault})
 	var se *graph.StepError
 	if !errors.As(runErr, &se) || se.Step != "x" || !errors.Is(runErr, boom) {
 		t.Fatalf("fail error %v (%T)", runErr, runErr)
@@ -462,43 +414,3 @@ func (s *scriptedInjector) CorruptPayload(n string, ss uint64, tg []graph.MoveTa
 }
 
 func (s *scriptedInjector) HostFault(n string, ss uint64) error { return s.inner.HostFault(n, ss) }
-
-// TestSimExecRoundTrip: the sim backend wraps the engine and reports profile
-// and superstep counts when asked.
-func TestSimExecRoundTrip(t *testing.T) {
-	var trace []string
-	prog := &graph.Sequence{}
-	prog.Append(countingStep("a", "a", &trace))
-	prog.Append(countingStep("b", "b", &trace))
-	graph.Freeze(prog)
-
-	exec, err := Sim.Compile(prog, testMachine(t), graph.Report{MaxExchangeMoves: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := exec.Run(RunConfig{CollectProfile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Supersteps != 2 {
-		t.Fatalf("Supersteps = %d, want 2", rr.Supersteps)
-	}
-	if len(rr.Profile) == 0 {
-		t.Fatal("CollectProfile returned no entries")
-	}
-	if fmt.Sprint(trace) != "[a b]" {
-		t.Fatalf("trace %v", trace)
-	}
-	// Warm run without profile collection.
-	trace = nil
-	rr, err = exec.Run(RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Profile != nil {
-		t.Fatal("profile collected without CollectProfile")
-	}
-	if fmt.Sprint(trace) != "[a b]" {
-		t.Fatalf("warm trace %v", trace)
-	}
-}

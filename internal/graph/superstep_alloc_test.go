@@ -13,8 +13,8 @@ import (
 )
 
 // TestEngineSuperstepZeroAlloc is the overhead guard of the simulated engine:
-// once a first run has grown every buffer, re-running a scheduled distributed
-// SpMV (exchange + compute supersteps) must not allocate — serial, sharded
+// once a first run has grown every buffer, re-running the lowered stream of a
+// scheduled distributed SpMV (exchange + compute supersteps) must not allocate — serial, sharded
 // across the host pool, and sharded with telemetry attached, whose
 // instruments record through pre-resolved atomic handles.
 func TestEngineSuperstepZeroAlloc(t *testing.T) {
@@ -56,11 +56,15 @@ func TestEngineSuperstepZeroAlloc(t *testing.T) {
 			eng.SetParallelism(arm.par)
 			eng.Reserve(graph.Analyze(prog).MaxExchangeMoves)
 			eng.SetMetrics(graph.NewEngineMetrics(arm.reg))
-			if err := eng.Run(prog); err != nil { // warm-up grows every buffer once
+			s, err := graph.Lower(prog, mach.NumTiles())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.RunStream(s); err != nil { // warm-up grows every buffer once
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(20, func() {
-				if err := eng.Run(prog); err != nil {
+				if err := eng.RunStream(s); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/sparse"
 )
@@ -91,6 +90,47 @@ func TestServicePerSystemBackendOverride(t *testing.T) {
 	}
 }
 
+// TestRegisterEngineBlockMerge: a per-system engine block overrides the
+// service's field by field, so a system that names only its backend keeps the
+// service's parallelism and one that names only its parallelism keeps the
+// service's backend.
+func TestRegisterEngineBlockMerge(t *testing.T) {
+	svcSim := &config.EngineConfig{Backend: "sim", Parallelism: 2}
+	for _, tc := range []struct {
+		name     string
+		service  *config.EngineConfig
+		system   *config.EngineConfig
+		backend  string
+		parallel int
+	}{
+		{"absent", svcSim, nil, "sim", 2},
+		{"backend-only", svcSim, &config.EngineConfig{Backend: "native"}, "native", 2},
+		{"parallelism-only", svcSim, &config.EngineConfig{Parallelism: 3}, "sim", 3},
+		{"no service block", nil, &config.EngineConfig{Parallelism: 3}, "native", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := testOptions()
+			opts.Solver.Engine = tc.service
+			s := New(opts)
+			defer s.Close()
+			cfg := opts.Solver
+			cfg.Engine = tc.system
+			info, err := s.Register(context.Background(), sparse.Poisson2D(6, 6), &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := s.lookup(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Backend != tc.backend || sys.cfg.EngineParallelism() != tc.parallel {
+				t.Fatalf("resolved backend %q, parallelism %d; want %q and %d",
+					info.Backend, sys.cfg.EngineParallelism(), tc.backend, tc.parallel)
+			}
+		})
+	}
+}
+
 // TestServiceRejectsUnknownBackend: a bad engine.backend fails registration.
 func TestServiceRejectsUnknownBackend(t *testing.T) {
 	opts := testOptions()
@@ -154,7 +194,7 @@ func TestNativeReplicasConcurrent(t *testing.T) {
 
 // TestRegisterCapabilityGate: a config that requests a simulator-only
 // feature (device tracing) on the native default replica is rejected at
-// registration time — API-level with the typed backend.UnsupportedError,
+// registration time — API-level with the typed config.UnsupportedError,
 // HTTP-level with a 400 and the typed capability body — never on the first
 // solve. The same config pinned to the simulator registers and solves, with
 // the engine.trace key writing the device timeline.
@@ -166,7 +206,7 @@ func TestRegisterCapabilityGate(t *testing.T) {
 
 	traced := opts.Solver
 	traced.Engine = &config.EngineConfig{Trace: filepath.Join(t.TempDir(), "run.json")}
-	if _, err := s.Register(context.Background(), m, &traced); !backend.IsUnsupported(err) {
+	if _, err := s.Register(context.Background(), m, &traced); !config.IsUnsupported(err) {
 		t.Fatalf("native registration with engine.trace: err=%v, want typed UnsupportedError", err)
 	}
 

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
 	"ipusparse/internal/sparse"
@@ -306,12 +305,12 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 }
 
 // WriteError answers err as {"error": message} under status, except a
-// backend.UnsupportedError, which answers 400 with the typed
+// config.UnsupportedError, which answers 400 with the typed
 // capability-mismatch body: clients can tell "this replica's backend cannot
 // do that" apart from a malformed request without parsing the message text,
 // and see one contract whether they talk to a shard or the router.
 func WriteError(w http.ResponseWriter, status int, err error) {
-	var ue *backend.UnsupportedError
+	var ue *config.UnsupportedError
 	if errors.As(err, &ue) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{
 			"error":       ue.Error(),
@@ -381,12 +380,7 @@ func (s *Service) handlePatchSystem(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		be, err := backend.ByName(sys.backend)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		if err := backend.CheckConfig(be, req.Config); err != nil {
+		if _, err := config.ResolveBackend(sys.backend, req.Config.EngineTrace() != ""); err != nil {
 			writeError(w, err)
 			return
 		}

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"ipusparse/internal/config"
 )
 
 // TestStatsJSONShape locks the /stats wire contract: the exact key set the
@@ -18,7 +20,7 @@ func TestStatsJSONShape(t *testing.T) {
 	opts := testOptions()
 	// Pinned to the simulator so cyclesPerSolve stays meaningful (native runs
 	// no cycle model and always reports zero).
-	opts.Backend = "sim"
+	opts.Solver.Engine = &config.EngineConfig{Backend: "sim"}
 	s := New(opts)
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())

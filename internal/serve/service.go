@@ -57,14 +57,12 @@ type Options struct {
 	DefaultTimeout time.Duration          // per-job deadline when the caller sets none (default 30s)
 	Machine        ipu.Config             // simulated machine (default 64-tile single-chip Mk2)
 	Strategy       core.PartitionStrategy // partition strategy (default contiguous)
-	Solver         config.Config          // solver configuration for registered systems
-
-	// Backend selects the execution backend for prepared replicas: "native"
-	// (the serving default — flat host-speed kernels, no cycle accounting) or
-	// "sim"/"simulator" (cycle-accurate; required for device tracing).
-	// Per-system configs override it through their
-	// engine.backend key. On the native backend CyclesPerSolve reads zero.
-	Backend string
+	// Solver is the configuration of registered systems. Its engine block
+	// holds the service's execution backend (engine.backend: native when
+	// empty, unlike core's sim default; sim is required for device tracing
+	// and is the only backend with a nonzero CyclesPerSolve) and host
+	// parallelism. A per-system config overrides them field by field.
+	Solver config.Config
 
 	// Resilience layer.
 	MaxBodyBytes     int64         // HTTP request-body bound (default 8 MiB)
@@ -120,7 +118,6 @@ func OptionsFromConfig(c config.Config) Options {
 		Fault:    c.Fault,
 		Engine:   c.Engine,
 	}}
-	o.Backend = c.EngineBackend()
 	if s := c.Serve; s != nil {
 		o.CacheCapacity = s.CacheCapacity
 		o.ReplicasPerKey = s.ReplicasPerKey
@@ -191,11 +188,10 @@ func (o *Options) fill() {
 	if o.Strategy == "" {
 		o.Strategy = core.PartitionContiguous
 	}
-	if o.Backend == "" {
-		o.Backend = "native"
-	}
 	if o.Solver.Solver.Type == "" {
+		eng := o.Solver.Engine
 		o.Solver = config.Default()
+		o.Solver.Engine = eng
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 8 << 20

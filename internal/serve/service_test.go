@@ -268,7 +268,7 @@ func TestServiceOverloaded(t *testing.T) {
 	opts.ReplicasPerKey = 1
 	// The simulator's milliseconds-per-solve pace is what overflows the
 	// one-slot queue; native drains the burst too fast to reject reliably.
-	opts.Backend = "sim"
+	opts.Solver.Engine = &config.EngineConfig{Backend: "sim"}
 	s := New(opts)
 	defer s.Close()
 

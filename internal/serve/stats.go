@@ -166,7 +166,7 @@ func (s *Service) Stats() Stats {
 		QueueDepth:  len(s.jobs),
 		Rejected:    s.stats.rejected.Value(),
 		Solved:      s.stats.solved.Value(),
-		Backend:     s.opts.Backend,
+		Backend:     servedBackend(s.opts.Solver),
 		P50Ms:       1e3 * s.stats.latency.Quantile(0.50),
 		P99Ms:       1e3 * s.stats.latency.Quantile(0.99),
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 
-	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
 	"ipusparse/internal/sparse"
@@ -43,6 +42,38 @@ type system struct {
 	strategy core.PartitionStrategy
 	tune     *tune.Decision
 	lat      *latWindow
+}
+
+// mergeEngine is the engine block a per-system config runs with. The block is
+// host-side deployment (backend, parallelism, trace), not part of the solver
+// hierarchy: each field the system leaves zero takes the service's value.
+func mergeEngine(sys, svc *config.EngineConfig) *config.EngineConfig {
+	if sys == nil {
+		return svc
+	}
+	if svc == nil {
+		return sys
+	}
+	e := *sys
+	if e.Parallelism == 0 {
+		e.Parallelism = svc.Parallelism
+	}
+	if e.Backend == "" {
+		e.Backend = svc.Backend
+	}
+	if e.Trace == "" {
+		e.Trace = svc.Trace
+	}
+	return &e
+}
+
+// servedBackend is the execution backend the service runs a configuration
+// on: its engine.backend, native when that is empty.
+func servedBackend(c config.Config) string {
+	if be := c.EngineBackend(); be != "" {
+		return be
+	}
+	return config.BackendNative
 }
 
 // onesVec is b = A·1 for one values generation, computed on first use and
@@ -205,30 +236,18 @@ func (s *Service) register(ctx context.Context, m *sparse.Matrix, cfg *config.Co
 	c := s.opts.Solver
 	if cfg != nil {
 		c = *cfg
-		if c.Engine == nil {
-			// Engine parallelism is a host-side deployment knob, not part of
-			// the solver hierarchy: per-system configs inherit the service's.
-			c.Engine = s.opts.Solver.Engine
-		}
+		c.Engine = mergeEngine(cfg.Engine, s.opts.Solver.Engine)
 	}
 	if err := c.Validate(); err != nil {
-		return SystemInfo{}, err
-	}
-	// Per-system engine.backend overrides the service backend; names are
-	// canonicalized (simulator → sim) so equivalent spellings share replicas.
-	beName := s.opts.Backend
-	if c.Engine != nil && c.Engine.Backend != "" {
-		beName = c.Engine.Backend
-	}
-	be, err := backend.ByName(beName)
-	if err != nil {
 		return SystemInfo{}, err
 	}
 	// Capability gate before the expensive warm-up prepare: a config that
 	// requests simulator-only features on this replica's backend is rejected
 	// here, at registration time, with the typed error the HTTP layer maps to
-	// a 400 — never on the first solve.
-	if err := backend.CheckConfig(be, &c); err != nil {
+	// a 400 — never on the first solve. Names are canonicalized (simulator →
+	// sim) so equivalent spellings share replicas.
+	be, err := config.ResolveBackend(servedBackend(c), c.EngineTrace() != "")
+	if err != nil {
 		return SystemInfo{}, err
 	}
 	id := meta.id
@@ -239,7 +258,7 @@ func (s *Service) register(ctx context.Context, m *sparse.Matrix, cfg *config.Co
 	if generation <= 0 {
 		generation = 1
 	}
-	sys := s.newSystem(id, m, c, be.Name(), generation)
+	sys := s.newSystem(id, m, c, be, generation)
 	if meta.tun != nil {
 		s.applyDecision(sys, meta.tun)
 	}

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/fault"
 	"ipusparse/internal/graph"
@@ -264,11 +263,11 @@ func TestFusedStreamMatchesPlain(t *testing.T) {
 			}
 			state.addKernels(prog)
 			state.dedupe()
-			exec, err := backend.Native.Compile(prog, mach, graph.Analyze(prog))
+			exec, err := graph.Lower(prog, mach.NumTiles())
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := exec.(interface{ Fusion() graph.FusionReport }).Fusion()
+			rep := exec.Fusion()
 			hoists += rep.Hoists
 			for sig, c := range rep.Groups {
 				groups[sig] += c
@@ -301,10 +300,10 @@ func TestFusedStreamMatchesPlain(t *testing.T) {
 
 				// An armed injector, even one that never fires (rate 0), makes the
 				// native backend execute the lowered, unfused stream: the oracle.
-				plain, perr := exec.Run(backend.RunConfig{Injector: fault.New(fault.Plan{})})
+				plain, perr := exec.Run(fault.New(fault.Plan{}))
 				want, wantSt := state.bits(), st
 				state.restore(start)
-				fused, ferr := exec.Run(backend.RunConfig{})
+				fused, ferr := exec.Run(nil)
 				got := state.bits()
 
 				if fmt.Sprint(perr) != fmt.Sprint(ferr) {

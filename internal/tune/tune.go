@@ -15,7 +15,6 @@ import (
 	"slices"
 	"time"
 
-	"ipusparse/internal/backend"
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
 	"ipusparse/internal/ipu"
@@ -38,7 +37,7 @@ func (c Candidate) String() string {
 	}
 	be := c.Backend
 	if be == "" {
-		be = "native"
+		be = config.BackendNative
 	}
 	out := fmt.Sprintf("%s/%s", s, be)
 	if c.Precond != "" {
@@ -112,13 +111,13 @@ func Candidates(cfg config.Config, def Candidate) []Candidate {
 		}
 	}
 	for _, st := range []string{"contiguous", "greedy"} {
-		add(Candidate{Strategy: st, Backend: "native", Precond: def.Precond})
+		add(Candidate{Strategy: st, Backend: config.BackendNative, Precond: def.Precond})
 	}
 	if cfg.MPIR == nil && cfg.Solver.Preconditioner != nil && !cfg.Solver.Preconditioner.Coarse {
 		// Swap only between the cheap-setup general-purpose preconditioners;
 		// the race's convergence gate rejects a swap that does not converge.
 		for _, pc := range []string{"jacobi", "ilu0"} {
-			add(Candidate{Strategy: def.Strategy, Backend: "native", Precond: pc})
+			add(Candidate{Strategy: def.Strategy, Backend: config.BackendNative, Precond: pc})
 		}
 	}
 	return out
@@ -133,11 +132,11 @@ func normalize(c Candidate, cfg config.Config) Candidate {
 	if c.Backend == "" {
 		c.Backend = cfg.EngineBackend()
 		if c.Backend == "" {
-			c.Backend = "native"
+			c.Backend = config.BackendNative
 		}
 	}
-	if c.Backend == "simulator" {
-		c.Backend = "sim"
+	if be, err := config.ResolveBackend(c.Backend, false); err == nil {
+		c.Backend = be
 	}
 	if c.Precond == "" && cfg.MPIR == nil && cfg.Solver.Preconditioner != nil {
 		c.Precond = cfg.Solver.Preconditioner.Type
@@ -148,12 +147,8 @@ func normalize(c Candidate, cfg config.Config) Candidate {
 // runnable reports whether the candidate's backend can execute the
 // configuration (device tracing is simulator-only).
 func runnable(c Candidate, cfg config.Config) bool {
-	be, err := backend.ByName(c.Backend)
-	if err != nil {
-		return false
-	}
-	cc := ApplyPrecond(cfg, c.Precond)
-	return backend.CheckConfig(be, &cc) == nil
+	_, err := config.ResolveBackend(c.Backend, cfg.EngineTrace() != "")
+	return err == nil
 }
 
 // ApplyPrecond returns the configuration with the candidate's preconditioner
