@@ -206,49 +206,50 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-// TestResolveBackend is the table of backend spellings and the one
-// capability rule: every name canonicalizes, an unknown one is rejected, and
-// device tracing on native is a typed UnsupportedError naming the backend.
-func TestResolveBackend(t *testing.T) {
+// TestResolveBackendNames is the table of backend spellings: every name
+// canonicalizes and an unknown one is rejected with a plain error, by
+// ResolveBackend and by Validate.
+func TestResolveBackendNames(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		trace bool
 		want  string
-		err   string // "" ok, "unsupported" typed, else a plain error
 	}{
-		{"", false, "sim", ""},
-		{"sim", false, "sim", ""},
-		{"simulator", false, "sim", ""},
-		{"native", false, "native", ""},
-		{"", true, "sim", ""},
-		{"simulator", true, "sim", ""},
-		{"native", true, "", "unsupported"},
-		{"fpga", false, "", "plain"},
-		{"fpga", true, "", "plain"},
+		{"", false, "sim"},
+		{"sim", false, "sim"},
+		{"simulator", false, "sim"},
+		{"native", false, "native"},
+		{"", true, "sim"},
+		{"simulator", true, "sim"},
 	} {
 		got, err := ResolveBackend(tc.name, tc.trace)
-		switch tc.err {
-		case "":
-			if err != nil || got != tc.want {
-				t.Errorf("ResolveBackend(%q, %v) = %q, %v; want %q", tc.name, tc.trace, got, err, tc.want)
-			}
-		case "unsupported":
-			var ue *UnsupportedError
-			if !IsUnsupported(err) || !errors.As(err, &ue) || ue.Backend != "native" || ue.Feature != "device tracing" {
-				t.Errorf("ResolveBackend(%q, %v): %#v, want a typed UnsupportedError", tc.name, tc.trace, err)
-			}
-		default:
-			if err == nil || IsUnsupported(err) {
-				t.Errorf("ResolveBackend(%q, %v) = %q, %v; want an unknown-backend error", tc.name, tc.trace, got, err)
-			}
+		if err != nil || got != tc.want {
+			t.Errorf("ResolveBackend(%q, %v) = %q, %v; want %q", tc.name, tc.trace, got, err, tc.want)
 		}
 	}
-	if IsUnsupported(errors.New("other")) {
-		t.Fatal("IsUnsupported matched an unrelated error")
+	for _, trace := range []bool{false, true} {
+		got, err := ResolveBackend("fpga", trace)
+		if err == nil || IsUnsupported(err) {
+			t.Errorf("ResolveBackend(fpga, %v) = %q, %v; want an unknown-backend error", trace, got, err)
+		}
 	}
 	c := Default()
 	c.Engine = &EngineConfig{Backend: "fpga"}
 	if err := c.Validate(); err == nil {
 		t.Fatal("Validate accepted an unknown engine.backend")
+	}
+}
+
+// TestResolveBackendRejectsTraceOnNative is the one capability rule: device
+// tracing on native is a typed UnsupportedError naming the backend and the
+// feature, not a silent no-op.
+func TestResolveBackendRejectsTraceOnNative(t *testing.T) {
+	got, err := ResolveBackend("native", true)
+	var ue *UnsupportedError
+	if !IsUnsupported(err) || !errors.As(err, &ue) || ue.Backend != "native" || ue.Feature != "device tracing" {
+		t.Fatalf("ResolveBackend(native, true) = %q, %#v; want a typed UnsupportedError", got, err)
+	}
+	if IsUnsupported(errors.New("other")) {
+		t.Fatal("IsUnsupported matched an unrelated error")
 	}
 }
