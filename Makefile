@@ -33,8 +33,10 @@ bench:
 	$(GO) run ./cmd/benchsuite -experiment all
 
 ## bench-backend-smoke: one quick iteration of the native-kernel
-## microbenchmarks plus the zero-alloc gate on the default hierarchy (the CI
-## guard that warm native SolveInto stays allocation-free), the
+## microbenchmarks and of BenchmarkPrepare (a cold native Prepare of the
+## serve-cg and serve-mpir shapes, whose allocs/op every CI log shows), plus
+## the zero-alloc gate on the default hierarchy (the CI guard that warm
+## native SolveInto stays allocation-free), the
 ## fused-vs-plain stream equivalence property and the FusedSets gate (the
 ## guards that the native fusions stay bit-identical and stay on; both
 ## properties fail unless their generator ran every run-specialised SpMV row
@@ -50,7 +52,7 @@ bench:
 ## ABFT-armed default hierarchy's zero detections and the paper golden file,
 ## without -race
 bench-backend-smoke:
-	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels' -benchtime 1x -benchmem .
+	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels|BenchmarkPrepare' -benchtime 1x -benchmem .
 	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets|TestCorrectionTol' ./internal/solver
 	$(GO) test -short -run 'TestBilledSet|TestValidateBilledSets|TestExchangeBillReplayed|TestEngineSuperstepZeroAlloc|TestRowRuns|TestNativeControlFlowMatchesEngine|TestNativeInjectorConsultationOrder' ./internal/graph
 	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact|TestMPIRConverges|TestABFTMPIRCorrectionsVerifyOnce' ./internal/core

@@ -106,6 +106,37 @@ func TestNativeRefreshZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkPrepare times a cold native Prepare — partition, halo layout,
+// localization, schedule building, lowering — on the two served shapes: the
+// cost every register and every replica build pays before its first solve.
+//
+//	go test -run '^$' -bench BenchmarkPrepare -benchmem
+func BenchmarkPrepare(b *testing.B) {
+	cfg := ipu.Mk2M2000()
+	cfg.TilesPerChip, cfg.Chips = 64, 1
+	cgJacobi := config.Config{Solver: config.SolverConfig{
+		Type: "cg", MaxIterations: 2000, Tolerance: 1e-6,
+		Preconditioner: &config.SolverConfig{Type: "jacobi"},
+	}}
+	for _, tc := range []struct {
+		name string
+		m    *sparse.Matrix
+		sc   config.Config
+	}{
+		{"serve-cg", sparse.Poisson3D(32, 32, 32), cgJacobi},
+		{"serve-mpir", sparse.Poisson3D(24, 24, 24), config.Default()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Prepare(cfg, tc.m, tc.sc, core.PartitionContiguous, core.WithBackend("native")); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // kernelBenchMatrix is the system of the kernel benchmarks: poisson3d:32,
 // poisson3d:16 under -short.
 func kernelBenchMatrix() *sparse.Matrix {

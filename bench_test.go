@@ -252,12 +252,11 @@ func BenchmarkAblationDWLangeRump(b *testing.B) {
 func BenchmarkAblationLevelSetScheduled(b *testing.B) {
 	m := sparse.Poisson2D(64, 64)
 	s := levelset.Lower(m.N, m.RowPtr, m.Cols)
-	a := s.Assign(6, nil)
 	cost := func(row int) uint64 { return 30 }
 	var c uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c = a.CriticalCost(cost, 32)
+		c = s.ParallelCost(6, cost, 32)
 	}
 	b.ReportMetric(float64(c), "cycles")
 }

@@ -23,19 +23,13 @@
 package halo
 
 import (
-	"errors"
-	"fmt"
-	"sort"
+	"cmp"
+	"encoding/binary"
+	"slices"
 
 	"ipusparse/internal/partition"
 	"ipusparse/internal/sparse"
 )
-
-// ErrInconsistentLayout reports a layout whose region bookkeeping is
-// internally inconsistent (a region referenced by a tile that has no block for
-// it). It indicates corrupted partition input rather than a programmer error,
-// so Build returns it instead of panicking.
-var ErrInconsistentLayout = errors.New("halo: inconsistent region layout")
 
 // Region is a maximal group of separator cells on one tile that is required
 // by the same set of neighboring tiles.
@@ -109,29 +103,51 @@ type Layout struct {
 // partition p. The matrix pattern must be structurally symmetric in terms of
 // communication (an entry (i,j) makes tile(i) require row j); asymmetric
 // patterns are handled by the union of requirements.
+//
+// Regions are numbered in order of their first row, and a row finds its
+// region through a map keyed by the region key: the owner followed by the
+// sorted requiring tiles, each as a uvarint, in one reused buffer. Uvarints
+// are self-delimiting, so distinct (owner, requirers) pairs never share a
+// key, and the lookup m[string(buf)] does not allocate; only a new region's
+// key is copied into the map.
 func Build(m *sparse.Matrix, p *partition.Partition) (*Layout, error) {
 	if err := p.Validate(m.N); err != nil {
 		return nil, err
 	}
-	nt := p.NumParts
+	n, nt, owner := m.N, p.NumParts, p.Assign
 	l := &Layout{
 		NumTiles:   nt,
-		N:          m.N,
-		Owner:      p.Assign,
-		LocalIndex: make([]int, m.N),
+		N:          n,
+		Owner:      owner,
+		LocalIndex: make([]int, n),
 		Tiles:      make([]TileLayout, nt),
 	}
 
 	// Step 1: identify separator cells and their requiring tiles.
-	// requirers[g] = sorted distinct tiles (!= owner) that reference row g.
-	requirers := make([][]int, m.N)
-	for i := 0; i < m.N; i++ {
-		ti := p.Assign[i]
+	// req[start[g]:end[g]] holds the distinct tiles (!= owner) that reference
+	// row g; start comes from the count of cross-tile entries in column g,
+	// an upper bound on that set.
+	start := make([]int, n+1)
+	for i := 0; i < n; i++ {
 		lo, hi := m.RowRange(i)
-		for k := lo; k < hi; k++ {
-			j := m.Cols[k]
-			if tj := p.Assign[j]; tj != ti {
-				requirers[j] = appendDistinct(requirers[j], ti)
+		for _, j := range m.Cols[lo:hi] {
+			if owner[j] != owner[i] {
+				start[j+1]++
+			}
+		}
+	}
+	for g := 0; g < n; g++ {
+		start[g+1] += start[g]
+	}
+	req := make([]int, start[n])
+	end := append([]int(nil), start[:n]...)
+	for i := 0; i < n; i++ {
+		ti := owner[i]
+		lo, hi := m.RowRange(i)
+		for _, j := range m.Cols[lo:hi] {
+			if owner[j] != ti && !slices.Contains(req[start[j]:end[j]], ti) {
+				req[end[j]] = ti
+				end[j]++
 			}
 		}
 	}
@@ -139,35 +155,44 @@ func Build(m *sparse.Matrix, p *partition.Partition) (*Layout, error) {
 	// Step 2: group separator cells with identical requiring sets into
 	// regions; step 3 creates the mirrored halo regions implicitly via the
 	// shared Region objects.
-	type key struct {
-		owner int
-		tiles string
-	}
-	regionOf := make(map[key]int)
-	for g := 0; g < m.N; g++ {
-		req := requirers[g]
-		if len(req) == 0 {
+	regionOf := make(map[string]int32)
+	rowRegion := make([]int32, n) // -1 for interior cells
+	var (
+		key                []byte
+		sizes              []int
+		sepCells, involved int
+	)
+	for g := 0; g < n; g++ {
+		rq := req[start[g]:end[g]]
+		if len(rq) == 0 {
+			rowRegion[g] = -1
 			continue
 		}
-		sort.Ints(req)
-		k := key{owner: p.Assign[g], tiles: fmt.Sprint(req)}
-		id, ok := regionOf[k]
-		if !ok {
-			id = len(l.Regions)
-			regionOf[k] = id
-			l.Regions = append(l.Regions, Region{
-				ID:       id,
-				Owner:    p.Assign[g],
-				Involved: append([]int(nil), req...),
-			})
+		slices.Sort(rq)
+		key = binary.AppendUvarint(key[:0], uint64(owner[g]))
+		for _, t := range rq {
+			key = binary.AppendUvarint(key, uint64(t))
 		}
-		l.Regions[id].Rows = append(l.Regions[id].Rows, g)
+		id, ok := regionOf[string(key)]
+		if !ok {
+			id = int32(len(l.Regions))
+			regionOf[string(key)] = id
+			l.Regions = append(l.Regions, Region{ID: int(id), Owner: owner[g], Involved: rq})
+			sizes = append(sizes, 0)
+			involved += len(rq)
+		}
+		rowRegion[g] = id
+		sizes[id]++
+		sepCells++
 	}
-	// Step 4: canonical order within each region: ascending global row id.
-	// (Rows were appended in ascending g, so they are already sorted; keep
-	// the sort for safety with future callers.)
-	for i := range l.Regions {
-		sort.Ints(l.Regions[i].Rows)
+	// Every region's rows and involved set are windows of one array each;
+	// the rows are filled below.
+	rows, inv := make([]int, sepCells), make([]int, 0, involved)
+	for id := range l.Regions {
+		r := &l.Regions[id]
+		r.Rows, rows = rows[:0:sizes[id]], rows[sizes[id]:]
+		inv = append(inv, r.Involved...)
+		r.Involved = inv[len(inv)-len(r.Involved) : len(inv) : len(inv)]
 	}
 
 	// Deterministic region order: by owner, then by involved-set.
@@ -175,112 +200,85 @@ func Build(m *sparse.Matrix, p *partition.Partition) (*Layout, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := &l.Regions[order[a]], &l.Regions[order[b]]
-		if ra.Owner != rb.Owner {
-			return ra.Owner < rb.Owner
+	slices.SortFunc(order, func(a, b int) int {
+		ra, rb := &l.Regions[a], &l.Regions[b]
+		if c := cmp.Compare(ra.Owner, rb.Owner); c != 0 {
+			return c
 		}
-		return lessIntSlice(ra.Involved, rb.Involved)
+		return slices.Compare(ra.Involved, rb.Involved)
 	})
 
 	// Per-tile layout: interior cells (ascending global id), then the tile's
 	// separator regions in canonical order, then halo regions in canonical
-	// order of (owner, involved).
-	for t := 0; t < nt; t++ {
-		l.Tiles[t].Tile = t
+	// order of (owner, involved). Owned and Halo are windows of one array
+	// each, sized by a count first.
+	numOwned, numHalo := make([]int, nt), make([]int, nt)
+	for _, t := range owner {
+		numOwned[t]++
 	}
-	for g := 0; g < m.N; g++ {
-		if len(requirers[g]) == 0 {
-			tl := &l.Tiles[p.Assign[g]]
+	haloCells := 0
+	for id, r := range l.Regions {
+		for _, t := range r.Involved {
+			numHalo[t] += sizes[id]
+		}
+		haloCells += sizes[id] * len(r.Involved)
+	}
+	owned, halo := make([]int, n), make([]int, haloCells)
+	for t := range l.Tiles {
+		tl := &l.Tiles[t]
+		tl.Tile = t
+		tl.Owned, owned = owned[:0:numOwned[t]], owned[numOwned[t]:]
+		tl.Halo, halo = halo[:0:numHalo[t]], halo[numHalo[t]:]
+	}
+	// Step 4: canonical order within each region: ascending global row id.
+	// All appends stay within their windows.
+	for g, id := range rowRegion {
+		if id >= 0 {
+			l.Regions[id].Rows = append(l.Regions[id].Rows, g)
+		} else {
+			tl := &l.Tiles[owner[g]]
 			tl.Owned = append(tl.Owned, g)
 		}
 	}
 	for t := range l.Tiles {
 		l.Tiles[t].NumInterior = len(l.Tiles[t].Owned)
 	}
-	for _, id := range order {
+
+	// Blockwise exchange program: one broadcast instruction per region, its
+	// offsets read off the layout as the blocks are placed.
+	l.Program = make([]Transfer, len(order))
+	for pi, id := range order {
 		r := &l.Regions[id]
 		tl := &l.Tiles[r.Owner]
 		tl.SepRegions = append(tl.SepRegions, RegionRef{
 			Region: id, Offset: len(tl.Owned), Len: len(r.Rows),
 		})
+		l.Program[pi] = Transfer{Region: id, SrcTile: r.Owner, SrcOff: len(tl.Owned), Len: len(r.Rows)}
 		tl.Owned = append(tl.Owned, r.Rows...)
 	}
 	for t := range l.Tiles {
-		l.Tiles[t].NumOwned = len(l.Tiles[t].Owned)
-		for li, g := range l.Tiles[t].Owned {
+		tl := &l.Tiles[t]
+		tl.NumOwned = len(tl.Owned)
+		for li, g := range tl.Owned {
 			l.LocalIndex[g] = li
 		}
 	}
-	for _, id := range order {
+	dst := make([]TransferDst, 0, involved)
+	for pi, id := range order {
 		r := &l.Regions[id]
 		for _, t := range r.Involved {
 			tl := &l.Tiles[t]
-			tl.HaloRegions = append(tl.HaloRegions, RegionRef{
-				Region: id, Offset: tl.NumOwned + len(tl.Halo), Len: len(r.Rows),
-			})
+			off := tl.NumOwned + len(tl.Halo)
+			tl.HaloRegions = append(tl.HaloRegions, RegionRef{Region: id, Offset: off, Len: len(r.Rows)})
 			tl.Halo = append(tl.Halo, r.Rows...)
+			dst = append(dst, TransferDst{Tile: t, Off: off})
 		}
+		l.Program[pi].Dst = dst[len(dst)-len(r.Involved) : len(dst) : len(dst)]
 	}
 	for t := range l.Tiles {
 		l.Tiles[t].NumHalo = len(l.Tiles[t].Halo)
 	}
-
-	// Blockwise exchange program: one broadcast instruction per region.
-	for _, id := range order {
-		r := &l.Regions[id]
-		src, err := regionRefOf(&l.Tiles[r.Owner], id, false)
-		if err != nil {
-			return nil, err
-		}
-		tr := Transfer{
-			Region:  id,
-			SrcTile: r.Owner,
-			SrcOff:  src.Offset,
-			Len:     src.Len,
-		}
-		for _, t := range r.Involved {
-			dst, err := regionRefOf(&l.Tiles[t], id, true)
-			if err != nil {
-				return nil, err
-			}
-			tr.Dst = append(tr.Dst, TransferDst{Tile: t, Off: dst.Offset})
-		}
-		l.Program = append(l.Program, tr)
-	}
 	return l, nil
-}
-
-func regionRefOf(tl *TileLayout, region int, halo bool) (RegionRef, error) {
-	refs := tl.SepRegions
-	if halo {
-		refs = tl.HaloRegions
-	}
-	for _, r := range refs {
-		if r.Region == region {
-			return r, nil
-		}
-	}
-	return RegionRef{}, fmt.Errorf("%w: region %d not found on tile %d",
-		ErrInconsistentLayout, region, tl.Tile)
-}
-
-func appendDistinct(s []int, v int) []int {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
-}
-
-func lessIntSlice(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // Permutation returns the global row permutation induced by the layout:

@@ -44,22 +44,25 @@ func (lm *LocalMatrix) MulVec(x, y []float64) {
 // layout. Every off-diagonal entry is mapped to a local column: owned columns
 // keep their layout position, remote columns resolve to the tile's halo
 // block. Diagonal entries stay in the dense local diagonal.
+//
+// The halo index is one position array over the global rows, shared by all
+// tiles: while tile t is localized, haloPos[g] is 1 + g's local index in t's
+// halo block (0 when g is not in it), and the entries t set are cleared
+// before the next tile.
 func Localize(m *sparse.Matrix, l *Layout) ([]*LocalMatrix, error) {
 	if m.N != l.N {
 		return nil, fmt.Errorf("halo: matrix has %d rows, layout %d", m.N, l.N)
 	}
-	// Per-tile map from global halo row to local index.
-	haloIdx := make([]map[int]int, l.NumTiles)
-	for t := range l.Tiles {
-		tl := &l.Tiles[t]
-		haloIdx[t] = make(map[int]int, tl.NumHalo)
-		for i, g := range tl.Halo {
-			haloIdx[t][g] = tl.NumOwned + i
-		}
-	}
+	haloPos := make([]int32, l.N)
 	out := make([]*LocalMatrix, l.NumTiles)
 	for t := range out {
 		tl := &l.Tiles[t]
+		if tl.Total() > math.MaxInt32 {
+			return nil, fmt.Errorf("halo: tile %d (%d local cells) exceeds the 4-byte index range", t, tl.Total())
+		}
+		for i, g := range tl.Halo {
+			haloPos[g] = int32(tl.NumOwned + i + 1)
+		}
 		lm := &LocalMatrix{
 			Tile:     t,
 			NumOwned: tl.NumOwned,
@@ -72,24 +75,24 @@ func Localize(m *sparse.Matrix, l *Layout) ([]*LocalMatrix, error) {
 			lo, hi := m.RowRange(g)
 			for k := lo; k < hi; k++ {
 				j := m.Cols[k]
-				var col int
+				var col int32
 				if l.Owner[j] == t {
-					col = l.LocalIndex[j]
+					col = int32(l.LocalIndex[j])
+				} else if c := haloPos[j]; c > 0 {
+					col = c - 1
 				} else {
-					c, ok := haloIdx[t][j]
-					if !ok {
-						return nil, fmt.Errorf("halo: tile %d row %d references %d outside halo", t, g, j)
-					}
-					col = c
+					return nil, fmt.Errorf("halo: tile %d row %d references %d outside halo", t, g, j)
 				}
-				lm.Cols = append(lm.Cols, int32(col))
+				lm.Cols = append(lm.Cols, col)
 				lm.Vals = append(lm.Vals, m.Vals[k])
 			}
 			lm.RowPtr[li+1] = int32(len(lm.Cols))
 		}
-		if len(lm.Cols) > math.MaxInt32 || tl.Total() > math.MaxInt32 {
-			return nil, fmt.Errorf("halo: tile %d (%d entries, %d local cells) exceeds the 4-byte index range",
-				t, len(lm.Cols), tl.Total())
+		if len(lm.Cols) > math.MaxInt32 {
+			return nil, fmt.Errorf("halo: tile %d (%d entries) exceeds the 4-byte index range", t, len(lm.Cols))
+		}
+		for _, g := range tl.Halo {
+			haloPos[g] = 0
 		}
 		out[t] = lm
 	}

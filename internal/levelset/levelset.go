@@ -16,7 +16,10 @@
 // compute set per level, which would blow up graph compile time).
 package levelset
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Schedule is a level-set schedule over n rows.
 type Schedule struct {
@@ -203,61 +206,21 @@ func Upper[I int | int32](n int, rowPtr, cols []I) *Schedule {
 	return s
 }
 
-// Assignment maps every level's rows onto a fixed number of workers.
-type Assignment struct {
-	Workers int
-	// Rows[level][worker] lists the rows that worker processes in the level.
-	Rows [][][]int
-}
-
-// Assign distributes each level's rows across workers, balancing the given
-// per-row cost greedily (longest processing time first is unnecessary here:
-// rows within a level have similar cost, so a round-robin by running cost is
-// used). cost may be nil for unit cost.
-func (s *Schedule) Assign(workers int, cost func(row int) int) *Assignment {
-	if workers < 1 {
-		workers = 1
-	}
-	a := &Assignment{Workers: workers, Rows: make([][][]int, len(s.Levels))}
-	for l, rows := range s.Levels {
-		a.Rows[l] = make([][]int, workers)
-		load := make([]int, workers)
-		for _, r := range rows {
-			// Pick the least-loaded worker.
-			w := 0
-			for i := 1; i < workers; i++ {
-				if load[i] < load[w] {
-					w = i
-				}
-			}
-			a.Rows[l][w] = append(a.Rows[l][w], r)
-			c := 1
-			if cost != nil {
-				c = cost(r)
-			}
-			load[w] += c
-		}
-	}
-	return a
-}
-
-// CriticalCost returns the schedule's parallel cost under the model: for each
-// level, the maximum worker cost; plus syncCost per level boundary. This is
-// what the simulated tile charges for a level-set-scheduled solve.
-func (a *Assignment) CriticalCost(cost func(row int) uint64, syncCost uint64) uint64 {
+// ParallelCost returns the schedule's cost on the given number of workers
+// (fewer than one counts as one): each level's rows are dealt round-robin,
+// worker w taking the level's rows k ≡ w (mod workers) — the balanced split
+// of rows of similar cost — and a level costs its busiest worker plus
+// syncCost. This is what the simulated tile charges for a
+// level-set-scheduled solve.
+func (s *Schedule) ParallelCost(workers int, cost func(row int) uint64, syncCost uint64) uint64 {
+	load := make([]uint64, max(workers, 1))
 	var total uint64
-	for _, level := range a.Rows {
-		var max uint64
-		for _, rows := range level {
-			var c uint64
-			for _, r := range rows {
-				c += cost(r)
-			}
-			if c > max {
-				max = c
-			}
+	for _, rows := range s.Levels {
+		clear(load)
+		for k, r := range rows {
+			load[k%len(load)] += cost(r)
 		}
-		total += max + syncCost
+		total += slices.Max(load) + syncCost
 	}
 	return total
 }

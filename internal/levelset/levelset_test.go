@@ -1,6 +1,7 @@
 package levelset
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -127,49 +128,33 @@ func TestScheduleProperty(t *testing.T) {
 	}
 }
 
+// TestAssignBalances: with unit cost a level of width w costs ceil(w/6) on
+// six workers — the round-robin deal never leaves one worker two rows behind
+// another.
 func TestAssignBalances(t *testing.T) {
 	m := sparse.Poisson2D(12, 12)
 	s := Lower(m.N, m.RowPtr, m.Cols)
-	a := s.Assign(6, nil)
-	if a.Workers != 6 {
-		t.Fatal("workers")
+	var want uint64
+	for _, lv := range s.Levels {
+		want += uint64((len(lv) + 5) / 6)
 	}
-	for l, level := range a.Rows {
-		counts := make([]int, 6)
-		seen := map[int]bool{}
-		for w, rows := range level {
-			counts[w] = len(rows)
-			for _, r := range rows {
-				if seen[r] {
-					t.Fatalf("row %d assigned twice in level %d", r, l)
-				}
-				seen[r] = true
-			}
-		}
-		if len(seen) != len(s.Levels[l]) {
-			t.Fatalf("level %d: %d assigned, want %d", l, len(seen), len(s.Levels[l]))
-		}
-		min, max := counts[0], counts[0]
-		for _, c := range counts {
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-		}
-		if max-min > 1 {
-			t.Errorf("level %d imbalance: min %d max %d", l, min, max)
-		}
+	if got := s.ParallelCost(6, func(int) uint64 { return 1 }, 0); got != want {
+		t.Errorf("unit-cost six-worker cost %d, want %d (sum of ceil(width/6))", got, want)
 	}
 }
 
 func TestAssignClampsWorkers(t *testing.T) {
-	m := sparse.Laplacian1D(4)
+	m := sparse.Poisson2D(4, 4)
 	s := Lower(m.N, m.RowPtr, m.Cols)
-	a := s.Assign(0, nil)
-	if a.Workers != 1 {
-		t.Error("workers should clamp to 1")
+	unit := func(int) uint64 { return 3 }
+	one := s.ParallelCost(1, unit, 5)
+	if one != s.SequentialCost(unit)+5*uint64(s.NumLevels()) {
+		t.Errorf("one worker: %d, want the sequential cost plus one sync per level", one)
+	}
+	for _, w := range []int{0, -2} {
+		if got := s.ParallelCost(w, unit, 5); got != one {
+			t.Errorf("%d workers: %d, want the one-worker cost %d", w, got, one)
+		}
 	}
 }
 
@@ -178,8 +163,7 @@ func TestCriticalCostSpeedup(t *testing.T) {
 	m := sparse.Poisson2D(16, 16)
 	s := Lower(m.N, m.RowPtr, m.Cols)
 	unit := func(row int) uint64 { return 100 }
-	a := s.Assign(6, nil)
-	par := a.CriticalCost(unit, 10)
+	par := s.ParallelCost(6, unit, 10)
 	seq := s.SequentialCost(unit)
 	if par >= seq {
 		t.Errorf("parallel cost %d not better than sequential %d", par, seq)
@@ -194,10 +178,80 @@ func TestCriticalCostChainGainsNothing(t *testing.T) {
 	m := sparse.Laplacian1D(20)
 	s := Lower(m.N, m.RowPtr, m.Cols)
 	unit := func(row int) uint64 { return 100 }
-	par := s.Assign(6, nil).CriticalCost(unit, 0)
+	par := s.ParallelCost(6, unit, 0)
 	seq := s.SequentialCost(unit)
 	if par != seq {
 		t.Errorf("chain: parallel %d should equal sequential %d", par, seq)
+	}
+}
+
+// greedyCost is the reference ParallelCost stands for: materialize each
+// level's assignment by handing every row to the least-loaded worker (unit
+// load, lowest index on ties), then charge each level its busiest worker's
+// summed cost plus syncCost.
+func greedyCost(s *Schedule, workers int, cost func(int) uint64, syncCost uint64) uint64 {
+	if workers < 1 {
+		workers = 1
+	}
+	var total uint64
+	for _, rows := range s.Levels {
+		assigned := make([][]int, workers)
+		for _, r := range rows {
+			w := 0
+			for i := 1; i < workers; i++ {
+				if len(assigned[i]) < len(assigned[w]) {
+					w = i
+				}
+			}
+			assigned[w] = append(assigned[w], r)
+		}
+		var worst uint64
+		for _, rs := range assigned {
+			var c uint64
+			for _, r := range rs {
+				c += cost(r)
+			}
+			worst = max(worst, c)
+		}
+		total += worst + syncCost
+	}
+	return total
+}
+
+// TestParallelCostMatchesAssignment compares ParallelCost with the
+// materialized assignment over random level DAGs — lower and upper schedules
+// of random triangular patterns from chains to near-diagonal — random per-row
+// costs and every worker count from 0 to 8.
+func TestParallelCostMatchesAssignment(t *testing.T) {
+	f := func(seed int64, nRaw, densRaw uint8, sync uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nRaw)%80 + 1
+		density := float64(densRaw%8) / 16 // edge probability 0 to 7/16
+		rowPtr, cols := []int{0}, []int(nil)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if j != i && rng.Float64() < density {
+					cols = append(cols, j)
+				}
+			}
+			rowPtr = append(rowPtr, len(cols))
+		}
+		costs := make([]uint64, n)
+		for i := range costs {
+			costs[i] = uint64(rng.Intn(200))
+		}
+		cost := func(i int) uint64 { return costs[i] }
+		for _, s := range []*Schedule{Lower(n, rowPtr, cols), Upper(n, rowPtr, cols)} {
+			for w := 0; w <= 8; w++ {
+				if s.ParallelCost(w, cost, uint64(sync)) != greedyCost(s, w, cost, uint64(sync)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestLevelSetCostOrderingImpact(t *testing.T) {
 	unit := func(row int) uint64 { return 50 }
 	costOf := func(mm *sparse.Matrix) uint64 {
 		s := Lower(mm.N, mm.RowPtr, mm.Cols)
-		return s.Assign(6, nil).CriticalCost(unit, 20)
+		return s.ParallelCost(6, unit, 20)
 	}
 	natural := costOf(m)
 	rng := rand.New(rand.NewSource(10))

@@ -140,8 +140,15 @@ func (s *Service) release(ent *entry, p *core.Prepared) {
 
 // prepareSys builds one replica with the system's effective execution knobs:
 // the tuned partition strategy and backend when a race decision is active,
-// the service defaults otherwise.
-func (s *Service) prepareSys(sys *system) (*core.Prepared, error) {
+// the service defaults otherwise. A prepare that panics returns a
+// *PanicError, so its callers' error paths give back the pool slot and drop
+// an entry left without a replica.
+func (s *Service) prepareSys(sys *system) (p *core.Prepared, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, &PanicError{Val: r}
+		}
+	}()
 	strategy := sys.strategy
 	if strategy == "" {
 		strategy = s.opts.Strategy

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
@@ -256,6 +257,50 @@ func TestFailedRegisterKeepsWarmPool(t *testing.T) {
 	if st := s.Stats(); st.CacheMisses != after.CacheMisses || st.Evictions != before.Evictions {
 		t.Fatalf("warm solve after a failed register: %d misses, %d evictions; want %d and %d",
 			st.CacheMisses, st.Evictions, after.CacheMisses, before.Evictions)
+	}
+}
+
+// TestPanickingRegisterLeavesNoEntry: poisson3d:33 under the default
+// hierarchy fits its matrix on 8 tiles but not its Krylov vectors, and that
+// prepare panics. Each register must come back as an error, give back its
+// pool slot and leave no cache or pattern entry behind — so registers beyond
+// ReplicasPerKey fail at once instead of waiting for a replica that will
+// never be built — and the warm system must still hit.
+func TestPanickingRegisterLeavesNoEntry(t *testing.T) {
+	opts := testOptions()
+	opts.CacheCapacity = 2
+	opts.ReplicasPerKey = 2
+	s := New(opts)
+	defer s.Close()
+
+	warm := sparse.Poisson2D(6, 6)
+	info, err := s.Register(context.Background(), warm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	big, cfg := sparse.Poisson3D(33, 33, 33), config.Default()
+	for i := 0; i <= opts.ReplicasPerKey; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		_, err := s.Register(ctx, big, &cfg)
+		cancel()
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("register %d of an oversize system: %v, want a *PanicError", i, err)
+		}
+	}
+	s.mu.Lock()
+	entries, patterns := len(s.cache), len(s.patterns)
+	s.mu.Unlock()
+	if entries != 1 || patterns != 1 {
+		t.Fatalf("%d cache and %d pattern entries after failed registers, want the warm system's 1 and 1", entries, patterns)
+	}
+	if _, err := s.Solve(context.Background(), info.ID, onesRHS(warm)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.CacheHits != before.CacheHits+1 || st.Evictions != before.Evictions {
+		t.Fatalf("warm solve after failed registers: %d hits, %d evictions; want %d and %d",
+			st.CacheHits, st.Evictions, before.CacheHits+1, before.Evictions)
 	}
 }
 

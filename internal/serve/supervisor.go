@@ -22,8 +22,9 @@ import (
 	"ipusparse/internal/sparse"
 )
 
-// PanicError reports a replica that died mid-solve; the supervisor caught
-// the panic, quarantined the replica and (budget permitting) retried.
+// PanicError reports a replica that died mid-solve — the supervisor caught
+// the panic, quarantined the replica and (budget permitting) retried — or a
+// prepare that panicked while building one.
 type PanicError struct {
 	Val any // recovered panic value
 }

@@ -42,8 +42,8 @@ func (p *GaussSeidel) SetupStep() {
 		}
 		lower := levelset.Lower(lm.NumOwned, lm.RowPtr, lm.Cols)
 		upper := levelset.Upper(lm.NumOwned, lm.RowPtr, lm.Cols)
-		p.gsfCost[t] = lower.Assign(workers, nil).CriticalCost(rowCost, levelSyncCycles) + workerStart
-		p.gsbCost[t] = upper.Assign(workers, nil).CriticalCost(rowCost, levelSyncCycles) + workerStart
+		p.gsfCost[t] = lower.ParallelCost(workers, rowCost, levelSyncCycles) + workerStart
+		p.gsbCost[t] = upper.ParallelCost(workers, rowCost, levelSyncCycles) + workerStart
 	}
 }
 

@@ -226,8 +226,8 @@ func buildTriSchedule(sys *System, fwdDiv bool) (*triSchedule, []*levelset.Sched
 		rowCostU := func(i int) uint64 {
 			return sweepRowCost(uint64(ucount[i])) + ipu.Cost(ipu.OpDiv, ipu.F32)
 		}
-		ts.fwdCost[b.tile] = lower.Assign(workers, nil).CriticalCost(rowCostL, levelSyncCycles) + workerStart
-		ts.bwdCost[b.tile] = upper.Assign(workers, nil).CriticalCost(rowCostU, levelSyncCycles) + workerStart
+		ts.fwdCost[b.tile] = lower.ParallelCost(workers, rowCostL, levelSyncCycles) + workerStart
+		ts.bwdCost[b.tile] = upper.ParallelCost(workers, rowCostU, levelSyncCycles) + workerStart
 	}
 	return ts, lowers
 }
@@ -300,6 +300,7 @@ func factorILU0(b *tileBlock, fdiag, fvals []float32, pos []int32, rowCost []uin
 	copy(fdiag, b.diag)
 	owned := int32(b.owned)
 	rowPtr, cols := b.rowPtr, b.cols
+	divCost, fmaCost := ipu.Cost(ipu.OpDiv, ipu.F32), ipu.Cost(ipu.OpFMA, ipu.F32)
 	for i := int32(0); i < owned; i++ {
 		lo, hi := rowPtr[i], rowPtr[i+1]
 		for k := lo; k < hi; k++ {
@@ -321,7 +322,7 @@ func factorILU0(b *tileBlock, fdiag, fvals []float32, pos []int32, rowCost []uin
 			}
 			piv := fvals[k] / fdiag[c]
 			fvals[k] = piv
-			flops += ipu.Cost(ipu.OpDiv, ipu.F32)
+			flops += divCost
 			for kk := rowPtr[c]; kk < rowPtr[c+1]; kk++ {
 				j := cols[kk]
 				if j <= c || j >= owned {
@@ -330,15 +331,15 @@ func factorILU0(b *tileBlock, fdiag, fvals []float32, pos []int32, rowCost []uin
 				u := fvals[kk]
 				if j == i {
 					fdiag[i] -= piv * u
-					flops += ipu.Cost(ipu.OpFMA, ipu.F32)
+					flops += fmaCost
 				} else if pp := pos[j]; pp >= 0 {
 					fvals[pp] -= piv * u
-					flops += ipu.Cost(ipu.OpFMA, ipu.F32)
+					flops += fmaCost
 				}
 			}
 		}
 		if rowCost != nil {
-			rowCost[i] = flops + ipu.Cost(ipu.OpFMA, ipu.F32)
+			rowCost[i] = flops + fmaCost
 		}
 		for k := lo; k < hi; k++ {
 			if j := cols[k]; j < owned {
@@ -416,8 +417,8 @@ func (p *ILU) SetupStep() {
 				pos = newPosScratch(b.owned)
 				rowCost := make([]uint64, b.owned)
 				p.factorBlock(bi, pos, rowCost)
-				cost = levelset.Lower(b.owned, b.rowPtr, b.cols).Assign(workers, nil).
-					CriticalCost(func(i int) uint64 { return rowCost[i] }, levelSyncCycles) + workerStart
+				cost = levelset.Lower(b.owned, b.rowPtr, b.cols).ParallelCost(workers,
+					func(i int) uint64 { return rowCost[i] }, levelSyncCycles) + workerStart
 				return cost
 			}
 			p.factorBlock(bi, pos, nil)
@@ -537,7 +538,7 @@ func (p *DILU) SetupStep() {
 	workers := sys.Sess.M.Config().WorkersPerTile
 	for _, b := range sys.blocks {
 		// Two FMAs per row over the forward sweep's DAG: a static bill.
-		cs.Add(b.tile, graph.Fixed(lowers[b.tile].Assign(workers, nil).CriticalCost(func(i int) uint64 {
+		cs.Add(b.tile, graph.Fixed(lowers[b.tile].ParallelCost(workers, func(i int) uint64 {
 			return 2 * ipu.Cost(ipu.OpFMA, ipu.F32)
 		}, levelSyncCycles)+workerStart))
 	}
