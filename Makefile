@@ -45,7 +45,10 @@ bench:
 ## per-worker SpMV and DW/F64 residual row loops and the natural-order
 ## sweeps: the guard behind the ilu0-apply and dilu-apply rows the first
 ## line runs, and behind the kernels the simulator runs for its billed
-## sets), the engine's billed-set, exchange-replay and zero-alloc tests, the
+## sets), the schedule digest of every solver method with Recovery and ABFT
+## off and on and of the default MPIR hierarchy (the guard that the shared
+## iteration driver schedules each method's program step for step), the
+## engine's billed-set, exchange-replay and zero-alloc tests, the
 ## guard that native and simulated runs walk one stream identically (control
 ## flow and injector consultation order), the sim-cold exact counts and bits, MPIR's inner stopping rule and its
 ## convergence property (correction solves stop at max(16u, ½·τ/ρ)), the
@@ -53,7 +56,7 @@ bench:
 ## without -race
 bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels|BenchmarkPrepare' -benchtime 1x -benchmem .
-	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets|TestCorrectionTol' ./internal/solver
+	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets|TestCorrectionTol|TestSolverScheduleDigest' ./internal/solver
 	$(GO) test -short -run 'TestBilledSet|TestValidateBilledSets|TestExchangeBillReplayed|TestEngineSuperstepZeroAlloc|TestRowRuns|TestNativeControlFlowMatchesEngine|TestNativeInjectorConsultationOrder' ./internal/graph
 	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact|TestMPIRConverges|TestABFTMPIRCorrectionsVerifyOnce' ./internal/core
 	$(GO) test -short -run 'TestPaperGolden' ./internal/bench

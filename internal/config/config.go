@@ -394,6 +394,11 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.MPIR != nil {
+		switch c.Solver.Type {
+		case "pbicgstab", "bicgstab", "cg", "richardson":
+		default:
+			return fmt.Errorf("config: mpir cannot refine with a %q inner solver (pbicgstab, bicgstab, cg or richardson)", c.Solver.Type)
+		}
 		switch c.MPIR.Extended {
 		case "dw", "dp", "none":
 		default:

@@ -68,6 +68,20 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+	// MPIR refines with a pbicgstab, cg or richardson inner solve; any other
+	// type is an error that names it, not a silent PBiCGStab.
+	for _, typ := range []string{"jacobi", "ilu0", "dilu", "gaussseidel", "chebyshev", "none"} {
+		src := `{"solver": {"type": "` + typ + `"}, "mpir": {"extended": "dw", "innerIterations": 1, "maxOuter": 1}}`
+		if _, err := Parse(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), `"`+typ+`"`) {
+			t.Errorf("mpir over %s: got %v, want an error naming the type", typ, err)
+		}
+	}
+	for _, typ := range []string{"pbicgstab", "bicgstab", "cg", "richardson"} {
+		src := `{"solver": {"type": "` + typ + `"}, "mpir": {"extended": "dw", "innerIterations": 1, "maxOuter": 1}}`
+		if _, err := Parse(strings.NewReader(src)); err != nil {
+			t.Errorf("mpir over %s: %v", typ, err)
+		}
+	}
 }
 
 func TestDefaultValid(t *testing.T) {

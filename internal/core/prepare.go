@@ -181,6 +181,7 @@ func prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 					is  solver.Solver
 					tol *float64
 				)
+				// config.Validate admits no other inner type under mpir.
 				switch inner.Type {
 				case "richardson":
 					rich := &solver.Richardson{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
@@ -188,7 +189,7 @@ func prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 				case "cg":
 					cg := &solver.CG{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
 					is, tol = cg, &cg.Tol
-				default:
+				case "pbicgstab", "bicgstab":
 					bicg := &solver.PBiCGStab{Sys: sys, Pre: pre, MaxIter: maxIter, Tol: solver.CorrectionTol}
 					is, tol = bicg, &bicg.Tol
 				}

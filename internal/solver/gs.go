@@ -4,6 +4,7 @@ import (
 	"ipusparse/internal/graph"
 	"ipusparse/internal/ipu"
 	"ipusparse/internal/levelset"
+	"ipusparse/internal/tensordsl"
 )
 
 // GaussSeidel is the Gauss-Seidel method (paper §V-D), usable both as a
@@ -156,54 +157,23 @@ type gsSolver struct {
 
 func (s *gsSolver) Name() string { return "gaussseidel" }
 
+// ScheduleSolve implements Solver. The residual the monitor reads is that of
+// the iterate the solve returns, so it needs no final ABFT verify; the solver
+// takes no Recovery policy.
 func (s *gsSolver) ScheduleSolve(x, b Tensor, st *RunStats) {
 	sys := s.gs.Sys
 	ts := sys.Sess
 	s.gs.SetupStep()
-	if st != nil {
-		st.Solver = s.Name()
-	}
 	r := sys.Vector("gs:r")
 	ax := sys.Vector("gs:ax")
-	bnorm2 := ts.Dot(b, b)
-	var (
-		iter      int
-		relres    float64
-		bnormHost float64
-	)
-	ts.HostCallback("gs:init", func() error {
-		iter = 0
-		relres = 1e308
-		bnormHost = sqrtPos(bnorm2.Value())
-		st.ResetForRun()
-		return nil
-	})
-	cond := func() bool {
-		if iter >= s.maxIter {
-			return false
-		}
-		return s.tol <= 0 || relres > s.tol
-	}
-	ts.While(cond, s.maxIter+1, func() {
+
+	l := newLoop(sys, "gs", s.Name(), x, b, st, s.maxIter, &s.tol, nil, nil)
+	l.exact = true
+	l.start(ts.Dot(b, b), nil)
+	l.run(func() Tensor {
 		s.gs.SmoothStep(x, b)
 		sys.SpMV(ax, x)
-		r.Assign(sub(b, ax))
-		res2 := ts.Dot(r, r)
-		ts.HostCallback("gs:monitor", func() error {
-			iter++
-			relres = sqrtPos(res2.Value()) / bnormHost
-			if st != nil {
-				st.Iterations = iter
-				st.RelRes = relres
-				st.record(iter, relres, sys.Sess.M.Stats().Seconds)
-			}
-			return nil
-		})
-	})
-	ts.HostCallback("gs:done", func() error {
-		if st != nil {
-			st.Converged = s.tol > 0 && relres <= s.tol
-		}
-		return nil
+		r.Assign(tensordsl.Sub(b, ax))
+		return ts.Dot(r, r)
 	})
 }

@@ -54,9 +54,6 @@ func (s *PBiCGStab) ScheduleSolve(x, b Tensor, st *RunStats) {
 	if s.breakEps == 0 {
 		s.breakEps = 1e-35
 	}
-	if st != nil {
-		st.Solver = s.Name()
-	}
 
 	r := sys.Vector("bicg:r")
 	r0 := sys.Vector("bicg:r0")
@@ -68,61 +65,21 @@ func (s *PBiCGStab) ScheduleSolve(x, b Tensor, st *RunStats) {
 	t := sys.Vector("bicg:t")
 	ax := sys.Vector("bicg:ax")
 
-	// r = b - A x; r0 = r; p = v = 0.
-	sys.SpMV(ax, x)
-	r.Assign(tensordsl.Sub(b, ax))
-	r0.Assign(tensordsl.E(r))
-	p.Assign(0.0)
-	v.Assign(0.0)
+	// r = b - A x; r0 = r; p = v = 0 (also the restart's recomputation, with
+	// a fresh shadow residual r0).
+	residual := func() {
+		sys.SpMV(ax, x)
+		r.Assign(tensordsl.Sub(b, ax))
+		r0.Assign(tensordsl.E(r))
+		p.Assign(0.0)
+		v.Assign(0.0)
+	}
+	residual()
 
 	bnorm2 := ts.Dot(b, b)
 	res2 := ts.Dot(r, r)
-
-	// Host-side control state, updated by callbacks during execution.
-	var (
-		iter      int
-		relres    = math.Inf(1)
-		bnormHost float64
-		stop      bool
-		g         *guard
-		fbSt      RunStats
-		fellback  bool
-
-		abftBest   float64
-		abftReason string
-	)
-	abftOn := sys.ABFTEnabled()
-	if s.Recover != nil {
-		g = newGuard(s.Recover, x, st)
-	}
-	// fail reports a breakdown detected at the current iteration: without a
-	// Recovery policy it stops the loop (seed behaviour); with one it arms a
-	// checkpoint restart until the budget is spent.
-	fail := func(reason string) {
-		if st != nil {
-			st.Breakdown = true
-			st.BreakdownReason = reason
-		}
-		if g == nil || !g.trip(reason, iter, relres) {
-			stop = true
-		}
-	}
-	ts.HostCallback("bicg:init", func() error {
-		iter, stop = 0, false
-		fellback = false
-		abftBest, abftReason = math.Inf(1), ""
-		fbSt.ResetForRun()
-		bnormHost = math.Sqrt(bnorm2.Value())
-		if bnormHost == 0 {
-			bnormHost = 1 // solving Ax=0: use absolute residual
-		}
-		relres = math.Sqrt(res2.Value()) / bnormHost
-		st.ResetForRun()
-		if g != nil {
-			g.reset()
-		}
-		return nil
-	})
+	l := newLoop(sys, "bicg", s.Name(), x, b, st, s.MaxIter, &s.Tol, s.Monitor, s.Recover)
+	l.start(bnorm2, func() float64 { return math.Sqrt(res2.Value()) / l.bnorm })
 
 	// Persistent scalars of the recursion.
 	rho := ts.MustScalar("bicg:rho", x.Type())
@@ -130,59 +87,25 @@ func (s *PBiCGStab) ScheduleSolve(x, b Tensor, st *RunStats) {
 	alpha := ts.MustScalar("bicg:alpha", x.Type())
 	omega := ts.MustScalar("bicg:omega", x.Type())
 	beta := ts.MustScalar("bicg:beta", x.Type())
-	ts.HostCallback("bicg:scalars", func() error {
+	reseed := func() {
 		rhoOld.SetValue(1)
 		alpha.SetValue(1)
 		omega.SetValue(1)
+	}
+	ts.HostCallback("bicg:scalars", func() error {
+		reseed()
 		return nil
 	})
-
-	cond := func() bool {
-		if g != nil && g.pending {
-			return true // a checkpoint restore is due; keep the loop alive
-		}
-		if stop || iter >= s.MaxIter {
-			return false
-		}
-		return s.Tol <= 0 || relres > s.Tol
+	l.restart = func() (Tensor, func()) {
+		residual()
+		return ts.Dot(r, r), reseed
 	}
-
-	maxBody := s.MaxIter + 1
-	if g != nil {
-		maxBody = s.Recover.maxBody(s.MaxIter)
-	}
-	ts.While(cond, maxBody, func() {
-		if g != nil {
-			// Restart branch: restore x from the last verified checkpoint,
-			// recompute the true residual and reset the Krylov recursion with
-			// a fresh shadow residual r0. It costs nothing unless a watchdog
-			// tripped.
-			ts.If(func() bool { return g.pending }, func() {
-				ts.HostCallback("bicg:restore", func() error {
-					ci, err := g.restore()
-					iter = ci
-					return err
-				})
-				sys.SpMV(ax, x)
-				r.Assign(tensordsl.Sub(b, ax))
-				r0.Assign(tensordsl.E(r))
-				p.Assign(0.0)
-				v.Assign(0.0)
-				res2r := ts.Dot(r, r)
-				ts.HostCallback("bicg:restart-scalars", func() error {
-					rhoOld.SetValue(1)
-					alpha.SetValue(1)
-					omega.SetValue(1)
-					relres = math.Sqrt(res2r.Value()) / bnormHost
-					return nil
-				})
-			}, nil)
-		}
+	l.run(func() Tensor {
 		rhoT := ts.Dot(r0, r)
 		rho.Assign(tensordsl.E(rhoT))
 		ts.HostCallback("bicg:rho-check", func() error {
 			if math.Abs(rho.Value()) < s.breakEps {
-				fail("rho")
+				l.fail("rho")
 			}
 			return nil
 		})
@@ -197,7 +120,7 @@ func (s *PBiCGStab) ScheduleSolve(x, b Tensor, st *RunStats) {
 		gamma := ts.Dot(r0, v)
 		ts.HostCallback("bicg:gamma-check", func() error {
 			if math.Abs(gamma.Value()) < s.breakEps {
-				fail("gamma")
+				l.fail("gamma")
 			}
 			return nil
 		})
@@ -211,7 +134,7 @@ func (s *PBiCGStab) ScheduleSolve(x, b Tensor, st *RunStats) {
 		ttDot := ts.Dot(t, t)
 		ts.HostCallback("bicg:omega-check", func() error {
 			if v := ttDot.Value(); v < s.breakEps || math.IsNaN(v) {
-				fail("omega")
+				l.fail("omega")
 			}
 			return nil
 		})
@@ -220,123 +143,7 @@ func (s *PBiCGStab) ScheduleSolve(x, b Tensor, st *RunStats) {
 		x.Assign(tensordsl.Add(x, tensordsl.Add(tensordsl.Mul(alpha, y), tensordsl.Mul(omega, z))))
 		r.Assign(tensordsl.Sub(sv, tensordsl.Mul(omega, t)))
 		rhoOld.Assign(tensordsl.E(rho))
-		res2b := ts.Dot(r, r)
-		ts.HostCallback("bicg:monitor", func() error {
-			iter++
-			// NaN/Inf divergence watchdog: a residual that blew up (singular
-			// preconditioner pivots, corrupted exchange words) is a
-			// breakdown, not something to iterate on.
-			if reason := residualCheck(res2b.Value()); reason != "" {
-				fail(reason)
-			} else {
-				relres = math.Sqrt(res2b.Value()) / bnormHost
-			}
-			if abftOn {
-				// Consume checksum detections from this iteration's SpMVs, or
-				// trip the dot-kernel divergence guard; either routes through
-				// fail so Recovery can checkpoint-restart.
-				if reason := sys.abftConsume(); reason != "" {
-					abftReason = reason
-					fail(reason)
-				} else if reason := abftMonotonicity(relres, abftBest); reason != "" {
-					sys.abftNote("dot")
-					abftReason = reason
-					fail(reason)
-				}
-				if relres < abftBest {
-					abftBest = relres
-				}
-			}
-			if st != nil {
-				st.Iterations = iter
-				st.RelRes = relres
-				st.record(iter, relres, sys.Sess.M.Stats().Seconds)
-			}
-			if s.Monitor != nil {
-				s.Monitor(iter)
-			}
-			return nil
-		})
-		if g != nil {
-			// Shadow-residual verification: every Interval iterations compute
-			// the true residual with a scheduled SpMV, checkpoint healthy
-			// states, trip on silent drift.
-			sax := sys.Vector("bicg:sax")
-			shadow := sys.Vector("bicg:shadow")
-			ts.If(func() bool { return !g.pending && !stop && g.due(iter) }, func() {
-				sys.SpMV(sax, x)
-				shadow.Assign(tensordsl.Sub(b, sax))
-				sd := ts.Dot(shadow, shadow)
-				ts.HostCallback("bicg:verify", func() error {
-					g.verify(iter, math.Sqrt(sd.Value())/bnormHost, relres)
-					if g.failed || g.pending {
-						if st != nil {
-							st.Breakdown = true
-							st.BreakdownReason = g.reason
-						}
-						if g.failed {
-							stop = true
-						}
-					}
-					return nil
-				})
-			}, nil)
-		}
-	})
-	// Escalation: once the restart budget is spent without convergence, rerun
-	// from the last checkpoint with the configured fallback solver.
-	if g != nil && s.Recover.Fallback != nil {
-		ts.If(func() bool { return g.failed && !(s.Tol > 0 && relres <= s.Tol) }, func() {
-			ts.HostCallback("bicg:fallback", func() error {
-				fellback = true
-				_, err := g.restore()
-				return err
-			})
-			fb := s.Recover.Fallback()
-			fb.ScheduleSolve(x, b, &fbSt)
-		}, nil)
-	}
-	if abftOn {
-		// Final verification: a converged ABFT solve must prove its answer
-		// with a freshly scheduled residual before it is believed.
-		sys.scheduleABFTVerify("bicg", x, b, s.Tol,
-			func() bool { return !fellback && s.Tol > 0 && relres <= s.Tol },
-			func() float64 { return bnormHost },
-			func(trueRel float64) {
-				abftReason = "abft-final-verify"
-				relres = trueRel
-				if st != nil {
-					st.Breakdown = true
-					st.BreakdownReason = abftReason
-				}
-			})
-	}
-	ts.HostCallback("bicg:done", func() error {
-		converged := s.Tol > 0 && relres <= s.Tol
-		if fellback {
-			converged = fbSt.Converged
-			if st != nil {
-				st.Iterations = iter + fbSt.Iterations
-				st.RelRes = fbSt.RelRes
-				st.History = append(st.History, fbSt.History...)
-			}
-		}
-		if st != nil {
-			st.Converged = converged
-			if g != nil {
-				st.Restarts = g.restarts
-				st.Recovered = converged && st.Breakdown
-			}
-		}
-		if g != nil && g.failed && !converged {
-			return g.breakdownError(s.Name())
-		}
-		// An ABFT detection that was neither recovered nor out-converged is a
-		// typed breakdown — never a silently wrong (or silently absent) answer.
-		if abftOn && s.Tol > 0 && abftReason != "" && !converged && (g == nil || !g.failed) {
-			return abftBreakdownError(s.Name(), abftReason, iter)
-		}
-		return nil
+		return ts.Dot(r, r)
 	})
 }
 
@@ -370,145 +177,18 @@ func (s *Richardson) ScheduleSolve(x, b Tensor, st *RunStats) {
 	if s.SetupPre {
 		s.Pre.SetupStep()
 	}
-	if st != nil {
-		st.Solver = s.Name()
-	}
 	r := sys.Vector("rich:r")
 	c := sys.Vector("rich:c")
 	ax := sys.Vector("rich:ax")
 
-	bnorm2 := ts.Dot(b, b)
-	var (
-		iter      int
-		relres    = math.Inf(1)
-		bnormHost float64
-		stop      bool
-		g         *guard
-
-		abftBest   float64
-		abftReason string
-	)
-	abftOn := sys.ABFTEnabled()
-	if s.Recover != nil {
-		g = newGuard(s.Recover, x, st)
-	}
-	fail := func(reason string) {
-		if st != nil {
-			st.Breakdown = true
-			st.BreakdownReason = reason
-		}
-		if g == nil || !g.trip(reason, iter, relres) {
-			stop = true
-		}
-	}
-	ts.HostCallback("rich:init", func() error {
-		iter, stop = 0, false
-		abftBest, abftReason = math.Inf(1), ""
-		bnormHost = math.Sqrt(bnorm2.Value())
-		if bnormHost == 0 {
-			bnormHost = 1
-		}
-		relres = math.Inf(1)
-		st.ResetForRun()
-		if g != nil {
-			g.reset()
-		}
-		return nil
-	})
-	cond := func() bool {
-		if g != nil && g.pending {
-			return true
-		}
-		if stop || iter >= s.MaxIter {
-			return false
-		}
-		return s.Tol <= 0 || relres > s.Tol
-	}
-	maxBody := s.MaxIter + 1
-	if g != nil {
-		maxBody = s.Recover.maxBody(s.MaxIter)
-	}
-	ts.While(cond, maxBody, func() {
-		if g != nil {
-			ts.If(func() bool { return g.pending }, func() {
-				ts.HostCallback("rich:restore", func() error {
-					ci, err := g.restore()
-					iter = ci
-					return err
-				})
-			}, nil)
-		}
+	l := newLoop(sys, "rich", s.Name(), x, b, st, s.MaxIter, &s.Tol, s.Monitor, s.Recover)
+	l.start(ts.Dot(b, b), nil)
+	l.run(func() Tensor {
 		sys.SpMV(ax, x)
 		r.Assign(tensordsl.Sub(b, ax))
 		s.Pre.ApplyStep(c, r)
 		x.Assign(tensordsl.Add(x, c))
-		res2 := ts.Dot(r, r)
-		ts.HostCallback("rich:monitor", func() error {
-			iter++
-			if reason := residualCheck(res2.Value()); reason != "" {
-				fail(reason)
-			} else {
-				relres = math.Sqrt(res2.Value()) / bnormHost
-				// Richardson's residual is the true residual, freshly
-				// computed: checkpoint on the configured cadence without a
-				// shadow verification pass.
-				if g != nil && g.due(iter) {
-					g.save(iter)
-				}
-			}
-			if abftOn {
-				if reason := sys.abftConsume(); reason != "" {
-					abftReason = reason
-					fail(reason)
-				} else if reason := abftMonotonicity(relres, abftBest); reason != "" {
-					sys.abftNote("dot")
-					abftReason = reason
-					fail(reason)
-				}
-				if relres < abftBest {
-					abftBest = relres
-				}
-			}
-			if st != nil {
-				st.Iterations = iter
-				st.RelRes = relres
-				st.record(iter, relres, sys.Sess.M.Stats().Seconds)
-			}
-			if s.Monitor != nil {
-				s.Monitor(iter)
-			}
-			return nil
-		})
-	})
-	if abftOn {
-		sys.scheduleABFTVerify("rich", x, b, s.Tol,
-			func() bool { return s.Tol > 0 && relres <= s.Tol },
-			func() float64 { return bnormHost },
-			func(trueRel float64) {
-				abftReason = "abft-final-verify"
-				relres = trueRel
-				if st != nil {
-					st.Breakdown = true
-					st.BreakdownReason = abftReason
-				}
-			})
-	}
-	ts.HostCallback("rich:done", func() error {
-		converged := s.Tol > 0 && relres <= s.Tol
-		if st != nil {
-			st.Converged = converged
-			if g != nil {
-				st.Restarts = g.restarts
-				st.Recovered = converged && st.Breakdown
-			}
-		}
-		if g != nil && g.failed && !converged {
-			return g.breakdownError(s.Name())
-		}
-		if abftOn && s.Tol > 0 && abftReason != "" && !converged && (g == nil || !g.failed) {
-			return abftBreakdownError(s.Name(), abftReason, iter)
-		}
-		return nil
+		return ts.Dot(r, r)
 	})
 }
 

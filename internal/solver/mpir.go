@@ -7,15 +7,6 @@ import (
 	"ipusparse/internal/tensordsl"
 )
 
-func sqrtPos(v float64) float64 {
-	if v <= 0 {
-		return 1
-	}
-	return math.Sqrt(v)
-}
-
-func sub(a, b interface{}) *tensordsl.Expr { return tensordsl.Sub(a, b) }
-
 // CorrectionTol is the relative residual at which an MPIR correction solve
 // stops: 16 units of float32 roundoff (16·2⁻²⁴ ≈ 9.5e-7). The correction's
 // right-hand side is the residual rounded to float32, so a working-precision
@@ -114,7 +105,7 @@ func (s *MPIR) ScheduleSolve(x, b Tensor, st *RunStats) {
 	ts.HostCallback("mpir:init", func() error {
 		outer, inner = 0, 0
 		relres = math.Inf(1)
-		bnormHost = sqrtPos(bnorm2.Value())
+		bnormHost = bnormOf(bnorm2.Value())
 		stop = false
 		st.ResetForRun()
 		return nil
@@ -131,22 +122,22 @@ func (s *MPIR) ScheduleSolve(x, b Tensor, st *RunStats) {
 		if ext == ipu.F32 {
 			ax := sys.Vector("mpir:ax")
 			sys.SpMV(ax, x)
-			rExt.Assign(sub(b, ax))
+			rExt.Assign(tensordsl.Sub(b, ax))
 		} else {
 			sys.ResidualExt(rExt, b, x)
 		}
 		res2 := ts.ReduceLabeled(tensordsl.Mul(rExt, rExt), "Reduce")
 		ts.HostCallback("mpir:res", func() error {
-			// NaN/Inf divergence watchdog: sqrtPos(NaN) is NaN, which would
-			// otherwise end the loop silently without flagging a breakdown.
-			if reason := residualCheck(res2.Value()); reason != "" {
+			// NaN/Inf divergence watchdog: a NaN relres would otherwise end
+			// the loop silently without flagging a breakdown.
+			if rel, reason := relResidual(res2.Value(), bnormHost); reason != "" {
 				stop = true
 				if st != nil {
 					st.Breakdown = true
 					st.BreakdownReason = reason
 				}
 			} else {
-				relres = sqrtPos(res2.Value()) / bnormHost
+				relres = rel
 			}
 			if innerTol != nil {
 				*innerTol = correctionTol(s.Tol, relres)

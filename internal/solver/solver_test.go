@@ -231,6 +231,41 @@ func TestGaussSeidelPrecondAndSolver(t *testing.T) {
 	}
 }
 
+func TestGaussSeidelDivergenceIsBreakdown(t *testing.T) {
+	// Off-diagonals three times the diagonal: Gauss-Seidel sweeps grow the
+	// error geometrically until the float32 residual overflows. The monitor's
+	// NaN/Inf watchdog must end the solve as a breakdown, not let a NaN
+	// relative residual end it silently or an Inf one run to MaxIter.
+	const n, maxIter = 24, 1000
+	mb := sparse.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		mb.Add(i, i, 1)
+		if i+1 < n {
+			mb.Add(i, i+1, 3)
+			mb.Add(i+1, i, 3)
+		}
+	}
+	m, err := mb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, sys := testSystem(t, m, 2)
+	x := sys.Vector("x")
+	b := sys.Vector("b")
+	sys.SetGlobal(b, randVec(n, 3))
+	var st RunStats
+	NewGaussSeidelSolver(sys, 1, maxIter, 1e-6).ScheduleSolve(x, b, &st)
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !st.Breakdown || (st.BreakdownReason != "divergence" && st.BreakdownReason != "nan-residual") ||
+		st.Iterations >= maxIter || st.Converged {
+		t.Fatalf("diverging Gauss-Seidel: breakdown=%v (%q) after %d of %d iterations, converged=%v",
+			st.Breakdown, st.BreakdownReason, st.Iterations, maxIter, st.Converged)
+	}
+	t.Logf("%s after %d iterations", st.BreakdownReason, st.Iterations)
+}
+
 func TestRichardsonWithILU(t *testing.T) {
 	m := sparse.Poisson2D(10, 10)
 	sess, sys := testSystem(t, m, 2)
