@@ -50,7 +50,9 @@ bench:
 ## iteration driver schedules each method's program step for step), the
 ## engine's billed-set, exchange-replay and zero-alloc tests, the
 ## guard that native and simulated runs walk one stream identically (control
-## flow and injector consultation order), the sim-cold exact counts and bits, MPIR's inner stopping rule and its
+## flow and injector consultation order), the sim-cold exact counts and bits,
+## the warm default hierarchy's bits on both backends (one digest per case
+## over x, iterations and relRes), MPIR's inner stopping rule and its
 ## convergence property (correction solves stop at max(16u, ½·τ/ρ)), the
 ## ABFT-armed default hierarchy's zero detections and the paper golden file,
 ## without -race
@@ -58,7 +60,7 @@ bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels|BenchmarkPrepare' -benchtime 1x -benchmem .
 	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets|TestCorrectionTol|TestSolverScheduleDigest' ./internal/solver
 	$(GO) test -short -run 'TestBilledSet|TestValidateBilledSets|TestExchangeBillReplayed|TestEngineSuperstepZeroAlloc|TestRowRuns|TestNativeControlFlowMatchesEngine|TestNativeInjectorConsultationOrder' ./internal/graph
-	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact|TestMPIRConverges|TestABFTMPIRCorrectionsVerifyOnce' ./internal/core
+	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact|TestNativeMPIRDigest|TestMPIRConverges|TestABFTMPIRCorrectionsVerifyOnce' ./internal/core
 	$(GO) test -short -run 'TestPaperGolden' ./internal/bench
 
 ## serve-smoke: build one race-enabled ipuserved (and, for the cluster phase,
