@@ -304,6 +304,15 @@ func BenchmarkNativeKernels(b *testing.B) {
 			return int64(8 * m.N)
 		})
 	})
+	// MPIR's ‖r‖² of the double-word outer residual: a DW product and a DW
+	// sum per element, straight into the reduction partials.
+	b.Run("dw-norm", func(b *testing.B) {
+		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
+			r := benchVector(b, sys, "r", ipu.DW)
+			sys.Sess.ReduceLabeled(tensordsl.Mul(r, r), "Reduce")
+			return int64(8 * m.N)
+		})
+	})
 	b.Run("assign-2term", func(b *testing.B) {
 		benchmarkNativeKernel(b, poisson, func(sys *solver.System, m *sparse.Matrix) int64 {
 			x, y := benchVector(b, sys, "x", ipu.F32), benchVector(b, sys, "y", ipu.F32)

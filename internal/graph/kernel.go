@@ -472,15 +472,22 @@ func spmvDotLoop(s []*NativeKernel) func() {
 }
 
 // spmvTwoDotLoop is y = A·x with y·o and y·y riding along (PBiCGStab's t·s
-// and t·t).
+// and t·t), both in one pass over y.
 func spmvTwoDotLoop(s []*NativeKernel) func() {
 	blocks, scratch, d0, d1 := s[0].CSR, s[0].Gather, s[1], s[2]
 	return func() {
 		for bi := range blocks {
 			b := &blocks[bi]
 			b.rows(b.gather(scratch))
-			d0.Sink.put(d0.Tiles[bi], dot(b.Y, d0.B[bi]))
-			d1.Sink.put(d1.Tiles[bi], dot(b.Y, b.Y))
+			yo, yy := dot2(b.Y, d0.B[bi])
+			if yo != yo || yy != yy {
+				// Which NaN an add of two NaNs keeps follows the operand
+				// order the compiler chose: take dot's, the standalone
+				// partials' loop.
+				yo, yy = dot(b.Y, d0.B[bi]), dot(b.Y, b.Y)
+			}
+			d0.Sink.put(d0.Tiles[bi], yo)
+			d1.Sink.put(d1.Tiles[bi], yy)
 		}
 	}
 }
@@ -625,6 +632,18 @@ func dot(a, b []float32) float32 {
 		sum += float32(a[j] * b[j])
 	}
 	return sum
+}
+
+// dot2 is dot(a, b) and dot(a, a) in one pass: two independent accumulators,
+// each with dot's products, operand order and element order, so each leaves
+// dot's bits on data without NaN (spmvTwoDotLoop takes dot's for a NaN sum).
+func dot2(a, b []float32) (ab, aa float32) {
+	b = b[:len(a)]
+	for j, v := range a {
+		ab += float32(v * b[j])
+		aa += float32(v * v)
+	}
+	return ab, aa
 }
 
 // cgUpdateLoop is CG's vector update in one sweep: two axpys, the Jacobi

@@ -133,6 +133,9 @@ func runStraight(t *testing.T, sess *tensordsl.Session, native bool) {
 		switch s := st.(type) {
 		case graph.Exchange:
 			for _, mv := range s.Moves {
+				if mv.Do == nil {
+					continue // a reduction's gather and broadcast only bill
+				}
 				if err := mv.Do(); err != nil {
 					t.Fatal(err)
 				}
@@ -227,6 +230,43 @@ func spmvOracle(sys *System, x *tensordsl.Tensor) []uint64 {
 		}
 	}
 	return f32Bits(y)
+}
+
+// reduceBits is what a reduction leaves: every tile's partial (double-word
+// and float64 views) and the combined scalar.
+func reduceBits(sess *tensordsl.Session, out *tensordsl.Tensor) []uint64 {
+	var sink *graph.PartialSink
+	for _, st := range sess.Program().Steps {
+		if c, ok := st.(graph.Compute); ok && c.Set.Name == out.Name+":partial" {
+			sink = c.Set.NativeKernel.Sink
+		}
+	}
+	var out64 []uint64
+	for t, d := range sink.DW {
+		out64 = append(out64, uint64(math.Float32bits(d.Hi)), uint64(math.Float32bits(d.Lo)), math.Float64bits(sink.F64[t]))
+	}
+	r := out.Buf(0)
+	return append(out64, uint64(math.Float32bits(r.Hi[0])), uint64(math.Float32bits(r.Lo[0])))
+}
+
+// dwNormOracle is the double-word Σ a∘b in reduceBits's layout: per populated
+// tile twofloat.Mul then twofloat.Add in element order from zero, the final
+// combine adding the partials in tile order.
+func dwNormOracle(sys *System, a, b *tensordsl.Tensor) []uint64 {
+	var out []uint64
+	var total twofloat.DW
+	for t, lm := range sys.Locals {
+		var s twofloat.DW
+		if lm.NumOwned > 0 {
+			ab, bb := a.Buf(t), b.Buf(t)
+			for i := range ab.Hi {
+				s = twofloat.Add(s, twofloat.Mul(twofloat.DW{Hi: ab.Hi[i], Lo: ab.Lo[i]}, twofloat.DW{Hi: bb.Hi[i], Lo: bb.Lo[i]}))
+			}
+			total = twofloat.Add(total, s)
+		}
+		out = append(out, uint64(math.Float32bits(s.Hi)), uint64(math.Float32bits(s.Lo)), math.Float64bits(s.Float64()))
+	}
+	return append(out, uint64(math.Float32bits(total.Hi)), uint64(math.Float32bits(total.Lo)))
 }
 
 // residualOracle is the extended residual r = b − A·x written like
@@ -426,7 +466,8 @@ func checkPackedSweeps(t *testing.T, sys *System, ts *triSchedule, cover *sweepC
 
 // TestNativeKernelsMatchCodelets is the kernel-vs-codelet property: on
 // generated systems every rewritten compute set — SpMV, both extended
-// residuals, and the factor/forward/backward sets of ILU(0) and DILU — leaves
+// residuals, the double-word norm partials, and the factor/forward/backward
+// sets of ILU(0) and DILU — leaves
 // exactly the bits of its oracle on both backends, with NaN and ±Inf among the
 // inputs, and again after a values-only refresh. The simulator runs the
 // billed sets through the native kernels, so the oracles stand for the
@@ -507,6 +548,20 @@ func TestNativeKernelsMatchCodelets(t *testing.T) {
 					func() { sys.SetGlobal(x, xh); sys.SetGlobal(b, bh); r.FillHost(7) },
 					func() []uint64 { return tensorBits(sys, r) },
 					func() []uint64 { return residualOracle(sys, b, x) }})
+			}
+			// MPIR's double-word norms: r·r and a product of two tensors.
+			for _, square := range []bool{true, false} {
+				sess, sys := newSystem()
+				a, c := sys.VectorTyped("a", ipu.DW), sys.VectorTyped("c", ipu.DW)
+				name, other := "dw-norm-a*c", c
+				if square {
+					name, other = "dw-norm-a*a", a
+				}
+				out := sess.ReduceLabeled(tensordsl.Mul(a, other), "Reduce")
+				progs = append(progs, kernelProgram{name, sess, sys,
+					func() { sys.SetGlobal(a, xh); sys.SetGlobal(c, bh); out.FillHost(7) },
+					func() []uint64 { return reduceBits(sess, out) },
+					func() []uint64 { return dwNormOracle(sys, a, other) }})
 			}
 			for _, natural := range []bool{false, true} {
 				sess, sys := newSystem()

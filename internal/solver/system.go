@@ -18,6 +18,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 
 	"ipusparse/internal/graph"
 	"ipusparse/internal/halo"
@@ -513,15 +514,43 @@ func (sys *System) nativeResidualExt(r, b, x *tensordsl.Tensor, halos []*graph.B
 				copy(lo[bl.owned:], o.h.Lo)
 				rowPtr, cols, vals, diag := bl.rowPtr, bl.cols, bl.vals, bl.diag
 				bHi, bLo, rHi, rLo := o.b.Hi, o.b.Lo, o.r.Hi, o.r.Lo
+				// r_i = Sub(b_i, Add(…Add(MulFloat(x_i, d_i), MulFloat(x_c, a_ic)…)))
+				// with the three spelled out: they exceed the inlining budget,
+				// and their calls took 45 % of the sweep on poisson3d:32. The
+				// steps are twofloat's own, operand for operand, so the bits
+				// are too, except which NaN an add of two NaNs keeps: that
+				// follows the operand order the compiler chose, which two
+				// compiled copies of the same steps need not share (a -race
+				// build and a plain one do not). A row whose result is NaN is
+				// therefore recomputed with twofloat's functions themselves.
 				k := rowPtr[0]
 				for i := range rHi {
-					acc := twofloat.MulFloat(twofloat.DW{Hi: hi[i], Lo: lo[i]}, diag[i])
+					k0 := k
+					// MulFloat: TwoProd, fmaf of the low part, normalize.
+					a := diag[i]
+					accHi, accLo := twofloat.TwoProd(hi[i], a)
+					accLo = float32(math.FMA(float64(lo[i]), float64(a), float64(accLo)))
+					accHi, accLo = twofloat.Fast2Sum(accHi, accLo)
 					for end := rowPtr[i+1]; k < end; k++ {
-						c := cols[k]
-						acc = twofloat.Add(acc, twofloat.MulFloat(twofloat.DW{Hi: hi[c], Lo: lo[c]}, vals[k]))
+						c, a := cols[k], vals[k]
+						ph, pl := twofloat.TwoProd(hi[c], a)
+						pl = float32(math.FMA(float64(lo[c]), float64(a), float64(pl)))
+						ph, pl = twofloat.Fast2Sum(ph, pl)
+						// Add(acc, p): AccurateDWPlusDW.
+						sh, sl := twofloat.TwoSum(accHi, ph)
+						th, tl := twofloat.TwoSum(accLo, pl)
+						vh, vl := twofloat.Fast2Sum(sh, sl+th)
+						accHi, accLo = twofloat.Fast2Sum(vh, tl+vl)
 					}
-					d := twofloat.Sub(twofloat.DW{Hi: bHi[i], Lo: bLo[i]}, acc)
-					rHi[i], rLo[i] = d.Hi, d.Lo
+					// Sub(b_i, acc) = Add(b_i, −acc).
+					sh, sl := twofloat.TwoSum(bHi[i], -accHi)
+					th, tl := twofloat.TwoSum(bLo[i], -accLo)
+					vh, vl := twofloat.Fast2Sum(sh, sl+th)
+					rHi[i], rLo[i] = twofloat.Fast2Sum(vh, tl+vl)
+					if rHi[i] != rHi[i] {
+						d := residualRowDW(hi, lo, vals[k0:k], cols[k0:k], diag[i], twofloat.DW{Hi: bHi[i], Lo: bLo[i]}, i)
+						rHi[i], rLo[i] = d.Hi, d.Lo
+					}
 				}
 			}
 		}
@@ -544,6 +573,17 @@ func (sys *System) nativeResidualExt(r, b, x *tensordsl.Tensor, halos []*graph.B
 			}
 		}
 	}
+}
+
+// residualRowDW is b_i − A_i·x of row i in twofloat's functions, the row's
+// off-diagonal entries given by its slices of vals and cols: the path of a
+// DW residual row whose result is NaN.
+func residualRowDW(hi, lo, vals []float32, cols []int32, diag float32, b twofloat.DW, i int) twofloat.DW {
+	acc := twofloat.MulFloat(twofloat.DW{Hi: hi[i], Lo: lo[i]}, diag)
+	for k, c := range cols {
+		acc = twofloat.Add(acc, twofloat.MulFloat(twofloat.DW{Hi: hi[c], Lo: lo[c]}, vals[k]))
+	}
+	return twofloat.Sub(b, acc)
 }
 
 // DiagTensor returns a distributed tensor holding the matrix diagonal

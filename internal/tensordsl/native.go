@@ -1,8 +1,11 @@
 package tensordsl
 
 import (
+	"math"
+
 	"ipusparse/internal/graph"
 	"ipusparse/internal/ipu"
+	"ipusparse/internal/twofloat"
 )
 
 // This file lowers materialized expressions into native kernel descriptors —
@@ -244,13 +247,30 @@ func divideTerms(terms []fusedTerm, divisor fusedTerm) ([]fusedTerm, bool) {
 // nativeReducePartial returns the native kernel of a reduction's per-tile
 // partial phase, which both backends run: it fills the sink the final-combine
 // kernel reads. float32 sums and dot products are reduce-partial descriptors
-// whose sequential float32 accumulation matches reduceVec exactly; the rest
-// folds through reduceVec itself.
+// whose sequential float32 accumulation matches reduceVec exactly; a product
+// of two distributed double-word leaves (MPIR's r·r and b·b) folds straight
+// into the sink with reduceVec's bits; the rest folds through reduceVec
+// itself.
 func (s *Session) nativeReducePartial(e *Expr, sh *Tensor, evalType ipu.Scalar, maxAbs bool,
 	sink *graph.PartialSink, active []bool) *graph.NativeKernel {
 
+	partials, partsF64 := sink.DW, sink.F64
+	if sh != nil && evalType == ipu.DW && !maxAbs {
+		if xa, xb, ok := matchProduct(e, ipu.DW); ok && xb != nil && xa.sameMapping(xb) {
+			tiles, as := xa.activeLocals()
+			_, bs := xb.activeLocals()
+			k := graph.OpaqueKernel(func() {
+				for i, tile := range tiles {
+					d := dwDot(as[i], bs[i])
+					partials[tile], partsF64[tile] = d, d.Float64()
+				}
+			}, e.leafBuffers(nil), nil)
+			k.Sink = sink
+			return k
+		}
+	}
 	if sh != nil && evalType == ipu.F32 && !maxAbs {
-		if xa, xb, ok := matchF32Product(e); ok {
+		if xa, xb, ok := matchProduct(e, ipu.F32); ok {
 			tiles, _ := xa.activeLocals()
 			sa := xa.f32Segs()
 			var sb [][]float32
@@ -265,7 +285,6 @@ func (s *Session) nativeReducePartial(e *Expr, sh *Tensor, evalType ipu.Scalar, 
 		}
 	}
 
-	partials, partsF64 := sink.DW, sink.F64
 	sc := &evalScratch{}
 	var run func()
 	if sh == nil {
@@ -296,23 +315,55 @@ func (s *Session) nativeReducePartial(e *Expr, sh *Tensor, evalType ipu.Scalar, 
 	return k
 }
 
-// matchF32Product matches a distributed float32 leaf (sum) or a product of
-// two distributed float32 leaves (dot product). b is nil for the plain sum.
-func matchF32Product(e *Expr) (a, b *Tensor, ok bool) {
-	distF32 := func(x *Expr) *Tensor {
-		if x.kind == leafTensor && !x.t.repl && x.t.dt == ipu.F32 {
+// matchProduct matches a distributed leaf of type dt (sum) or a product of
+// two distributed leaves of type dt (dot product). b is nil for the plain sum.
+func matchProduct(e *Expr, dt ipu.Scalar) (a, b *Tensor, ok bool) {
+	dist := func(x *Expr) *Tensor {
+		if x.kind == leafTensor && !x.t.repl && x.t.dt == dt {
 			return x.t
 		}
 		return nil
 	}
-	if t := distF32(e); t != nil {
+	if t := dist(e); t != nil {
 		return t, nil, true
 	}
 	if e.kind == binaryExpr && e.op == '*' {
-		ta, tb := distF32(e.a), distF32(e.b)
+		ta, tb := dist(e.a), dist(e.b)
 		if ta != nil && tb != nil {
 			return ta, tb, true
 		}
 	}
 	return nil, nil, false
+}
+
+// dwDot is reduceVec's fold of evalVec's a∘b for double-word a and b:
+// s = Add(s, Mul(a_i, b_i)) from s = 0, in element order. Add and Mul exceed
+// the inlining budget, so both are spelled out with twofloat's own steps,
+// operand for operand, which leaves their bits; a NaN sum is folded again
+// with the functions themselves, for the reason nativeResidualExt gives.
+func dwDot(a, b *graph.Buffer) twofloat.DW {
+	n := len(a.Hi)
+	aHi, aLo, bHi, bLo := a.Hi[:n], a.Lo[:n], b.Hi[:n], b.Lo[:n]
+	var sHi, sLo float32
+	for i, xh := range aHi {
+		xl, yh, yl := aLo[i], bHi[i], bLo[i]
+		// Mul(x, y): DWTimesDW with FMA.
+		ch, cl1 := twofloat.TwoProd(xh, yh)
+		cl0 := xh * yl
+		cl2 := float32(math.FMA(float64(xl), float64(yh), float64(cl0)))
+		ph, pl := twofloat.Fast2Sum(ch, cl1+cl2)
+		// Add(s, p): AccurateDWPlusDW.
+		sh, sl := twofloat.TwoSum(sHi, ph)
+		th, tl := twofloat.TwoSum(sLo, pl)
+		vh, vl := twofloat.Fast2Sum(sh, sl+th)
+		sHi, sLo = twofloat.Fast2Sum(vh, tl+vl)
+	}
+	if sHi == sHi {
+		return twofloat.DW{Hi: sHi, Lo: sLo}
+	}
+	var s twofloat.DW
+	for i := range aHi {
+		s = twofloat.Add(s, twofloat.Mul(twofloat.DW{Hi: aHi[i], Lo: aLo[i]}, twofloat.DW{Hi: bHi[i], Lo: bLo[i]}))
+	}
+	return s
 }

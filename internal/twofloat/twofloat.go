@@ -28,6 +28,17 @@
 // fused f32 multiply-add; on the host we emulate that single rounding with
 // float64 intermediates, and a Dekker-split variant is provided as a pure
 // float32 cross-check).
+//
+// Add, Mul and MulFloat exceed Go's inlining budget, and a call per element
+// costs more than the arithmetic, so hot loops over double-word arrays (the
+// MPIR residual in package solver, the double-word dot partial in package
+// tensordsl) spell them out in the inlinable steps TwoProd, TwoSum and
+// Fast2Sum plus math.FMA for fmaf. They keep this package's operations,
+// operand order and explicit conversions step for step, so they leave its
+// bits, and this package stays their oracle in the kernel property tests.
+// NaN results are the exception: which of two NaN operands an add keeps
+// follows the operand order the compiler picked for that copy of the code,
+// so those loops recompute a NaN result with this package's functions.
 package twofloat
 
 import "math"
@@ -107,9 +118,10 @@ func Fast2Sum(a, b float32) (s, e float32) {
 // (barring spurious overflow/underflow). It models the IPU's fused
 // multiply-add: e = fma(a, b, -p). On the host the FMA is emulated with a
 // float64 intermediate, which is exact because a float32 product has at most
-// 48 significand bits.
+// 48 significand bits. The explicit conversion rounds p, so that no compiler
+// fuses the product into the caller's next add (Go may, on arm64).
 func TwoProd(a, b float32) (p, e float32) {
-	p = a * b
+	p = float32(a * b)
 	e = float32(float64(a)*float64(b) - float64(p))
 	return p, e
 }
