@@ -224,9 +224,10 @@ func run(matrixPath, gen, cfgPath, rhs string, tiles, chips int, tol float64, st
 	}
 	if faultRate > 0 {
 		// The flags override the config's campaign; a fault campaign without a
-		// configured resilience policy gets the default checkpoint/restart one.
+		// configured resilience policy gets the default checkpoint/restart one
+		// when the solver can take one.
 		cfg.Fault = &config.FaultConfig{Seed: faultSeed, Rate: faultRate}
-		if cfg.Recovery == nil {
+		if cfg.Recovery == nil && cfg.Recoverable() {
 			cfg.Recovery = &config.RecoveryConfig{}
 		}
 	}

@@ -388,15 +388,18 @@ var buildableSolvers = map[string]bool{
 	"gaussseidel": true, "jacobi": true, "ilu0": true, "dilu": true,
 }
 
+// restartableSolvers are the iterative solver types with a restartable state:
+// the only inner solves mpir can refine with and the only solvers a recovery
+// policy can harden (solver.WithRecovery takes no other).
+var restartableSolvers = map[string]bool{"pbicgstab": true, "bicgstab": true, "cg": true, "richardson": true}
+
 // Validate checks the configuration tree.
 func (c Config) Validate() error {
 	if err := c.Solver.validate(true); err != nil {
 		return err
 	}
 	if c.MPIR != nil {
-		switch c.Solver.Type {
-		case "pbicgstab", "bicgstab", "cg", "richardson":
-		default:
+		if !restartableSolvers[c.Solver.Type] {
 			return fmt.Errorf("config: mpir cannot refine with a %q inner solver (pbicgstab, bicgstab, cg or richardson)", c.Solver.Type)
 		}
 		switch c.MPIR.Extended {
@@ -429,6 +432,9 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.Recovery != nil {
+		if !c.Recoverable() {
+			return fmt.Errorf("config: recovery cannot harden a %q solver (pbicgstab, bicgstab, cg or richardson)", c.Solver.Type)
+		}
 		if c.Recovery.Interval < 0 {
 			return fmt.Errorf("config: recovery.interval must not be negative")
 		}
@@ -509,6 +515,11 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// Recoverable reports whether a recovery block can harden the solver
+// hierarchy: its top-level solver (under mpir, each correction solve) is one
+// with a restartable state.
+func (c Config) Recoverable() bool { return restartableSolvers[c.Solver.Type] }
 
 // Plan converts the fault section into a campaign plan for fault.New.
 func (fc *FaultConfig) Plan() fault.Plan {

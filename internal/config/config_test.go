@@ -82,6 +82,25 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("mpir over %s: %v", typ, err)
 		}
 	}
+	// A recovery block hardens pbicgstab, cg and richardson (and, under mpir,
+	// their correction solves); over any other solver it is an error that
+	// names the type, not a campaign run with no checkpoint or restart.
+	for _, typ := range []string{"gaussseidel", "jacobi", "ilu0", "dilu"} {
+		src := `{"solver": {"type": "` + typ + `"}, "recovery": {"interval": 5}}`
+		if _, err := Parse(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), `"`+typ+`"`) {
+			t.Errorf("recovery over %s: got %v, want an error naming the type", typ, err)
+		}
+	}
+	for _, src := range []string{
+		`{"solver": {"type": "cg"}, "recovery": {"interval": 5}}`,
+		`{"solver": {"type": "richardson"}, "recovery": {}}`,
+		`{"solver": {"type": "pbicgstab", "preconditioner": {"type": "gaussseidel"}}, "recovery": {}}`,
+		`{"solver": {"type": "bicgstab"}, "mpir": {"extended": "dw", "innerIterations": 1, "maxOuter": 1}, "recovery": {}}`,
+	} {
+		if _, err := Parse(strings.NewReader(src)); err != nil {
+			t.Errorf("%s: %v", src, err)
+		}
+	}
 }
 
 func TestDefaultValid(t *testing.T) {

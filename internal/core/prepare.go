@@ -208,7 +208,9 @@ func prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 		if err != nil {
 			return nil, err
 		}
-		solver.WithRecovery(s, rec)
+		if rec != nil && !solver.WithRecovery(s, rec) {
+			return nil, fmt.Errorf("core: recovery cannot harden a %q solver", cfg.Solver.Type)
+		}
 		p.xT = sys.Vector("x")
 		p.bT = sys.Vector("b")
 		s.ScheduleSolve(p.xT, p.bT, &p.st)

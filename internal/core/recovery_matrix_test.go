@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"ipusparse/internal/config"
@@ -38,7 +39,6 @@ func TestFaultFreeRecoveryArmedMatrix(t *testing.T) {
 		"cg-none":        {backendProfiles()["cg-plain"], small, 8},
 		"cg-jacobi":      {backendProfiles()["cg-jacobi"], small, 8},
 		"pbicgstab-ilu0": {backendProfiles()["pbicgstab-ilu0"], small, 8},
-		"gaussseidel":    {backendProfiles()["gaussseidel"], small, 8},
 		"mpir-cg-jacobi": {backendProfiles()["mpir-dp-cg"], small, 8},
 		// The original report: default config (MPIR dw + PBiCGStab + ILU(0))
 		// on poisson3d:8 across 64 tiles, Recovery{} armed, no faults.
@@ -66,6 +66,26 @@ func TestFaultFreeRecoveryArmedMatrix(t *testing.T) {
 				t.Fatalf("%s/%s: recovery machinery fired on a fault-free solve: restarts=%d recovered=%v breakdown=%v (%s)",
 					name, be, st.Restarts, st.Recovered, st.Breakdown, st.BreakdownReason)
 			}
+		}
+	}
+}
+
+// TestRecoveryOverGaussSeidelRejected: Gauss-Seidel has no restartable state
+// for a recovery policy to checkpoint, so a recovery block over it is refused
+// instead of running the campaign unhardened. Validation names the type, and
+// prepare, which the validated path reaches, refuses it on its own too.
+func TestRecoveryOverGaussSeidelRejected(t *testing.T) {
+	m := sparse.Poisson2D(12, 12)
+	cfg := backendProfiles()["gaussseidel"]
+	cfg.Recovery = &config.RecoveryConfig{Interval: 5, MaxRestarts: 2}
+	for _, be := range []string{config.BackendSim, config.BackendNative} {
+		_, err := Prepare(smallMachine(8), m, cfg, PartitionContiguous, WithBackend(be))
+		if err == nil || !strings.Contains(err.Error(), `"gaussseidel"`) {
+			t.Errorf("%s: Prepare: got %v, want an error naming gaussseidel", be, err)
+		}
+		_, err = prepare(smallMachine(8), m, cfg, PartitionContiguous, nil, be, nil)
+		if err == nil || !strings.Contains(err.Error(), `"gaussseidel"`) {
+			t.Errorf("%s: prepare: got %v, want an error naming gaussseidel", be, err)
 		}
 	}
 }
