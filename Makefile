@@ -55,13 +55,17 @@ bench:
 ## over x, iterations and relRes), MPIR's inner stopping rule and its
 ## convergence property (correction solves stop at max(16u, ½·τ/ρ)), the
 ## ABFT-armed default hierarchy's zero detections and the paper golden file,
-## without -race
+## without -race; then the bit-identity tests once more built for GOAMD64=v3
+## (the level at which Go could fuse x*y+z into an FMA: the double-word and
+## fused loops must leave the same bits at every amd64 level; needs a host
+## with AVX2 and FMA)
 bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels|BenchmarkPrepare' -benchtime 1x -benchmem .
 	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets|TestCorrectionTol|TestSolverScheduleDigest' ./internal/solver
 	$(GO) test -short -run 'TestBilledSet|TestValidateBilledSets|TestExchangeBillReplayed|TestEngineSuperstepZeroAlloc|TestRowRuns|TestNativeControlFlowMatchesEngine|TestNativeInjectorConsultationOrder' ./internal/graph
 	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact|TestNativeMPIRDigest|TestMPIRConverges|TestABFTMPIRCorrectionsVerifyOnce' ./internal/core
 	$(GO) test -short -run 'TestPaperGolden' ./internal/bench
+	GOAMD64=v3 $(GO) test -short -run 'TestNativeKernelsMatchCodelets|TestFusedStreamMatchesPlain|TestNativeMPIRDigest|TestSimColdCountsExact|TestPaperGolden' ./internal/solver ./internal/core ./internal/bench
 
 ## serve-smoke: build one race-enabled ipuserved (and, for the cluster phase,
 ## one ipurouterd) and drive the servesmoke phases named by PHASES against
