@@ -467,15 +467,15 @@ func checkPackedSweeps(t *testing.T, sys *System, ts *triSchedule, cover *sweepC
 // TestNativeKernelsMatchCodelets is the kernel-vs-codelet property: on
 // generated systems every rewritten compute set — SpMV, both extended
 // residuals, the double-word norm partials, and the factor/forward/backward
-// sets of ILU(0) and DILU — leaves
-// exactly the bits of its oracle on both backends, with NaN and ±Inf among the
-// inputs, and again after a values-only refresh. The simulator runs the
-// billed sets through the native kernels, so the oracles stand for the
-// codelet loops those sets no longer have: the per-worker SpMV and residual
-// row loops with their owned/halo branch, and the natural-order sweeps. The
-// ILU(0) factor is interpreted, so there the native kernel must also match
-// its codelets. The sweeps run packed in level order and once more packed in
-// natural order: any topological order leaves the oracle's bits.
+// sets of ILU(0) and DILU — leaves exactly the bits of its oracle on both
+// backends, with NaN and ±Inf among the inputs, and again after a
+// values-only refresh. The simulator runs the billed sets through the native
+// kernels, so the oracles stand for the codelet loops those sets no longer
+// have: the per-worker SpMV and residual row loops with their owned/halo
+// branch, the reduction's evaluate-then-fold, and the natural-order sweeps.
+// The ILU(0) factor is interpreted, so there the native kernel must also
+// match its codelets. The sweeps run packed in level order and once more
+// packed in natural order: any topological order leaves the oracle's bits.
 func TestNativeKernelsMatchCodelets(t *testing.T) {
 	var sawNoHalo, sawEmptyTile, sawEmptyRow, sawCutRun bool
 	sawRun := map[int32]bool{}
