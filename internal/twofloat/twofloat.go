@@ -131,8 +131,10 @@ const splitter = 4097 // 2^12 + 1 for float32 (24-bit significand)
 // Split is Dekker's splitting of a float32 into a 12-bit high part and a
 // 12-bit low part with x == hi + lo exactly.
 func Split(x float32) (hi, lo float32) {
-	c := splitter * x
-	hi = c - (c - x)
+	// The explicit roundings keep the product and the inner difference from
+	// fusing into one FMA (FNMSUBS on arm64), which would break the split.
+	c := float32(splitter * x)
+	hi = c - float32(c-x)
 	lo = x - hi
 	return hi, lo
 }
@@ -141,10 +143,15 @@ func Split(x float32) (hi, lo float32) {
 // It is exact for the same inputs as TwoProd and exists as a pure-float32
 // cross-check of the FMA emulation. 17 flops.
 func TwoProdDekker(a, b float32) (p, e float32) {
-	p = a * b
+	p = float32(a * b)
 	ahi, alo := Split(a)
 	bhi, blo := Split(b)
-	e = ((ahi*bhi - p) + ahi*blo + alo*bhi) + alo*blo
+	// Each partial product is rounded on its own, as TwoProd's are: a fused
+	// multiply-add here would change the error term.
+	e = float32(ahi*bhi) - p
+	e += float32(ahi * blo)
+	e += float32(alo * bhi)
+	e += float32(alo * blo)
 	return p, e
 }
 
