@@ -58,7 +58,10 @@ bench:
 ## without -race; then the bit-identity tests once more built for GOAMD64=v3
 ## (the level at which Go could fuse x*y+z into an FMA: the double-word and
 ## fused loops must leave the same bits at every amd64 level; needs a host
-## with AVX2 and FMA)
+## with AVX2 and FMA); last, an arm64 fusion guard: twofloat's test binary
+## cross-compiled for arm64 (no arm64 host needed) must show no fused
+## multiply-add (FMADDS, FMSUBS, FNMADDS, FNMSUBS) in Split, TwoProd or
+## TwoProdDekker, whose error terms a fused rounding would change
 bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeMPIRZeroAlloc' -bench 'BenchmarkNativeKernels|BenchmarkPrepare' -benchtime 1x -benchmem .
 	$(GO) test -short -run 'TestFusedStreamMatchesPlain|TestNativeKernelsMatchCodelets|TestCorrectionTol|TestSolverScheduleDigest' ./internal/solver
@@ -66,6 +69,11 @@ bench-backend-smoke:
 	$(GO) test -short -run 'TestNativeFusedSets|TestSimColdCountsExact|TestNativeMPIRDigest|TestMPIRConverges|TestABFTMPIRCorrectionsVerifyOnce' ./internal/core
 	$(GO) test -short -run 'TestPaperGolden' ./internal/bench
 	GOAMD64=v3 $(GO) test -short -run 'TestNativeKernelsMatchCodelets|TestFusedStreamMatchesPlain|TestNativeMPIRDigest|TestSimColdCountsExact|TestPaperGolden' ./internal/solver ./internal/core ./internal/bench
+	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
+	GOARCH=arm64 $(GO) test -c -o $$tmp/twofloat.test ./internal/twofloat && \
+	$(GO) tool objdump -s 'twofloat\.(Split|TwoProd|TwoProdDekker)$$' $$tmp/twofloat.test > $$tmp/asm && \
+	grep -q 'TEXT.*TwoProdDekker' $$tmp/asm && \
+	if grep -E 'F(N?)M(ADD|SUB)S' $$tmp/asm; then echo 'arm64 fuses a twofloat error term'; exit 1; fi
 
 ## serve-smoke: build one race-enabled ipuserved (and, for the cluster phase,
 ## one ipurouterd) and drive the servesmoke phases named by PHASES against
@@ -75,8 +83,9 @@ bench-backend-smoke:
 ##   restart  kill -9 a crash-safe server and require the WAL-recovered system
 ##            to serve a bit-identical warm solve
 ##   chaos    a seeded service-level campaign (replica crashes, stalls,
-##            breakdown storms, host errors) and a device-level one on both
-##            backends -- zero wrong answers, >=99% availability
+##            breakdown storms, host errors) and a device-level one on the
+##            native backend serving runs (sdc-smoke gates the simulator's)
+##            -- zero wrong answers, >=99% availability
 ##   metrics  GET /metrics carries the key series of every layer
 ##   refresh  PATCH /v1/systems/{id} value drifts keep the ID, bump the
 ##            generation and refresh the warm pipelines with one cold prepare
@@ -104,8 +113,8 @@ bench-sdc:
 	$(GO) run ./cmd/benchsuite -experiment sdc -json BENCH_sdc.json
 
 ## bench-tune: the autotuning study (Table XIII) and its BENCH_tune.json
-## artifact: static default vs raced winner per serving profile, including
-## the misconfigured sim-pinned profile the tuner repairs
+## artifact: static default vs raced winner for each of the two serving
+## profiles, every candidate on the native backend
 bench-tune:
 	$(GO) run ./cmd/benchsuite -experiment tune -json BENCH_tune.json
 

@@ -14,9 +14,11 @@
 // server comes back serving the same systems.
 //
 // Everything else is configured in the -config file, one spelling per knob:
-// the execution backend (engine.backend), a device-level fault campaign (the
-// fault and recovery blocks), ABFT (solver.abft), the autotuner (serve.tune)
-// and a service-level chaos campaign (serve.chaos).
+// a device-level fault campaign (the fault and recovery blocks), ABFT
+// (solver.abft), the autotuner (serve.tune) and a service-level chaos
+// campaign (serve.chaos). Every replica runs the native backend: a config
+// whose engine block names another backend or a device trace is refused at
+// startup, as the same block is on a registration or PATCH.
 //
 // Shutdown on SIGINT/SIGTERM is graceful: admission stops, queued jobs
 // drain, then the listener closes. -drain-timeout bounds the drain: when a
@@ -70,6 +72,9 @@ func run(addr, cfgPath, portFile, stateDir string, drainTimeout time.Duration) e
 		}
 	}
 	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if err := serve.CheckServable(&cfg); err != nil {
 		return err
 	}
 	if addr == "" {

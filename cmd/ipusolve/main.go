@@ -7,9 +7,9 @@
 // format of paper §V; without one the paper's reference configuration
 // MPIR(double-word) + PBiCGStab + ILU(0) is used.
 //
-// -tune races candidate configurations (the flags' own choice first, then
-// partition strategy and preconditioner on the native backend) within
-// -tune-budget and solves with the winner.
+// -tune races candidate configurations on the native backend (the flags' own
+// choice first, then partition strategy and preconditioner variants) within
+// -tune-budget and solves with the winner on the chosen -backend.
 //
 // Example:
 //
@@ -148,19 +148,13 @@ func printFingerprint(matrixPath, gen string) error {
 }
 
 // raceCandidates runs the one-shot autotune pass: the race measures the
-// candidates within the budget. The positional -partition and -backend
-// choices form the default candidate, so the winner is never slower than what
-// the flags alone would have run.
+// candidates natively within the budget. The positional -partition choice
+// forms the default candidate, so the winner is never slower on native than
+// what the flags alone would have run.
 func raceCandidates(mc ipu.Config, m *sparse.Matrix, cfg config.Config, strategy string, budget time.Duration) (*tune.Decision, error) {
-	// The default candidate is exactly what the flags alone would run: the
-	// -backend/config choice, or the CLI's simulator default.
-	def := cfg.EngineBackend()
-	if def == "" {
-		def = config.BackendSim
-	}
 	return tune.Race(context.Background(), mc, m, cfg, tune.Options{
 		Budget:  budget,
-		Default: tune.Candidate{Strategy: strategy, Backend: def},
+		Default: tune.Candidate{Strategy: strategy},
 	})
 }
 
@@ -284,9 +278,10 @@ func run(matrixPath, gen, cfgPath, rhs string, tiles, chips int, tol float64, st
 			return err
 		}
 		printDecision(d)
-		// The winner's strategy/backend/parallelism ride WithTuned (overriding
-		// the positional strategy); a preconditioner swap rewrites the config.
-		opts = append(opts, core.WithTuned(d.Winner.Tuned()))
+		// The winner's strategy replaces the positional one and a
+		// preconditioner swap rewrites the config; the solve still runs on
+		// the chosen -backend.
+		strategy = d.Winner.Strategy
 		cfg = tune.ApplyPrecond(cfg, d.Winner.Precond)
 	}
 	res, err := core.Solve(mc, m, b, cfg, core.PartitionStrategy(strategy), opts...)

@@ -15,10 +15,11 @@
 //   - chaos: rerun serving under a seeded fault campaign (replica crashes,
 //     stalls, breakdown storms, host errors) and require zero wrong answers
 //     and >=99% availability, then kill -9 and recover. Then rerun with a
-//     device-level campaign (the config's fault block) on the native AND
-//     simulator backends — bit flips and exchange corruption inside the
+//     device-level campaign (the config's fault block) on the native backend
+//     every replica runs — bit flips and exchange corruption inside the
 //     solves, ABFT armed — and require every answer right, in-loop checksum
-//     detections firing, and sdc_escapes_total staying 0.
+//     detections firing, and sdc_escapes_total staying 0. The simulator's
+//     campaigns are sdcsmoke -backend sim's.
 //
 //   - metrics: scrape GET /metrics after a solve and require the Prometheus
 //     exposition to carry the key series of every layer — serve latency
@@ -35,8 +36,9 @@
 //   - tune: boot with the autotuner armed and a crash-safe state directory,
 //     register, require GET /v1/systems/{id}/tune to carry a race decision
 //     with tune_races_total >= 1, kill -9, restart on the same state
-//     directory and require the decision recovered from the WAL without
-//     re-racing (the new process's tune_races_total stays 0).
+//     directory and require the same decision (its winner's strategy and
+//     preconditioner) recovered from the WAL without re-racing (the new
+//     process's tune_races_total stays 0).
 //
 //   - cluster: boot three shards behind one ipurouterd (replica factor 2)
 //     and run four steps against that fleet, in order. Placement: a
@@ -76,6 +78,7 @@ import (
 	"ipusparse/internal/config"
 	"ipusparse/internal/fault"
 	"ipusparse/internal/sparse"
+	"ipusparse/internal/tune"
 )
 
 const (
@@ -192,17 +195,14 @@ func buildRace(out, pkg string) error {
 }
 
 // chaosPhases is the service-level campaign followed by the device-level
-// campaign on both backends: the serving default (native) and the simulator —
-// bit flips and exchange corruption inside the solve, guarded by ABFT; zero
-// silent escapes allowed on either.
+// one on the native backend serving runs: bit flips and exchange corruption
+// inside the solve, guarded by ABFT; zero silent escapes allowed.
 func chaosPhases(e env) error {
 	if err := chaosPhase(e); err != nil {
 		return err
 	}
-	for _, be := range []string{"native", "sim"} {
-		if err := faultPhase(e, be); err != nil {
-			return fmt.Errorf("device faults (%s): %w", be, err)
-		}
+	if err := faultPhase(e); err != nil {
+		return fmt.Errorf("device faults: %w", err)
 	}
 	return nil
 }
@@ -520,16 +520,16 @@ func chaosPhase(e env) error {
 }
 
 // faultPhase boots the server with a device-level fault campaign and ABFT
-// armed on the given backend, all set in its config file, fires solves, and
-// requires: no wrong answer ever served, the ABFT checks actually running,
-// and zero SDC escapes — the sdc_escapes_total series must stay 0 even while
-// faults corrupt tile memory and exchange payloads inside the solves.
-func faultPhase(e env, backendName string) error {
+// armed, both set in its config file, fires solves, and requires: no wrong
+// answer ever served, the ABFT checks actually running, and zero SDC escapes
+// — the sdc_escapes_total series must stay 0 even while faults corrupt tile
+// memory and exchange payloads inside the solves.
+func faultPhase(e env) error {
 	// CG+Jacobi with the checkpoint/restart policy: under this campaign seed
 	// the checksum SpMV detects the corruption in-loop and the solve recovers
-	// through restarts — deterministically, on both backends (replay
-	// identity), so every request must be served and served right.
-	cfgPath, err := writeConfig(e.dir, "fault-"+backendName+".json", map[string]any{
+	// through restarts — deterministically, so every request must be served
+	// and served right.
+	cfgPath, err := writeConfig(e.dir, "fault.json", map[string]any{
 		"solver": map[string]any{
 			"type": "cg", "maxIterations": 600, "tolerance": 1e-8, "abft": true,
 			"preconditioner": map[string]any{"type": "jacobi"},
@@ -538,12 +538,11 @@ func faultPhase(e env, backendName string) error {
 		"fault": map[string]any{
 			"seed": 6, "rate": 0.0008, "kinds": []string{"bit-flip", "exchange-corrupt"},
 		},
-		"engine": map[string]any{"backend": backendName},
 	})
 	if err != nil {
 		return err
 	}
-	srv, err := startServer(e.dir, e.server, "fault-"+backendName, "-config", cfgPath)
+	srv, err := startServer(e.dir, e.server, "fault", "-config", cfgPath)
 	if err != nil {
 		return err
 	}
@@ -565,7 +564,7 @@ func faultPhase(e env, backendName string) error {
 		served++
 		if err != nil {
 			wrong++
-			fmt.Fprintf(os.Stderr, "servesmoke: under faults (%s): %v\n", backendName, err)
+			fmt.Fprintf(os.Stderr, "servesmoke: under faults: %v\n", err)
 		}
 	}
 	if wrong != 0 {
@@ -598,8 +597,7 @@ func faultPhase(e env, backendName string) error {
 	if !strings.Contains(body, "sdc_escapes_total 0") {
 		return fmt.Errorf("/metrics sdc_escapes_total is not 0")
 	}
-	fmt.Printf("servesmoke: fault campaign (%s): %d/%d served, 0 wrong, 0 SDC escapes\n",
-		backendName, served, total)
+	fmt.Printf("servesmoke: fault campaign: %d/%d served, 0 wrong, 0 SDC escapes\n", served, total)
 	return srv.drain()
 }
 
@@ -765,9 +763,7 @@ func tunePhase(e env) error {
 	type tuneReply struct {
 		ID   string `json:"id"`
 		Tune *struct {
-			Winner struct {
-				Backend string `json:"backend,omitempty"`
-			} `json:"winner"`
+			Winner  tune.Candidate    `json:"winner"`
 			Speedup float64           `json:"speedup"`
 			Races   []json.RawMessage `json:"races"`
 		} `json:"tune"`
@@ -808,9 +804,8 @@ func tunePhase(e env) error {
 	if td2.Tune == nil || len(td2.Tune.Races) != len(td.Tune.Races) {
 		return fmt.Errorf("restart lost the tune decision (got %+v)", td2.Tune)
 	}
-	if td2.Tune.Winner.Backend != td.Tune.Winner.Backend {
-		return fmt.Errorf("restart changed the winner backend %q -> %q",
-			td.Tune.Winner.Backend, td2.Tune.Winner.Backend)
+	if td2.Tune.Winner != td.Tune.Winner {
+		return fmt.Errorf("restart changed the winner %v -> %v", td.Tune.Winner, td2.Tune.Winner)
 	}
 	races2, err := scrapeCounter(srv2.base, "tune_races_total")
 	if err != nil {

@@ -254,15 +254,14 @@ func TestFig9Convergence(t *testing.T) {
 }
 
 // TestTuneStudyShape checks Table XIII's claims at quick scale: every row
-// races at most 4 candidates, the raced winner never loses to the default,
-// and the sim-pinned profile is repaired onto the native backend.
+// races at most 4 candidates and the raced winner never loses to the default.
 func TestTuneStudyShape(t *testing.T) {
 	rows, err := TuneStudy(fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("Table XIII has %d rows, want 3", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("Table XIII has %d rows, want 2", len(rows))
 	}
 	for _, r := range rows {
 		if r.Races < 1 || r.Races > 4 {
@@ -270,9 +269,6 @@ func TestTuneStudyShape(t *testing.T) {
 		}
 		if r.Speedup < 1 {
 			t.Errorf("%s: speedup %.3f < 1", r.Profile, r.Speedup)
-		}
-		if strings.HasSuffix(r.Profile, "sim-pinned") && strings.Split(r.Winner, "/")[1] != "native" {
-			t.Errorf("%s: winner %s, want a native repair", r.Profile, r.Winner)
 		}
 	}
 }

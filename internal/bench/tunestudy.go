@@ -50,16 +50,12 @@ func tunePBiCGStab() config.Config {
 }
 
 // TuneStudy measures Table XIII: what the registration-time autotuner buys
-// over each profile's static default. Three serving profiles are raced on the
-// single-chip machine:
+// over each profile's static default. Two serving profiles are raced on the
+// single-chip machine, every candidate on the native backend serving runs:
 //
-//   - cg+jacobi on the native default — the tuner shops partition strategy
-//     and preconditioner around an already sensible choice, so wins are
-//     modest;
-//   - pbicgstab+ilu0 on the native default — same regime, heavier solver;
-//   - cg+jacobi with the config pinned to the simulator backend — the
-//     misconfigured-profile case: the tuner discovers the native backend
-//     solves the same system bit-for-bit several times faster.
+//   - cg+jacobi — the tuner shops partition strategy and preconditioner
+//     around an already sensible choice, so wins are modest;
+//   - pbicgstab+ilu0 — same regime, heavier solver.
 func TuneStudy(o Options) ([]TuneRow, error) {
 	o = o.withDefaults()
 	mc := o.machineConfig(1)
@@ -67,30 +63,23 @@ func TuneStudy(o Options) ([]TuneRow, error) {
 	budget := 4 * time.Second
 	if o.Scale > 64 {
 		// Quick mode (tests): tiny grid, shapes only. The field of at most 4
-		// finishes well inside the budget, which only has to let the native
-		// repair race after a slow sim default (under -race too).
+		// finishes well inside the budget (under -race too).
 		n = 8
 		budget = time.Second
 	}
 
-	simPinned := tuneCG()
-	simPinned.Engine = &config.EngineConfig{Backend: "sim"}
 	profiles := []struct {
 		name string
 		cfg  config.Config
 	}{
 		{"cg+jacobi/native", tuneCG()},
 		{"pbicgstab+ilu0/native", tunePBiCGStab()},
-		{"cg+jacobi/sim-pinned", simPinned},
 	}
 
 	m := sparse.Poisson3D(n, n, n)
 	rows := make([]TuneRow, 0, len(profiles))
 	for _, p := range profiles {
-		d, err := tune.Race(context.Background(), mc, m, p.cfg, tune.Options{
-			Budget:  budget,
-			Default: tune.Candidate{Backend: p.cfg.EngineBackend()},
-		})
+		d, err := tune.Race(context.Background(), mc, m, p.cfg, tune.Options{Budget: budget})
 		if err != nil {
 			return nil, fmt.Errorf("tune %s: %w", p.name, err)
 		}

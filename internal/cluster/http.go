@@ -152,8 +152,9 @@ func (rt *Router) handleDeleteSystem(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePatchSystem applies a values-only refresh (PATCH /v1/systems/{id}) to
-// every shard of the target's replica set. Pattern conflicts answer 409
-// before any shard traffic; an unknown target answers 404.
+// every shard of the target's replica set. Pattern conflicts answer 409 and
+// a config failing serve.CheckServable the typed 400, both before any shard
+// traffic; an unknown target answers 404.
 func (rt *Router) handlePatchSystem(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req serve.UpdateRequest

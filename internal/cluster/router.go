@@ -334,15 +334,11 @@ func (rt *Router) fanOut(id, doing, did string, call func(sh *shard) error) (int
 // set. Registration succeeds when at least one shard holds the system (the
 // reconciler completes the set); it is idempotent end to end.
 func (rt *Router) Register(ctx context.Context, req serve.RegisterRequest) (serve.SystemInfo, error) {
-	// Capability pre-check: when the config itself pins an execution backend,
-	// a simulator-only feature request is rejected here — typed, before any
-	// shard traffic — instead of failing registration on every replica. A
-	// config that leaves the backend to each shard is checked by the shard's
-	// own registration gate.
-	if req.Config != nil && req.Config.EngineBackend() != "" {
-		if _, err := config.ResolveBackend(req.Config.EngineBackend(), req.Config.EngineTrace() != ""); err != nil {
-			return serve.SystemInfo{}, err
-		}
+	// The shards' engine gate, run here: a config naming the simulator or a
+	// device trace is rejected typed, before any shard traffic (imports skip
+	// the gate on the shards).
+	if err := serve.CheckServable(req.Config); err != nil {
+		return serve.SystemInfo{}, err
 	}
 	m, err := serve.BuildMatrix(req)
 	if err != nil {
@@ -406,6 +402,9 @@ func (rt *Router) Update(ctx context.Context, req serve.UpdateRequest) (serve.Up
 // update is Update with the PATCH body the shards get: the HTTP route forwards
 // the client's bytes, as the solve route does, where Update encodes req.
 func (rt *Router) update(ctx context.Context, req serve.UpdateRequest, body []byte) (serve.UpdateInfo, error) {
+	if err := serve.CheckServable(req.Config); err != nil {
+		return serve.UpdateInfo{}, err
+	}
 	rt.mu.Lock()
 	cs, ok := rt.systems[req.ID]
 	rt.mu.Unlock()

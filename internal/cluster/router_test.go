@@ -41,6 +41,7 @@ func shardOptions() serve.Options {
 type testShard struct {
 	srv  *httptest.Server
 	down atomic.Bool
+	hits atomic.Int64 // requests that reached the shard
 	opts serve.Options
 
 	mu  sync.Mutex
@@ -57,6 +58,7 @@ func newTestShardOpts(t *testing.T, opts serve.Options) *testShard {
 	t.Helper()
 	ts := &testShard{svc: serve.New(opts), opts: opts}
 	ts.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts.hits.Add(1)
 		if ts.down.Load() {
 			panic(http.ErrAbortHandler)
 		}
@@ -496,35 +498,49 @@ func TestRouterSoleReplicaKillIsUnroutableUntilRepair(t *testing.T) {
 	solveOnes(t, h, info.ID)
 }
 
-// TestRouterCapabilityGate: a registration whose config pins the native
-// backend and requests a simulator-only feature is rejected by the router
-// itself — typed, before any shard traffic — with the same HTTP 400 body a
-// shard would produce.
+// TestRouterCapabilityGate: a registration or PATCH whose config names the
+// simulator or a device trace is rejected by the router itself — typed,
+// before any shard traffic — with the same HTTP 400 body a shard would
+// produce.
 func TestRouterCapabilityGate(t *testing.T) {
 	rt, shards := testCluster(t, 2, 2)
 	srv := httptest.NewServer(rt.Handler())
 	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/v1/systems", "application/json", strings.NewReader(
-		`{"gen":"poisson2d:6","config":{"solver":{"type":"cg","maxIterations":300,"tolerance":1e-8},"engine":{"backend":"native","trace":"/tmp/t.json"}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("router capability mismatch: status %d, want 400", resp.StatusCode)
-	}
-	var body map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body["unsupported"] != "device tracing" || body["backend"] != "native" {
-		t.Fatalf("typed 400 body missing capability fields: %v", body)
-	}
-	for _, sh := range shards {
-		if n := len(sh.service().Systems()); n != 0 {
-			t.Fatalf("rejected registration still placed %d system(s) on a shard", n)
+	info := registerGen(t, rt, "poisson2d:6")
+	shardHits := func() (n int64) {
+		for _, sh := range shards {
+			n += sh.hits.Load()
 		}
+		return n
+	}
+	before := shardHits()
+
+	const solver = `"solver":{"type":"cg","maxIterations":300,"tolerance":1e-8}`
+	for _, tc := range []struct{ engine, feature string }{
+		{`{"backend":"native","trace":"/tmp/t.json"}`, "device tracing"},
+		{`{"backend":"sim"}`, "engine.backend sim"},
+	} {
+		for _, call := range []struct{ method, path, body string }{
+			{http.MethodPost, "/v1/systems", `{"gen":"poisson2d:7","config":{` + solver + `,"engine":` + tc.engine + `}}`},
+			{http.MethodPatch, "/v1/systems/" + info.ID, `{"gen":"poisson2d:6","config":{` + solver + `,"engine":` + tc.engine + `}}`},
+		} {
+			req, _ := http.NewRequest(call.method, srv.URL+call.path, strings.NewReader(call.body))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body map[string]string
+			err = json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusBadRequest ||
+				body["unsupported"] != tc.feature || body["backend"] != "native" {
+				t.Fatalf("router %s %s: status %d body %v, want the typed 400 naming %q",
+					call.method, tc.engine, resp.StatusCode, body, tc.feature)
+			}
+		}
+	}
+	if n := shardHits() - before; n != 0 {
+		t.Fatalf("rejected requests still sent %d request(s) to the shards", n)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 //     device tracing available. It is the research and validation backend
 //     and the CLI/bench default ("" and "simulator" spell it too).
 //   - BackendNative runs the stream with no accounting: host-speed kernels,
-//     fused on fault-free runs, zero allocation per run. It is the serving
-//     default.
+//     fused on fault-free runs, zero allocation per run. It is the only
+//     backend serving runs.
 //
 // Both consult a fault injector at the same points in the same order, so a
 // seeded campaign replays identically on either. They agree at residual
@@ -28,8 +28,7 @@ const (
 // ResolveBackend returns the canonical name of the backend name spells and
 // applies the one capability rule: device tracing (trace) needs the
 // simulator. A backend that cannot honor it is a typed *UnsupportedError,
-// which the serving tiers answer as a 400 at registration, before any
-// pipeline is prepared.
+// returned before any pipeline is prepared.
 func ResolveBackend(name string, trace bool) (string, error) {
 	switch name {
 	case "", BackendSim, "simulator":
@@ -44,14 +43,15 @@ func ResolveBackend(name string, trace bool) (string, error) {
 }
 
 // UnsupportedError is the typed rejection of a feature a backend cannot
-// honor exactly (device tracing on the native backend).
+// honor exactly: device tracing on the native backend, or any other backend
+// than native in serving.
 type UnsupportedError struct {
 	Backend string
 	Feature string
 }
 
 func (e *UnsupportedError) Error() string {
-	return fmt.Sprintf("backend %s: %s is not supported (use the simulator backend)", e.Backend, e.Feature)
+	return fmt.Sprintf("backend %s: %s is not supported", e.Backend, e.Feature)
 }
 
 // IsUnsupported reports whether err carries an UnsupportedError.

@@ -288,8 +288,8 @@ type EngineConfig struct {
 
 	// Backend selects the execution backend (see ResolveBackend): "sim"/
 	// "simulator" (the default; cycle-accurate, supports device tracing) or
-	// "native" (flat host-speed kernels, no cycle accounting — the serving
-	// default). Both run fault campaigns. Backends agree at residual level,
+	// "native" (flat host-speed kernels, no cycle accounting — all serving
+	// runs). Both run fault campaigns. Backends agree at residual level,
 	// not bit level.
 	Backend string `json:"backend,omitempty"`
 

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -340,6 +343,29 @@ func TestNativeRejectsTraceAndPerCallBackend(t *testing.T) {
 	}
 	if _, err := prep.Solve(b); err != nil {
 		t.Fatalf("pipeline unusable after rejected options: %v", err)
+	}
+}
+
+// TestEngineTraceKeyWritesTrace: the engine.trace config key, on sim, writes
+// each solve's device timeline to its file.
+func TestEngineTraceKeyWritesTrace(t *testing.T) {
+	m, b, _ := poissonProblem(8, 8)
+	cfg := backendProfiles()["cg-jacobi"]
+	path := filepath.Join(t.TempDir(), "run.json")
+	cfg.Engine = &config.EngineConfig{Backend: "sim", Trace: path}
+	prep, err := Prepare(smallMachine(4), m, cfg, PartitionContiguous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prep.Solve(b); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("engine.trace wrote nothing: %v", err)
+	}
+	if !bytes.Contains(data, []byte("traceEvents")) {
+		t.Fatalf("engine.trace output is not a trace-event file: %.80s", data)
 	}
 }
 

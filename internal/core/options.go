@@ -21,29 +21,6 @@ type runOptions struct {
 	reg        *telemetry.Registry
 	backend    string
 	backendSet bool
-	tuned      Tuned
-	tunedSet   bool
-}
-
-// Tuned is an autotuned execution configuration: the knobs a measured race
-// (internal/tune) decides per sparsity pattern. Zero-valued fields keep the
-// caller's positional/config choice, so a partial decision composes with the
-// registered configuration.
-type Tuned struct {
-	// Strategy overrides the positional partition strategy when non-empty.
-	Strategy PartitionStrategy
-	// Backend overrides the execution backend when non-empty. An explicit
-	// WithBackend option still wins over it.
-	Backend string
-}
-
-// WithTuned applies an autotuned execution configuration at Prepare: the
-// decision's partition strategy and backend replace the positional/config
-// defaults, while an explicit WithBackend option keeps precedence. Like the
-// backend itself, WithTuned is a Prepare-time decision — the program is
-// compiled for it.
-func WithTuned(t Tuned) Option {
-	return func(o *runOptions) { o.tuned, o.tunedSet = t, true }
 }
 
 // WithTrace exports the combined execution timeline — host pipeline phases
@@ -72,7 +49,7 @@ func WithParallelism(par int) Option {
 // superstep and supports device tracing; it is the CLI and bench default, so
 // research runs stay cycle-accurate unless asked. Native runs the stream
 // with no accounting, on host-speed and fused kernels with zero allocation
-// per run; it is the serving default. The backend is a Prepare-time
+// per run; it is what serving runs. The backend is a Prepare-time
 // decision, so WithBackend is only accepted by Prepare; passing it to a Solve
 // call returns an error. It takes precedence over the engine.backend config
 // key.

@@ -83,13 +83,7 @@ func Prepare(machineCfg ipu.Config, m *sparse.Matrix, cfg config.Config, strateg
 	for _, o := range opts {
 		o(&ro)
 	}
-	if ro.tunedSet && ro.tuned.Strategy != "" {
-		strategy = ro.tuned.Strategy
-	}
 	beName := cfg.EngineBackend()
-	if ro.tunedSet && ro.tuned.Backend != "" {
-		beName = ro.tuned.Backend
-	}
 	if ro.backendSet {
 		beName = ro.backend
 	}
@@ -401,9 +395,6 @@ func (p *Prepared) run(b []float64, ro runOptions) (*Result, error) {
 func (p *Prepared) runLocked(b []float64, ro runOptions) (graph.RunStats, time.Duration, error) {
 	if ro.backendSet {
 		return graph.RunStats{}, 0, fmt.Errorf("core: the backend is fixed at Prepare; pass WithBackend to Prepare, not Solve")
-	}
-	if ro.tunedSet {
-		return graph.RunStats{}, 0, fmt.Errorf("core: a tuned configuration is fixed at Prepare; pass WithTuned to Prepare, not Solve")
 	}
 	traceOut := ro.trace
 	if traceOut == nil {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -43,79 +42,79 @@ func TestServiceBackendDefaults(t *testing.T) {
 	}
 }
 
-// TestServicePerSystemBackendOverride registers the same matrix twice — once
-// inheriting the native service default, once pinned to the simulator through
-// its engine.backend key — and checks the pipelines are cached under distinct
-// keys and each runs on its own backend.
+// TestServicePerSystemBackendOverride: a per-system engine.backend other
+// than native (any simulator spelling) is refused by the serving gate, typed,
+// on registration and on PATCH, over the API and over HTTP, and nothing is
+// registered or changed.
 func TestServicePerSystemBackendOverride(t *testing.T) {
 	opts := testOptions()
 	s := New(opts)
 	defer s.Close()
 
 	m := sparse.Poisson2D(10, 10)
-	nativeInfo, err := s.Register(context.Background(), m, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, be := range []string{"sim", "simulator"} {
+		simCfg := opts.Solver
+		simCfg.Engine = &config.EngineConfig{Backend: be}
+		if _, err := s.Register(context.Background(), m, &simCfg); !config.IsUnsupported(err) {
+			t.Fatalf("register with engine.backend %s: err=%v, want typed UnsupportedError", be, err)
+		}
 	}
-	simCfg := opts.Solver
-	simCfg.Engine = &config.EngineConfig{Backend: "simulator"} // canonicalizes to "sim"
-	simInfo, err := s.Register(context.Background(), m, &simCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same matrix, same solver hierarchy — the engine block is excluded from
-	// the config hash, so only the backend separates the two registrations.
-	if nativeInfo.ID != simInfo.ID {
-		// Distinct IDs would also be fine; the interesting assertions are on
-		// the system that won the id slot below.
-		t.Logf("ids differ: %s vs %s", nativeInfo.ID, simInfo.ID)
+	if n := len(s.Systems()); n != 0 {
+		t.Fatalf("a refused registration left %d system(s)", n)
 	}
 
-	s.mu.Lock()
-	sys := s.systems[simInfo.ID]
-	s.mu.Unlock()
-	if sys.backend != "sim" {
-		t.Fatalf("per-system backend = %q, want sim", sys.backend)
+	checkTyped := func(what string, code int, out string) {
+		t.Helper()
+		var body map[string]string
+		if err := json.Unmarshal([]byte(out), &body); err != nil || code != http.StatusBadRequest ||
+			body["unsupported"] != "engine.backend sim" || body["backend"] != "native" {
+			t.Fatalf("%s naming sim: %d %s, want the typed 400", what, code, out)
+		}
 	}
-	if sys.key.Backend != "sim" {
-		t.Fatalf("cache key backend = %q, want sim", sys.key.Backend)
-	}
+	w := doReq(t, s, http.MethodPost, "/v1/systems",
+		`{"gen":"poisson2d:6","config":{"solver":{"type":"cg","maxIterations":300,"tolerance":1e-8},"engine":{"backend":"sim"}}}`)
+	checkTyped("HTTP register", w.Code, w.Body.String())
 
-	res, err := s.Solve(context.Background(), simInfo.ID, onesRHS(m))
+	info, err := s.Register(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Machine.TotalCycles == 0 {
-		t.Fatal("simulator-pinned system billed no cycles")
+	cfg := opts.Solver
+	cfg.Engine = &config.EngineConfig{Backend: "sim"}
+	body, _ := json.Marshal(UpdateRequest{Diag: drift(m, 1).Diag, Config: &cfg})
+	w = doReq(t, s, http.MethodPatch, "/v1/systems/"+info.ID, string(body))
+	checkTyped("PATCH", w.Code, w.Body.String())
+	if sys, _ := s.lookup(info.ID); sys.generation != 1 {
+		t.Fatalf("a refused PATCH moved the generation to %d", sys.generation)
 	}
 }
 
-// TestRegisterEngineBlockMerge: a per-system engine block overrides the
-// service's field by field, so a system that names only its backend keeps the
-// service's parallelism and one that names only its parallelism keeps the
-// service's backend.
+// TestRegisterEngineBlockMerge: no engine block reaches a replica. Whatever
+// the service's block and the system's (backend native, parallelism or none)
+// say, the registered system serves native and its config carries no engine
+// block, so it shares the plain config's cache key.
 func TestRegisterEngineBlockMerge(t *testing.T) {
 	svcSim := &config.EngineConfig{Backend: "sim", Parallelism: 2}
 	for _, tc := range []struct {
-		name     string
-		service  *config.EngineConfig
-		system   *config.EngineConfig
-		backend  string
-		parallel int
+		name    string
+		service *config.EngineConfig
+		system  *config.EngineConfig
 	}{
-		{"absent", svcSim, nil, "sim", 2},
-		{"backend-only", svcSim, &config.EngineConfig{Backend: "native"}, "native", 2},
-		{"parallelism-only", svcSim, &config.EngineConfig{Parallelism: 3}, "sim", 3},
-		{"no service block", nil, &config.EngineConfig{Parallelism: 3}, "native", 3},
+		{"absent", svcSim, nil},
+		{"backend-only", svcSim, &config.EngineConfig{Backend: "native"}},
+		{"parallelism-only", svcSim, &config.EngineConfig{Parallelism: 3}},
+		{"no service block", nil, &config.EngineConfig{Parallelism: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := testOptions()
+			plain := opts.Solver
 			opts.Solver.Engine = tc.service
 			s := New(opts)
 			defer s.Close()
-			cfg := opts.Solver
+			cfg := plain
 			cfg.Engine = tc.system
-			info, err := s.Register(context.Background(), sparse.Poisson2D(6, 6), &cfg)
+			m := sparse.Poisson2D(6, 6)
+			info, err := s.Register(context.Background(), m, &cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,9 +122,15 @@ func TestRegisterEngineBlockMerge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Backend != tc.backend || sys.cfg.EngineParallelism() != tc.parallel {
-				t.Fatalf("resolved backend %q, parallelism %d; want %q and %d",
-					info.Backend, sys.cfg.EngineParallelism(), tc.backend, tc.parallel)
+			if info.Backend != "native" || sys.cfg.Engine != nil || sys.key.Config != configHash(plain) {
+				t.Fatalf("backend %q, engine block %+v; want native and none", info.Backend, sys.cfg.Engine)
+			}
+			res, err := s.Solve(context.Background(), info.ID, onesRHS(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Machine.TotalCycles != 0 {
+				t.Fatalf("solve billed %d cycles: it did not run native", res.Machine.TotalCycles)
 			}
 		})
 	}
@@ -137,10 +142,64 @@ func TestServiceRejectsUnknownBackend(t *testing.T) {
 	s := New(opts)
 	defer s.Close()
 	bad := opts.Solver
-	bad.Engine = &config.EngineConfig{Backend: "sim"} // valid for Validate...
-	bad.Engine.Backend = "quantum"                    // ...then broken
+	bad.Engine = &config.EngineConfig{Backend: "quantum"}
 	if _, err := s.Register(context.Background(), sparse.Poisson2D(6, 6), &bad); err == nil {
 		t.Fatal("registration accepted an unknown backend")
+	}
+}
+
+// TestWALReplaysSimRecordOnNative: a record written before serving went
+// native-only, whose config names the simulator and a device trace, skips the
+// gate on replay: Open succeeds, and the system serves native and writes no
+// trace.
+func TestWALReplaysSimRecordOnNative(t *testing.T) {
+	opts := testOptions()
+	opts.StateDir = t.TempDir()
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := sparse.Poisson2D(6, 6)
+	cfg := opts.Solver
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	cfg.Engine = &config.EngineConfig{Backend: "sim", Trace: trace}
+	rec, err := json.Marshal(NewRegistrationRecord(m, &cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(opts.StateDir, walName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(rec, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2, err := Open(opts)
+	if err != nil {
+		t.Fatalf("a sim record must replay: %v", err)
+	}
+	defer s2.Close()
+	info, err := s2.SystemDetail(m.FingerprintString())
+	if err != nil {
+		t.Fatalf("sim record did not replay: %v", err)
+	}
+	if info.Backend != "native" {
+		t.Fatalf("replayed system backend %q, want native", info.Backend)
+	}
+	res, err := s2.Solve(context.Background(), info.ID, onesRHS(m))
+	if err != nil || !res.Stats.Converged {
+		t.Fatalf("replayed solve: err=%v", err)
+	}
+	if res.Machine.TotalCycles != 0 {
+		t.Fatalf("replayed solve billed %d cycles: it did not run native", res.Machine.TotalCycles)
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Fatalf("replayed solve wrote the recorded trace file (stat err %v)", err)
 	}
 }
 
@@ -192,22 +251,23 @@ func TestNativeReplicasConcurrent(t *testing.T) {
 	}
 }
 
-// TestRegisterCapabilityGate: a config that requests a simulator-only
-// feature (device tracing) on the native default replica is rejected at
-// registration time — API-level with the typed config.UnsupportedError,
-// HTTP-level with a 400 and the typed capability body — never on the first
-// solve. The same config pinned to the simulator registers and solves, with
-// the engine.trace key writing the device timeline.
+// TestRegisterCapabilityGate: a config that requests device tracing, which
+// needs the simulator, is rejected at registration time — API-level with the
+// typed config.UnsupportedError, HTTP-level with a 400 and the typed
+// capability body — never on the first solve, with or without a backend
+// named beside it.
 func TestRegisterCapabilityGate(t *testing.T) {
 	opts := testOptions()
 	s := New(opts)
 	defer s.Close()
 	m := sparse.Poisson2D(8, 8)
 
-	traced := opts.Solver
-	traced.Engine = &config.EngineConfig{Trace: filepath.Join(t.TempDir(), "run.json")}
-	if _, err := s.Register(context.Background(), m, &traced); !config.IsUnsupported(err) {
-		t.Fatalf("native registration with engine.trace: err=%v, want typed UnsupportedError", err)
+	for _, be := range []string{"", "native"} {
+		traced := opts.Solver
+		traced.Engine = &config.EngineConfig{Backend: be, Trace: filepath.Join(t.TempDir(), "run.json")}
+		if _, err := s.Register(context.Background(), m, &traced); !config.IsUnsupported(err) {
+			t.Fatalf("registration with engine.trace (backend %q): err=%v, want typed UnsupportedError", be, err)
+		}
 	}
 
 	srv := httptest.NewServer(s.Handler())
@@ -228,22 +288,7 @@ func TestRegisterCapabilityGate(t *testing.T) {
 	if body["unsupported"] != "device tracing" || body["backend"] != "native" {
 		t.Fatalf("typed 400 body missing capability fields: %v", body)
 	}
-
-	// Pinned to the simulator the same request is fine, and a solve writes
-	// the configured trace file.
-	traced.Engine.Backend = "sim"
-	info, err := s.Register(context.Background(), m, &traced)
-	if err != nil {
-		t.Fatalf("sim registration with engine.trace: %v", err)
-	}
-	if _, err := s.Solve(context.Background(), info.ID, onesRHS(m)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(traced.Engine.Trace)
-	if err != nil {
-		t.Fatalf("engine.trace wrote nothing: %v", err)
-	}
-	if !bytes.Contains(data, []byte("traceEvents")) {
-		t.Fatalf("engine.trace output is not a trace-event file: %.80s", data)
+	if n := len(s.Systems()); n != 0 {
+		t.Fatalf("a refused registration left %d system(s)", n)
 	}
 }

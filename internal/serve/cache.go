@@ -1,5 +1,5 @@
 // The prepared-pipeline cache: an LRU of replica pools keyed by matrix,
-// solver hierarchy, machine, partition strategy and backend, with a pattern
+// solver hierarchy, machine and partition strategy, with a pattern
 // index through which a pool is adopted by a system whose values differ but
 // whose sparsity pattern does not.
 
@@ -25,7 +25,6 @@ type Key struct {
 	Config   uint64
 	Machine  ipu.Config
 	Strategy core.PartitionStrategy
-	Backend  string // canonical backend name; sim and native replicas never mix
 }
 
 // configHash digests the solver-relevant blocks of a configuration via their
@@ -138,9 +137,9 @@ func (s *Service) release(ent *entry, p *core.Prepared) {
 	ent.idle <- p
 }
 
-// prepareSys builds one replica with the system's effective execution knobs:
-// the tuned partition strategy and backend when a race decision is active,
-// the service defaults otherwise. A prepare that panics returns a
+// prepareSys builds one native replica with the system's effective partition
+// strategy: the tuned one when a race decision is active, the service default
+// otherwise. A prepare that panics returns a
 // *PanicError, so its callers' error paths give back the pool slot and drop
 // an entry left without a replica.
 func (s *Service) prepareSys(sys *system) (p *core.Prepared, err error) {
@@ -154,7 +153,7 @@ func (s *Service) prepareSys(sys *system) (p *core.Prepared, err error) {
 		strategy = s.opts.Strategy
 	}
 	return core.Prepare(s.opts.Machine, sys.m, sys.cfg, strategy,
-		core.WithTelemetry(s.opts.Telemetry), core.WithBackend(sys.backend))
+		core.WithTelemetry(s.opts.Telemetry), core.WithBackend(config.BackendNative))
 }
 
 // maybeAdopt is the values-only refresh path of registration and PATCH: when

@@ -50,9 +50,9 @@ type UpdateRequest struct {
 	N       int          `json:"n,omitempty"`
 	Entries [][3]float64 `json:"entries,omitempty"`
 	// Config, when present, must not change anything: an update is values
-	// only. It is re-validated against the system's backend, so a config
-	// requesting simulator-only features on a native system fails with the
-	// same typed 400 a registration would produce.
+	// only. It passes the same CheckServable gate as a registration, so an
+	// engine block naming the simulator or a device trace fails with the same
+	// typed 400.
 	Config *config.Config `json:"config,omitempty"`
 }
 
@@ -346,9 +346,8 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 // handlePatchSystem applies a values-only refresh (PATCH /v1/systems/{id}):
 // the new numbers are lowered into the cached prepared pipelines in place and
 // the system's values generation increments — the ID stays stable. A
-// structural change answers 409 Conflict; a config override requesting
-// features the system's backend cannot honor answers the same typed 400 as
-// registration.
+// structural change answers 409 Conflict; a config override that fails
+// CheckServable answers the same typed 400 as registration.
 func (s *Service) handlePatchSystem(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req UpdateRequest
@@ -374,13 +373,13 @@ func (s *Service) handlePatchSystem(w http.ResponseWriter, r *http.Request) {
 	if req.Config != nil {
 		// An update never changes the solver hierarchy. The override is
 		// accepted only when it restates the registered configuration; it is
-		// still capability-checked first so a simulator-only request fails
-		// with the typed 400 body, not the generic message.
-		if err := req.Config.Validate(); err != nil {
+		// still gated first so a simulator-only request fails with the typed
+		// 400 body, not the generic message.
+		if err := CheckServable(req.Config); err != nil {
 			writeError(w, err)
 			return
 		}
-		if _, err := config.ResolveBackend(sys.backend, req.Config.EngineTrace() != ""); err != nil {
+		if err := req.Config.Validate(); err != nil {
 			writeError(w, err)
 			return
 		}

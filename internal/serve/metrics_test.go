@@ -9,8 +9,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"ipusparse/internal/config"
 )
 
 // TestStatsJSONShape locks the /stats wire contract: the exact key set the
@@ -18,9 +16,6 @@ import (
 // counters, and counters populated by a solve must be non-zero.
 func TestStatsJSONShape(t *testing.T) {
 	opts := testOptions()
-	// Pinned to the simulator so cyclesPerSolve stays meaningful (native runs
-	// no cycle model and always reports zero).
-	opts.Solver.Engine = &config.EngineConfig{Backend: "sim"}
 	s := New(opts)
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
@@ -69,11 +64,16 @@ func TestStatsJSONShape(t *testing.T) {
 	if strings.Join(keys, ",") != strings.Join(sorted, ",") {
 		t.Errorf("/stats keys drifted:\n got %v\nwant %v", keys, sorted)
 	}
-	for _, k := range []string{"solved", "verified", "p50Ms", "cyclesPerSolve"} {
+	// cyclesPerSolve stays in the contract but reads 0: serving runs native,
+	// which runs no cycle model.
+	for _, k := range []string{"solved", "verified", "p50Ms"} {
 		v, ok := got[k].(float64)
 		if !ok || v <= 0 {
 			t.Errorf("/stats %s = %v, want > 0 after a solve", k, got[k])
 		}
+	}
+	if got["cyclesPerSolve"] != 0.0 || got["backend"] != "native" {
+		t.Errorf("/stats cyclesPerSolve = %v, backend = %v; want 0 and native", got["cyclesPerSolve"], got["backend"])
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 	"ipusparse/internal/sparse"
 )
 
-// TestServiceParallelEngineReplicas drives concurrent solves through replicas
-// whose engines shard supersteps across the shared host pool. Under -race
-// this exercises the pool from several coordinators at once; the assertions
-// require every solve to return the same solution bits — the engine contract
-// regardless of how pool workers interleave across replicas.
+// TestServiceParallelEngineReplicas drives concurrent solves through three
+// replicas of one system under a service engine block asking for host
+// parallelism, which registration drops: every replica runs native. Under
+// -race this exercises the replicas from several goroutines at once; the
+// assertions require every solve to return the same solution bits and cycle
+// count.
 func TestServiceParallelEngineReplicas(t *testing.T) {
 	opts := testOptions()
 	opts.ReplicasPerKey = 3
@@ -65,30 +66,5 @@ func TestServiceParallelEngineReplicas(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestRegisterInheritsEngineConfig: a per-system config without an engine
-// block must inherit the service-wide engine parallelism (it is a deployment
-// knob, not part of the solver hierarchy).
-func TestRegisterInheritsEngineConfig(t *testing.T) {
-	opts := testOptions()
-	opts.Solver.Engine = &config.EngineConfig{Parallelism: 2}
-	s := New(opts)
-	defer s.Close()
-
-	m := sparse.Poisson3D(4, 4, 4)
-	perSystem := testOptions().Solver // no Engine block
-	if _, err := s.Register(context.Background(), m, &perSystem); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	sys := s.systems[m.FingerprintString()]
-	s.mu.Unlock()
-	if sys == nil {
-		t.Fatal("system not registered")
-	}
-	if sys.cfg.Engine == nil || sys.cfg.Engine.Parallelism != 2 {
-		t.Fatalf("system engine config = %+v, want inherited parallelism 2", sys.cfg.Engine)
 	}
 }

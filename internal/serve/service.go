@@ -57,11 +57,9 @@ type Options struct {
 	DefaultTimeout time.Duration          // per-job deadline when the caller sets none (default 30s)
 	Machine        ipu.Config             // simulated machine (default 64-tile single-chip Mk2)
 	Strategy       core.PartitionStrategy // partition strategy (default contiguous)
-	// Solver is the configuration of registered systems. Its engine block
-	// holds the service's execution backend (engine.backend: native when
-	// empty, unlike core's sim default; sim is required for device tracing
-	// and is the only backend with a nonzero CyclesPerSolve) and host
-	// parallelism. A per-system config overrides them field by field.
+	// Solver is the configuration of registered systems that bring none.
+	// Every replica runs the native backend: registration drops any engine
+	// block, so serving bills no cycles (CyclesPerSolve reads 0).
 	Solver config.Config
 
 	// Resilience layer.
@@ -116,7 +114,6 @@ func OptionsFromConfig(c config.Config) Options {
 		MPIR:     c.MPIR,
 		Recovery: c.Recovery,
 		Fault:    c.Fault,
-		Engine:   c.Engine,
 	}}
 	if s := c.Serve; s != nil {
 		o.CacheCapacity = s.CacheCapacity
@@ -189,9 +186,7 @@ func (o *Options) fill() {
 		o.Strategy = core.PartitionContiguous
 	}
 	if o.Solver.Solver.Type == "" {
-		eng := o.Solver.Engine
 		o.Solver = config.Default()
-		o.Solver.Engine = eng
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 8 << 20

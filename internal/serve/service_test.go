@@ -15,6 +15,7 @@ import (
 
 	"ipusparse/internal/config"
 	"ipusparse/internal/core"
+	"ipusparse/internal/fault"
 	"ipusparse/internal/ipu"
 	"ipusparse/internal/sparse"
 )
@@ -311,18 +312,21 @@ func TestServiceOverloaded(t *testing.T) {
 	opts.Workers = 1
 	opts.QueueDepth = 1
 	opts.ReplicasPerKey = 1
-	// The simulator's milliseconds-per-solve pace is what overflows the
-	// one-slot queue; native drains the burst too fast to reject reliably.
-	opts.Solver.Engine = &config.EngineConfig{Backend: "sim"}
+	// Every solve stalls its replica, which holds the single worker for the
+	// stall: a native solve alone drains the burst too fast to reject
+	// reliably.
+	opts.Chaos = fault.NewChaos(fault.ChaosPlan{
+		Seed: 1, Rate: 1, StallDuration: 20 * time.Millisecond,
+		Kinds: []fault.ChaosKind{fault.ChaosStall},
+	})
 	s := New(opts)
 	defer s.Close()
 
-	// Each solve occupies the single worker for milliseconds (the system is
-	// sized so even the arena-backed simulator needs that long), so a burst
-	// of concurrent submissions (serialized through enqueue far faster than
-	// the worker drains) must overflow the one-slot queue: at any instant
-	// one job runs, one waits, the rest bounce with ErrOverloaded.
-	m := sparse.Poisson2D(120, 120)
+	// A burst of concurrent submissions (serialized through enqueue far
+	// faster than the stalled worker drains) must overflow the one-slot
+	// queue: at any instant one job runs, one waits, the rest bounce with
+	// ErrOverloaded.
+	m := sparse2dForTest()
 	info, err := s.Register(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)

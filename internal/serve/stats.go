@@ -3,6 +3,7 @@ package serve
 import (
 	"time"
 
+	"ipusparse/internal/config"
 	"ipusparse/internal/telemetry"
 )
 
@@ -30,8 +31,7 @@ type Stats struct {
 	// the native backend, which runs no cycle model.
 	CyclesPerSolve uint64 `json:"cyclesPerSolve"`
 
-	// Backend is the service's default execution backend ("native" unless
-	// configured otherwise); per-system engine.backend keys may override it.
+	// Backend is the execution backend every replica runs: always "native".
 	Backend string `json:"backend"`
 
 	// Supervision layer.
@@ -166,7 +166,7 @@ func (s *Service) Stats() Stats {
 		QueueDepth:  len(s.jobs),
 		Rejected:    s.stats.rejected.Value(),
 		Solved:      s.stats.solved.Value(),
-		Backend:     servedBackend(s.opts.Solver),
+		Backend:     config.BackendNative,
 		P50Ms:       1e3 * s.stats.latency.Quantile(0.50),
 		P99Ms:       1e3 * s.stats.latency.Quantile(0.99),
 

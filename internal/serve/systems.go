@@ -28,7 +28,6 @@ type system struct {
 	base       config.Config // registered config before tuning overrides
 	key        Key
 	pattern    uint64  // sparsity-pattern fingerprint (values excluded)
-	backend    string  // canonical execution-backend name for this system
 	solver     string  // solver name, filled at registration
 	verifyTol  float64 // effective residual-verification threshold
 	generation int     // values generation, 1 at registration, +1 per PATCH
@@ -44,36 +43,24 @@ type system struct {
 	lat      *latWindow
 }
 
-// mergeEngine is the engine block a per-system config runs with. The block is
-// host-side deployment (backend, parallelism, trace), not part of the solver
-// hierarchy: each field the system leaves zero takes the service's value.
-func mergeEngine(sys, svc *config.EngineConfig) *config.EngineConfig {
-	if sys == nil {
-		return svc
+// CheckServable is the one engine gate of the serving tiers: registration,
+// PATCH, the router and the daemon's own configuration all pass through it.
+// Serving runs the native backend, so a config that names another backend or
+// asks for a device trace (simulator-only) is a typed
+// *config.UnsupportedError, answered as a 400 before any prepare. The rest of
+// the engine block (host parallelism, which only the simulator reads) is
+// accepted and dropped at registration.
+func CheckServable(c *config.Config) error {
+	if c == nil || c.Engine == nil {
+		return nil
 	}
-	if svc == nil {
-		return sys
+	if be := c.Engine.Backend; be != "" && be != config.BackendNative {
+		return &config.UnsupportedError{Backend: config.BackendNative, Feature: "engine.backend " + be}
 	}
-	e := *sys
-	if e.Parallelism == 0 {
-		e.Parallelism = svc.Parallelism
+	if c.Engine.Trace != "" {
+		return &config.UnsupportedError{Backend: config.BackendNative, Feature: "device tracing"}
 	}
-	if e.Backend == "" {
-		e.Backend = svc.Backend
-	}
-	if e.Trace == "" {
-		e.Trace = svc.Trace
-	}
-	return &e
-}
-
-// servedBackend is the execution backend the service runs a configuration
-// on: its engine.backend, native when that is empty.
-func servedBackend(c config.Config) string {
-	if be := c.EngineBackend(); be != "" {
-		return be
-	}
-	return config.BackendNative
+	return nil
 }
 
 // onesVec is b = A·1 for one values generation, computed on first use and
@@ -83,23 +70,21 @@ type onesVec struct {
 	b    []float64
 }
 
-// newSystem builds a registration's system with the service's default
-// execution knobs.
-func (s *Service) newSystem(id string, m *sparse.Matrix, c config.Config, backend string, generation int) *system {
+// newSystem builds a registration's system, whose matrix fingerprints to fp,
+// with the service's default execution knobs.
+func (s *Service) newSystem(id string, m *sparse.Matrix, fp uint64, c config.Config, generation int) *system {
 	return &system{
 		id:   id,
 		m:    m,
 		cfg:  c,
 		base: c,
 		key: Key{
-			Matrix:   m.Fingerprint(),
+			Matrix:   fp,
 			Config:   configHash(c),
 			Machine:  s.opts.Machine,
 			Strategy: s.opts.Strategy,
-			Backend:  backend,
 		},
 		pattern:    m.PatternFingerprint(),
-		backend:    backend,
 		verifyTol:  verifyTolFor(s.opts.VerifyTolerance, c),
 		generation: generation,
 		ones:       new(onesVec),
@@ -194,8 +179,8 @@ func infoFor(sys *system) SystemInfo {
 		N:          sys.m.N,
 		NNZ:        sys.m.NNZ(),
 		Solver:     sys.solver,
-		Backend:    sys.backend,
-		Pattern:    sys.m.PatternFingerprintString(),
+		Backend:    config.BackendNative,
+		Pattern:    sparse.FormatPatternFingerprint(sys.pattern),
 		Generation: sys.generation,
 		Tuned:      sys.tune != nil,
 	}
@@ -214,10 +199,14 @@ func (s *Service) SystemDetail(id string) (SystemDetail, error) {
 // prepared replica, so registration validates the configuration and the
 // first solve is already amortized. The context bounds the warm-up: a caller
 // that goes away cancels its half-built replica wait. A nil cfg uses the
-// service's default solver configuration. Registering the same matrix again
-// is idempotent. With a crash-safe registry attached, the registration is
-// appended to the WAL before it is acknowledged.
+// service's default solver configuration; a cfg that fails CheckServable is
+// rejected before any work. Registering the same matrix again is idempotent.
+// With a crash-safe registry attached, the registration is appended to the
+// WAL before it is acknowledged.
 func (s *Service) Register(ctx context.Context, m *sparse.Matrix, cfg *config.Config) (SystemInfo, error) {
+	if err := CheckServable(cfg); err != nil {
+		return SystemInfo{}, err
+	}
 	return s.register(ctx, m, cfg, regMeta{})
 }
 
@@ -236,29 +225,23 @@ func (s *Service) register(ctx context.Context, m *sparse.Matrix, cfg *config.Co
 	c := s.opts.Solver
 	if cfg != nil {
 		c = *cfg
-		c.Engine = mergeEngine(cfg.Engine, s.opts.Solver.Engine)
 	}
+	// Every replica runs native: the engine block is deployment, not solver
+	// hierarchy, so it goes (a replayed record that names sim serves native).
+	c.Engine = nil
 	if err := c.Validate(); err != nil {
 		return SystemInfo{}, err
 	}
-	// Capability gate before the expensive warm-up prepare: a config that
-	// requests simulator-only features on this replica's backend is rejected
-	// here, at registration time, with the typed error the HTTP layer maps to
-	// a 400 — never on the first solve. Names are canonicalized (simulator →
-	// sim) so equivalent spellings share replicas.
-	be, err := config.ResolveBackend(servedBackend(c), c.EngineTrace() != "")
-	if err != nil {
-		return SystemInfo{}, err
-	}
+	fp := m.Fingerprint()
 	id := meta.id
 	if id == "" {
-		id = m.FingerprintString()
+		id = sparse.FormatFingerprint(fp)
 	}
 	generation := meta.generation
 	if generation <= 0 {
 		generation = 1
 	}
-	sys := s.newSystem(id, m, c, be, generation)
+	sys := s.newSystem(id, m, fp, c, generation)
 	if meta.tun != nil {
 		s.applyDecision(sys, meta.tun)
 	}
@@ -298,7 +281,7 @@ func (s *Service) register(ctx context.Context, m *sparse.Matrix, cfg *config.Co
 
 	// Values-only refresh path: a cached pool prepared for a different matrix
 	// with this system's exact sparsity pattern (and solver hierarchy,
-	// machine, backend) is adopted by refreshing its numeric payloads in
+	// machine, strategy) is adopted by refreshing its numeric payloads in
 	// place, so the warm-up below finds hot replicas instead of paying a cold
 	// Prepare.
 	s.maybeAdopt(sys)
@@ -404,7 +387,7 @@ func (s *Service) UpdateSystem(ctx context.Context, id string, m *sparse.Matrix)
 	if got := m.PatternFingerprint(); got != sys.pattern {
 		s.stats.refreshMismatch.Inc()
 		return UpdateInfo{}, fmt.Errorf("%w: system %s is prepared for pattern %s, update carries %s",
-			core.ErrPatternMismatch, sys.id, sys.m.PatternFingerprintString(), m.PatternFingerprintString())
+			core.ErrPatternMismatch, sys.id, sparse.FormatPatternFingerprint(sys.pattern), sparse.FormatPatternFingerprint(got))
 	}
 	fp := m.Fingerprint()
 	if fp == sys.key.Matrix {

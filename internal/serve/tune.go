@@ -73,12 +73,9 @@ func (w *latWindow) reset() {
 func (s *Service) race(ctx context.Context, sys *system) (*tune.Decision, error) {
 	start := time.Now()
 	d, err := tune.Race(ctx, s.opts.Machine, sys.m, sys.base, tune.Options{
-		Budget: s.opts.TuneBudget,
-		Solves: s.opts.TuneSolves,
-		Default: tune.Candidate{
-			Strategy: string(s.opts.Strategy),
-			Backend:  sys.backend,
-		},
+		Budget:  s.opts.TuneBudget,
+		Solves:  s.opts.TuneSolves,
+		Default: tune.Candidate{Strategy: string(s.opts.Strategy)},
 	})
 	if err != nil && ctx.Err() != nil {
 		return nil, err
@@ -97,9 +94,9 @@ func (s *Service) race(ctx context.Context, sys *system) (*tune.Decision, error)
 }
 
 // applyDecision rewrites the system's effective execution knobs from a race
-// decision: partition strategy, backend, and the tuned preconditioner
-// applied over the registered base configuration. The cache key follows, so
-// tuned and untuned pipelines never share a pool. The system must not be
+// decision: partition strategy and the tuned preconditioner applied over the
+// registered base configuration. The cache key follows, so tuned and untuned
+// pipelines never share a pool. The system must not be
 // published yet (callers mutate a private copy).
 func (s *Service) applyDecision(sys *system, d *tune.Decision) {
 	sys.tune = d
@@ -108,13 +105,9 @@ func (s *Service) applyDecision(sys *system, d *tune.Decision) {
 	if w.Strategy != "" {
 		sys.strategy = core.PartitionStrategy(w.Strategy)
 	}
-	if w.Backend != "" {
-		sys.backend = w.Backend
-	}
 	sys.verifyTol = verifyTolFor(s.opts.VerifyTolerance, sys.cfg)
 	sys.key.Config = configHash(sys.cfg)
 	sys.key.Strategy = sys.strategy
-	sys.key.Backend = sys.backend
 }
 
 // TuneDecision returns the system's cached race decision (nil when the

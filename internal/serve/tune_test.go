@@ -128,9 +128,9 @@ func TestTuneDecisionSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy-shape record did not replay: %v", err)
 	}
-	if legacy.strategy != "greedy" || legacy.backend != "native" || legacy.cfg.Solver.Preconditioner.Type != "jacobi" {
-		t.Fatalf("legacy decision serves %s/%s/%s, want its winner greedy/native/jacobi",
-			legacy.strategy, legacy.backend, legacy.cfg.Solver.Preconditioner.Type)
+	if legacy.strategy != "greedy" || legacy.cfg.Solver.Preconditioner.Type != "jacobi" {
+		t.Fatalf("legacy decision serves %s/%s, want its winner greedy/jacobi",
+			legacy.strategy, legacy.cfg.Solver.Preconditioner.Type)
 	}
 	if res, err := s2.Solve(context.Background(), legacy.id, onesRHS(legacyM)); err != nil || !res.Stats.Converged {
 		t.Fatalf("legacy tuned solve did not converge: %v", err)

@@ -56,10 +56,6 @@ type RegistrationRecord struct {
 	// Deleted marks a tombstone: replay removes the named system. Tombstones
 	// carry no matrix payload.
 	Deleted bool `json:"deleted,omitempty"`
-	// Supersedes marks a legacy (PR-9) values-only refresh record: replay
-	// drops the named system so a restarted service recovers only the updated
-	// values. New updates keep the ID stable and bump Generation instead.
-	Supersedes string `json:"supersedes,omitempty"`
 }
 
 func newRegistrationRecord(sys *system) RegistrationRecord {
@@ -74,7 +70,7 @@ func newRegistrationRecord(sys *system) RegistrationRecord {
 		Generation: sys.generation,
 		Tune:       sys.tune,
 	}
-	if fp := sys.m.FingerprintString(); fp != sys.id {
+	if fp := sparse.FormatFingerprint(sys.key.Matrix); fp != sys.id {
 		rec.FP = fp
 	}
 	return rec
@@ -284,9 +280,7 @@ func loadSnapshot(path string) ([]RegistrationRecord, error) {
 }
 
 // mergeRecord replaces an existing record with the same ID or appends; a
-// tombstone removes its system; a legacy superseding record (PR-9 values-only
-// refresh) retires the registration it replaces, taking its position so
-// registration order is preserved.
+// tombstone removes its system.
 func mergeRecord(recs []RegistrationRecord, rec RegistrationRecord) []RegistrationRecord {
 	if rec.Deleted {
 		for i := range recs {
@@ -296,14 +290,6 @@ func mergeRecord(recs []RegistrationRecord, rec RegistrationRecord) []Registrati
 		}
 		return recs
 	}
-	if rec.Supersedes != "" && rec.Supersedes != rec.ID {
-		for i := range recs {
-			if recs[i].ID == rec.Supersedes {
-				recs[i] = rec
-				return dedupeRecord(recs, i)
-			}
-		}
-	}
 	for i := range recs {
 		if recs[i].ID == rec.ID {
 			recs[i] = rec
@@ -311,19 +297,6 @@ func mergeRecord(recs []RegistrationRecord, rec RegistrationRecord) []Registrati
 		}
 	}
 	return append(recs, rec)
-}
-
-// dedupeRecord drops any record after keep that shares its ID — the footprint
-// of an update that restored a previously registered value set.
-func dedupeRecord(recs []RegistrationRecord, keep int) []RegistrationRecord {
-	id := recs[keep].ID
-	out := recs[:keep+1]
-	for _, r := range recs[keep+1:] {
-		if r.ID != id {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // countErr bumps the WAL-error counter on the way out of a failing write or

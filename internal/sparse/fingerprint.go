@@ -43,9 +43,10 @@ func (m *Matrix) Fingerprint() uint64 {
 
 // FingerprintString formats the fingerprint as the service's external system
 // identifier.
-func (m *Matrix) FingerprintString() string {
-	return fmt.Sprintf("m%016x", m.Fingerprint())
-}
+func (m *Matrix) FingerprintString() string { return FormatFingerprint(m.Fingerprint()) }
+
+// FormatFingerprint formats a Fingerprint digest as FingerprintString does.
+func FormatFingerprint(fp uint64) string { return fmt.Sprintf("m%016x", fp) }
 
 // PatternFingerprint returns a deterministic 64-bit digest of the sparsity
 // pattern alone: dimension, RowPtr and Cols, with every value excluded (the
@@ -89,5 +90,9 @@ func fnv1aWord(h, v uint64) uint64 {
 // PatternFingerprintString formats the pattern fingerprint as the service's
 // external structure identifier.
 func (m *Matrix) PatternFingerprintString() string {
-	return fmt.Sprintf("p%016x", m.PatternFingerprint())
+	return FormatPatternFingerprint(m.PatternFingerprint())
 }
+
+// FormatPatternFingerprint formats a PatternFingerprint digest as
+// PatternFingerprintString does.
+func FormatPatternFingerprint(fp uint64) string { return fmt.Sprintf("p%016x", fp) }

@@ -1,11 +1,11 @@
 // Package tune is the per-pattern autotuner: it races the static default
-// execution configuration against native partition-strategy and
-// preconditioner variants, on the actual matrix on the actual host, under a
-// bounded time budget, and returns the measured winner. The default is always
-// raced first, so the winner beats or ties it by construction; challengers
-// run the native backend only, because the simulator has never won a race
-// against it. The serving layer caches decisions in its registry WAL and
-// re-races in the background when the measured latency regresses.
+// execution configuration against partition-strategy and preconditioner
+// variants, on the actual matrix on the actual host, under a bounded time
+// budget, and returns the measured winner. The default is always raced first,
+// so the winner beats or ties it by construction. Every candidate runs the
+// native backend, the one serving runs. The serving layer caches decisions in
+// its registry WAL and re-races in the background when the measured latency
+// regresses.
 package tune
 
 import (
@@ -25,7 +25,6 @@ import (
 // keep the registered configuration's choice.
 type Candidate struct {
 	Strategy string `json:"strategy,omitempty"` // partition strategy
-	Backend  string `json:"backend,omitempty"`  // execution backend
 	Precond  string `json:"precond,omitempty"`  // preconditioner type ("" = registered)
 }
 
@@ -35,15 +34,10 @@ func (c Candidate) String() string {
 	if s == "" {
 		s = "contiguous"
 	}
-	be := c.Backend
-	if be == "" {
-		be = config.BackendNative
-	}
-	out := fmt.Sprintf("%s/%s", s, be)
 	if c.Precond != "" {
-		out += "/" + c.Precond
+		s += "/" + c.Precond
 	}
-	return out
+	return s
 }
 
 // Measurement is one raced candidate's outcome.
@@ -81,7 +75,7 @@ type Options struct {
 	// Solves is the warm solve count per candidate (best-of). Default 3.
 	Solves int
 	// Default is the static configuration to beat; its zero value means the
-	// registered configuration as-is (contiguous/config backend).
+	// registered configuration as-is, partitioned contiguously.
 	Default Candidate
 }
 
@@ -96,59 +90,41 @@ func (o Options) withDefaults() Options {
 }
 
 // Candidates enumerates the race field for a configuration: the normalized
-// default first, then the native challengers — each partition strategy at the
+// default first, then the challengers — each partition strategy at the
 // default preconditioner, and the preconditioner swap at the default
-// strategy. The simulator races only when it is the default: it has never
-// beaten native on the same answer. Candidates the configuration cannot run
-// (a backend that rejects the config's features, a preconditioner swap under
-// MPIR) are excluded, so the field holds at most 4.
+// strategy. A preconditioner swap under MPIR is excluded, so the field holds
+// at most 4.
 func Candidates(cfg config.Config, def Candidate) []Candidate {
 	def = normalize(def, cfg)
 	out := []Candidate{def}
 	add := func(c Candidate) {
-		if c = normalize(c, cfg); !slices.Contains(out, c) && runnable(c, cfg) {
+		if c = normalize(c, cfg); !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
 	for _, st := range []string{"contiguous", "greedy"} {
-		add(Candidate{Strategy: st, Backend: config.BackendNative, Precond: def.Precond})
+		add(Candidate{Strategy: st, Precond: def.Precond})
 	}
 	if cfg.MPIR == nil && cfg.Solver.Preconditioner != nil && !cfg.Solver.Preconditioner.Coarse {
 		// Swap only between the cheap-setup general-purpose preconditioners;
 		// the race's convergence gate rejects a swap that does not converge.
 		for _, pc := range []string{"jacobi", "ilu0"} {
-			add(Candidate{Strategy: def.Strategy, Backend: config.BackendNative, Precond: pc})
+			add(Candidate{Strategy: def.Strategy, Precond: pc})
 		}
 	}
 	return out
 }
 
 // normalize fills a candidate's zero fields from the configuration so equal
-// effective configurations dedupe, and canonicalizes backend spellings.
+// effective configurations dedupe.
 func normalize(c Candidate, cfg config.Config) Candidate {
 	if c.Strategy == "" {
 		c.Strategy = string(core.PartitionContiguous)
-	}
-	if c.Backend == "" {
-		c.Backend = cfg.EngineBackend()
-		if c.Backend == "" {
-			c.Backend = config.BackendNative
-		}
-	}
-	if be, err := config.ResolveBackend(c.Backend, false); err == nil {
-		c.Backend = be
 	}
 	if c.Precond == "" && cfg.MPIR == nil && cfg.Solver.Preconditioner != nil {
 		c.Precond = cfg.Solver.Preconditioner.Type
 	}
 	return c
-}
-
-// runnable reports whether the candidate's backend can execute the
-// configuration (device tracing is simulator-only).
-func runnable(c Candidate, cfg config.Config) bool {
-	_, err := config.ResolveBackend(c.Backend, cfg.EngineTrace() != "")
-	return err == nil
 }
 
 // ApplyPrecond returns the configuration with the candidate's preconditioner
@@ -162,11 +138,6 @@ func ApplyPrecond(cfg config.Config, precond string) config.Config {
 	pc.Type = precond
 	cfg.Solver.Preconditioner = &pc
 	return cfg
-}
-
-// Tuned converts a candidate to the core prepare-time override.
-func (c Candidate) Tuned() core.Tuned {
-	return core.Tuned{Strategy: core.PartitionStrategy(c.Strategy), Backend: c.Backend}
 }
 
 // Race measures the candidates against b = A·1 and returns the decision. The
@@ -231,13 +202,16 @@ func Race(ctx context.Context, mc ipu.Config, m *sparse.Matrix, cfg config.Confi
 	return d, nil
 }
 
-// measure races one candidate: prepare, one warm-up solve, then best-of-k
-// timed warm solves with a convergence gate.
+// measure races one candidate: a native prepare, one warm-up solve, then
+// best-of-k timed warm solves with a convergence gate. The engine block is
+// the caller's deployment (a simulator pin, a trace file) and does not enter
+// the race.
 func measure(mc ipu.Config, m *sparse.Matrix, cfg config.Config, c Candidate, b []float64, solves int) Measurement {
 	mm := Measurement{Candidate: c}
 	cc := ApplyPrecond(cfg, c.Precond)
+	cc.Engine = nil
 	t0 := time.Now()
-	p, err := core.Prepare(mc, m, cc, core.PartitionStrategy(c.Strategy), core.WithTuned(c.Tuned()))
+	p, err := core.Prepare(mc, m, cc, core.PartitionStrategy(c.Strategy), core.WithBackend(config.BackendNative))
 	mm.PrepareSeconds = time.Since(t0).Seconds()
 	if err != nil {
 		mm.Error = err.Error()
